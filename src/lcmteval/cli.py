@@ -9,19 +9,19 @@ format error, 3 violated statistical precondition.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import sys
 from pathlib import Path
 
 from ._version import VERSION
-from .corpus import SCORES_HEADER, Campaign, load_campaign, validate_campaign
+from .corpus import SCORES_HEADER, Campaign, validate_campaign
 from .errors import DataError, StatError, ToolkitError, ValidationFailure
 from .metrics import CHARACTER, WHITESPACE, scheme_for_direction
 from .pipeline import (
     PipelineState,
     format_validation_report,
+    open_campaign,
     run_pipeline,
     score_tables_for_task,
 )
@@ -62,13 +62,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _load(args) -> Campaign:
-    campaign = load_campaign(args.config)
-    if args.length_unit is not None and args.length_unit != campaign.config.length_unit:
-        campaign = dataclasses.replace(
-            campaign,
-            config=dataclasses.replace(campaign.config, length_unit=args.length_unit),
-        )
-    return campaign
+    return open_campaign(args.config, args.length_unit)
 
 
 def _state(args) -> PipelineState:
@@ -303,6 +297,7 @@ def cmd_run(args) -> int:
         include_traps=args.include_traps,
         level=args.level,
         threads=args.threads,
+        length_unit=args.length_unit,
     )
     for name, digest in artifacts.manifest:
         print(f"{digest}  {name}")

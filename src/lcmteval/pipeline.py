@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Mapping
@@ -577,6 +577,16 @@ class PipelineState:
         return [path]
 
 
+def open_campaign(config_path, length_unit: str | None = None) -> Campaign:
+    """Load a campaign; ``length_unit``, when given, overrides its config's."""
+    campaign = load_campaign(config_path)
+    if length_unit is not None and length_unit != campaign.config.length_unit:
+        campaign = replace(
+            campaign, config=replace(campaign.config, length_unit=length_unit)
+        )
+    return campaign
+
+
 def run_pipeline(
     config_path,
     out_dir,
@@ -590,14 +600,16 @@ def run_pipeline(
     include_traps: bool = False,
     level: str = SYSTEM_LEVEL,
     threads: int = 1,
+    length_unit: str | None = None,
 ) -> PipelineArtifacts:
     """Run the full evaluation pipeline and write every report table.
 
     ``seed`` defaults to the campaign config's seed; ``level`` picks the
-    correlation used to choose the best variant of multi-variant metrics.
+    correlation used to choose the best variant of multi-variant metrics;
+    ``length_unit`` overrides the config's length unit.
     Raises :class:`ValidationFailure` when the rating grid is incomplete.
     """
-    campaign = load_campaign(config_path)
+    campaign = open_campaign(config_path, length_unit)
     if campaign.config.ratings_path is None:
         raise MissingFile("campaign config declares no ratings file")
     report = validate_campaign(campaign)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .corpus import RatingRecord, SegmentRecord, Task
 from .errors import (
@@ -58,12 +58,6 @@ class TrapBuckets:
 class TimingStats:
     all_ave: float
     cut_ave: float | None
-
-
-@dataclass(frozen=True)
-class QCReport:
-    trap_buckets: Mapping[Task, TrapBuckets]
-    timing: Mapping[Task, TimingStats]
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,22 @@ difference of two correlations that share the human scores as one variable
 Segment-level comparison runs a permutation test that swaps the two
 metrics' scores per cell with probability one half.  System comparison
 under a fixed metric uses paired bootstrap resampling over segments.
+
+The permutation test evaluates Kendall tau-b of both swapped vectors as
+quadratic forms in the swap mask (see :class:`_SwapTauB`): two n x n
+matrices per pair of metrics (concordance and ties) and one matrix product
+per batch of replicates replace the per-replicate enumeration of the
+n(n-1)/2 cell pairs.  Every count is an exact integer, so the statistics
+equal pairwise enumeration bit for bit.  Memory is bounded whatever the
+number of cells n: the matrices are built in row tiles and the replicates in
+batches, each of at most ``_BUDGET`` (4,000,000) entries.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -24,11 +35,14 @@ from .errors import (
     AllTied,
     CellMismatch,
     DegenerateCorrelation,
+    NonFiniteScore,
     SampleTooSmall,
     SystemOnlyTable,
 )
 from .metaeval import pearson
 from .seeding import derive_int, rng_for
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -159,38 +173,139 @@ def _pooled_cells(
         raise CellMismatch(f"human score missing for cell {exc}") from None
     a = np.asarray([table_a.cells[k] for k in keys], dtype=np.float64)
     b = np.asarray([table_b.cells[k] for k in keys], dtype=np.float64)
+    if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(h).all()):
+        raise NonFiniteScore("permutation test needs finite scores")
     return a, b, h
 
 
-class _BatchedTauB:
-    """Kendall tau-b of many vectors against one fixed vector.
+# Element budget of the permutation test's working arrays: a tile of the
+# pairwise sign arrays and a batch of replicate masks each hold at most this
+# many entries, whatever the number of cells.
+_BUDGET = 4_000_000
 
-    Works on pair-difference signs over the upper triangle, so the counts
-    (concordant minus discordant, ties) are exact integers and the result
-    matches pairwise enumeration.
+
+def _dense_ranks(x: np.ndarray) -> np.ndarray:
+    """0, 1, 2, ... by value; equal values share a rank, so for finite
+    values sign(rank_i - rank_j) == sign(x_i - x_j)."""
+    return np.unique(x, return_inverse=True)[1].reshape(x.shape)
+
+
+def _sign_of_difference(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sign(x - y) as int8, broadcasting x against y."""
+    s = np.greater(x, y).view(np.int8)
+    np.subtract(s, np.less(x, y).view(np.int8), out=s)
+    return s
+
+
+@dataclass(frozen=True)
+class _Tile:
+    """Rows ``lo:hi`` of the quadratic forms of one pair of metrics."""
+
+    lo: int
+    hi: int
+    quad: np.ndarray  # (2 * rows, n) float32: Q rows for cmd, then for n1
+    lin: np.ndarray  # (rows, 4): linear terms of 2*(cmd_a, cmd_b, n1_a, n1_b)
+    const: np.ndarray  # (4,): this tile's share of the unswapped counts
+
+
+class _SwapTauB:
+    """Kendall tau-b against the human scores h of both sides of a per-cell
+    swap of metrics a and b, for a batch of swap masks.
+
+    Under mask m (1 = swap the cell), A* takes b_i where m_i = 1 and a_i
+    elsewhere, B* the reverse.  The sign of the pair (i, j) in A* depends
+    only on m_i and m_j, so twice its concordant-minus-discordant count,
+    summed over ordered pairs with g = sign(h_i - h_j) and
+    G_xy[i, j] = g * sign(x_i - y_j), is a quadratic form in m:
+
+        2 cmd(A*) = sum(G_aa) + 2 m.(rowsum(G_ba) - rowsum(G_aa)) + m'Qm
+        2 cmd(B*) = sum(G_bb) + 2 m.(rowsum(G_ab) - rowsum(G_bb)) + m'Qm
+
+    with Q = G_aa + G_bb - G_ab - G_ba shared by both sides (m_i^2 = m_i
+    folds the rest into the linear term).  The tie count n1 has the same
+    form with T_xy[i, j] = [x_i == y_j and i != j] in place of G_xy.  One
+    matrix product per batch of masks gives both sides.
+
+    Every count is an exact integer, so tau-b equals pairwise enumeration
+    bit for bit: Q's entries lie in [-4, 4], so float32 holds each entry of
+    Qm exactly (|.| <= 4n < 2**24), and the sums over rows, the linear terms
+    and the constants are taken in float64 (|.| <= 4n^2 < 2**53).
+
+    Q is built in row tiles whose four sign blocks hold at most ``_BUDGET``
+    entries; the last tile built is kept, so when Q fits in one tile it is
+    built once per pair of metrics.
     """
 
-    def __init__(self, y: np.ndarray):
-        n = len(y)
-        self.i, self.j = np.triu_indices(n, k=1)
-        self.y_signs = np.sign(y[self.i] - y[self.j])
+    def __init__(self, a: np.ndarray, b: np.ndarray, h: np.ndarray):
+        n = len(h)
         self.n0 = n * (n - 1) // 2
-        self.n2 = int(np.count_nonzero(self.y_signs == 0))
+        h_ranks = _dense_ranks(h)
+        counts = np.bincount(h_ranks)
+        self.n2 = int((counts * (counts - 1) // 2).sum())
         if self.n0 == self.n2:
             raise AllTied("kendall tau undefined: reference vector is all ties")
+        # Ranks are below 2n; the narrowest type holding them makes the
+        # pairwise comparisons cheapest.
+        dtype = np.min_scalar_type(2 * n)
+        self.ranks = _dense_ranks(np.stack([a, b])).astype(dtype)
+        self.h_ranks = h_ranks.astype(dtype)
+        self.tile_rows = max(1, _BUDGET // (4 * n))
+        self._last: _Tile | None = None
 
-    def taus(self, rows: np.ndarray) -> np.ndarray:
-        """rows: (batch, n) -> tau-b of each row against the fixed vector."""
-        d = np.sign(rows[:, self.i] - rows[:, self.j])
-        con_minus_dis = d @ self.y_signs
-        n1 = (d == 0).sum(axis=1)
-        denom = np.sqrt((self.n0 - n1).astype(np.float64) * float(self.n0 - self.n2))
+    def _tile(self, lo: int) -> _Tile:
+        # Tiles are immutable: threads that race here build equal tiles.
+        last = self._last
+        if last is not None and last.lo == lo:
+            return last
+        ranks, h_ranks = self.ranks, self.h_ranks
+        n = len(h_ranks)
+        hi = min(lo + self.tile_rows, n)
+        rows = hi - lo
+        # s[x, p, y, q] = sign(x_p - y_q) for x, y in (a, b) and tile row p
+        s = _sign_of_difference(ranks[:, lo:hi].reshape(-1, 1), ranks.reshape(1, -1))
+        s = s.reshape(2, rows, 2, n)
+        tie = (s == 0).view(np.int8)
+        tie[:, np.arange(rows), :, np.arange(lo, hi)] = 0  # same cell
+        s *= _sign_of_difference(h_ranks[lo:hi, None], h_ranks)[:, None, :]
+        quad = np.empty((2, rows, n), dtype=np.float32)
+        sums = np.empty((2, 2, rows, 2), dtype=np.int64)  # (kind, x, p, y)
+        for kind, blocks in enumerate((s, tie)):
+            out = quad[kind]  # blocks aa + bb - ab - ba
+            np.add(blocks[0, :, 0], blocks[1, :, 1], out=out)
+            np.subtract(out, blocks[0, :, 1], out=out)
+            np.subtract(out, blocks[1, :, 0], out=out)
+            sums[kind] = blocks.sum(axis=3, dtype=np.int32)
+        lin = np.stack([
+            sums[:, 1, :, 0] - sums[:, 0, :, 0],  # rowsum(G_ba) - rowsum(G_aa)
+            sums[:, 0, :, 1] - sums[:, 1, :, 1],  # rowsum(G_ab) - rowsum(G_bb)
+        ], axis=1).reshape(4, rows).T
+        const = np.stack([
+            sums[:, 0, :, 0].sum(axis=1), sums[:, 1, :, 1].sum(axis=1)
+        ], axis=1).reshape(4)
+        tile = _Tile(
+            lo, hi, quad.reshape(2 * rows, n), 2.0 * lin, const.astype(np.float64)
+        )
+        self._last = tile
+        return tile
+
+    def taus(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """masks: (batch, n) booleans -> tau-b of A* and of B* per mask."""
+        w = masks.astype(np.float32)
+        twice = np.zeros((len(w), 4))  # 2 * (cmd_a, cmd_b, n1_a, n1_b)
+        for lo in range(0, w.shape[1], self.tile_rows):
+            tile = self._tile(lo)
+            w_rows = w[:, tile.lo : tile.hi]
+            prod = (w @ tile.quad.T).reshape(len(w), 2, -1)
+            prod *= w_rows[:, None, :]
+            forms = prod.sum(axis=2, dtype=np.float64)  # m'Qm per kind
+            twice += tile.const + w_rows @ tile.lin + np.repeat(forms, 2, axis=1)
+        con_minus_dis = twice[:, :2] / 2
+        n1 = twice[:, 2:] / 2
+        denom = np.sqrt((self.n0 - n1) * float(self.n0 - self.n2))
         if np.any(denom == 0.0):
             raise AllTied("kendall tau degenerate inside permutation test")
-        return con_minus_dis / denom
-
-    def tau(self, row: np.ndarray) -> float:
-        return float(self.taus(row[None, :])[0])
+        tau = con_minus_dis / denom
+        return tau[:, 0], tau[:, 1]
 
 
 def perm_both(
@@ -206,15 +321,16 @@ def perm_both(
     Each replicate independently swaps A's and B's score in every cell with
     probability 1/2 and recomputes the correlation difference; the p-value
     is (1 + #{delta* >= delta}) / (r + 1), so it is never exactly zero.
-    Replicate generators derive from (seed, replicate index): scheduling
-    across threads cannot change the result.
+    Replicate i swaps the cells where
+    ``rng_for(seed, "perm-both", i).random(n) < 0.5``, over the cells in
+    sorted key order, so scheduling across threads cannot change the result.
     """
     a, b, h = _pooled_cells(table_a, table_b, human_segment_scores)
-    tau = _BatchedTauB(h)
-    delta = tau.tau(a) - tau.tau(b)
+    kernel = _SwapTauB(a, b, h)
     n = len(a)
-    # Chunk replicates so the (batch, n*(n-1)/2) sign matrices stay small.
-    chunk = max(1, 4_000_000 // max(1, tau.n0))
+    tau_a, tau_b = kernel.taus(np.zeros((1, n), dtype=bool))
+    delta = tau_a[0] - tau_b[0]
+    chunk = max(1, _BUDGET // n)
 
     def count_block(block: range) -> int:
         count = 0
@@ -223,10 +339,8 @@ def perm_both(
             masks = np.stack(
                 [rng_for(seed, "perm-both", i).random(n) < 0.5 for i in indices]
             )
-            a_star = np.where(masks, b, a)
-            b_star = np.where(masks, a, b)
-            deltas = tau.taus(a_star) - tau.taus(b_star)
-            count += int(np.count_nonzero(deltas >= delta))
+            tau_a, tau_b = kernel.taus(masks)
+            count += int(np.count_nonzero(tau_a - tau_b >= delta))
         return count
 
     if threads > 1:
@@ -269,6 +383,7 @@ def segment_sig_matrix(
     pairs = [(row, col) for row in names for col in names if row != col]
     m = len(pairs)
     cells: dict[tuple[str, str], SigCell] = {}
+    started = time.perf_counter()
     for row, col in pairs:
         pair_seed = derive_int(seed, "segment-sig", row, col)
         p = perm_both(
@@ -282,6 +397,16 @@ def segment_sig_matrix(
             significant=p < alpha,
             bonferroni_significant=p < alpha / m,
         )
+    logger.info(
+        "segment significance %s: %d metrics, %d ordered pairs, n=%d cells, "
+        "R=%d replicates, %.3f s",
+        task.label,
+        len(names),
+        m,
+        len(tables[names[0]].cells) if names else 0,
+        r,
+        time.perf_counter() - started,
+    )
     return SigMatrix(task=task, level="segment", metrics=tuple(names), cells=cells)
 
 

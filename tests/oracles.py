@@ -2,13 +2,16 @@
 
 These deliberately re-derive each statistic from its definition (explicit
 enumeration, full-table recursion, textbook formulas) rather than sharing
-any code path with the package.
+any code path with the package.  The permutation-test oracle takes only its
+swap masks from the package: the seed stream is the documented contract.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+
+from lcmteval.seeding import rng_for
 
 
 def lcs_length_recursive(a: tuple, b: tuple) -> int:
@@ -118,3 +121,25 @@ def one_vs_rest_bruteforce(matrix: dict) -> float:
                 rest.append(sum(others) / len(others))
         correlations.append(pearson_textbook(own, rest))
     return sum(correlations) / len(correlations)
+
+
+def perm_both_enumeration(a, b, h, r: int, seed: int) -> float:
+    """p-value of the per-cell swap permutation test, every tau-b from
+    ``kendall_tau_b_enumeration``.
+
+    ``a``, ``b`` and ``h`` list the cells in sorted key order.  Replicate i
+    swaps the cells where ``rng_for(seed, "perm-both", i).random(n) < 0.5``
+    (the documented mask stream); p = (1 + #{delta* >= delta}) / (r + 1).
+    """
+    n = len(a)
+    delta = kendall_tau_b_enumeration(a, h) - kendall_tau_b_enumeration(b, h)
+    hits = 0
+    for i in range(r):
+        swap = rng_for(seed, "perm-both", i).random(n) < 0.5
+        a_star = [y if s else x for x, y, s in zip(a, b, swap)]
+        b_star = [x if s else y for x, y, s in zip(a, b, swap)]
+        delta_star = kendall_tau_b_enumeration(a_star, h) - kendall_tau_b_enumeration(
+            b_star, h
+        )
+        hits += delta_star >= delta
+    return (1 + hits) / (r + 1)

@@ -300,6 +300,17 @@ class TestRunCommand:
         # hybrid-extended Pearson depends on the sampled pseudo-systems
         assert (out_a / "correlations_system.csv").exists()
 
+    def test_length_unit_flag_reaches_run(self, fixture_config_path, tmp_path):
+        base = ["run", str(fixture_config_path), "--level", "segment"] + FAST_FLAGS
+        assert main(base + ["--out", str(tmp_path / "chars")]) == 0
+        assert main(base + ["--out", str(tmp_path / "ws"),
+                            "--length-unit", "whitespace-tokens"]) == 0
+        chars, ws = (
+            (tmp_path / out / "length_deviation.csv").read_bytes()
+            for out in ("chars", "ws")
+        )
+        assert chars != ws
+
     def test_incomplete_campaign_exit_1(self, fixture_config_path, tmp_path):
         shutil.copytree(fixture_config_path.parent, tmp_path / "camp")
         ratings = tmp_path / "camp" / "ratings.csv"

@@ -1,17 +1,22 @@
+import logging
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lcmteval import significance
 from lcmteval.corpus import ScoreTable, Task
 from lcmteval.errors import (
     AlignmentMismatch,
     AllTied,
     CellMismatch,
     DegenerateCorrelation,
+    NonFiniteScore,
     SampleTooSmall,
 )
 from lcmteval.significance import (
+    _SwapTauB,
     bonferroni,
     dagger_marks,
     paired_bootstrap,
@@ -21,11 +26,34 @@ from lcmteval.significance import (
     zou_ci,
 )
 
+from .oracles import kendall_tau_b_enumeration, perm_both_enumeration
+
 TASK = Task("aa-bb", 0.8)
+
+# ROUGE-style scores: a few levels, so most pairs of cells tie.
+LEVELS = st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 2 / 3, 1.0])
 
 
 def seg_table(cells, metric="m", variant="-"):
     return ScoreTable.segment_table(metric, variant, TASK, cells)
+
+
+@st.composite
+def tie_heavy_cells(draw, max_n=30):
+    """(a, b, h) over the same n cells; h takes five values."""
+    n = draw(st.integers(2, max_n))
+    a = draw(st.lists(LEVELS, min_size=n, max_size=n))
+    b = draw(st.lists(LEVELS, min_size=n, max_size=n))
+    h = draw(st.lists(st.integers(-2, 2).map(float), min_size=n, max_size=n))
+    return a, b, h
+
+
+def swapped(a, b, mask):
+    """(A*, B*) of the per-cell swap under ``mask``."""
+    return (
+        [y if m else x for x, y, m in zip(a, b, mask)],
+        [x if m else y for x, y, m in zip(a, b, mask)],
+    )
 
 
 class TestZouCI:
@@ -192,6 +220,76 @@ class TestPermBoth:
             perm_both(ta, tb, {k: 1.0 for k in keys}, r=10, seed=0)
 
 
+class TestSwapKernel:
+    @given(tie_heavy_cells(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_replicate_taus_equal_enumeration(self, cells, data):
+        a, b, h = cells
+        assume(len(set(h)) > 1)
+        n = len(a)
+        masks = [[False] * n] + data.draw(
+            st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                     min_size=1, max_size=5)
+        )
+        kernel = _SwapTauB(np.array(a), np.array(b), np.array(h))
+        try:
+            expected = [
+                tuple(kendall_tau_b_enumeration(side, h) for side in swapped(a, b, m))
+                for m in masks
+            ]
+        except ZeroDivisionError:  # some A* or B* is all ties
+            with pytest.raises(AllTied):
+                kernel.taus(np.array(masks))
+            return
+        tau_a, tau_b = kernel.taus(np.array(masks))
+        assert list(zip(tau_a.tolist(), tau_b.tolist())) == expected
+
+    @given(tie_heavy_cells(max_n=20), st.integers(0, 2**32))
+    @settings(max_examples=25, deadline=None)
+    def test_p_equals_enumeration_oracle(self, cells, seed):
+        a, b, h = cells
+        keys = sorted((f"s{i % 3}", f"g{i:02d}") for i in range(len(a)))
+        ta, tb = seg_table(dict(zip(keys, a)), "A"), seg_table(dict(zip(keys, b)), "B")
+        human = dict(zip(keys, h))
+        try:
+            expected = perm_both_enumeration(a, b, h, r=40, seed=seed)
+        except ZeroDivisionError:  # h, a, b or some replicate is all ties
+            with pytest.raises(AllTied):
+                perm_both(ta, tb, human, r=40, seed=seed)
+            return
+        assert perm_both(ta, tb, human, r=40, seed=seed) == expected
+
+    def test_tiles_and_batches_match_untiled(self, monkeypatch):
+        rng = np.random.default_rng(79)
+        n = 90
+        keys = sorted((f"s{i % 3}", f"g{i:02d}") for i in range(n))
+        a, b = rng.integers(0, 5, n) / 4, rng.integers(0, 5, n) / 4
+        h = rng.integers(-3, 4, n).astype(float)
+        ta, tb = seg_table(dict(zip(keys, a)), "A"), seg_table(dict(zip(keys, b)), "B")
+        human = dict(zip(keys, h))
+        masks = rng.random((30, n)) < 0.5
+        untiled = _SwapTauB(a, b, h)
+        assert untiled.tile_rows >= n
+        p_untiled = perm_both(ta, tb, human, r=150, seed=13)
+
+        # 7-row tiles (13 of them) and batches of 28 replicates
+        monkeypatch.setattr(significance, "_BUDGET", 4 * n * 7)
+        tiled = _SwapTauB(a, b, h)
+        assert tiled.tile_rows == 7
+        for got, want in zip(tiled.taus(masks), untiled.taus(masks)):
+            assert np.array_equal(got, want)
+        for threads in (1, 3):
+            p_tiled = perm_both(ta, tb, human, r=150, seed=13, threads=threads)
+            assert p_tiled == p_untiled
+
+    def test_non_finite_score_rejected(self):
+        keys = [("s1", "g0"), ("s1", "g1"), ("s2", "g0"), ("s2", "g1")]
+        ta = seg_table(dict(zip(keys, [1.0, float("nan"), 3.0, 4.0])))
+        tb = seg_table(dict(zip(keys, [4.0, 3.0, 2.0, 1.0])), metric="B")
+        with pytest.raises(NonFiniteScore):
+            perm_both(ta, tb, dict(zip(keys, [1.0, 2.0, 3.0, 4.0])), r=10, seed=0)
+
+
 class TestBonferroni:
     def test_single_comparison(self):
         assert bonferroni([0.04]) == [True]
@@ -251,6 +349,16 @@ class TestSegmentSigMatrix:
         for cell in matrix.cells.values():
             if cell.bonferroni_significant:
                 assert cell.significant
+
+    def test_work_counts_logged_at_info(self, caplog):
+        human, tables = self._human_and_tables(seed=71, n=10)
+        with caplog.at_level(logging.INFO, logger="lcmteval.significance"):
+            segment_sig_matrix(tables, human, TASK, r=20, seed=7)
+        (message,) = [r.getMessage() for r in caplog.records]
+        assert message.startswith(
+            "segment significance aa-bb.80: 3 metrics, 6 ordered pairs, "
+            "n=20 cells, R=20 replicates, "
+        )
 
     def test_pair_order_does_not_change_results(self):
         human, tables = self._human_and_tables(seed=67, n=20)
