@@ -37,14 +37,25 @@ from .seeding import derive_int
 logger = logging.getLogger(__name__)
 
 
+def _at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+
+    def integer(text: str) -> int:
+        if int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {text}")
+        return int(text)
+
+    return integer
+
+
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None,
                         help="master seed (default: the config's seed)")
-    parser.add_argument("--hybrids", type=int, default=1000, metavar="K",
+    parser.add_argument("--hybrids", type=_at_least(0), default=1000, metavar="K",
                         help="hybrid systems per task for system-level correlation")
-    parser.add_argument("--permutations", type=int, default=1000, metavar="R",
+    parser.add_argument("--permutations", type=_at_least(1), default=1000, metavar="R",
                         help="replicates for the segment-level permutation test")
-    parser.add_argument("--bootstrap", type=int, default=1000, metavar="B",
+    parser.add_argument("--bootstrap", type=_at_least(1), default=1000, metavar="B",
                         help="paired bootstrap resamples for system comparison")
     parser.add_argument("--alpha", type=float, default=0.05,
                         help="significance threshold")
@@ -57,8 +68,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="override the config's length unit")
     parser.add_argument("--level", default="system", choices=["system", "segment"],
                         help="correlation level for best-variant selection")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for resampling stages")
+    parser.add_argument("--threads", type=_at_least(1), default=1,
+                        help="accepted for compatibility; every stage runs on "
+                        "one thread")
 
 
 def _load(args) -> Campaign:
@@ -198,7 +210,7 @@ def cmd_score(args) -> int:
     campaign = _load(args)
     out = _out_dir(args)
     for task in campaign.tasks():
-        tables = score_tables_for_task(campaign, task)
+        tables = score_tables_for_task(campaign, task).tables
         seg_path = out / f"native_scores_{task.label}.tsv"
         with seg_path.open("w", encoding="utf-8", newline="\n") as fh:
             fh.write("\t".join(SCORES_HEADER) + "\n")

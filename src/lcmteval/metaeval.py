@@ -3,15 +3,15 @@
 System-level comparison uses Pearson r over system score vectors; with only
 a handful of real systems those vectors are padded by hybrid super sampling:
 pseudo-systems assembled by picking, per segment, one real system's output
-uniformly at random.  Segment-level comparison pools every (system, segment)
-cell of a task into one vector pair and uses Kendall tau-b.
+uniformly at random, the same for every table of a task.  Segment-level
+comparison pools every (system, segment) cell of a task into one vector
+pair and uses Kendall tau-b.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -174,7 +174,7 @@ def hybrid_supersample(
     human_segment_scores: Mapping[tuple[str, str], float],
     k: int,
     seed: int,
-    corpus_scorers: Mapping[tuple[str, str], Callable[[Mapping[str, str]], float]]
+    corpus_scorers: Mapping[tuple[str, str], Callable[[np.ndarray], Sequence[float]]]
     | None = None,
     threads: int = 1,
 ) -> tuple[
@@ -186,14 +186,19 @@ def hybrid_supersample(
 
     Selector ``i`` draws, for each segment in lexicographic order, one real
     system uniformly at random from a generator seeded by (seed, task, i),
-    so any evaluation order or thread count produces identical output.
-    Segment-level tables and the human scores are averaged over the selected
-    cells; system-only tables (corpus-level metrics) are re-scored through
-    the matching entry of ``corpus_scorers``, which receives the selector's
-    seg->system map.  Real systems always lead the output vectors.
+    so the output depends on the inputs alone.  Entry (i, j) of the k x
+    segments index matrix picks, for the j-th segment id in sorted order,
+    one of the sorted real system ids.  Segment-level tables and the human
+    scores are averaged over the selected cells; system-only tables
+    (corpus-level metrics) are re-scored by the matching entry of
+    ``corpus_scorers``, which receives the whole index matrix once and
+    returns the k hybrid scores in row order.  Real systems always lead the
+    output vectors.  ``threads`` is accepted for compatibility and ignored.
     """
     if not tables:
         raise NoVariants("hybrid_supersample needs at least one score table")
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     task = tables[0].task
     for t in tables:
         if t.task != task:
@@ -209,15 +214,11 @@ def hybrid_supersample(
 
     n_sys = len(systems)
     n_seg = len(seg_ids)
-
-    def draw(i: int) -> np.ndarray:
-        return rng_for(seed, f"hybrid:{task.label}", i).integers(0, n_sys, size=n_seg)
-
-    if threads > 1 and k > 0:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            index_rows = list(pool.map(draw, range(k)))
-    else:
-        index_rows = [draw(i) for i in range(k)]
+    index_rows = np.empty((k, n_seg), dtype=np.int64)
+    for i in range(k):
+        index_rows[i] = rng_for(seed, f"hybrid:{task.label}", i).integers(
+            0, n_sys, size=n_seg
+        )
 
     selectors = [
         HybridSelector(
@@ -228,9 +229,6 @@ def hybrid_supersample(
         for i, row in enumerate(index_rows)
     ]
     ids = list(systems) + [sel.hybrid_id for sel in selectors]
-    idx = (
-        np.stack(index_rows) if index_rows else np.empty((0, n_seg), dtype=np.int64)
-    )
     cols = np.arange(n_seg)
 
     def extend_matrix(cells: Mapping[tuple[str, str], float]) -> list[float]:
@@ -238,9 +236,7 @@ def hybrid_supersample(
             [[cells[(s, g)] for g in seg_ids] for s in systems], dtype=np.float64
         )
         real = [float(m[i].mean()) for i in range(n_sys)]
-        if k == 0:
-            return real
-        hybrid = m[idx, cols].mean(axis=1)
+        hybrid = m[index_rows, cols].mean(axis=1)
         return real + [float(v) for v in hybrid]
 
     vectors: dict[tuple[str, str], SystemScoreVector] = {}
@@ -248,22 +244,15 @@ def hybrid_supersample(
         if table.level == SEGMENT_LEVEL:
             values = extend_matrix(table.cells)
         else:
-            scorer = (corpus_scorers or {}).get(table.key)
-            if scorer is None and k > 0:
-                raise SystemOnlyTable(
-                    f"no corpus scorer supplied for system-only table "
-                    f"{table.display_name()}"
-                )
             values = [table.system_cells[s] for s in systems]
             if k > 0:
-                if threads > 1:
-                    with ThreadPoolExecutor(max_workers=threads) as pool:
-                        hybrid_vals = list(
-                            pool.map(lambda sel: scorer(sel.choices), selectors)
-                        )
-                else:
-                    hybrid_vals = [scorer(sel.choices) for sel in selectors]
-                values = values + [float(v) for v in hybrid_vals]
+                scorer = (corpus_scorers or {}).get(table.key)
+                if scorer is None:
+                    raise SystemOnlyTable(
+                        f"no corpus scorer supplied for system-only table "
+                        f"{table.display_name()}"
+                    )
+                values += [float(v) for v in scorer(index_rows)]
         vectors[table.key] = SystemScoreVector(
             task=task, scores=dict(zip(ids, values))
         )
@@ -318,37 +307,26 @@ def select_best_variant(
         raise ValueError(f"variants span multiple metrics: {sorted(metric_ids)}")
     metric_id = metric_ids.pop()
 
-    # Hybrid selectors are shared across variants of a task: derive them once
-    # per task so every variant is measured against the same pseudo-systems.
-    human_vectors: dict[Task, SystemScoreVector] = {}
-    if level == SYSTEM_LEVEL:
-        for task in tasks:
-            any_variant = next(iter(sorted(variant_tables)))
-            _, _, human_vec = hybrid_supersample(
-                [variant_tables[any_variant][task]],
-                human_segment_scores[task],
-                hybrids,
-                seed,
+    variant_ids = sorted(variant_tables)
+    corr: dict[str, dict[Task, float]] = {v: {} for v in variant_ids}
+    for task in tasks:
+        # labelled by variant id, so each variant keeps its own vector below
+        tables = [replace(variant_tables[v][task], variant_id=v) for v in variant_ids]
+        if level == SEGMENT_LEVEL:
+            for v, table in zip(variant_ids, tables):
+                corr[v][task] = segment_correlation(
+                    table, human_segment_scores[task]
+                ).value
+        else:
+            # One call per task: every variant meets the same pseudo-systems.
+            _, vectors, human_vec = hybrid_supersample(
+                tables, human_segment_scores[task], hybrids, seed
             )
-            human_vectors[task] = human_vec
-
-    results: dict[str, tuple[dict[Task, float], float]] = {}
-    for variant_id in sorted(variant_tables):
-        per_task: dict[Task, float] = {}
-        for task in tasks:
-            table = variant_tables[variant_id][task]
-            if level == SEGMENT_LEVEL:
-                corr = segment_correlation(table, human_segment_scores[task])
-            else:
-                _, vectors, _ = hybrid_supersample(
-                    [table], human_segment_scores[task], hybrids, seed
-                )
-                corr = pearson(
-                    human_vectors[task].values, vectors[table.key].values
-                )
-            per_task[task] = corr.value
-        average = sum(per_task.values()) / len(per_task)
-        results[variant_id] = (per_task, average)
+            for v, table in zip(variant_ids, tables):
+                corr[v][task] = pearson(
+                    human_vec.values, vectors[table.key].values
+                ).value
+    results = {v: (corr[v], sum(corr[v].values()) / len(corr[v])) for v in variant_ids}
 
     best_id = max(sorted(results), key=lambda v: results[v][1])
     per_task, average = results[best_id]

@@ -83,15 +83,26 @@ def scheme_for_direction(direction: str) -> str:
 
 
 def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
-def corpus_bleu(
-    hypotheses: Sequence[TokenSeq],
-    references: Sequence[TokenSeq],
-    max_n: int = 4,
-) -> BleuScore:
-    """Corpus-level BLEU with clipped n-gram precisions and brevity penalty.
+def bleu_stats(hyp: TokenSeq, ref: TokenSeq, max_n: int = 4) -> tuple[int, ...]:
+    """One segment's additive BLEU statistics: clipped n-gram matches for
+    orders 1..``max_n``, then n-gram totals for the same orders, then the
+    hypothesis and the reference length.  Summed over segments they are all
+    :func:`bleu_from_stats` needs to score a corpus.
+    """
+    correct, total = [], []
+    for n in range(1, max_n + 1):
+        hyp_counts = _ngram_counts(hyp.tokens, n)
+        ref_counts = _ngram_counts(ref.tokens, n)
+        correct.append(sum(min(c, ref_counts[g]) for g, c in hyp_counts.items()))
+        total.append(sum(hyp_counts.values()))
+    return (*correct, *total, len(hyp), len(ref))
+
+
+def bleu_from_stats(stats: Sequence[int]) -> BleuScore:
+    """Corpus BLEU from summed :func:`bleu_stats` statistics.
 
     Zero precisions at orders >= 2 are exponentially smoothed: the k-th
     zero-count order is replaced by 1 / (2^k * max(total_n, 1)).  A corpus
@@ -99,30 +110,12 @@ def corpus_bleu(
     score with the brevity penalty divided back out, so it never falls below
     ``bleu`` and equals it whenever the penalty is 1.
     """
-    if len(hypotheses) != len(references):
-        raise LengthMismatch(
-            f"{len(hypotheses)} hypotheses vs {len(references)} references"
-        )
-    if not hypotheses:
-        raise EmptyCorpus("corpus_bleu needs at least one hypothesis/reference pair")
-
-    hyp_len = sum(len(h) for h in hypotheses)
-    ref_len = sum(len(r) for r in references)
+    max_n = (len(stats) - 2) // 2
+    correct = stats[:max_n]
+    total = stats[max_n : 2 * max_n]
+    hyp_len, ref_len = stats[-2], stats[-1]
     if hyp_len == 0:
         raise ZeroLengthHypothesisCorpus("all hypotheses are empty")
-
-    correct = [0] * max_n
-    total = [0] * max_n
-    for hyp, ref in zip(hypotheses, references):
-        for n in range(1, max_n + 1):
-            hyp_counts = _ngram_counts(hyp.tokens, n)
-            if not hyp_counts:
-                continue
-            ref_counts = _ngram_counts(ref.tokens, n)
-            total[n - 1] += sum(hyp_counts.values())
-            correct[n - 1] += sum(
-                min(c, ref_counts[g]) for g, c in hyp_counts.items()
-            )
 
     if hyp_len >= ref_len:
         bp = 1.0
@@ -152,6 +145,24 @@ def corpus_bleu(
         hyp_length=hyp_len,
         ref_length=ref_len,
     )
+
+
+def corpus_bleu(
+    hypotheses: Sequence[TokenSeq],
+    references: Sequence[TokenSeq],
+    max_n: int = 4,
+) -> BleuScore:
+    """Corpus-level BLEU with clipped n-gram precisions and brevity penalty:
+    :func:`bleu_from_stats` of the summed per-segment :func:`bleu_stats`.
+    """
+    if len(hypotheses) != len(references):
+        raise LengthMismatch(
+            f"{len(hypotheses)} hypotheses vs {len(references)} references"
+        )
+    if not hypotheses:
+        raise EmptyCorpus("corpus_bleu needs at least one hypothesis/reference pair")
+    per_segment = [bleu_stats(h, r, max_n) for h, r in zip(hypotheses, references)]
+    return bleu_from_stats([sum(column) for column in zip(*per_segment)])
 
 
 def bleu_star(score: BleuScore) -> float:

@@ -4,20 +4,24 @@ correlation -> significance -> report files.
 :class:`PipelineState` lazily computes shared intermediates (normalized
 ratings, native score tables, hybrid-extended system vectors) so each report
 table is reachable standalone; :func:`run_pipeline` drives the whole chain
-and writes a digest manifest.  Given identical inputs and master seed, two
-runs produce byte-identical artifacts: every random draw derives from the
-master seed, rows are sorted deterministically, and numeric report cells are
-fixed at 4 decimals.
+and writes a digest manifest.  Hybrid BLEU and BLEU* sum the additive
+statistics that the native stage counts once per (system, segment) cell.
+Given identical inputs and master seed, two runs produce byte-identical
+artifacts: every random draw derives from the master seed, rows are sorted
+deterministically, and numeric report cells are fixed at 4 decimals.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import time
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Mapping
+
+import numpy as np
 
 from ._version import VERSION
 from .corpus import (
@@ -41,11 +45,10 @@ from .metaeval import (
     system_scores,
 )
 from .metrics import (
-    LengthRecord,
-    bleu_star,
+    bleu_from_stats,
+    bleu_stats,
     corpus_bleu,
     expected_length,
-    length_deviation,
     rouge_l,
     rouge_n,
     scheme_for_direction,
@@ -93,7 +96,30 @@ class PipelineArtifacts:
     version: str
 
 
-def score_tables_for_task(campaign: Campaign, task: Task) -> list[ScoreTable]:
+def _hybrid_bleu(stats: np.ndarray, field: str, index_rows: np.ndarray) -> list[float]:
+    """``field`` of the BLEU score of each index row's summed cell statistics."""
+    sums = stats[index_rows, np.arange(index_rows.shape[1])].sum(axis=1)
+    return [getattr(bleu_from_stats(row), field) for row in sums.tolist()]
+
+
+@dataclass(frozen=True)
+class NativeScores:
+    """One task's native metric tables, plus the additive BLEU statistics of
+    every (system, segment) cell, system and segment ids sorted."""
+
+    tables: list[ScoreTable]
+    bleu_stats: np.ndarray  # (system, segment, statistic)
+
+    def corpus_scorers(self) -> dict:
+        """The ``corpus_scorers`` of :func:`hybrid_supersample` for BLEU and
+        BLEU*: each scores every row of a hybrid index matrix."""
+        return {
+            (BLEU_ID, "-"): partial(_hybrid_bleu, self.bleu_stats, "bleu"),
+            (BLEU_STAR_ID, "-"): partial(_hybrid_bleu, self.bleu_stats, "bleu_star"),
+        }
+
+
+def score_tables_for_task(campaign: Campaign, task: Task) -> NativeScores:
     """Native metric tables for one task: the nine ROUGE variants and length
     deviation per (system, segment), plus corpus BLEU and BLEU* per system.
     """
@@ -155,63 +181,17 @@ def score_tables_for_task(campaign: Campaign, task: Task) -> list[ScoreTable]:
             [ref_tokens[g] for g in seg_order],
         )
         bleu_cells[system] = score.bleu
-        star_cells[system] = bleu_star(score)
+        star_cells[system] = score.bleu_star
     tables.append(ScoreTable.system_table(BLEU_ID, "-", task, bleu_cells))
     tables.append(ScoreTable.system_table(BLEU_STAR_ID, "-", task, star_cells))
-    return tables
-
-
-def make_bleu_scorers(campaign: Campaign, task: Task):
-    """Corpus scorers for hybrid systems: re-run BLEU over the hypothesis
-    texts each selector picks.  Shared memo so BLEU and BLEU* compute once
-    per selector.
-    """
-    scheme = scheme_for_direction(task.direction)
-    segments = campaign.segments_for_direction(task.direction)
-    seg_order = [s.seg_id for s in segments]
-    ref_tokens = [tokenize(s.reference_text, scheme) for s in segments]
-    hyp_tokens = {
-        (system, seg.seg_id): tokenize(
-            campaign.hypothesis(system, seg.seg_id, task.ratio).text, scheme
-        )
-        for system in campaign.config.systems
-        for seg in segments
-    }
-    memo: dict[tuple[str, ...], tuple[float, float]] = {}
-
-    def scores_for(choices: Mapping[str, str]) -> tuple[float, float]:
-        key = tuple(choices[g] for g in seg_order)
-        if key not in memo:
-            score = corpus_bleu(
-                [hyp_tokens[(sys_id, g)] for sys_id, g in zip(key, seg_order)],
-                ref_tokens,
-            )
-            memo[key] = (score.bleu, bleu_star(score))
-        return memo[key]
-
-    return {
-        (BLEU_ID, "-"): lambda choices: scores_for(choices)[0],
-        (BLEU_STAR_ID, "-"): lambda choices: scores_for(choices)[1],
-    }
-
-
-def length_deviation_by_system(campaign: Campaign, task: Task) -> dict[str, float]:
-    """Mean relative length miss per system for one task."""
-    out = {}
-    for system in campaign.config.systems:
-        records = []
-        for seg in campaign.segments_for_direction(task.direction):
-            expect = max(
-                expected_length(task.ratio, campaign.reference_length(seg)), 1
-            )
-            hyp = campaign.hypothesis(system, seg.seg_id, task.ratio)
-            records.append(
-                LengthRecord(
-                    output_len=campaign.hypothesis_length(hyp), expect_len=expect
-                )
-            )
-        out[system] = length_deviation(records)
-    return out
+    cell_stats = np.asarray(
+        [
+            [bleu_stats(hyp_tokens[(s, g)], ref_tokens[g]) for g in sorted(seg_order)]
+            for s in sorted(systems)
+        ],
+        dtype=np.int64,
+    )
+    return NativeScores(tables, cell_stats)
 
 
 def _metric_variant(tables: Mapping[str, ScoreTable] | list[ScoreTable]):
@@ -220,7 +200,8 @@ def _metric_variant(tables: Mapping[str, ScoreTable] | list[ScoreTable]):
 
 
 class PipelineState:
-    """Shared intermediates for the report emitters, computed lazily."""
+    """Shared intermediates for the report emitters, computed lazily
+    (``threads`` is accepted for compatibility; every stage runs on one)."""
 
     def __init__(
         self,
@@ -245,7 +226,6 @@ class PipelineState:
         self.timing_cutoff = timing_cutoff
         self.include_traps = include_traps
         self.level = level
-        self.threads = threads
         self.tasks = campaign.tasks()
         self.task_cols = [t.label for t in self.tasks]
 
@@ -267,7 +247,7 @@ class PipelineState:
         return out
 
     @cached_property
-    def natives(self) -> dict[Task, list[ScoreTable]]:
+    def natives(self) -> dict[Task, NativeScores]:
         return {t: score_tables_for_task(self.campaign, t) for t in self.tasks}
 
     @cached_property
@@ -325,22 +305,34 @@ class PipelineState:
                 "degenerate",
                 len(self.campaign.config.systems),
             )
+        # variant selection draws each task's hybrids once per external metric
+        calls = 1 + (len(self.selections) if self.level == SYSTEM_LEVEL else 0)
         sys_vectors: dict[Task, dict[str, SystemScoreVector]] = {}
         human_vectors: dict[Task, SystemScoreVector] = {}
         for t in self.tasks:
+            native = self.natives[t]
             tables = [
-                tb for tb in self.natives[t] if tb.metric_id != LENGTH_DEV_ID
+                tb for tb in native.tables if tb.metric_id != LENGTH_DEV_ID
             ] + self.chosen_external[t]
+            started = time.perf_counter()
             _, vectors, human_vec = hybrid_supersample(
                 tables,
                 self.human_by_task[t],
                 self.hybrids,
                 self.seed,
-                corpus_scorers=make_bleu_scorers(self.campaign, t),
-                threads=self.threads,
+                corpus_scorers=native.corpus_scorers(),
             )
             sys_vectors[t] = {tb.display_name(): vectors[tb.key] for tb in tables}
             human_vectors[t] = human_vec
+            logger.info(
+                "system stage %s: %d tables, K=%d hybrids, %d hybrid_supersample "
+                "calls, %.3f s",
+                t.label,
+                len(tables),
+                self.hybrids,
+                calls,
+                time.perf_counter() - started,
+            )
         return sys_vectors, human_vectors
 
     @cached_property
@@ -349,7 +341,7 @@ class PipelineState:
         for t in self.tasks:
             tables = [
                 tb
-                for tb in self.natives[t]
+                for tb in self.natives[t].tables
                 if tb.level == SEGMENT_LEVEL and tb.metric_id != LENGTH_DEV_ID
             ] + self.chosen_external[t]
             out[t] = {
@@ -441,7 +433,7 @@ class PipelineState:
         info = {}
         for t in self.tasks:
             tables = [
-                tb for tb in self.natives[t] if tb.metric_id != LENGTH_DEV_ID
+                tb for tb in self.natives[t].tables if tb.metric_id != LENGTH_DEV_ID
             ] + self.chosen_external[t]
             info.update(_metric_variant(tables))
         rows = []
@@ -510,7 +502,6 @@ class PipelineState:
                 r=self.permutations,
                 seed=derive_int(self.seed, "segment-sig-task", t.label),
                 alpha=self.alpha,
-                threads=self.threads,
             )
             for fmt, suffix in (("csv", "csv"), ("textgrid", "txt"), ("svg", "svg")):
                 path = out / f"sig_segment_{t.label}.{suffix}"
@@ -562,15 +553,21 @@ class PipelineState:
         return [path]
 
     def emit_length_deviation(self, out: Path) -> list[Path]:
-        deviations = {
-            t: length_deviation_by_system(self.campaign, t) for t in self.tasks
-        }
+        """Per-system mean of each task's length deviation cells."""
+
+        def mean(t: Task, system: str) -> float:
+            (table,) = [
+                tb for tb in self.natives[t].tables if tb.metric_id == LENGTH_DEV_ID
+            ]
+            seg_ids = self.campaign.segment_ids_for_direction(t.direction)
+            return sum(table.cells[(system, g)] for g in seg_ids) / len(seg_ids)
+
         path = out / "length_deviation.csv"
         write_csv(
             path,
             ["system"] + self.task_cols,
             [
-                [system] + [fmt4(deviations[t][system]) for t in self.tasks]
+                [system] + [fmt4(mean(t, system)) for t in self.tasks]
                 for system in self.campaign.config.systems
             ],
         )
@@ -606,7 +603,8 @@ def run_pipeline(
 
     ``seed`` defaults to the campaign config's seed; ``level`` picks the
     correlation used to choose the best variant of multi-variant metrics;
-    ``length_unit`` overrides the config's length unit.
+    ``length_unit`` overrides the config's length unit; ``threads`` is
+    accepted for compatibility, and every stage runs on one thread.
     Raises :class:`ValidationFailure` when the rating grid is incomplete.
     """
     campaign = open_campaign(config_path, length_unit)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import logging
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Mapping, Sequence
@@ -253,7 +252,6 @@ class _SwapTauB:
         self._last: _Tile | None = None
 
     def _tile(self, lo: int) -> _Tile:
-        # Tiles are immutable: threads that race here build equal tiles.
         last = self._last
         if last is not None and last.lo == lo:
             return last
@@ -323,33 +321,25 @@ def perm_both(
     is (1 + #{delta* >= delta}) / (r + 1), so it is never exactly zero.
     Replicate i swaps the cells where
     ``rng_for(seed, "perm-both", i).random(n) < 0.5``, over the cells in
-    sorted key order, so scheduling across threads cannot change the result.
+    sorted key order.  ``threads`` is accepted for compatibility; the
+    replicates run on one thread.
     """
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
     a, b, h = _pooled_cells(table_a, table_b, human_segment_scores)
     kernel = _SwapTauB(a, b, h)
     n = len(a)
     tau_a, tau_b = kernel.taus(np.zeros((1, n), dtype=bool))
     delta = tau_a[0] - tau_b[0]
     chunk = max(1, _BUDGET // n)
-
-    def count_block(block: range) -> int:
-        count = 0
-        for start in range(block.start, block.stop, chunk):
-            indices = range(start, min(start + chunk, block.stop))
-            masks = np.stack(
-                [rng_for(seed, "perm-both", i).random(n) < 0.5 for i in indices]
-            )
-            tau_a, tau_b = kernel.taus(masks)
-            count += int(np.count_nonzero(tau_a - tau_b >= delta))
-        return count
-
-    if threads > 1:
-        bounds = np.linspace(0, r, threads + 1, dtype=int)
-        blocks = [range(int(lo), int(hi)) for lo, hi in zip(bounds, bounds[1:])]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            total = sum(pool.map(count_block, blocks))
-    else:
-        total = count_block(range(r))
+    total = 0
+    for start in range(0, r, chunk):
+        indices = range(start, min(start + chunk, r))
+        masks = np.stack(
+            [rng_for(seed, "perm-both", i).random(n) < 0.5 for i in indices]
+        )
+        tau_a, tau_b = kernel.taus(masks)
+        total += int(np.count_nonzero(tau_a - tau_b >= delta))
     return (1 + total) / (r + 1)
 
 
@@ -377,7 +367,8 @@ def segment_sig_matrix(
 
     The Bonferroni flag divides alpha by the number of ordered pairs in the
     matrix.  Each pair's test derives its own seed from the two metric
-    names, so the matrix is identical however the pairs are scheduled.
+    names, so the matrix does not depend on the order of the pairs.
+    ``threads`` is accepted for compatibility and ignored.
     """
     names = list(tables)
     pairs = [(row, col) for row in names for col in names if row != col]
@@ -386,9 +377,7 @@ def segment_sig_matrix(
     started = time.perf_counter()
     for row, col in pairs:
         pair_seed = derive_int(seed, "segment-sig", row, col)
-        p = perm_both(
-            tables[row], tables[col], human_segment_scores, r, pair_seed, threads
-        )
+        p = perm_both(tables[row], tables[col], human_segment_scores, r, pair_seed)
         cells[(row, col)] = SigCell(
             row_metric=row,
             col_metric=col,
@@ -424,6 +413,8 @@ def paired_bootstrap(
     dominance therefore yields exactly 0, and identical score vectors yield
     exactly 0.5.
     """
+    if b_iter < 1:
+        raise ValueError(f"b_iter must be >= 1, got {b_iter}")
     if set(seg_a) != set(seg_b):
         raise AlignmentMismatch("systems scored on different segment sets")
     keys = sorted(seg_a)

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lcmteval.metaeval as metaeval_module
+
 from lcmteval.corpus import ScoreTable, Task
 from lcmteval.errors import (
     AllTied,
@@ -242,11 +244,28 @@ class TestHybridSupersample:
         bleu = ScoreTable.system_table("BLEU", "-", TASK, {"s1": 0.1, "s2": 0.2, "s3": 0.3})
         with pytest.raises(SystemOnlyTable):
             hybrid_supersample([table, bleu], human, 2, seed=1)
+        calls = []
+
+        def scorer(index_rows):
+            calls.append(index_rows.copy())
+            return [0.42 + i for i in range(len(index_rows))]
+
         selectors, vectors, _ = hybrid_supersample(
-            [table, bleu], human, 2, seed=1,
-            corpus_scorers={("BLEU", "-"): lambda choices: 0.42},
+            [table, bleu], human, 2, seed=1, corpus_scorers={("BLEU", "-"): scorer}
         )
-        assert vectors[("BLEU", "-")].values[3:] == [0.42, 0.42]
+        assert vectors[("BLEU", "-")].values[3:] == [0.42, 1.42]
+        # one call with the whole index matrix: rows are hybrids, columns the
+        # sorted segment ids, entries index the sorted systems
+        (index_rows,) = calls
+        systems, seg_ids = table.systems(), table.segment_ids()
+        assert [
+            {g: systems[j] for g, j in zip(seg_ids, row)} for row in index_rows
+        ] == [sel.choices for sel in selectors]
+
+    def test_negative_k_rejected(self):
+        table, human = make_aligned()
+        with pytest.raises(ValueError):
+            hybrid_supersample([table], human, -5, seed=1)
 
     def test_pearson_k0_equals_real_system_pearson(self):
         table, human = make_aligned(n_segs=8, seed=12)
@@ -376,3 +395,52 @@ class TestSelectBestVariant:
         )
         assert selection.variant_id == "good"
         assert selection.average == pytest.approx(1.0, abs=1e-9)
+
+    def test_system_level_draws_each_hybrid_once_per_task(self, monkeypatch):
+        tasks, human = self._tasks_and_human(n_segs=6)
+        rng = np.random.default_rng(13)
+        variants = {
+            f"v{j}": {
+                t: seg_table(
+                    {k: v + j * float(rng.standard_normal()) for k, v in human[t].items()},
+                    variant=f"v{j}",
+                    task=t,
+                )
+                for t in tasks
+            }
+            for j in range(4)
+        }
+        draws = []
+        real_rng_for = metaeval_module.rng_for
+
+        def counting_rng_for(*key):
+            draws.append(key)
+            return real_rng_for(*key)
+
+        monkeypatch.setattr(metaeval_module, "rng_for", counting_rng_for)
+        select_best_variant(variants, human, tasks, level="system", hybrids=7, seed=3)
+        assert len(draws) == len(tasks) * 7
+        assert len(set(draws)) == len(draws)
+
+    def test_system_level_matches_one_variant_at_a_time(self):
+        # scoring all variants in one call gives each variant the vector a
+        # call of its own gives
+        tasks, human = self._tasks_and_human(n_segs=6)
+        rng = np.random.default_rng(17)
+        variants = {
+            v: {
+                t: seg_table(
+                    {k: float(rng.standard_normal()) for k in human[t]}, task=t
+                )
+                for t in tasks
+            }
+            for v in ("a", "b", "c")
+        }
+        selection = select_best_variant(
+            variants, human, tasks, level="system", hybrids=30, seed=5
+        )
+        for t in tasks:
+            table = variants[selection.variant_id][t]
+            _, vectors, human_vec = hybrid_supersample([table], human[t], 30, seed=5)
+            expected = pearson(human_vec.values, vectors[table.key].values).value
+            assert selection.per_task[t] == expected

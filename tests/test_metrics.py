@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lcmteval.errors import EmptyCorpus, EmptySet, ZeroLengthHypothesisCorpus
@@ -8,7 +8,9 @@ from lcmteval.metrics import (
     WHITESPACE,
     BleuScore,
     LengthRecord,
+    bleu_from_stats,
     bleu_star,
+    bleu_stats,
     corpus_bleu,
     expected_length,
     length_deviation,
@@ -116,6 +118,46 @@ class TestCorpusBleu:
         rnd.shuffle(order)
         shuffled = corpus_bleu([hyps[i] for i in order], [refs[i] for i in order])
         assert shuffled == baseline
+
+
+class TestBleuStats:
+    @given(tokens, tokens)
+    def test_counts_match_enumeration(self, hyp, ref):
+        stats = bleu_stats(tok(hyp), tok(ref))
+        counts = [clipped_ngram_overlap(hyp, ref, n) for n in range(1, 5)]
+        assert stats == (
+            *(overlap for overlap, _, _ in counts),
+            *(hyp_count for _, hyp_count, _ in counts),
+            len(hyp),
+            len(ref),
+        )
+
+    @given(st.lists(st.tuples(tokens, tokens), min_size=1, max_size=6), st.randoms())
+    @example(pairs=[([], ["a"]), (["a"], ["a", "b"])], rnd=None)  # empty, short
+    @example(pairs=[(["a", "b", "c"], ["a", "b", "d", "e"])], rnd=None)  # p3 = p4 = 0
+    @example(pairs=[(["a", "b"], ["b", "a", "c"])], rnd=None)  # p2 = 0, hyp < ref
+    @settings(max_examples=200)
+    def test_summed_stats_finish_to_corpus_bleu(self, pairs, rnd):
+        hyps = [tok(h) for h, _ in pairs]
+        refs = [tok(r) for _, r in pairs]
+        if sum(len(h) for h in hyps) == 0:
+            return
+        per_segment = [bleu_stats(h, r) for h, r in zip(hyps, refs)]
+        if rnd is not None:  # the sum must not depend on the segment order
+            rnd.shuffle(per_segment)
+        summed = [sum(column) for column in zip(*per_segment)]
+        assert bleu_from_stats(summed) == corpus_bleu(hyps, refs)
+
+    def test_smoothing_and_brevity_paths_reached(self):
+        stats = bleu_stats(tok(["a", "b"]), tok(["b", "a", "c"]))
+        score = bleu_from_stats(stats)
+        assert stats == (2, 0, 0, 0, 2, 1, 0, 0, 2, 3)
+        assert score.precisions == (1.0, 0.5, 0.25, 0.125)
+        assert score.brevity_penalty < 1.0
+
+    def test_zero_length_hypotheses(self):
+        with pytest.raises(ZeroLengthHypothesisCorpus):
+            bleu_from_stats(bleu_stats(tok([]), tok(["a"])))
 
 
 class TestBleuStar:

@@ -1,5 +1,7 @@
 import json
+import logging
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,10 +18,18 @@ from lcmteval.pipeline import (
     BLEU_STAR_ID,
     LENGTH_DEV_ID,
     ROUGE_METRICS,
-    length_deviation_by_system,
-    make_bleu_scorers,
+    PipelineState,
     run_pipeline,
     score_tables_for_task,
+)
+from lcmteval.metaeval import hybrid_supersample
+from lcmteval.metrics import (
+    LengthRecord,
+    corpus_bleu,
+    expected_length,
+    length_deviation,
+    scheme_for_direction,
+    tokenize,
 )
 from lcmteval.reports import read_csv_table
 
@@ -59,7 +69,7 @@ def echo_campaign():
 class TestScoreTables:
     def test_echo_campaign_scores_perfect(self):
         campaign = echo_campaign()
-        tables = {t.metric_id: t for t in score_tables_for_task(campaign, Task("aa-bb", 1.0))}
+        tables = {t.metric_id: t for t in score_tables_for_task(campaign, Task("aa-bb", 1.0)).tables}
         for metric in ROUGE_METRICS:
             assert set(tables[metric].cells.values()) == {1.0}
         assert set(tables[BLEU_ID].system_cells.values()) == {1.0}
@@ -68,7 +78,9 @@ class TestScoreTables:
 
     def test_fixture_bleu_star_dominates(self, campaign):
         for task in campaign.tasks():
-            tables = {t.metric_id: t for t in score_tables_for_task(campaign, task)}
+            tables = {
+                t.metric_id: t for t in score_tables_for_task(campaign, task).tables
+            }
             for system in campaign.config.systems:
                 assert (
                     tables[BLEU_STAR_ID].system_cells[system]
@@ -77,7 +89,7 @@ class TestScoreTables:
 
     def test_table_shapes(self, campaign):
         task = campaign.tasks()[0]
-        tables = score_tables_for_task(campaign, task)
+        tables = score_tables_for_task(campaign, task).tables
         seg_level = [t for t in tables if t.level == "segment"]
         sys_level = [t for t in tables if t.level == "system"]
         assert len(seg_level) == 10  # 9 ROUGE + length deviation
@@ -85,37 +97,104 @@ class TestScoreTables:
         n_cells = len(campaign.config.systems) * 12
         assert all(len(t.cells) == n_cells for t in seg_level)
 
-    def test_bleu_scorer_constant_selector_matches_system_score(self, campaign):
-        task = campaign.tasks()[0]
-        scorers = make_bleu_scorers(campaign, task)
-        tables = {t.metric_id: t for t in score_tables_for_task(campaign, task)}
-        seg_ids = campaign.segment_ids_for_direction(task.direction)
-        for system in campaign.config.systems:
-            constant = {g: system for g in seg_ids}
-            assert scorers[(BLEU_ID, "-")](constant) == tables[BLEU_ID].system_cells[system]
-            assert (
-                scorers[(BLEU_STAR_ID, "-")](constant)
-                == tables[BLEU_STAR_ID].system_cells[system]
-            )
+    def test_hybrid_bleu_matches_corpus_bleu_of_its_hypotheses(self, campaign):
+        # every hybrid's BLEU and BLEU*, from summed statistics, equal corpus
+        # BLEU re-run over the hypotheses that hybrid selects, whatever the
+        # order of the systems in the config
+        reversed_systems = tuple(reversed(campaign.config.systems))
+        reordered = replace(
+            campaign, config=replace(campaign.config, systems=reversed_systems)
+        )
+        for camp in (campaign, reordered):
+            for task in camp.tasks():
+                self._check_hybrid_bleu(camp, task)
 
-    def test_echo_length_deviation_zero(self):
-        campaign = echo_campaign()
-        deviations = length_deviation_by_system(campaign, Task("aa-bb", 1.0))
-        assert set(deviations.values()) == {0.0}
+    @staticmethod
+    def _check_hybrid_bleu(campaign, task):
+        native = score_tables_for_task(campaign, task)
+        bleu_tables = [t for t in native.tables if t.level == "system"]
+        human = {
+            (s, g): 0.0
+            for s in campaign.config.systems
+            for g in campaign.segment_ids_for_direction(task.direction)
+        }
+        selectors, vectors, _ = hybrid_supersample(
+            bleu_tables, human, 50, seed=17, corpus_scorers=native.corpus_scorers()
+        )
+        scheme = scheme_for_direction(task.direction)
+        n_real = len(campaign.config.systems)
+        for i, sel in enumerate(selectors):
+            seg_ids = sorted(sel.choices)
+            score = corpus_bleu(
+                [
+                    tokenize(
+                        campaign.hypothesis(sel.choices[g], g, task.ratio).text, scheme
+                    )
+                    for g in seg_ids
+                ],
+                [tokenize(campaign.segments[g].reference_text, scheme) for g in seg_ids],
+            )
+            assert vectors[(BLEU_ID, "-")].values[n_real + i] == score.bleu
+            assert vectors[(BLEU_STAR_ID, "-")].values[n_real + i] == score.bleu_star
+
+    def test_echo_length_deviation_zero(self, tmp_path):
+        state = PipelineState(echo_campaign())
+        (table,) = [
+            t for t in state.natives[Task("aa-bb", 1.0)].tables
+            if t.metric_id == LENGTH_DEV_ID
+        ]
+        assert set(table.cells.values()) == {0.0}
+        (path,) = state.emit_length_deviation(tmp_path)
+        header, rows = read_csv_table(path)
+        assert rows == [["s1", "0.0000"], ["s2", "0.0000"]]
+
+    def test_length_deviation_means_equal_metric(self, campaign, tmp_path, monkeypatch):
+        # the emitted per-system means are metrics.length_deviation, bit for bit
+        monkeypatch.setattr("lcmteval.pipeline.fmt4", repr)
+        (path,) = PipelineState(campaign).emit_length_deviation(tmp_path)
+        header, rows = read_csv_table(path)
+        tasks = campaign.tasks()
+        for system, *cells in rows:
+            for task, cell in zip(tasks, cells):
+                records = [
+                    LengthRecord(
+                        output_len=campaign.hypothesis_length(
+                            campaign.hypothesis(system, seg.seg_id, task.ratio)
+                        ),
+                        expect_len=max(
+                            expected_length(
+                                task.ratio, campaign.reference_length(seg)
+                            ),
+                            1,
+                        ),
+                    )
+                    for seg in campaign.segments_for_direction(task.direction)
+                ]
+                assert float(cell) == length_deviation(records)
+
+    def test_system_stage_logs_one_line_per_task(self, campaign, caplog):
+        state = PipelineState(campaign, hybrids=20)
+        with caplog.at_level(logging.INFO, logger="lcmteval.pipeline"):
+            state.system_stage
+        messages = [
+            r.getMessage() for r in caplog.records if r.name == "lcmteval.pipeline"
+        ]
+        assert len(messages) == len(campaign.tasks())
+        for task, message in zip(campaign.tasks(), messages):
+            # 11 native tables without LengthDev, plus neuralA and neuralB
+            assert message.startswith(
+                f"system stage {task.label}: 13 tables, K=20 hybrids, "
+                "3 hybrid_supersample calls, "
+            )
+            assert message.endswith(" s")
 
     def test_composition_matches_direct_metric_calls(self, campaign):
         # the task tables must equal metric calls composed by hand
-        from lcmteval.metrics import (
-            corpus_bleu,
-            rouge_l,
-            rouge_n,
-            scheme_for_direction,
-            tokenize,
-        )
+        from lcmteval.metrics import rouge_l, rouge_n
 
         task = Task("en-zh", 0.8)
         scheme = scheme_for_direction(task.direction)
-        tables = {t.metric_id: t for t in score_tables_for_task(campaign, task)}
+        tables = {t.metric_id: t for t in score_tables_for_task(campaign, task).tables}
         seg_ids = campaign.segment_ids_for_direction(task.direction)
 
         for system in campaign.config.systems:

@@ -165,7 +165,7 @@ class TestCli:
                 segment_ids=campaign.segment_ids_for_direction("zh-en"),
             )
         }
-        for table in score_tables_for_task(campaign, task):
+        for table in score_tables_for_task(campaign, task).tables:
             if table.level != "segment":
                 continue
             assert emitted[table.key].cells == table.cells
@@ -310,6 +310,21 @@ class TestRunCommand:
             for out in ("chars", "ws")
         )
         assert chars != ws
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--hybrids", "-5"), ("--permutations", "0"), ("--bootstrap", "0"),
+         ("--threads", "0")],
+    )
+    def test_invalid_resampling_count_exit_2(
+        self, fixture_config_path, tmp_path, capsys, flag, value
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(fixture_config_path), "--out", str(tmp_path)]
+                 + FAST_FLAGS + [flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be >= " in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
 
     def test_incomplete_campaign_exit_1(self, fixture_config_path, tmp_path):
         shutil.copytree(fixture_config_path.parent, tmp_path / "camp")

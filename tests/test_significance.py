@@ -165,6 +165,13 @@ class TestPermBoth:
             seg_table(dict(zip(keys, b)), metric="B"),
         )
 
+    def test_no_replicates_rejected(self):
+        keys = [(s, f"g{i}") for s in ("s1", "s2") for i in range(10)]
+        ta, tb = self._tables(np.arange(20.0), np.arange(20.0)[::-1], keys)
+        human = dict(zip(keys, np.linspace(0, 1, 20)))
+        with pytest.raises(ValueError):
+            perm_both(ta, tb, human, r=0, seed=5)
+
     def test_identical_tables_p_one(self):
         keys = [(s, f"g{i}") for s in ("s1", "s2") for i in range(10)]
         values = [float(i % 7) + 0.1 for i in range(20)]
@@ -371,6 +378,11 @@ class TestSegmentSigMatrix:
 
 
 class TestPairedBootstrap:
+    def test_no_resamples_rejected(self):
+        a = {f"g{i}": float(i) for i in range(10)}
+        with pytest.raises(ValueError):
+            paired_bootstrap(a, dict(a), b_iter=0, seed=1)
+
     def test_identical_arrays_half(self):
         a = {f"g{i}": float(i % 7) for i in range(200)}
         assert paired_bootstrap(a, dict(a), b_iter=1000, seed=1) == 0.5
