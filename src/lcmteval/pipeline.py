@@ -34,7 +34,7 @@ from .corpus import (
     load_campaign,
     validate_campaign,
 )
-from .errors import IncompleteTable, MissingFile, ValidationFailure
+from .errors import IncompleteTable, MissingFile, SampleTooSmall, ValidationFailure
 from .metaeval import (
     SystemScoreVector,
     VariantSelection,
@@ -228,6 +228,16 @@ class PipelineState:
         self.level = level
         self.tasks = campaign.tasks()
         self.task_cols = [t.label for t in self.tasks]
+
+    def check_system_sig(self) -> None:
+        """Raise :class:`SampleTooSmall` unless system-level significance can
+        run: Zou's interval needs at least 4 systems, real plus hybrid."""
+        n_systems = len(self.campaign.config.systems)
+        if n_systems + self.hybrids < 4:
+            raise SampleTooSmall(
+                f"system-level significance needs systems + hybrids >= 4, got "
+                f"{n_systems} systems and --hybrids {self.hybrids}; raise --hybrids"
+            )
 
     # --- intermediates ----------------------------------------------------
 
@@ -475,16 +485,25 @@ class PipelineState:
         return [path]
 
     def emit_sig_system(self, out: Path) -> list[Path]:
+        self.check_system_sig()
         sys_vectors, human_vectors = self.system_stage
         paths = []
         for t in self.tasks:
+            started = time.perf_counter()
+            names = sorted(sys_vectors[t])
             matrix = system_sig_matrix(
-                {
-                    name: sys_vectors[t][name].values
-                    for name in sorted(sys_vectors[t])
-                },
+                {name: sys_vectors[t][name].values for name in names},
                 human_vectors[t].values,
                 t,
+            )
+            logger.info(
+                "system significance %s: %d metrics, %d ordered pairs, "
+                "n=%d systems, %.3f s",
+                t.label,
+                len(names),
+                len(matrix.cells),
+                len(human_vectors[t].values),
+                time.perf_counter() - started,
             )
             for fmt, suffix in (("csv", "csv"), ("textgrid", "txt"), ("svg", "svg")):
                 path = out / f"sig_system_{t.label}.{suffix}"
@@ -513,12 +532,14 @@ class PipelineState:
         """Per-system scores under each segment-level metric, the best system
         dagger-marked when a paired bootstrap puts it above the runner-up.
         """
+        started = time.perf_counter()
         info = {}
         for t in self.tasks:
             info.update(_metric_variant(self.segment_tables[t]))
         systems = list(self.campaign.config.systems)
+        names = sorted(self.segment_tables[self.tasks[0]])
         rows = []
-        for name in sorted(self.segment_tables[self.tasks[0]]):
+        for name in names:
             cells_by_task: dict[Task, dict[str, str]] = {}
             for t in self.tasks:
                 table = self.segment_tables[t][name]
@@ -550,6 +571,13 @@ class PipelineState:
                 )
         path = out / "system_eval.csv"
         write_csv(path, ["metric", "variant", "system"] + self.task_cols, rows)
+        logger.info(
+            "system comparison: %d tasks, %d metrics, B=%d resamples, %.3f s",
+            len(self.tasks),
+            len(names),
+            self.bootstrap,
+            time.perf_counter() - started,
+        )
         return [path]
 
     def emit_length_deviation(self, out: Path) -> list[Path]:
@@ -633,6 +661,7 @@ def run_pipeline(
         level=level,
         threads=threads,
     )
+    state.check_system_sig()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []

@@ -39,7 +39,7 @@ from .errors import (
     SystemOnlyTable,
 )
 from .metaeval import pearson
-from .seeding import derive_int, rng_for
+from .seeding import derive_int, rng_for, rng_replay
 
 logger = logging.getLogger(__name__)
 
@@ -178,8 +178,8 @@ def _pooled_cells(
 
 
 # Element budget of the permutation test's working arrays: a tile of the
-# pairwise sign arrays and a batch of replicate masks each hold at most this
-# many entries, whatever the number of cells.
+# pairwise sign arrays and a batch of replicate masks (and of their uniform
+# draws) each hold at most this many entries, whatever the number of cells.
 _BUDGET = 4_000_000
 
 
@@ -321,8 +321,11 @@ def perm_both(
     is (1 + #{delta* >= delta}) / (r + 1), so it is never exactly zero.
     Replicate i swaps the cells where
     ``rng_for(seed, "perm-both", i).random(n) < 0.5``, over the cells in
-    sorted key order.  ``threads`` is accepted for compatibility; the
-    replicates run on one thread.
+    sorted key order.  The masks come from ``rng_replay``, which yields
+    generators in exactly those states at a fraction of the cost of one
+    ``rng_for`` each; a batch of replicates draws its uniforms into one
+    buffer.  ``threads`` is accepted for compatibility; the replicates run
+    on one thread.
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
@@ -332,13 +335,13 @@ def perm_both(
     tau_a, tau_b = kernel.taus(np.zeros((1, n), dtype=bool))
     delta = tau_a[0] - tau_b[0]
     chunk = max(1, _BUDGET // n)
+    uniforms = np.empty((min(chunk, r), n))
     total = 0
     for start in range(0, r, chunk):
         indices = range(start, min(start + chunk, r))
-        masks = np.stack(
-            [rng_for(seed, "perm-both", i).random(n) < 0.5 for i in indices]
-        )
-        tau_a, tau_b = kernel.taus(masks)
+        for row, generator in zip(uniforms, rng_replay(seed, "perm-both", indices)):
+            generator.random(out=row)
+        tau_a, tau_b = kernel.taus(uniforms[: len(indices)] < 0.5)
         total += int(np.count_nonzero(tau_a - tau_b >= delta))
     return (1 + total) / (r + 1)
 

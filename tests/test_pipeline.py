@@ -188,6 +188,32 @@ class TestScoreTables:
             )
             assert message.endswith(" s")
 
+    def test_significance_and_comparison_log_work_at_info(
+        self, campaign, caplog, tmp_path
+    ):
+        state = PipelineState(campaign, hybrids=20, bootstrap=30)
+        state.system_stage
+        with caplog.at_level(logging.INFO, logger="lcmteval.pipeline"):
+            state.emit_sig_system(tmp_path)
+            state.emit_system_eval(tmp_path)
+        messages = [
+            r.getMessage() for r in caplog.records if r.name == "lcmteval.pipeline"
+        ]
+        tasks = campaign.tasks()
+        assert len(messages) == len(tasks) + 1
+        for task, message in zip(tasks, messages):
+            # 13 tables of the system stage, 2 real systems + K = 20 hybrids
+            assert message.startswith(
+                f"system significance {task.label}: 13 metrics, 156 ordered pairs, "
+                "n=22 systems, "
+            )
+            assert message.endswith(" s")
+        # 9 ROUGE variants, neuralA and neuralB
+        assert messages[-1].startswith(
+            f"system comparison: {len(tasks)} tasks, 11 metrics, B=30 resamples, "
+        )
+        assert messages[-1].endswith(" s")
+
     def test_composition_matches_direct_metric_calls(self, campaign):
         # the task tables must equal metric calls composed by hand
         from lcmteval.metrics import rouge_l, rouge_n

@@ -326,6 +326,28 @@ class TestRunCommand:
         assert f"argument {flag}: must be >= " in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["run", "--hybrids", "0", "--level", "segment"],
+            ["run", "--hybrids", "1"],
+            ["significance", "--level", "system", "--hybrids", "1"],
+        ],
+    )
+    def test_too_few_systems_for_system_significance_exit_3_first(
+        self, fixture_config_path, tmp_path, capsys, command
+    ):
+        # the fixture has 2 systems; Zou's interval needs 4, real plus hybrid
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main(
+            [command[0], str(fixture_config_path), "--out", str(out),
+             "--permutations", "5", "--bootstrap", "5"] + command[1:]
+        )
+        assert code == 3
+        assert "--hybrids" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_incomplete_campaign_exit_1(self, fixture_config_path, tmp_path):
         shutil.copytree(fixture_config_path.parent, tmp_path / "camp")
         ratings = tmp_path / "camp" / "ratings.csv"

@@ -289,6 +289,18 @@ class TestSwapKernel:
             p_tiled = perm_both(ta, tb, human, r=150, seed=13, threads=threads)
             assert p_tiled == p_untiled
 
+    def test_mask_chunks_at_nonzero_indices_equal_oracle(self, monkeypatch):
+        rng = np.random.default_rng(83)
+        n = 12
+        keys = sorted((f"s{i % 3}", f"g{i:02d}") for i in range(n))
+        a, b = rng.integers(0, 4, n) / 3, rng.integers(0, 4, n) / 3
+        h = rng.integers(-2, 3, n).astype(float)
+        ta, tb = seg_table(dict(zip(keys, a)), "A"), seg_table(dict(zip(keys, b)), "B")
+        expected = perm_both_enumeration(a.tolist(), b.tolist(), h.tolist(), r=45, seed=21)
+        # chunks of 7 masks: replicates 0-6, 7-13, ..., 42-44
+        monkeypatch.setattr(significance, "_BUDGET", 7 * n)
+        assert perm_both(ta, tb, dict(zip(keys, h)), r=45, seed=21) == expected
+
     def test_non_finite_score_rejected(self):
         keys = [("s1", "g0"), ("s1", "g1"), ("s2", "g0"), ("s2", "g1")]
         ta = seg_table(dict(zip(keys, [1.0, float("nan"), 3.0, 4.0])))
