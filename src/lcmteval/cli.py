@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("validate", cmd_validate, "check rating completeness", needs_out=False)
     traps = add("traps", cmd_traps, "generate truncated-reference trap pairs")
-    traps.add_argument("--count", type=int, default=60,
+    traps.add_argument("--count", type=_at_least(0), default=60,
                        help="trap samples per (direction, ratio)")
     add("qc", cmd_qc, "timing and trap-bucket quality-control tables")
     add("normalize", cmd_normalize, "per-annotator z-scores and segment averages")

@@ -80,6 +80,8 @@ def generate_traps(
     """
     if not (0.0 < ratio < 1.0):
         raise ValueError(f"trap ratio must be in (0, 1), got {ratio}")
+    if count < 0:
+        raise ValueError(f"trap count must be >= 0, got {count}")
     if count > len(segments):
         raise NotEnoughSegments(
             f"requested {count} traps from {len(segments)} segments"

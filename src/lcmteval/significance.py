@@ -39,7 +39,7 @@ from .errors import (
     SystemOnlyTable,
 )
 from .metaeval import pearson
-from .seeding import derive_int, rng_for, rng_replay
+from .seeding import derive_int, rng_for
 
 logger = logging.getLogger(__name__)
 
@@ -312,20 +312,17 @@ def perm_both(
     human_segment_scores: Mapping[tuple[str, str], float],
     r: int = 1000,
     seed: int = 0,
-    threads: int = 1,
 ) -> float:
     """One-sided permutation test for tau(A, human) > tau(B, human).
 
     Each replicate independently swaps A's and B's score in every cell with
     probability 1/2 and recomputes the correlation difference; the p-value
     is (1 + #{delta* >= delta}) / (r + 1), so it is never exactly zero.
-    Replicate i swaps the cells where
-    ``rng_for(seed, "perm-both", i).random(n) < 0.5``, over the cells in
-    sorted key order.  The masks come from ``rng_replay``, which yields
-    generators in exactly those states at a fraction of the cost of one
-    ``rng_for`` each; a batch of replicates draws its uniforms into one
-    buffer.  ``threads`` is accepted for compatibility; the replicates run
-    on one thread.
+    Replicate i swaps the cells where row i of
+    ``rng_for(seed, "perm-both").random((r, n)) < 0.5``, over the cells in
+    sorted key order.  One generator serves the whole call: each batch of
+    replicates draws its rows, in order, into one reused buffer, so the
+    masks do not depend on the batch size.
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
@@ -335,13 +332,13 @@ def perm_both(
     tau_a, tau_b = kernel.taus(np.zeros((1, n), dtype=bool))
     delta = tau_a[0] - tau_b[0]
     chunk = max(1, _BUDGET // n)
+    generator = rng_for(seed, "perm-both")
     uniforms = np.empty((min(chunk, r), n))
     total = 0
     for start in range(0, r, chunk):
-        indices = range(start, min(start + chunk, r))
-        for row, generator in zip(uniforms, rng_replay(seed, "perm-both", indices)):
-            generator.random(out=row)
-        tau_a, tau_b = kernel.taus(uniforms[: len(indices)] < 0.5)
+        rows = uniforms[: min(chunk, r - start)]
+        generator.random(out=rows)
+        tau_a, tau_b = kernel.taus(rows < 0.5)
         total += int(np.count_nonzero(tau_a - tau_b >= delta))
     return (1 + total) / (r + 1)
 
@@ -364,14 +361,12 @@ def segment_sig_matrix(
     r: int = 1000,
     seed: int = 0,
     alpha: float = 0.05,
-    threads: int = 1,
 ) -> SigMatrix:
     """Pairwise one-sided permutation-test matrix over segment-level metrics.
 
     The Bonferroni flag divides alpha by the number of ordered pairs in the
     matrix.  Each pair's test derives its own seed from the two metric
     names, so the matrix does not depend on the order of the pairs.
-    ``threads`` is accepted for compatibility and ignored.
     """
     names = list(tables)
     pairs = [(row, col) for row in names for col in names if row != col]

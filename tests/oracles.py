@@ -128,14 +128,14 @@ def perm_both_enumeration(a, b, h, r: int, seed: int) -> float:
     ``kendall_tau_b_enumeration``.
 
     ``a``, ``b`` and ``h`` list the cells in sorted key order.  Replicate i
-    swaps the cells where ``rng_for(seed, "perm-both", i).random(n) < 0.5``
-    (the documented mask stream); p = (1 + #{delta* >= delta}) / (r + 1).
+    swaps the cells where row i of
+    ``rng_for(seed, "perm-both").random((r, n)) < 0.5`` (the documented mask
+    stream); p = (1 + #{delta* >= delta}) / (r + 1).
     """
     n = len(a)
     delta = kendall_tau_b_enumeration(a, h) - kendall_tau_b_enumeration(b, h)
     hits = 0
-    for i in range(r):
-        swap = rng_for(seed, "perm-both", i).random(n) < 0.5
+    for swap in rng_for(seed, "perm-both").random((r, n)) < 0.5:
         a_star = [y if s else x for x, y, s in zip(a, b, swap)]
         b_star = [x if s else y for x, y, s in zip(a, b, swap)]
         delta_star = kendall_tau_b_enumeration(a_star, h) - kendall_tau_b_enumeration(

@@ -80,6 +80,11 @@ class TestGenerateTraps:
         with pytest.raises(NotEnoughSegments):
             generate_traps([segment("g1", "a b")], 0.5, 2, seed=1)
 
+    def test_negative_count_rejected(self):
+        segs = [segment(f"g{i}", "a b c d") for i in range(10)]
+        with pytest.raises(ValueError, match="trap count"):
+            generate_traps(segs, 0.5, -3, seed=1)
+
     def test_deterministic_across_runs(self):
         segs = [segment(f"g{i}", f"x{i} y z w v") for i in range(50)]
         first = generate_traps(segs, 0.5, 20, seed=99)

@@ -134,6 +134,14 @@ class TestCli:
         first = json.loads(lines[0])
         assert set(first) == {"seg_id", "truncated_text", "original_reference", "ratio"}
 
+    def test_traps_negative_count_exit_2(self, fixture_config_path, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["traps", str(fixture_config_path), "--out", str(tmp_path),
+                  "--count", "-3"])
+        assert exc.value.code == 2
+        assert "argument --count: must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "traps.jsonl").exists()
+
     def test_score_emits_loadable_tables(self, fixture_config_path, tmp_path, campaign):
         from lcmteval.corpus import load_external_scores
 

@@ -198,19 +198,32 @@ class TestPermBoth:
         p = perm_both(ta, tb, dict(zip(keys, rng.standard_normal(30))), r=99, seed=1)
         assert 0.0 < p <= 1.0
 
-    def test_deterministic_and_thread_invariant(self):
+    def test_deterministic_and_seed_sensitive(self):
         rng = np.random.default_rng(47)
         keys = [(s, f"g{i}") for s in ("s1", "s2") for i in range(25)]
         ta, tb = self._tables(
             rng.standard_normal(50), rng.standard_normal(50), keys
         )
         human = dict(zip(keys, rng.standard_normal(50)))
-        ps = {
-            threads: perm_both(ta, tb, human, r=240, seed=11, threads=threads)
-            for threads in (1, 2, 8)
-        }
-        assert ps[1] == ps[2] == ps[8]
-        assert perm_both(ta, tb, human, r=240, seed=12) != ps[1]
+        p = perm_both(ta, tb, human, r=240, seed=11)
+        assert perm_both(ta, tb, human, r=240, seed=11) == p
+        assert perm_both(ta, tb, human, r=240, seed=12) != p
+
+    def test_one_generator_per_call(self, monkeypatch):
+        keys = [(s, f"g{i}") for s in ("s1", "s2") for i in range(10)]
+        ta, tb = self._tables(np.arange(20.0), np.arange(20.0)[::-1], keys)
+        human = dict(zip(keys, np.linspace(0, 1, 20)))
+        real_rng_for = significance.rng_for
+        keys_seen = []
+
+        def counting_rng_for(*key):
+            keys_seen.append(key)
+            return real_rng_for(*key)
+
+        monkeypatch.setattr(significance, "rng_for", counting_rng_for)
+        monkeypatch.setattr(significance, "_BUDGET", 7 * 20)  # 43 chunks
+        perm_both(ta, tb, human, r=300, seed=17)
+        assert keys_seen == [(17, "perm-both")]
 
     def test_cell_mismatch(self):
         keys = [("s1", "g0"), ("s1", "g1"), ("s2", "g0"), ("s2", "g1")]
@@ -285,9 +298,7 @@ class TestSwapKernel:
         assert tiled.tile_rows == 7
         for got, want in zip(tiled.taus(masks), untiled.taus(masks)):
             assert np.array_equal(got, want)
-        for threads in (1, 3):
-            p_tiled = perm_both(ta, tb, human, r=150, seed=13, threads=threads)
-            assert p_tiled == p_untiled
+        assert perm_both(ta, tb, human, r=150, seed=13) == p_untiled
 
     def test_mask_chunks_at_nonzero_indices_equal_oracle(self, monkeypatch):
         rng = np.random.default_rng(83)
