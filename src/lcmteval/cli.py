@@ -48,6 +48,14 @@ def _at_least(minimum: int):
     return integer
 
 
+def probability(text: str) -> float:
+    """argparse type: a float strictly between 0 and 1 (not NaN)."""
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text}")
+    return value
+
+
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None,
                         help="master seed (default: the config's seed)")
@@ -57,8 +65,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="replicates for the segment-level permutation test")
     parser.add_argument("--bootstrap", type=_at_least(1), default=1000, metavar="B",
                         help="paired bootstrap resamples for system comparison")
-    parser.add_argument("--alpha", type=float, default=0.05,
-                        help="significance threshold")
+    parser.add_argument("--alpha", type=probability, default=0.05,
+                        help="significance threshold of the segment-level "
+                        "permutation tests (system-level intervals are 95%%)")
     parser.add_argument("--timing-cutoff", type=float, default=600.0,
                         help="seconds; annotations at or above are dropped from cut_ave")
     parser.add_argument("--include-traps", action="store_true",
@@ -69,27 +78,31 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--level", default="system", choices=["system", "segment"],
                         help="correlation level for best-variant selection")
     parser.add_argument("--threads", type=_at_least(1), default=1,
-                        help="accepted for compatibility; every stage runs on "
-                        "one thread")
+                        help="accepted for compatibility and ignored; every "
+                        "stage runs on one thread")
 
 
 def _load(args) -> Campaign:
     return open_campaign(args.config, args.length_unit)
 
 
+def _options(args) -> dict:
+    """The pipeline options of the common flags, for both ``run`` and the
+    stage commands."""
+    return {
+        "seed": args.seed,
+        "hybrids": args.hybrids,
+        "permutations": args.permutations,
+        "bootstrap": args.bootstrap,
+        "alpha": args.alpha,
+        "timing_cutoff": args.timing_cutoff,
+        "include_traps": args.include_traps,
+        "level": args.level,
+    }
+
+
 def _state(args) -> PipelineState:
-    return PipelineState(
-        _load(args),
-        seed=args.seed,
-        hybrids=args.hybrids,
-        permutations=args.permutations,
-        bootstrap=args.bootstrap,
-        alpha=args.alpha,
-        timing_cutoff=args.timing_cutoff,
-        include_traps=args.include_traps,
-        level=args.level,
-        threads=args.threads,
-    )
+    return PipelineState(_load(args), **_options(args))
 
 
 def _out_dir(args) -> Path:
@@ -298,18 +311,7 @@ def cmd_report(args) -> int:
 
 def cmd_run(args) -> int:
     artifacts = run_pipeline(
-        args.config,
-        args.out,
-        seed=args.seed,
-        hybrids=args.hybrids,
-        permutations=args.permutations,
-        bootstrap=args.bootstrap,
-        alpha=args.alpha,
-        timing_cutoff=args.timing_cutoff,
-        include_traps=args.include_traps,
-        level=args.level,
-        threads=args.threads,
-        length_unit=args.length_unit,
+        args.config, args.out, length_unit=args.length_unit, **_options(args)
     )
     for name, digest in artifacts.manifest:
         print(f"{digest}  {name}")

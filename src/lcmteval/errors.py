@@ -67,6 +67,10 @@ class CellMismatch(DataError):
     pass
 
 
+class DuplicateMetricName(DataError):
+    """Two score tables of a task would share a report name."""
+
+
 class AlignmentMismatch(DataError):
     pass
 

@@ -11,7 +11,7 @@ pair and uses Kendall tau-b.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -287,14 +287,19 @@ def select_best_variant(
     human_segment_scores: Mapping[Task, Mapping[tuple[str, str], float]],
     tasks: Sequence[Task],
     level: str = SEGMENT_LEVEL,
-    hybrids: int = 0,
-    seed: int = 0,
+    system_vectors: Mapping[
+        Task, tuple[Mapping[tuple[str, str], SystemScoreVector], SystemScoreVector]
+    ]
+    | None = None,
 ) -> VariantSelection:
     """Pick the variant with the highest mean correlation across tasks.
 
     ``level`` chooses the correlation: pooled Kendall tau-b per task for
-    segment level, or Pearson r over (hybrid-extended) system score vectors
-    for system level.  Ties go to the lexicographically smallest variant id.
+    segment level, or Pearson r over system score vectors for system level.
+    At system level ``system_vectors`` gives, per task, the (hybrid-extended)
+    score vectors by table key and the human vector, as
+    :func:`hybrid_supersample` returns them; every variant's table needs its
+    own key.  Ties go to the lexicographically smallest variant id.
     """
     if not variant_tables:
         raise NoVariants("no variants to select from")
@@ -306,22 +311,22 @@ def select_best_variant(
     if len(metric_ids) != 1:
         raise ValueError(f"variants span multiple metrics: {sorted(metric_ids)}")
     metric_id = metric_ids.pop()
+    if level != SEGMENT_LEVEL and system_vectors is None:
+        raise ValueError("system-level selection needs system_vectors")
 
     variant_ids = sorted(variant_tables)
     corr: dict[str, dict[Task, float]] = {v: {} for v in variant_ids}
     for task in tasks:
-        # labelled by variant id, so each variant keeps its own vector below
-        tables = [replace(variant_tables[v][task], variant_id=v) for v in variant_ids]
+        tables = [variant_tables[v][task] for v in variant_ids]
         if level == SEGMENT_LEVEL:
             for v, table in zip(variant_ids, tables):
                 corr[v][task] = segment_correlation(
                     table, human_segment_scores[task]
                 ).value
         else:
-            # One call per task: every variant meets the same pseudo-systems.
-            _, vectors, human_vec = hybrid_supersample(
-                tables, human_segment_scores[task], hybrids, seed
-            )
+            if len({table.key for table in tables}) != len(tables):
+                raise ValueError(f"variants of {metric_id} share a table key")
+            vectors, human_vec = system_vectors[task]
             for v, table in zip(variant_ids, tables):
                 corr[v][task] = pearson(
                     human_vec.values, vectors[table.key].values

@@ -2,8 +2,9 @@
 correlation -> significance -> report files.
 
 :class:`PipelineState` lazily computes shared intermediates (normalized
-ratings, native score tables, hybrid-extended system vectors) so each report
-table is reachable standalone; :func:`run_pipeline` drives the whole chain
+ratings, native score tables, hybrid-extended system vectors from one hybrid
+pass per task that variant selection and the system stage share) so each
+report table is reachable standalone; :func:`run_pipeline` drives the whole chain
 and writes a digest manifest.  Hybrid BLEU and BLEU* sum the additive
 statistics that the native stage counts once per (system, segment) cell.
 Given identical inputs and master seed, two runs produce byte-identical
@@ -34,7 +35,13 @@ from .corpus import (
     load_campaign,
     validate_campaign,
 )
-from .errors import IncompleteTable, MissingFile, SampleTooSmall, ValidationFailure
+from .errors import (
+    DuplicateMetricName,
+    IncompleteTable,
+    MissingFile,
+    SampleTooSmall,
+    ValidationFailure,
+)
 from .metaeval import (
     SystemScoreVector,
     VariantSelection,
@@ -86,6 +93,7 @@ ROUGE_METRICS = (
 BLEU_ID = "BLEU"
 BLEU_STAR_ID = "BLEU*"
 LENGTH_DEV_ID = "LengthDev"
+NATIVE_METRICS = (*ROUGE_METRICS, BLEU_ID, BLEU_STAR_ID, LENGTH_DEV_ID)
 
 
 @dataclass(frozen=True)
@@ -200,8 +208,7 @@ def _metric_variant(tables: Mapping[str, ScoreTable] | list[ScoreTable]):
 
 
 class PipelineState:
-    """Shared intermediates for the report emitters, computed lazily
-    (``threads`` is accepted for compatibility; every stage runs on one)."""
+    """Shared intermediates for the report emitters, computed lazily."""
 
     def __init__(
         self,
@@ -215,7 +222,6 @@ class PipelineState:
         timing_cutoff: float = 600.0,
         include_traps: bool = False,
         level: str = SYSTEM_LEVEL,
-        threads: int = 1,
     ):
         self.campaign = campaign
         self.seed = campaign.config.seed if seed is None else seed
@@ -262,10 +268,24 @@ class PipelineState:
 
     @cached_property
     def external_variants(self) -> dict[str, dict[str, dict[Task, ScoreTable]]]:
-        """metric -> variant -> task -> table, complete over all tasks."""
+        """metric -> variant -> task -> table, complete over all tasks.
+
+        Raises :class:`DuplicateMetricName` when an external table's display
+        name is a native metric's or another table's of the same task: the
+        report rows and the hybrid vectors are keyed by it.
+        """
         grouped: dict[str, dict[str, dict[Task, ScoreTable]]] = {}
         for task, tables in self.campaign.external_scores.items():
+            seen = {name: "a native metric" for name in NATIVE_METRICS}
             for table in tables:
+                name = table.display_name()
+                if name in seen:
+                    raise DuplicateMetricName(
+                        f"{task.label}: external table "
+                        f"{table.metric_id}/{table.variant_id} is named {name!r}, "
+                        f"like {seen[name]}; rename the metric or variant"
+                    )
+                seen[name] = f"table {table.metric_id}/{table.variant_id}"
                 grouped.setdefault(table.metric_id, {}).setdefault(
                     table.variant_id, {}
                 )[task] = table
@@ -280,15 +300,55 @@ class PipelineState:
         return grouped
 
     @cached_property
+    def hybrid_pass(
+        self,
+    ) -> dict[Task, tuple[dict[tuple[str, str], SystemScoreVector], SystemScoreVector]]:
+        """Per task, the hybrid-extended score vectors (by table key) of the
+        native tables but length deviation and of every variant of every
+        external metric, and the human vector: one :func:`hybrid_supersample`
+        call per task, so variant selection and the system stage meet the
+        same K pseudo-systems."""
+        out = {}
+        for t in self.tasks:
+            native = self.natives[t]
+            tables = [tb for tb in native.tables if tb.metric_id != LENGTH_DEV_ID]
+            n_native = len(tables)
+            tables += [
+                per_task[t]
+                for variants in self.external_variants.values()
+                for per_task in variants.values()
+            ]
+            started = time.perf_counter()
+            _, vectors, human_vec = hybrid_supersample(
+                tables,
+                self.human_by_task[t],
+                self.hybrids,
+                self.seed,
+                corpus_scorers=native.corpus_scorers(),
+            )
+            out[t] = (vectors, human_vec)
+            logger.info(
+                "hybrid pass %s: %d tables (%d native, %d external), K=%d hybrids, "
+                "%.3f s",
+                t.label,
+                len(tables),
+                n_native,
+                len(tables) - n_native,
+                self.hybrids,
+                time.perf_counter() - started,
+            )
+        return out
+
+    @cached_property
     def selections(self) -> list[VariantSelection]:
+        system_level = self.level == SYSTEM_LEVEL
         return [
             select_best_variant(
                 self.external_variants[metric],
                 self.human_by_task,
                 self.tasks,
                 level=self.level,
-                hybrids=self.hybrids if self.level == SYSTEM_LEVEL else 0,
-                seed=self.seed,
+                system_vectors=self.hybrid_pass if system_level else None,
             )
             for metric in sorted(self.external_variants)
         ]
@@ -304,45 +364,35 @@ class PipelineState:
                 out[t].append(per_task[t])
         return out
 
+    def system_tables(self, t: Task) -> list[ScoreTable]:
+        """The tables of the system stage: the native ones but length
+        deviation, and the chosen variant of each external metric."""
+        return [
+            tb for tb in self.natives[t].tables if tb.metric_id != LENGTH_DEV_ID
+        ] + self.chosen_external[t]
+
     @cached_property
     def system_stage(
         self,
     ) -> tuple[dict[Task, dict[str, SystemScoreVector]], dict[Task, SystemScoreVector]]:
-        """Hybrid-extended metric and human score vectors per task."""
+        """Hybrid-extended metric (by display name) and human score vectors
+        per task, taken from the hybrid pass."""
         if self.hybrids == 0 and len(self.campaign.config.systems) < 3:
             logger.warning(
                 "system-level Pearson over %d real systems without hybrids is "
                 "degenerate",
                 len(self.campaign.config.systems),
             )
-        # variant selection draws each task's hybrids once per external metric
-        calls = 1 + (len(self.selections) if self.level == SYSTEM_LEVEL else 0)
         sys_vectors: dict[Task, dict[str, SystemScoreVector]] = {}
         human_vectors: dict[Task, SystemScoreVector] = {}
         for t in self.tasks:
-            native = self.natives[t]
-            tables = [
-                tb for tb in native.tables if tb.metric_id != LENGTH_DEV_ID
-            ] + self.chosen_external[t]
-            started = time.perf_counter()
-            _, vectors, human_vec = hybrid_supersample(
-                tables,
-                self.human_by_task[t],
-                self.hybrids,
-                self.seed,
-                corpus_scorers=native.corpus_scorers(),
-            )
-            sys_vectors[t] = {tb.display_name(): vectors[tb.key] for tb in tables}
-            human_vectors[t] = human_vec
-            logger.info(
-                "system stage %s: %d tables, K=%d hybrids, %d hybrid_supersample "
-                "calls, %.3f s",
-                t.label,
-                len(tables),
-                self.hybrids,
-                calls,
-                time.perf_counter() - started,
-            )
+            vectors, human_vectors[t] = self.hybrid_pass[t]
+            sys_vectors[t] = {
+                tb.display_name(): vectors[tb.key] for tb in self.system_tables(t)
+            }
+        # variant selection, the only other reader, is done: free the vectors
+        # of the variants not chosen
+        del self.hybrid_pass
         return sys_vectors, human_vectors
 
     @cached_property
@@ -442,10 +492,7 @@ class PipelineState:
         sys_vectors, human_vectors = self.system_stage
         info = {}
         for t in self.tasks:
-            tables = [
-                tb for tb in self.natives[t].tables if tb.metric_id != LENGTH_DEV_ID
-            ] + self.chosen_external[t]
-            info.update(_metric_variant(tables))
+            info.update(_metric_variant(self.system_tables(t)))
         rows = []
         for name in sorted(sys_vectors[self.tasks[0]]):
             values = [
@@ -659,9 +706,10 @@ def run_pipeline(
         timing_cutoff=timing_cutoff,
         include_traps=include_traps,
         level=level,
-        threads=threads,
     )
+    # fail before any file is written
     state.check_system_sig()
+    state.external_variants  # raises on incomplete or clashing external tables
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []

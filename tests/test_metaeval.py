@@ -378,25 +378,44 @@ class TestSelectBestVariant:
         with pytest.raises(NoVariants):
             select_best_variant({}, {}, [], level="segment")
 
+    @staticmethod
+    def _hybrid_vectors(variants, human, tasks, k, seed):
+        """Per task, one hybrid_supersample call over every variant's table."""
+        out = {}
+        for t in tasks:
+            _, vectors, human_vec = hybrid_supersample(
+                [per_task[t] for per_task in variants.values()], human[t], k, seed
+            )
+            out[t] = (vectors, human_vec)
+        return out
+
     def test_system_level_with_hybrids(self):
         tasks, human = self._tasks_and_human(n_segs=6)
         rng = np.random.default_rng(9)
         variants = {
-            "good": {t: seg_table(dict(human[t]), task=t) for t in tasks},
+            "good": {t: seg_table(dict(human[t]), variant="good", task=t) for t in tasks},
             "noise": {
                 t: seg_table(
-                    {k: float(rng.standard_normal()) for k in human[t]}, task=t
+                    {k: float(rng.standard_normal()) for k in human[t]},
+                    variant="noise",
+                    task=t,
                 )
                 for t in tasks
             },
         }
         selection = select_best_variant(
-            variants, human, tasks, level="system", hybrids=50, seed=3
+            variants,
+            human,
+            tasks,
+            level="system",
+            system_vectors=self._hybrid_vectors(variants, human, tasks, 50, seed=3),
         )
         assert selection.variant_id == "good"
         assert selection.average == pytest.approx(1.0, abs=1e-9)
 
-    def test_system_level_draws_each_hybrid_once_per_task(self, monkeypatch):
+    def test_system_level_draws_nothing(self, monkeypatch):
+        # the hybrids come with the vectors; selection itself draws none and
+        # needs the vectors and one key per variant
         tasks, human = self._tasks_and_human(n_segs=6)
         rng = np.random.default_rng(13)
         variants = {
@@ -410,6 +429,7 @@ class TestSelectBestVariant:
             }
             for j in range(4)
         }
+        system_vectors = self._hybrid_vectors(variants, human, tasks, 7, seed=3)
         draws = []
         real_rng_for = metaeval_module.rng_for
 
@@ -418,26 +438,40 @@ class TestSelectBestVariant:
             return real_rng_for(*key)
 
         monkeypatch.setattr(metaeval_module, "rng_for", counting_rng_for)
-        select_best_variant(variants, human, tasks, level="system", hybrids=7, seed=3)
-        assert len(draws) == len(tasks) * 7
-        assert len(set(draws)) == len(draws)
+        select_best_variant(
+            variants, human, tasks, level="system", system_vectors=system_vectors
+        )
+        assert draws == []
+        with pytest.raises(ValueError, match="system_vectors"):
+            select_best_variant(variants, human, tasks, level="system")
+        shared = dict(variants, w={t: variants["v0"][t] for t in tasks})
+        with pytest.raises(ValueError, match="share a table key"):
+            select_best_variant(
+                shared, human, tasks, level="system", system_vectors=system_vectors
+            )
 
     def test_system_level_matches_one_variant_at_a_time(self):
-        # scoring all variants in one call gives each variant the vector a
-        # call of its own gives
+        # vectors from one call over all variants give each variant the
+        # correlation a call of its own gives
         tasks, human = self._tasks_and_human(n_segs=6)
         rng = np.random.default_rng(17)
         variants = {
             v: {
                 t: seg_table(
-                    {k: float(rng.standard_normal()) for k in human[t]}, task=t
+                    {k: float(rng.standard_normal()) for k in human[t]},
+                    variant=v,
+                    task=t,
                 )
                 for t in tasks
             }
             for v in ("a", "b", "c")
         }
         selection = select_best_variant(
-            variants, human, tasks, level="system", hybrids=30, seed=5
+            variants,
+            human,
+            tasks,
+            level="system",
+            system_vectors=self._hybrid_vectors(variants, human, tasks, 30, seed=5),
         )
         for t in tasks:
             table = variants[selection.variant_id][t]

@@ -22,7 +22,7 @@ from lcmteval.pipeline import (
     run_pipeline,
     score_tables_for_task,
 )
-from lcmteval.metaeval import hybrid_supersample
+from lcmteval.metaeval import hybrid_supersample, pearson
 from lcmteval.metrics import (
     LengthRecord,
     corpus_bleu,
@@ -181,12 +181,72 @@ class TestScoreTables:
         ]
         assert len(messages) == len(campaign.tasks())
         for task, message in zip(campaign.tasks(), messages):
-            # 11 native tables without LengthDev, plus neuralA and neuralB
+            # 11 native tables without LengthDev, plus neuralA's three
+            # variants and neuralB
             assert message.startswith(
-                f"system stage {task.label}: 13 tables, K=20 hybrids, "
-                "3 hybrid_supersample calls, "
+                f"hybrid pass {task.label}: 15 tables (11 native, 4 external), "
+                "K=20 hybrids, "
             )
             assert message.endswith(" s")
+
+    def test_one_hybrid_draw_set_per_task(self, campaign, monkeypatch):
+        import lcmteval.metaeval as metaeval_module
+
+        draws = []
+        real_rng_for = metaeval_module.rng_for
+
+        def counting_rng_for(*key):
+            if str(key[1]).startswith("hybrid:"):
+                draws.append(key)
+            return real_rng_for(*key)
+
+        monkeypatch.setattr(metaeval_module, "rng_for", counting_rng_for)
+        state = PipelineState(campaign, hybrids=20)
+        state.selections
+        state.system_stage
+        assert len(draws) == len(campaign.tasks()) * 20
+        assert len(set(draws)) == len(draws)
+
+    def test_hybrid_pass_equals_separate_calls(self, campaign):
+        # one pass per task gives the selections and the system stage what
+        # one call per external metric and one native call give
+        k, seed = 37, 11
+        state = PipelineState(campaign, hybrids=k, seed=seed)
+        sys_vectors, human_vectors = state.system_stage
+        for selection in state.selections:
+            variants = state.external_variants[selection.metric_id]
+            for t in state.tasks:
+                _, vectors, human_vec = hybrid_supersample(
+                    [per_task[t] for per_task in variants.values()],
+                    state.human_by_task[t],
+                    k,
+                    seed,
+                )
+                per_variant = {
+                    v: pearson(human_vec.values, vectors[per_task[t].key].values).value
+                    for v, per_task in variants.items()
+                }
+                assert selection.per_task[t] == per_variant[selection.variant_id]
+                assert per_variant[selection.variant_id] == max(per_variant.values())
+                chosen = variants[selection.variant_id][t]
+                assert (
+                    sys_vectors[t][chosen.display_name()].scores
+                    == vectors[chosen.key].scores
+                )
+                assert human_vectors[t].scores == human_vec.scores
+        for t in state.tasks:
+            native = score_tables_for_task(campaign, t)
+            tables = [tb for tb in native.tables if tb.metric_id != LENGTH_DEV_ID]
+            _, vectors, human_vec = hybrid_supersample(
+                tables,
+                state.human_by_task[t],
+                k,
+                seed,
+                corpus_scorers=native.corpus_scorers(),
+            )
+            for tb in tables:
+                assert sys_vectors[t][tb.display_name()].scores == vectors[tb.key].scores
+            assert human_vectors[t].scores == human_vec.scores
 
     def test_significance_and_comparison_log_work_at_info(
         self, campaign, caplog, tmp_path

@@ -322,7 +322,8 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "flag, value",
         [("--hybrids", "-5"), ("--permutations", "0"), ("--bootstrap", "0"),
-         ("--threads", "0")],
+         ("--threads", "0"), ("--alpha", "0"), ("--alpha", "1"),
+         ("--alpha", "2"), ("--alpha", "-0.05"), ("--alpha", "nan")],
     )
     def test_invalid_resampling_count_exit_2(
         self, fixture_config_path, tmp_path, capsys, flag, value
@@ -331,7 +332,8 @@ class TestRunCommand:
             main(["run", str(fixture_config_path), "--out", str(tmp_path)]
                  + FAST_FLAGS + [flag, value])
         assert exc.value.code == 2
-        assert f"argument {flag}: must be >= " in capsys.readouterr().err
+        bound = "must be in (0, 1)" if flag == "--alpha" else "must be >= "
+        assert f"argument {flag}: {bound}" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
 
     @pytest.mark.parametrize(
@@ -354,6 +356,34 @@ class TestRunCommand:
         )
         assert code == 3
         assert "--hybrids" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["run", "correlate"])
+    @pytest.mark.parametrize("name", ["BLEU", "LengthDev", "neuralA.v1"])
+    def test_external_name_clash_exit_2_first(
+        self, fixture_config_path, tmp_path, capsys, command, name
+    ):
+        # renaming neuralB (variant "-") makes its display name equal to a
+        # native metric's or to neuralA's variant v1
+        shutil.copytree(fixture_config_path.parent, tmp_path / "camp")
+        for path in (tmp_path / "camp" / "scores").iterdir():
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            path.write_text(
+                "".join(
+                    name + line[len("neuralB"):] if line.startswith("neuralB\t")
+                    else line
+                    for line in lines
+                ),
+                encoding="utf-8",
+            )
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main(
+            [command, str(tmp_path / "camp" / "campaign.conf"), "--out", str(out)]
+            + FAST_FLAGS
+        )
+        assert code == 2
+        assert f"is named {name!r}" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     def test_incomplete_campaign_exit_1(self, fixture_config_path, tmp_path):
