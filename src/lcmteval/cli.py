@@ -56,6 +56,14 @@ def probability(text: str) -> float:
     return value
 
 
+def positive_seconds(text: str) -> float:
+    """argparse type: a float above 0 (not NaN); inf keeps every annotation."""
+    value = float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None,
                         help="master seed (default: the config's seed)")
@@ -68,7 +76,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=probability, default=0.05,
                         help="significance threshold of the segment-level "
                         "permutation tests (system-level intervals are 95%%)")
-    parser.add_argument("--timing-cutoff", type=float, default=600.0,
+    parser.add_argument("--timing-cutoff", type=positive_seconds, default=600.0,
                         help="seconds; annotations at or above are dropped from cut_ave")
     parser.add_argument("--include-traps", action="store_true",
                         help="keep trap ratings in the z-normalization groups")

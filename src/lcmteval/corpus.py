@@ -471,8 +471,12 @@ def load_ratings(
                 raise ParseError(
                     f"score {score} outside 0..100", path=path, line=lineno
                 )
-            if duration < 0:
-                raise ParseError("negative duration", path=path, line=lineno)
+            if not 0 <= duration < math.inf:
+                raise ParseError(
+                    f"duration {duration_s!r} is not a finite number >= 0",
+                    path=path,
+                    line=lineno,
+                )
             trap_norm = trap_s.strip().lower()
             if trap_norm in _TRUE_STRINGS:
                 is_trap = True

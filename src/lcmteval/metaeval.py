@@ -6,6 +6,15 @@ pseudo-systems assembled by picking, per segment, one real system's output
 uniformly at random, the same for every table of a task.  Segment-level
 comparison pools every (system, segment) cell of a task into one vector
 pair and uses Kendall tau-b.
+
+Kendall tau-b is counted exactly from int8 signs of dense ranks, the same
+pairwise signs the segment permutation test (``significance._SwapTauB``)
+builds: twice the concordant-minus-discordant count is the sum of
+sign(x_i - x_j) * sign(y_i - y_j) over ordered pairs, taken in row tiles of
+at most ``_BUDGET`` entries, and the tie counts come from the rank counts.
+The float finish divides in a fixed order, (C - D) / sqrt(n0 - T_x) /
+sqrt(n0 - T_y) with n0 = n(n - 1)/2, the order of the reference
+implementation the tests compare against with ``==``.
 """
 
 from __future__ import annotations
@@ -15,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .corpus import SEGMENT_LEVEL, SYSTEM_LEVEL, ScoreTable, Task
 from .errors import (
@@ -118,9 +126,34 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     return CorrelationResult(PEARSON_R, max(-1.0, min(1.0, r)), n)
 
 
+# Element budget of the pairwise working arrays of ``kendall_tau_b`` and of
+# the permutation test: a tile of pairwise signs and a batch of replicate
+# masks (and of their uniform draws) each hold at most this many entries,
+# whatever the number of cells.
+_BUDGET = 4_000_000
+
+
+def _dense_ranks(x: np.ndarray) -> np.ndarray:
+    """0, 1, 2, ... by value; equal values share a rank, so for values other
+    than NaN sign(rank_i - rank_j) == sign(x_i - x_j)."""
+    return np.unique(x, return_inverse=True)[1].reshape(x.shape)
+
+
+def _sign_of_difference(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sign(x - y) as int8, broadcasting x against y."""
+    s = np.greater(x, y).view(np.int8)
+    np.subtract(s, np.less(x, y).view(np.int8), out=s)
+    return s
+
+
 def kendall_tau_b(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     """Kendall rank correlation with the tie correction,
     (C - D) / sqrt((C + D + T_x)(C + D + T_y)).
+
+    C - D is counted exactly from the signs of dense-rank differences, in
+    row tiles whose two sign arrays hold at most ``_BUDGET`` entries; the
+    tied pairs T_x and T_y come from the rank counts.  ±inf rank as ordinary
+    values; a NaN on either side raises :class:`AllTied`.
     """
     if len(x) != len(y):
         raise LengthMismatch(f"vector lengths differ: {len(x)} vs {len(y)}")
@@ -131,9 +164,23 @@ def kendall_tau_b(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     ya = np.asarray(y, dtype=np.float64)
     if np.all(xa == xa[0]) or np.all(ya == ya[0]):
         raise AllTied("kendall_tau_b undefined when one side is all ties")
-    tau = float(_scipy_stats.kendalltau(xa, ya, variant="b")[0])
-    if not math.isfinite(tau):
+    if np.isnan(xa).any() or np.isnan(ya).any():
         raise AllTied("kendall_tau_b denominator degenerate")
+    n0 = n * (n - 1) // 2
+    # Ranks are below n; the narrowest type holding them makes the pairwise
+    # comparisons cheapest.
+    rx, ry = (_dense_ranks(v).astype(np.min_scalar_type(n)) for v in (xa, ya))
+    t_x, t_y = (
+        int((counts * (counts - 1) // 2).sum())
+        for counts in (np.bincount(rx), np.bincount(ry))
+    )
+    rows = max(1, _BUDGET // (2 * n))
+    twice = 0
+    for lo in range(0, n, rows):
+        s = _sign_of_difference(rx[lo : lo + rows, None], rx)
+        s *= _sign_of_difference(ry[lo : lo + rows, None], ry)
+        twice += int(s.sum(dtype=np.int64))
+    tau = float(twice // 2 / np.sqrt(n0 - t_x) / np.sqrt(n0 - t_y))
     return CorrelationResult(KENDALL_TAU_B, max(-1.0, min(1.0, tau)), n)
 
 

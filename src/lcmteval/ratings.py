@@ -240,34 +240,30 @@ def _pearson(x: Sequence[float], y: Sequence[float]) -> float:
 def _item_scores(
     ratings: Sequence[RatingRecord | NormalizedRating],
     include_traps: bool,
-    use_z: bool,
 ) -> dict[tuple[str, str], dict[str, float]]:
-    """item (system, seg) -> annotator -> score, for a single task."""
+    """item (system, seg) -> annotator -> raw score, for a single task."""
     kept = [r for r in ratings if include_traps or not r.is_trap]
     if not kept:
         raise EmptySet("no ratings for agreement computation")
     tasks = {r.task for r in kept}
     if len(tasks) != 1:
         raise ValueError(f"agreement expects ratings from one task, got {len(tasks)}")
-    if use_z:
-        kept = znormalize(kept, include_traps=include_traps)
     items: dict[tuple[str, str], dict[str, float]] = {}
     for rec in kept:
-        value = rec.z if use_z else float(rec.raw_score)
-        items.setdefault((rec.system_id, rec.seg_id), {})[rec.annotator_id] = value
+        item = items.setdefault((rec.system_id, rec.seg_id), {})
+        item[rec.annotator_id] = float(rec.raw_score)
     return items
 
 
 def one_vs_rest(
     ratings: Sequence[RatingRecord],
     include_traps: bool = False,
-    use_z: bool = False,
-    min_shared_items: int = 3,
 ) -> float:
     """Mean over annotators of Pearson r between the annotator's scores and
-    the unweighted mean of all other annotators' scores on shared items.
+    the unweighted mean of all other annotators' scores on shared items;
+    every annotator needs at least three of them.
     """
-    items = _item_scores(ratings, include_traps, use_z)
+    items = _item_scores(ratings, include_traps)
     annotators = sorted({a for scores in items.values() for a in scores})
     if len(annotators) < 2:
         raise InsufficientOverlap("one_vs_rest needs at least two annotators")
@@ -283,7 +279,7 @@ def one_vs_rest(
                 continue
             own.append(scores[annotator])
             rest.append(sum(others) / len(others))
-        if len(own) < min_shared_items:
+        if len(own) < 3:
             raise InsufficientOverlap(
                 f"annotator {annotator!r} shares only {len(own)} items with the rest"
             )
@@ -294,7 +290,6 @@ def one_vs_rest(
 def krippendorff_alpha(
     ratings: Sequence[RatingRecord],
     include_traps: bool = False,
-    use_z: bool = False,
 ) -> float:
     """Krippendorff's alpha for interval data over (system, segment) units.
 
@@ -302,7 +297,7 @@ def krippendorff_alpha(
     units carrying at least two ratings.  If every pairable value is
     identical the expected disagreement is zero and alpha is defined as 1.
     """
-    items = _item_scores(ratings, include_traps, use_z)
+    items = _item_scores(ratings, include_traps)
     units = [list(scores.values()) for scores in items.values() if len(scores) > 1]
     if not units:
         raise NoPairableUnits("no unit has two or more ratings")
@@ -334,14 +329,13 @@ def krippendorff_alpha(
 def agreement(
     ratings: Sequence[RatingRecord],
     include_traps: bool = False,
-    use_z: bool = False,
 ) -> AgreementResult:
     """Both agreement statistics over the same pairable item set."""
-    items = _item_scores(ratings, include_traps, use_z=False)
+    items = _item_scores(ratings, include_traps)
     n_items = sum(1 for scores in items.values() if len(scores) > 1)
     return AgreementResult(
-        one_vs_rest_r=one_vs_rest(ratings, include_traps, use_z),
-        krippendorff_alpha=krippendorff_alpha(ratings, include_traps, use_z),
+        one_vs_rest_r=one_vs_rest(ratings, include_traps),
+        krippendorff_alpha=krippendorff_alpha(ratings, include_traps),
         with_traps=include_traps,
         n_items=n_items,
     )

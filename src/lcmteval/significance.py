@@ -38,7 +38,7 @@ from .errors import (
     SampleTooSmall,
     SystemOnlyTable,
 )
-from .metaeval import pearson
+from .metaeval import _BUDGET, _dense_ranks, _sign_of_difference, pearson
 from .seeding import derive_int, rng_for
 
 logger = logging.getLogger(__name__)
@@ -177,25 +177,6 @@ def _pooled_cells(
     return a, b, h
 
 
-# Element budget of the permutation test's working arrays: a tile of the
-# pairwise sign arrays and a batch of replicate masks (and of their uniform
-# draws) each hold at most this many entries, whatever the number of cells.
-_BUDGET = 4_000_000
-
-
-def _dense_ranks(x: np.ndarray) -> np.ndarray:
-    """0, 1, 2, ... by value; equal values share a rank, so for finite
-    values sign(rank_i - rank_j) == sign(x_i - x_j)."""
-    return np.unique(x, return_inverse=True)[1].reshape(x.shape)
-
-
-def _sign_of_difference(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """sign(x - y) as int8, broadcasting x against y."""
-    s = np.greater(x, y).view(np.int8)
-    np.subtract(s, np.less(x, y).view(np.int8), out=s)
-    return s
-
-
 @dataclass(frozen=True)
 class _Tile:
     """Rows ``lo:hi`` of the quadratic forms of one pair of metrics."""
@@ -232,7 +213,8 @@ class _SwapTauB:
 
     Q is built in row tiles whose four sign blocks hold at most ``_BUDGET``
     entries; the last tile built is kept, so when Q fits in one tile it is
-    built once per pair of metrics.
+    built once per pair of metrics.  The blocks are computed and added into
+    Q one at a time, so a tile's working memory is Q's rows plus one block.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, h: np.ndarray):
@@ -259,20 +241,20 @@ class _SwapTauB:
         n = len(h_ranks)
         hi = min(lo + self.tile_rows, n)
         rows = hi - lo
-        # s[x, p, y, q] = sign(x_p - y_q) for x, y in (a, b) and tile row p
-        s = _sign_of_difference(ranks[:, lo:hi].reshape(-1, 1), ranks.reshape(1, -1))
-        s = s.reshape(2, rows, 2, n)
-        tie = (s == 0).view(np.int8)
-        tie[:, np.arange(rows), :, np.arange(lo, hi)] = 0  # same cell
-        s *= _sign_of_difference(h_ranks[lo:hi, None], h_ranks)[:, None, :]
-        quad = np.empty((2, rows, n), dtype=np.float32)
+        g = _sign_of_difference(h_ranks[lo:hi, None], h_ranks)
+        quad = np.zeros((2, rows, n), dtype=np.float32)  # (kind, p, q)
         sums = np.empty((2, 2, rows, 2), dtype=np.int64)  # (kind, x, p, y)
-        for kind, blocks in enumerate((s, tie)):
-            out = quad[kind]  # blocks aa + bb - ab - ba
-            np.add(blocks[0, :, 0], blocks[1, :, 1], out=out)
-            np.subtract(out, blocks[0, :, 1], out=out)
-            np.subtract(out, blocks[1, :, 0], out=out)
-            sums[kind] = blocks.sum(axis=3, dtype=np.int32)
+        for x in (0, 1):
+            for y in (0, 1):
+                # block (x, y): sign(x_p - y_q) and [x_p == y_q, p != q]
+                s = _sign_of_difference(ranks[x, lo:hi, None], ranks[y])
+                tie = (s == 0).view(np.int8)
+                tie[np.arange(rows), np.arange(lo, hi)] = 0  # same cell
+                s *= g
+                add = np.add if x == y else np.subtract  # Q = aa + bb - ab - ba
+                for kind, block in enumerate((s, tie)):
+                    add(quad[kind], block, out=quad[kind])
+                    sums[kind, x, :, y] = block.sum(axis=1, dtype=np.int32)
         lin = np.stack([
             sums[:, 1, :, 0] - sums[:, 0, :, 0],  # rowsum(G_ba) - rowsum(G_aa)
             sums[:, 0, :, 1] - sums[:, 1, :, 1],  # rowsum(G_ab) - rowsum(G_bb)

@@ -368,3 +368,16 @@ class TestRatingRecordInvariants:
         )
         with pytest.raises(ParseError, match="0.9"):
             load_campaign(config)
+
+    @pytest.mark.parametrize("duration", ["nan", "inf", "-inf", "-1.0"])
+    def test_duration_must_be_finite_and_non_negative(self, tmp_path, duration):
+        config = write_minimal_campaign(
+            tmp_path,
+            rating_rows=["u1,g1,s1,0.8,50,30.0,false",
+                         f"u1,g2,s1,0.8,50,{duration},false"],
+        )
+        with pytest.raises(ParseError) as exc:
+            load_campaign(config)
+        assert exc.value.path == tmp_path / "ratings.csv"
+        assert exc.value.line == 3
+        assert f"ratings.csv:3: duration '{duration}'" in str(exc.value)

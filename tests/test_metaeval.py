@@ -1,3 +1,9 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -159,6 +165,73 @@ class TestKendallTauB:
         base = kendall_tau_b(xs, ys).value
         transformed = kendall_tau_b([v**3 + 2 * v for v in xs], ys).value
         assert transformed == pytest.approx(base, abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def scipy_stats():
+    """scipy is a test-only reference for the exact tau-b count."""
+    return pytest.importorskip("scipy.stats")
+
+
+# Few distinct values, signed zeros and both infinities: many ties.
+TIE_HEAVY = st.sampled_from([-math.inf, -2.0, -0.5, -0.0, 0.0, 0.5, 3.0, math.inf])
+
+
+class TestKendallTauBCount:
+    @given(st.lists(st.tuples(TIE_HEAVY, TIE_HEAVY), min_size=2, max_size=120))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_scipy_tau_b(self, scipy_stats, pairs):
+        xs = [a for a, _ in pairs]
+        ys = [b for _, b in pairs]
+        if len(set(xs)) < 2 or len(set(ys)) < 2:
+            return
+        expected = float(scipy_stats.kendalltau(xs, ys, variant="b").statistic)
+        assert kendall_tau_b(xs, ys).value == expected
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_nan_raises_all_tied(self, side):
+        vectors = [[1.0, 2.0, 3.0, 4.0], [4.0, 1.0, 3.0, 2.0]]
+        vectors[side][2] = math.nan
+        with pytest.raises(AllTied, match="denominator degenerate"):
+            kendall_tau_b(*vectors)
+
+    @pytest.mark.parametrize("n, rows", [(2, 1), (57, 1), (57, 4), (300, 7)])
+    def test_tiled_count_matches(self, scipy_stats, monkeypatch, n, rows):
+        rng = np.random.default_rng(n + rows)
+        x = rng.integers(0, 6, n).astype(float)
+        y = rng.integers(0, 4, n).astype(float)
+        x[0], y[0], x[1], y[1] = 1.0, 0.0, 2.0, 1.0  # never all ties
+        x[rng.random(n) < 0.1] = math.inf
+        whole = kendall_tau_b(x, y).value
+        # the two sign arrays of one tile hold 2 * rows * n entries
+        monkeypatch.setattr(metaeval_module, "_BUDGET", 2 * rows * n)
+        tiled = kendall_tau_b(x, y).value
+        assert tiled == whole
+        assert tiled == float(scipy_stats.kendalltau(x, y, variant="b").statistic)
+
+
+def test_no_scipy_at_run_time(fixture_config_path, tmp_path):
+    """Neither importing the package nor a whole run loads scipy."""
+    src = Path(metaeval_module.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "import lcmteval\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "assert not loaded, ('import', loaded)\n"
+        "from lcmteval.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "assert not loaded, ('run', loaded)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-c", code, "run", str(fixture_config_path),
+         "--out", str(tmp_path), "--hybrids", "10", "--permutations", "5",
+         "--bootstrap", "5"],
+        env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "manifest.json").exists()
 
 
 def make_aligned(n_segs=6, seed=0):

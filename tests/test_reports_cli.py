@@ -187,6 +187,31 @@ class TestCli:
         header, rows = read_csv_table(tmp_path / "normalized_ratings.csv")
         assert len(rows) == 288  # traps dropped by default
 
+    @pytest.mark.parametrize("duration", ["nan", "inf", "-inf"])
+    def test_qc_non_finite_duration_exit_2(
+        self, fixture_config_path, tmp_path, capsys, duration
+    ):
+        shutil.copytree(fixture_config_path.parent, tmp_path / "camp")
+        ratings = tmp_path / "camp" / "ratings.csv"
+        lines = ratings.read_text(encoding="utf-8").splitlines(keepends=True)
+        fields = lines[2].split(",")
+        fields[5] = duration
+        lines[2] = ",".join(fields)
+        ratings.write_text("".join(lines), encoding="utf-8")
+        out = tmp_path / "out"
+        config = tmp_path / "camp" / "campaign.conf"
+        assert main(["qc", str(config), "--out", str(out)]) == 2
+        assert f"ratings.csv:3: duration '{duration}'" in capsys.readouterr().err
+        assert not (out / "qc_timing.csv").exists()
+
+    def test_qc_infinite_timing_cutoff_keeps_every_annotation(
+        self, fixture_config_path, tmp_path
+    ):
+        args = ["qc", str(fixture_config_path), "--out", str(tmp_path)]
+        assert main(args + ["--timing-cutoff", "inf"]) == 0
+        header, rows = read_csv_table(tmp_path / "qc_timing.csv")
+        assert [row[2] for row in rows] == [row[3] for row in rows]
+
     def test_ingest_summary(self, fixture_config_path, capsys):
         assert main(["ingest", str(fixture_config_path)]) == 0
         out = capsys.readouterr().out
@@ -323,7 +348,9 @@ class TestRunCommand:
         "flag, value",
         [("--hybrids", "-5"), ("--permutations", "0"), ("--bootstrap", "0"),
          ("--threads", "0"), ("--alpha", "0"), ("--alpha", "1"),
-         ("--alpha", "2"), ("--alpha", "-0.05"), ("--alpha", "nan")],
+         ("--alpha", "2"), ("--alpha", "-0.05"), ("--alpha", "nan"),
+         ("--timing-cutoff", "nan"), ("--timing-cutoff", "0"),
+         ("--timing-cutoff", "-5")],
     )
     def test_invalid_resampling_count_exit_2(
         self, fixture_config_path, tmp_path, capsys, flag, value
@@ -332,7 +359,9 @@ class TestRunCommand:
             main(["run", str(fixture_config_path), "--out", str(tmp_path)]
                  + FAST_FLAGS + [flag, value])
         assert exc.value.code == 2
-        bound = "must be in (0, 1)" if flag == "--alpha" else "must be >= "
+        bound = {"--alpha": "must be in (0, 1)", "--timing-cutoff": "must be > 0"}.get(
+            flag, "must be >= "
+        )
         assert f"argument {flag}: {bound}" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
 
