@@ -83,6 +83,8 @@ class CampaignConfig:
             raise ParseError("directions must be unique")
         if not self.length_ratios:
             raise ParseError("config needs at least one length ratio")
+        if len(set(self.length_ratios)) != len(self.length_ratios):
+            raise ParseError("length ratios must be unique")
         for r in self.length_ratios:
             if not (0.0 < r <= 1.0):
                 raise ParseError(f"length ratio {r!r} outside (0, 1]")
@@ -286,18 +288,23 @@ def parse_config(path: str | os.PathLike) -> CampaignConfig:
     except ValueError as exc:
         raise ParseError(f"bad numeric value in config: {exc}", path=path) from exc
 
-    return CampaignConfig(
-        directions=split_list(require("directions")),
-        length_ratios=ratios,
-        systems=split_list(require("systems")),
-        annotators_per_task=annotators,
-        length_unit=require("length_unit"),
-        seed=seed,
-        segments_path=require("segments"),
-        hypotheses_path=require("hypotheses"),
-        ratings_path=raw.get("ratings"),
-        scores_dir=raw.get("scores_dir"),
-    )
+    try:
+        return CampaignConfig(
+            directions=split_list(require("directions")),
+            length_ratios=ratios,
+            systems=split_list(require("systems")),
+            annotators_per_task=annotators,
+            length_unit=require("length_unit"),
+            seed=seed,
+            segments_path=require("segments"),
+            hypotheses_path=require("hypotheses"),
+            ratings_path=raw.get("ratings"),
+            scores_dir=raw.get("scores_dir"),
+        )
+    except ParseError as exc:
+        if exc.path is not None:
+            raise
+        raise ParseError(str(exc), path=path) from None
 
 
 def write_config(config: CampaignConfig, path: str | os.PathLike) -> None:
@@ -359,6 +366,12 @@ def load_segments(path: Path, config: CampaignConfig) -> dict[str, SegmentRecord
             )
         except KeyError as exc:
             raise ParseError(f"missing field {exc}", path=path, line=lineno) from exc
+        except (TypeError, ValueError) as exc:
+            raise ParseError(
+                f"bad reference_length {obj['reference_length']!r}",
+                path=path,
+                line=lineno,
+            ) from exc
         if rec.direction not in config.directions:
             raise ParseError(
                 f"direction {rec.direction!r} not in config", path=path, line=lineno
@@ -395,6 +408,10 @@ def load_hypotheses(
             )
         except KeyError as exc:
             raise ParseError(f"missing field {exc}", path=path, line=lineno) from exc
+        except (TypeError, ValueError) as exc:
+            raise ParseError(
+                f"bad length_ratio {obj['length_ratio']!r}", path=path, line=lineno
+            ) from exc
         if rec.seg_id not in segments:
             raise UnresolvedReference(
                 f"{path}:{lineno}: hypothesis references unknown seg_id {rec.seg_id!r}"

@@ -75,10 +75,6 @@ class AlignmentMismatch(DataError):
     pass
 
 
-class MissingKey(DataError):
-    pass
-
-
 class UnsupportedFormat(DataError):
     pass
 

@@ -221,7 +221,7 @@ def hybrid_supersample(
     human_segment_scores: Mapping[tuple[str, str], float],
     k: int,
     seed: int,
-    corpus_scorers: Mapping[tuple[str, str], Callable[[np.ndarray], Sequence[float]]]
+    corpus_scorer: Callable[[np.ndarray], Mapping[tuple[str, str], Sequence[float]]]
     | None = None,
     threads: int = 1,
 ) -> tuple[
@@ -237,9 +237,9 @@ def hybrid_supersample(
     segments index matrix picks, for the j-th segment id in sorted order,
     one of the sorted real system ids.  Segment-level tables and the human
     scores are averaged over the selected cells; system-only tables
-    (corpus-level metrics) are re-scored by the matching entry of
-    ``corpus_scorers``, which receives the whole index matrix once and
-    returns the k hybrid scores in row order.  Real systems always lead the
+    (corpus-level metrics) are re-scored by ``corpus_scorer``, called at most
+    once with the whole index matrix, which returns the k hybrid scores in
+    row order of each table key it scores.  Real systems always lead the
     output vectors.  ``threads`` is accepted for compatibility and ignored.
     """
     if not tables:
@@ -286,6 +286,10 @@ def hybrid_supersample(
         hybrid = m[index_rows, cols].mean(axis=1)
         return real + [float(v) for v in hybrid]
 
+    corpus_scores: Mapping[tuple[str, str], Sequence[float]] = {}
+    system_only = any(table.level != SEGMENT_LEVEL for table in tables)
+    if k > 0 and system_only and corpus_scorer is not None:
+        corpus_scores = corpus_scorer(index_rows)
     vectors: dict[tuple[str, str], SystemScoreVector] = {}
     for table in tables:
         if table.level == SEGMENT_LEVEL:
@@ -293,13 +297,12 @@ def hybrid_supersample(
         else:
             values = [table.system_cells[s] for s in systems]
             if k > 0:
-                scorer = (corpus_scorers or {}).get(table.key)
-                if scorer is None:
+                if table.key not in corpus_scores:
                     raise SystemOnlyTable(
-                        f"no corpus scorer supplied for system-only table "
+                        f"no corpus scores supplied for system-only table "
                         f"{table.display_name()}"
                     )
-                values += [float(v) for v in scorer(index_rows)]
+                values += [float(v) for v in corpus_scores[table.key]]
         vectors[table.key] = SystemScoreVector(
             task=task, scores=dict(zip(ids, values))
         )

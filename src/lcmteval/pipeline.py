@@ -5,8 +5,14 @@ correlation -> significance -> report files.
 ratings, native score tables, hybrid-extended system vectors from one hybrid
 pass per task that variant selection and the system stage share) so each
 report table is reachable standalone; :func:`run_pipeline` drives the whole chain
-and writes a digest manifest.  Hybrid BLEU and BLEU* sum the additive
-statistics that the native stage counts once per (system, segment) cell.
+and writes a digest manifest.  ``PipelineState.report_tables`` decides once
+per task which metrics the correlation, significance and system comparison
+reports cover: the native metrics but length deviation, plus the chosen
+variant of each external metric, sorted by display name; the segment-level
+reports take its segment-level subset.  Hybrid BLEU and BLEU* sum the
+additive statistics that the native stage counts once per (system, segment)
+cell, and one ``NativeScores.corpus_scorer`` call per hybrid pass finishes
+each hybrid's statistics once for both.
 Given identical inputs and master seed, two runs produce byte-identical
 artifacts: every random draw derives from the master seed, rows are sorted
 deterministically, and numeric report cells are fixed at 4 decimals.
@@ -18,9 +24,8 @@ import json
 import logging
 import time
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
@@ -104,12 +109,6 @@ class PipelineArtifacts:
     version: str
 
 
-def _hybrid_bleu(stats: np.ndarray, field: str, index_rows: np.ndarray) -> list[float]:
-    """``field`` of the BLEU score of each index row's summed cell statistics."""
-    sums = stats[index_rows, np.arange(index_rows.shape[1])].sum(axis=1)
-    return [getattr(bleu_from_stats(row), field) for row in sums.tolist()]
-
-
 @dataclass(frozen=True)
 class NativeScores:
     """One task's native metric tables, plus the additive BLEU statistics of
@@ -118,12 +117,21 @@ class NativeScores:
     tables: list[ScoreTable]
     bleu_stats: np.ndarray  # (system, segment, statistic)
 
-    def corpus_scorers(self) -> dict:
-        """The ``corpus_scorers`` of :func:`hybrid_supersample` for BLEU and
-        BLEU*: each scores every row of a hybrid index matrix."""
+    @property
+    def correlated(self) -> list[ScoreTable]:
+        """The tables correlated with the human scores: all but length
+        deviation, which the reports give per system instead."""
+        return [tb for tb in self.tables if tb.metric_id != LENGTH_DEV_ID]
+
+    def corpus_scorer(self, index_rows: np.ndarray) -> dict:
+        """The ``corpus_scorer`` of :func:`hybrid_supersample`: BLEU and BLEU*
+        of every row of a hybrid index matrix, each row's summed cell
+        statistics finished once."""
+        sums = self.bleu_stats[index_rows, np.arange(index_rows.shape[1])].sum(axis=1)
+        scores = [bleu_from_stats(row) for row in sums.tolist()]
         return {
-            (BLEU_ID, "-"): partial(_hybrid_bleu, self.bleu_stats, "bleu"),
-            (BLEU_STAR_ID, "-"): partial(_hybrid_bleu, self.bleu_stats, "bleu_star"),
+            (BLEU_ID, "-"): [score.bleu for score in scores],
+            (BLEU_STAR_ID, "-"): [score.bleu_star for score in scores],
         }
 
 
@@ -200,11 +208,6 @@ def score_tables_for_task(campaign: Campaign, task: Task) -> NativeScores:
         dtype=np.int64,
     )
     return NativeScores(tables, cell_stats)
-
-
-def _metric_variant(tables: Mapping[str, ScoreTable] | list[ScoreTable]):
-    items = tables.values() if isinstance(tables, Mapping) else tables
-    return {tb.display_name(): (tb.metric_id, tb.variant_id) for tb in items}
 
 
 class PipelineState:
@@ -304,14 +307,14 @@ class PipelineState:
         self,
     ) -> dict[Task, tuple[dict[tuple[str, str], SystemScoreVector], SystemScoreVector]]:
         """Per task, the hybrid-extended score vectors (by table key) of the
-        native tables but length deviation and of every variant of every
-        external metric, and the human vector: one :func:`hybrid_supersample`
-        call per task, so variant selection and the system stage meet the
-        same K pseudo-systems."""
+        correlated native tables and of every variant of every external
+        metric, and the human vector: one :func:`hybrid_supersample` call per
+        task, so variant selection and the system stage meet the same K
+        pseudo-systems."""
         out = {}
         for t in self.tasks:
             native = self.natives[t]
-            tables = [tb for tb in native.tables if tb.metric_id != LENGTH_DEV_ID]
+            tables = native.correlated
             n_native = len(tables)
             tables += [
                 per_task[t]
@@ -324,7 +327,7 @@ class PipelineState:
                 self.human_by_task[t],
                 self.hybrids,
                 self.seed,
-                corpus_scorers=native.corpus_scorers(),
+                corpus_scorer=native.corpus_scorer,
             )
             out[t] = (vectors, human_vec)
             logger.info(
@@ -354,29 +357,29 @@ class PipelineState:
         ]
 
     @cached_property
-    def chosen_external(self) -> dict[Task, list[ScoreTable]]:
-        out: dict[Task, list[ScoreTable]] = {t: [] for t in self.tasks}
-        for selection in self.selections:
-            per_task = self.external_variants[selection.metric_id][
-                selection.variant_id
-            ]
-            for t in self.tasks:
-                out[t].append(per_task[t])
-        return out
-
-    def system_tables(self, t: Task) -> list[ScoreTable]:
-        """The tables of the system stage: the native ones but length
-        deviation, and the chosen variant of each external metric."""
-        return [
-            tb for tb in self.natives[t].tables if tb.metric_id != LENGTH_DEV_ID
-        ] + self.chosen_external[t]
+    def report_tables(self) -> dict[Task, list[ScoreTable]]:
+        """Per task, the tables that the correlation, significance and system
+        comparison reports cover, sorted by display name: the correlated
+        native tables and the chosen variant of each external metric.  Every
+        task lists the same display names in the same order."""
+        return {
+            t: sorted(
+                self.natives[t].correlated
+                + [
+                    self.external_variants[s.metric_id][s.variant_id][t]
+                    for s in self.selections
+                ],
+                key=ScoreTable.display_name,
+            )
+            for t in self.tasks
+        }
 
     @cached_property
     def system_stage(
         self,
     ) -> tuple[dict[Task, dict[str, SystemScoreVector]], dict[Task, SystemScoreVector]]:
-        """Hybrid-extended metric (by display name) and human score vectors
-        per task, taken from the hybrid pass."""
+        """Hybrid-extended metric (by display name, in report order) and human
+        score vectors per task, taken from the hybrid pass."""
         if self.hybrids == 0 and len(self.campaign.config.systems) < 3:
             logger.warning(
                 "system-level Pearson over %d real systems without hybrids is "
@@ -388,7 +391,7 @@ class PipelineState:
         for t in self.tasks:
             vectors, human_vectors[t] = self.hybrid_pass[t]
             sys_vectors[t] = {
-                tb.display_name(): vectors[tb.key] for tb in self.system_tables(t)
+                tb.display_name(): vectors[tb.key] for tb in self.report_tables[t]
             }
         # variant selection, the only other reader, is done: free the vectors
         # of the variants not chosen
@@ -396,19 +399,39 @@ class PipelineState:
         return sys_vectors, human_vectors
 
     @cached_property
-    def segment_tables(self) -> dict[Task, dict[str, ScoreTable]]:
-        out: dict[Task, dict[str, ScoreTable]] = {}
+    def segment_tables(self) -> dict[Task, list[ScoreTable]]:
+        """The segment-level report tables of each task."""
+        return {
+            t: [tb for tb in tables if tb.level == SEGMENT_LEVEL]
+            for t, tables in self.report_tables.items()
+        }
+
+    def _emit_correlations(
+        self, path: Path, tables: dict[Task, list[ScoreTable]], correlate
+    ) -> list[Path]:
+        """One row per metric: ``correlate(task, table)`` in each task and
+        their mean."""
+        rows = []
+        for per_task in zip(*(tables[t] for t in self.tasks)):
+            values = [correlate(t, tb) for t, tb in zip(self.tasks, per_task)]
+            rows.append(
+                [per_task[0].metric_id, per_task[0].variant_id]
+                + [fmt4(v) for v in values]
+                + [fmt4(sum(values) / len(values))]
+            )
+        write_csv(path, ["metric", "variant"] + self.task_cols + ["average"], rows)
+        return [path]
+
+    def _emit_sig_matrices(self, out: Path, level: str, matrix_for) -> list[Path]:
+        """Each task's ``matrix_for(task)`` as csv, text grid and svg."""
+        paths = []
         for t in self.tasks:
-            tables = [
-                tb
-                for tb in self.natives[t].tables
-                if tb.level == SEGMENT_LEVEL and tb.metric_id != LENGTH_DEV_ID
-            ] + self.chosen_external[t]
-            out[t] = {
-                tb.display_name(): tb
-                for tb in sorted(tables, key=lambda x: x.display_name())
-            }
-        return out
+            matrix = matrix_for(t)
+            for fmt, suffix in (("csv", "csv"), ("textgrid", "txt"), ("svg", "svg")):
+                path = out / f"sig_{level}_{t.label}.{suffix}"
+                emit_sig_matrix(matrix, fmt, path)
+                paths.append(path)
+        return paths
 
     # --- emitters -----------------------------------------------------------
 
@@ -490,56 +513,29 @@ class PipelineState:
 
     def emit_correlations_system(self, out: Path) -> list[Path]:
         sys_vectors, human_vectors = self.system_stage
-        info = {}
-        for t in self.tasks:
-            info.update(_metric_variant(self.system_tables(t)))
-        rows = []
-        for name in sorted(sys_vectors[self.tasks[0]]):
-            values = [
-                pearson(
-                    human_vectors[t].values, sys_vectors[t][name].values
-                ).value
-                for t in self.tasks
-            ]
-            rows.append(
-                list(info[name])
-                + [fmt4(v) for v in values]
-                + [fmt4(sum(values) / len(values))]
-            )
-        path = out / "correlations_system.csv"
-        write_csv(path, ["metric", "variant"] + self.task_cols + ["average"], rows)
-        return [path]
+        return self._emit_correlations(
+            out / "correlations_system.csv",
+            self.report_tables,
+            lambda t, tb: pearson(
+                human_vectors[t].values, sys_vectors[t][tb.display_name()].values
+            ).value,
+        )
 
     def emit_correlations_segment(self, out: Path) -> list[Path]:
-        info = {}
-        for t in self.tasks:
-            info.update(_metric_variant(self.segment_tables[t]))
-        rows = []
-        for name in sorted(self.segment_tables[self.tasks[0]]):
-            values = [
-                segment_correlation(
-                    self.segment_tables[t][name], self.human_by_task[t]
-                ).value
-                for t in self.tasks
-            ]
-            rows.append(
-                list(info[name])
-                + [fmt4(v) for v in values]
-                + [fmt4(sum(values) / len(values))]
-            )
-        path = out / "correlations_segment.csv"
-        write_csv(path, ["metric", "variant"] + self.task_cols + ["average"], rows)
-        return [path]
+        return self._emit_correlations(
+            out / "correlations_segment.csv",
+            self.segment_tables,
+            lambda t, tb: segment_correlation(tb, self.human_by_task[t]).value,
+        )
 
     def emit_sig_system(self, out: Path) -> list[Path]:
         self.check_system_sig()
         sys_vectors, human_vectors = self.system_stage
-        paths = []
-        for t in self.tasks:
+
+        def matrix_for(t: Task):
             started = time.perf_counter()
-            names = sorted(sys_vectors[t])
             matrix = system_sig_matrix(
-                {name: sys_vectors[t][name].values for name in names},
+                {name: vector.values for name, vector in sys_vectors[t].items()},
                 human_vectors[t].values,
                 t,
             )
@@ -547,49 +543,40 @@ class PipelineState:
                 "system significance %s: %d metrics, %d ordered pairs, "
                 "n=%d systems, %.3f s",
                 t.label,
-                len(names),
+                len(matrix.metrics),
                 len(matrix.cells),
                 len(human_vectors[t].values),
                 time.perf_counter() - started,
             )
-            for fmt, suffix in (("csv", "csv"), ("textgrid", "txt"), ("svg", "svg")):
-                path = out / f"sig_system_{t.label}.{suffix}"
-                emit_sig_matrix(matrix, fmt, path)
-                paths.append(path)
-        return paths
+            return matrix
+
+        return self._emit_sig_matrices(out, "system", matrix_for)
 
     def emit_sig_segment(self, out: Path) -> list[Path]:
-        paths = []
-        for t in self.tasks:
-            matrix = segment_sig_matrix(
-                self.segment_tables[t],
+        return self._emit_sig_matrices(
+            out,
+            "segment",
+            lambda t: segment_sig_matrix(
+                {tb.display_name(): tb for tb in self.segment_tables[t]},
                 self.human_by_task[t],
                 t,
                 r=self.permutations,
                 seed=derive_int(self.seed, "segment-sig-task", t.label),
                 alpha=self.alpha,
-            )
-            for fmt, suffix in (("csv", "csv"), ("textgrid", "txt"), ("svg", "svg")):
-                path = out / f"sig_segment_{t.label}.{suffix}"
-                emit_sig_matrix(matrix, fmt, path)
-                paths.append(path)
-        return paths
+            ),
+        )
 
     def emit_system_eval(self, out: Path) -> list[Path]:
         """Per-system scores under each segment-level metric, the best system
         dagger-marked when a paired bootstrap puts it above the runner-up.
         """
         started = time.perf_counter()
-        info = {}
-        for t in self.tasks:
-            info.update(_metric_variant(self.segment_tables[t]))
         systems = list(self.campaign.config.systems)
-        names = sorted(self.segment_tables[self.tasks[0]])
         rows = []
-        for name in names:
+        for per_task in zip(*(self.segment_tables[t] for t in self.tasks)):
+            name = per_task[0].display_name()
             cells_by_task: dict[Task, dict[str, str]] = {}
-            for t in self.tasks:
-                table = self.segment_tables[t][name]
+            for t, table in zip(self.tasks, per_task):
                 seg_ids = self.campaign.segment_ids_for_direction(t.direction)
                 per_system = {
                     system: {seg: table.cells[(system, seg)] for seg in seg_ids}
@@ -612,8 +599,7 @@ class PipelineState:
                 }
             for system in systems:
                 rows.append(
-                    list(info[name])
-                    + [system]
+                    [per_task[0].metric_id, per_task[0].variant_id, system]
                     + [cells_by_task[t][system] for t in self.tasks]
                 )
         path = out / "system_eval.csv"
@@ -621,7 +607,7 @@ class PipelineState:
         logger.info(
             "system comparison: %d tasks, %d metrics, B=%d resamples, %.3f s",
             len(self.tasks),
-            len(names),
+            len(self.segment_tables[self.tasks[0]]),
             self.bootstrap,
             time.perf_counter() - started,
         )

@@ -12,7 +12,6 @@ from .corpus import RatingRecord, SegmentRecord, Task
 from .errors import (
     EmptySet,
     InsufficientOverlap,
-    MissingKey,
     NoPairableUnits,
     NotEnoughSegments,
     ZeroVariance,
@@ -189,27 +188,17 @@ def znormalize(
 def aggregate_segment_human(
     normalized: Iterable[NormalizedRating],
     annotators_per_task: int | None = None,
-    expected_keys: Iterable[tuple[Task, str, str]] | None = None,
 ) -> tuple[dict[tuple[Task, str, str], float], list[str]]:
     """Average z-scores across annotators per (task, system, segment) key.
 
     Returns the aggregate map plus warnings for keys rated by fewer than
-    ``annotators_per_task`` annotators.  If ``expected_keys`` is given, a key
-    with no ratings at all raises :class:`MissingKey`.
+    ``annotators_per_task`` annotators.
     """
     by_key: dict[tuple[Task, str, str], list[float]] = {}
     for rec in normalized:
         if rec.is_trap:
             continue
         by_key.setdefault((rec.task, rec.system_id, rec.seg_id), []).append(rec.z)
-
-    if expected_keys is not None:
-        for key in expected_keys:
-            if key not in by_key:
-                task, system, seg = key
-                raise MissingKey(
-                    f"no ratings for ({task.label}, {system}, {seg})"
-                )
 
     warnings = []
     aggregated = {}

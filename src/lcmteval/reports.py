@@ -134,35 +134,48 @@ def load_sig_matrix_csv(path: str | os.PathLike) -> SigMatrix:
     if not rows:
         raise ParseError("significance file has no cells", path=path)
 
-    def parse_bool(text: str) -> bool | None:
+    def parse_bool(text: str, line: int) -> bool | None:
         if text == "":
             return None
         if text in ("true", "false"):
             return text == "true"
-        raise ParseError(f"bad boolean {text!r}", path=path)
+        raise ParseError(f"bad boolean {text!r}", path=path, line=line)
 
-    task = Task(rows[0][0], float(rows[0][1]))
+    def parse_float(text: str, column: str, line: int) -> float:
+        try:
+            return float(text)
+        except ValueError:
+            raise ParseError(f"bad {column} {text!r}", path=path, line=line) from None
+
+    task = Task(rows[0][0], parse_float(rows[0][1], "ratio", 2))
     level = rows[0][2]
     metrics: list[str] = []
     cells: dict[tuple[str, str], SigCell] = {}
-    for row in rows:
+    for line, row in enumerate(rows, start=2):
         direction, ratio, row_level, row_m, col_m = row[0], row[1], row[2], row[3], row[4]
-        if Task(direction, float(ratio)) != task or row_level != level:
-            raise ParseError("mixed tasks or levels in one matrix file", path=path)
+        row_task = Task(direction, parse_float(ratio, "ratio", line))
+        if row_task != task or row_level != level:
+            raise ParseError(
+                "mixed tasks or levels in one matrix file", path=path, line=line
+            )
         for name in (row_m, col_m):
             if name not in metrics:
                 metrics.append(name)
         ci = None
         if row[5] != "":
-            ci = CIResult(lower=float(row[6]), upper=float(row[7]), level=float(row[5]))
-        p_value = float(row[8]) if row[8] != "" else None
+            ci = CIResult(
+                lower=parse_float(row[6], "lower", line),
+                upper=parse_float(row[7], "upper", line),
+                level=parse_float(row[5], "ci_level", line),
+            )
+        p_value = parse_float(row[8], "p_value", line) if row[8] != "" else None
         cells[(row_m, col_m)] = SigCell(
             row_metric=row_m,
             col_metric=col_m,
             ci=ci,
             p_value=p_value,
-            significant=parse_bool(row[9]),
-            bonferroni_significant=parse_bool(row[10]),
+            significant=parse_bool(row[9], line),
+            bonferroni_significant=parse_bool(row[10], line),
         )
     return SigMatrix(task=task, level=level, metrics=tuple(metrics), cells=cells)
 

@@ -14,7 +14,9 @@ per batch of replicates replace the per-replicate enumeration of the
 n(n-1)/2 cell pairs.  Every count is an exact integer, so the statistics
 equal pairwise enumeration bit for bit.  Memory is bounded whatever the
 number of cells n: the matrices are built in row tiles and the replicates in
-batches, each of at most ``_BUDGET`` (4,000,000) entries.
+batches, each of at most ``_BUDGET`` (4,000,000) entries.  Each batch
+carries the unswapped mask as its first row, so one pass over the tiles
+per batch gives both the observed difference and the replicates'.
 """
 
 from __future__ import annotations
@@ -67,9 +69,6 @@ class SigMatrix:
     level: str  # "system" or "segment"
     metrics: tuple[str, ...]
     cells: Mapping[tuple[str, str], SigCell]
-
-    def cell(self, row: str, col: str) -> SigCell:
-        return self.cells[(row, col)]
 
 
 def zou_ci(
@@ -212,9 +211,9 @@ class _SwapTauB:
     and the constants are taken in float64 (|.| <= 4n^2 < 2**53).
 
     Q is built in row tiles whose four sign blocks hold at most ``_BUDGET``
-    entries; the last tile built is kept, so when Q fits in one tile it is
-    built once per pair of metrics.  The blocks are computed and added into
-    Q one at a time, so a tile's working memory is Q's rows plus one block.
+    entries, once per call of :meth:`taus`; nothing is kept between calls.
+    The blocks are computed and added into Q one at a time, so a tile's
+    working memory is Q's rows plus one block.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, h: np.ndarray):
@@ -231,12 +230,8 @@ class _SwapTauB:
         self.ranks = _dense_ranks(np.stack([a, b])).astype(dtype)
         self.h_ranks = h_ranks.astype(dtype)
         self.tile_rows = max(1, _BUDGET // (4 * n))
-        self._last: _Tile | None = None
 
     def _tile(self, lo: int) -> _Tile:
-        last = self._last
-        if last is not None and last.lo == lo:
-            return last
         ranks, h_ranks = self.ranks, self.h_ranks
         n = len(h_ranks)
         hi = min(lo + self.tile_rows, n)
@@ -262,11 +257,9 @@ class _SwapTauB:
         const = np.stack([
             sums[:, 0, :, 0].sum(axis=1), sums[:, 1, :, 1].sum(axis=1)
         ], axis=1).reshape(4)
-        tile = _Tile(
+        return _Tile(
             lo, hi, quad.reshape(2 * rows, n), 2.0 * lin, const.astype(np.float64)
         )
-        self._last = tile
-        return tile
 
     def taus(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """masks: (batch, n) booleans -> tau-b of A* and of B* per mask."""
@@ -304,24 +297,26 @@ def perm_both(
     ``rng_for(seed, "perm-both").random((r, n)) < 0.5``, over the cells in
     sorted key order.  One generator serves the whole call: each batch of
     replicates draws its rows, in order, into one reused buffer, so the
-    masks do not depend on the batch size.
+    masks do not depend on the batch size.  Row 0 of the buffer stays at
+    1.0, the unswapped mask, so every batch also gives the observed
+    difference; a batch, that row included, holds at most ``_BUDGET``
+    entries.
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     a, b, h = _pooled_cells(table_a, table_b, human_segment_scores)
     kernel = _SwapTauB(a, b, h)
     n = len(a)
-    tau_a, tau_b = kernel.taus(np.zeros((1, n), dtype=bool))
-    delta = tau_a[0] - tau_b[0]
-    chunk = max(1, _BUDGET // n)
+    chunk = max(1, _BUDGET // n - 1)
     generator = rng_for(seed, "perm-both")
-    uniforms = np.empty((min(chunk, r), n))
+    uniforms = np.ones((1 + min(chunk, r), n))
     total = 0
     for start in range(0, r, chunk):
-        rows = uniforms[: min(chunk, r - start)]
-        generator.random(out=rows)
+        rows = uniforms[: 1 + min(chunk, r - start)]
+        generator.random(out=rows[1:])
         tau_a, tau_b = kernel.taus(rows < 0.5)
-        total += int(np.count_nonzero(tau_a - tau_b >= delta))
+        delta = tau_a - tau_b
+        total += int(np.count_nonzero(delta[1:] >= delta[0]))
     return (1 + total) / (r + 1)
 
 

@@ -121,6 +121,21 @@ class TestConfig:
         with pytest.raises(ParseError):
             minimal_config(length_unit="bytes")
 
+    def test_duplicate_ratios_rejected(self, tmp_path):
+        with pytest.raises(ParseError, match="length ratios must be unique"):
+            minimal_config(length_ratios=(0.8, 0.8, 0.5))
+        # a config file names itself in the error
+        conf = tmp_path / "campaign.conf"
+        conf.write_text(
+            "directions = aa-bb\nratios = 0.8, 0.80\nsystems = s1, s2\n"
+            "annotators_per_task = 1\nlength_unit = characters\nseed = 1\n"
+            "segments = segments.jsonl\nhypotheses = hypotheses.jsonl\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError, match="length ratios must be unique") as info:
+            parse_config(conf)
+        assert info.value.path == conf
+
     def test_task_labels(self):
         assert Task("en-zh", 0.8).label == "en-zh.80"
         assert Task("zh-en", 0.5).label == "zh-en.50"

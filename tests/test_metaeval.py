@@ -321,10 +321,15 @@ class TestHybridSupersample:
 
         def scorer(index_rows):
             calls.append(index_rows.copy())
-            return [0.42 + i for i in range(len(index_rows))]
+            return {("BLEU", "-"): [0.42 + i for i in range(len(index_rows))]}
 
+        # a system-only table missing from the scorer's result
+        star = ScoreTable.system_table("BLEU*", "-", TASK, bleu.system_cells)
+        with pytest.raises(SystemOnlyTable):
+            hybrid_supersample([table, bleu, star], human, 2, seed=1, corpus_scorer=scorer)
+        calls.clear()
         selectors, vectors, _ = hybrid_supersample(
-            [table, bleu], human, 2, seed=1, corpus_scorers={("BLEU", "-"): scorer}
+            [table, bleu], human, 2, seed=1, corpus_scorer=scorer
         )
         assert vectors[("BLEU", "-")].values[3:] == [0.42, 1.42]
         # one call with the whole index matrix: rows are hybrids, columns the

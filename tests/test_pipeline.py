@@ -34,6 +34,7 @@ from lcmteval.metrics import (
 from lcmteval.reports import read_csv_table
 
 GOLDEN = Path(__file__).parent / "goldens" / "fixture_manifest.json"
+GOLDEN_SEGMENT = Path(__file__).parent / "goldens" / "fixture_manifest_segment.json"
 
 
 def echo_campaign():
@@ -119,7 +120,7 @@ class TestScoreTables:
             for g in campaign.segment_ids_for_direction(task.direction)
         }
         selectors, vectors, _ = hybrid_supersample(
-            bleu_tables, human, 50, seed=17, corpus_scorers=native.corpus_scorers()
+            bleu_tables, human, 50, seed=17, corpus_scorer=native.corpus_scorer
         )
         scheme = scheme_for_direction(task.direction)
         n_real = len(campaign.config.systems)
@@ -242,7 +243,7 @@ class TestScoreTables:
                 state.human_by_task[t],
                 k,
                 seed,
-                corpus_scorers=native.corpus_scorers(),
+                corpus_scorer=native.corpus_scorer,
             )
             for tb in tables:
                 assert sys_vectors[t][tb.display_name()].scores == vectors[tb.key].scores
@@ -302,20 +303,53 @@ class TestScoreTables:
             assert tables[BLEU_STAR_ID].system_cells[system] == bleu.bleu_star
 
 
-@pytest.fixture(scope="module")
-def run_dir(fixture_config_path, tmp_path_factory):
-    out = tmp_path_factory.mktemp("golden_check")
-    golden = json.loads(GOLDEN.read_text())
-    run_pipeline(fixture_config_path, out, **golden["flags"])
+def golden_run(config_path, golden_path, tmp_path_factory):
+    out = tmp_path_factory.mktemp(golden_path.stem)
+    golden = json.loads(golden_path.read_text())
+    run_pipeline(config_path, out, **golden["flags"])
     return out
 
 
+@pytest.fixture(scope="module")
+def run_dir(fixture_config_path, tmp_path_factory):
+    return golden_run(fixture_config_path, GOLDEN, tmp_path_factory)
+
+
+@pytest.fixture(scope="module")
+def segment_run_dir(fixture_config_path, tmp_path_factory):
+    """A run at segment-level variant selection."""
+    return golden_run(fixture_config_path, GOLDEN_SEGMENT, tmp_path_factory)
+
+
+def display_name(metric: str, variant: str) -> str:
+    return metric if variant == "-" else f"{metric}.{variant}"
+
+
 class TestRunArtifacts:
-    def test_digests_match_committed_goldens(self, run_dir):
-        golden = json.loads(GOLDEN.read_text())
-        manifest = json.loads((run_dir / "manifest.json").read_text())
-        produced = {f["name"]: f["sha256"] for f in manifest["files"]}
-        assert produced == golden["files"]
+    def test_digests_match_committed_goldens(self, run_dir, segment_run_dir):
+        for out, path in ((run_dir, GOLDEN), (segment_run_dir, GOLDEN_SEGMENT)):
+            golden = json.loads(path.read_text())
+            manifest = json.loads((out / "manifest.json").read_text())
+            produced = {f["name"]: f["sha256"] for f in manifest["files"]}
+            assert produced == golden["files"], path.name
+
+    def test_reports_cover_the_same_metrics(self, run_dir, segment_run_dir, campaign):
+        for out in (run_dir, segment_run_dir):
+            _, rows = read_csv_table(out / "correlations_system.csv")
+            system = [(row[0], row[1]) for row in rows]
+            _, rows = read_csv_table(out / "correlations_segment.csv")
+            segment = [(row[0], row[1]) for row in rows]
+            _, rows = read_csv_table(out / "system_eval.csv")
+            assert list(dict.fromkeys((row[0], row[1]) for row in rows)) == segment
+            # the segment-level set is the system-level one without the
+            # system-only corpus BLEU scores
+            assert segment == [m for m in system if m[0] not in (BLEU_ID, BLEU_STAR_ID)]
+            assert LENGTH_DEV_ID not in {metric for metric, _ in system}
+            for task in campaign.tasks():
+                for level, metrics in (("system", system), ("segment", segment)):
+                    _, rows = read_csv_table(out / f"sig_{level}_{task.label}.csv")
+                    names = {row[3] for row in rows} | {row[4] for row in rows}
+                    assert names == {display_name(*m) for m in metrics}
 
     def test_four_decimal_formatting(self, run_dir):
         header, rows = read_csv_table(run_dir / "correlations_system.csv")

@@ -240,15 +240,6 @@ class TestAggregate:
         assert len(warnings) == 1 and "g2" in warnings[0]
         assert len(aggregated) == 3
 
-    def test_missing_key_error(self):
-        from lcmteval.errors import MissingKey
-
-        normalized = znormalize([rating("a", "g1", 0), rating("a", "g2", 100)])
-        with pytest.raises(MissingKey):
-            aggregate_segment_human(
-                normalized, expected_keys=[(TASK, "s1", "ghost")]
-            )
-
 
 class TestOneVsRest:
     def test_perfect_agreement(self):

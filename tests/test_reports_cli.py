@@ -229,6 +229,49 @@ class TestCli:
         assert main(["report", str(csv_path), "--format", "svg", str(svg_path)]) == 0
         assert svg_path.read_text().startswith("<svg")
 
+    @pytest.mark.parametrize(
+        "column", ["ratio", "ci_level", "lower", "upper", "p_value"]
+    )
+    def test_report_malformed_number_exit_2(self, tmp_path, capsys, column):
+        csv_path = tmp_path / "sig.csv"
+        emit_sig_matrix(make_matrix(["m1", "m2"], level="system"), "csv", csv_path)
+        lines = csv_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        fields = lines[2].rstrip("\n").split(",")
+        fields[SIG_HEADER.index(column)] = "x"
+        lines[2] = ",".join(fields) + "\n"
+        csv_path.write_text("".join(lines), encoding="utf-8")
+        out_path = tmp_path / "sig.txt"
+        assert main(["report", str(csv_path), "--format", "textgrid",
+                     str(out_path)]) == 2
+        assert f"sig.csv:3: bad {column} 'x'" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "carrier, field, value",
+        [
+            ("hypotheses.jsonl", "length_ratio", "eighty"),
+            ("hypotheses.jsonl", "length_ratio", None),
+            ("segments.jsonl", "reference_length", "ten"),
+        ],
+    )
+    def test_malformed_number_exit_2(
+        self, fixture_config_path, tmp_path, capsys, carrier, field, value
+    ):
+        shutil.copytree(fixture_config_path.parent, tmp_path / "camp")
+        path = tmp_path / "camp" / carrier
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        record = json.loads(lines[1])
+        record[field] = value
+        lines[1] = json.dumps(record, ensure_ascii=False) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(
+            ["run", str(tmp_path / "camp" / "campaign.conf"), "--out", str(out)]
+            + FAST_FLAGS
+        )
+        assert code == 2
+        assert f"{carrier}:2: bad {field} {value!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_statistical_precondition_exit_3(self, fixture_config_path, tmp_path, capsys):
         shutil.copytree(fixture_config_path.parent, tmp_path / "camp")
@@ -413,6 +456,24 @@ class TestRunCommand:
         )
         assert code == 2
         assert f"is named {name!r}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_duplicate_ratios_exit_2_first(self, fixture_config_path, tmp_path, capsys):
+        # a repeated ratio would repeat its tasks' columns and give them
+        # double weight in every average
+        shutil.copytree(fixture_config_path.parent, tmp_path / "camp")
+        config = tmp_path / "camp" / "campaign.conf"
+        text = config.read_text(encoding="utf-8")
+        config.write_text(
+            text.replace("ratios = 0.8, 0.5", "ratios = 0.8, 0.8, 0.5"),
+            encoding="utf-8",
+        )
+        assert main(["validate", str(config)]) == 2
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["run", str(config), "--out", str(out)] + FAST_FLAGS) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"{config}: length ratios must be unique") == 2
         assert list(out.iterdir()) == []
 
     def test_incomplete_campaign_exit_1(self, fixture_config_path, tmp_path):

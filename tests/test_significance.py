@@ -292,7 +292,8 @@ class TestSwapKernel:
         assert untiled.tile_rows >= n
         p_untiled = perm_both(ta, tb, human, r=150, seed=13)
 
-        # 7-row tiles (13 of them) and batches of 28 replicates
+        # 7-row tiles (13 of them) and batches of 27 replicates plus the
+        # unswapped row
         monkeypatch.setattr(significance, "_BUDGET", 4 * n * 7)
         tiled = _SwapTauB(a, b, h)
         assert tiled.tile_rows == 7
@@ -308,9 +309,37 @@ class TestSwapKernel:
         h = rng.integers(-2, 3, n).astype(float)
         ta, tb = seg_table(dict(zip(keys, a)), "A"), seg_table(dict(zip(keys, b)), "B")
         expected = perm_both_enumeration(a.tolist(), b.tolist(), h.tolist(), r=45, seed=21)
-        # chunks of 7 masks: replicates 0-6, 7-13, ..., 42-44
+        # chunks of 6 masks plus the unswapped row: replicates 0-5, 6-11,
+        # ..., 42-44
         monkeypatch.setattr(significance, "_BUDGET", 7 * n)
         assert perm_both(ta, tb, dict(zip(keys, h)), r=45, seed=21) == expected
+
+    def test_each_tile_built_once_per_batch(self, monkeypatch):
+        # 7-row tiles (13 of them) and one batch of 20 replicates: the
+        # unswapped row rides in the batch, so Q is built once
+        rng = np.random.default_rng(89)
+        n = 90
+        keys = sorted((f"s{i % 3}", f"g{i:02d}") for i in range(n))
+        a, b = rng.integers(0, 5, n) / 4, rng.integers(0, 5, n) / 4
+        h = rng.integers(-3, 4, n).astype(float)
+        ta, tb = seg_table(dict(zip(keys, a)), "A"), seg_table(dict(zip(keys, b)), "B")
+        monkeypatch.setattr(significance, "_BUDGET", 4 * n * 7)
+        tiles, batches = [], []
+        real_tile, real_taus = _SwapTauB._tile, _SwapTauB.taus
+
+        def counting_tile(self, lo):
+            tiles.append(lo)
+            return real_tile(self, lo)
+
+        def counting_taus(self, masks):
+            batches.append(len(masks))
+            return real_taus(self, masks)
+
+        monkeypatch.setattr(_SwapTauB, "_tile", counting_tile)
+        monkeypatch.setattr(_SwapTauB, "taus", counting_taus)
+        perm_both(ta, tb, dict(zip(keys, h)), r=20, seed=5)
+        assert tiles == list(range(0, n, 7))
+        assert batches == [21]
 
     def test_non_finite_score_rejected(self):
         keys = [("s1", "g0"), ("s1", "g1"), ("s2", "g0"), ("s2", "g1")]
