@@ -319,7 +319,11 @@ def cmd_report(args) -> int:
 
 def cmd_run(args) -> int:
     artifacts = run_pipeline(
-        args.config, args.out, length_unit=args.length_unit, **_options(args)
+        args.config,
+        args.out,
+        length_unit=args.length_unit,
+        threads=args.threads,
+        **_options(args),
     )
     for name, digest in artifacts.manifest:
         print(f"{digest}  {name}")

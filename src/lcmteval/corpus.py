@@ -349,6 +349,17 @@ def _json_line(obj: dict) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(", ", ": "))
 
 
+def _whole_number(value) -> int:
+    """``int(value)`` for an integral number or numeric string; a boolean or
+    a float that is not a whole number (inf and nan included) raises
+    ValueError instead of being truncated."""
+    if isinstance(value, bool) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise ValueError(f"not a whole number: {value!r}")
+    return int(value)
+
+
 def load_segments(path: Path, config: CampaignConfig) -> dict[str, SegmentRecord]:
     segments: dict[str, SegmentRecord] = {}
     for lineno, obj in _read_jsonl(path):
@@ -359,7 +370,7 @@ def load_segments(path: Path, config: CampaignConfig) -> dict[str, SegmentRecord
                 source_text=str(obj["source_text"]),
                 reference_text=str(obj["reference_text"]),
                 reference_length=(
-                    int(obj["reference_length"])
+                    _whole_number(obj["reference_length"])
                     if obj.get("reference_length") is not None
                     else None
                 ),

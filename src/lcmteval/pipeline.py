@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import time
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -723,6 +724,20 @@ def run_pipeline(
             {
                 "files": [{"name": n, "sha256": d} for n, d in manifest],
                 "config_digest": config_digest,
+                "parameters": {
+                    "hybrids": state.hybrids,
+                    "permutations": state.permutations,
+                    "bootstrap": state.bootstrap,
+                    "alpha": state.alpha,
+                    "level": state.level,
+                    "include_traps": state.include_traps,
+                    # JSON has no infinity; --timing-cutoff inf is "inf"
+                    "timing_cutoff": state.timing_cutoff
+                    if math.isfinite(state.timing_cutoff)
+                    else str(state.timing_cutoff),
+                    "length_unit": campaign.config.length_unit,
+                    "threads": threads,
+                },
                 "seed": state.seed,
                 "version": VERSION,
             },

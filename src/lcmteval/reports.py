@@ -56,22 +56,28 @@ def write_csv(
             writer.writerow(row)
 
 
-def read_csv_table(path: str | os.PathLike) -> tuple[list[str], list[list[str]]]:
-    path = Path(path)
+def _read_numbered_rows(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """The header and the non-blank rows, each with the physical line of the
+    file it ends on, so errors point at the line a reader sees."""
     with path.open(encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ParseError("empty report file", path=path, line=1)
-        rows = [row for row in reader if row]
-    for i, row in enumerate(rows, start=2):
+        rows = [(reader.line_num, row) for row in reader if row]
+    for line, row in rows:
         if len(row) != len(header):
             raise ParseError(
                 f"row has {len(row)} fields, header has {len(header)}",
                 path=path,
-                line=i,
+                line=line,
             )
     return header, rows
+
+
+def read_csv_table(path: str | os.PathLike) -> tuple[list[str], list[list[str]]]:
+    header, rows = _read_numbered_rows(Path(path))
+    return header, [row for _, row in rows]
 
 
 def sha256_file(path: str | os.PathLike) -> str:
@@ -126,7 +132,7 @@ def _sig_to_csv(matrix: SigMatrix, path: str | os.PathLike) -> None:
 def load_sig_matrix_csv(path: str | os.PathLike) -> SigMatrix:
     """Rebuild a SigMatrix from its CSV emission (4-decimal statistics)."""
     path = Path(path)
-    header, rows = read_csv_table(path)
+    header, rows = _read_numbered_rows(path)
     if header != SIG_HEADER:
         raise ParseError(
             f"bad significance header {header!r}", path=path, line=1
@@ -147,11 +153,12 @@ def load_sig_matrix_csv(path: str | os.PathLike) -> SigMatrix:
         except ValueError:
             raise ParseError(f"bad {column} {text!r}", path=path, line=line) from None
 
-    task = Task(rows[0][0], parse_float(rows[0][1], "ratio", 2))
-    level = rows[0][2]
+    first_line, first = rows[0]
+    task = Task(first[0], parse_float(first[1], "ratio", first_line))
+    level = first[2]
     metrics: list[str] = []
     cells: dict[tuple[str, str], SigCell] = {}
-    for line, row in enumerate(rows, start=2):
+    for line, row in rows:
         direction, ratio, row_level, row_m, col_m = row[0], row[1], row[2], row[3], row[4]
         row_task = Task(direction, parse_float(ratio, "ratio", line))
         if row_task != task or row_level != level:

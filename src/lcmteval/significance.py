@@ -17,6 +17,12 @@ number of cells n: the matrices are built in row tiles and the replicates in
 batches, each of at most ``_BUDGET`` (4,000,000) entries.  Each batch
 carries the unswapped mask as its first row, so one pass over the tiles
 per batch gives both the observed difference and the replicates'.
+
+A matrix of M metrics gathers and ranks its cells once per task, and the
+two orders (A, B) and (B, A) of a pair share that pair's matrices: Q is
+symmetric in A and B, so each pass over its tiles serves a batch of each
+order's own masks.  Every p-value equals that of one ``perm_both`` call
+per ordered pair.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass
+from itertools import combinations
 from statistics import NormalDist
 from typing import Mapping, Sequence
 
@@ -154,26 +161,31 @@ def system_sig_matrix(
     return SigMatrix(task=task, level="system", metrics=tuple(names), cells=cells)
 
 
-def _pooled_cells(
-    table_a: ScoreTable, table_b: ScoreTable, human: Mapping[tuple[str, str], float]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if table_a.level != SEGMENT_LEVEL or table_b.level != SEGMENT_LEVEL:
+def _gather(
+    tables: Sequence[ScoreTable], human: Mapping[tuple[str, str], float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (M, n) scores of M segment-level tables and their n human scores,
+    over the tables' common cells in sorted key order."""
+    if any(table.level != SEGMENT_LEVEL for table in tables):
         raise SystemOnlyTable("permutation test needs segment-level tables")
-    keys = sorted(table_a.cells)
-    if sorted(table_b.cells) != keys:
-        raise CellMismatch(
-            f"{table_a.display_name()} and {table_b.display_name()} cover "
-            "different cells"
-        )
+    first = tables[0]
+    for table in tables[1:]:
+        if table.cells.keys() != first.cells.keys():
+            raise CellMismatch(
+                f"{first.display_name()} and {table.display_name()} cover "
+                "different cells"
+            )
+    keys = sorted(first.cells)
     try:
         h = np.asarray([human[k] for k in keys], dtype=np.float64)
     except KeyError as exc:
         raise CellMismatch(f"human score missing for cell {exc}") from None
-    a = np.asarray([table_a.cells[k] for k in keys], dtype=np.float64)
-    b = np.asarray([table_b.cells[k] for k in keys], dtype=np.float64)
-    if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(h).all()):
+    scores = np.asarray(
+        [[table.cells[k] for k in keys] for table in tables], dtype=np.float64
+    )
+    if not (np.isfinite(scores).all() and np.isfinite(h).all()):
         raise NonFiniteScore("permutation test needs finite scores")
-    return a, b, h
+    return scores, h
 
 
 @dataclass(frozen=True)
@@ -189,7 +201,7 @@ class _Tile:
 
 class _SwapTauB:
     """Kendall tau-b against the human scores h of both sides of a per-cell
-    swap of metrics a and b, for a batch of swap masks.
+    swap of two of M metrics, for batches of swap masks.
 
     Under mask m (1 = swap the cell), A* takes b_i where m_i = 1 and a_i
     elsewhere, B* the reverse.  The sign of the pair (i, j) in A* depends
@@ -210,13 +222,17 @@ class _SwapTauB:
     Qm exactly (|.| <= 4n < 2**24), and the sums over rows, the linear terms
     and the constants are taken in float64 (|.| <= 4n^2 < 2**53).
 
-    Q is built in row tiles whose four sign blocks hold at most ``_BUDGET``
-    entries, once per call of :meth:`taus`; nothing is kept between calls.
-    The blocks are computed and added into Q one at a time, so a tile's
-    working memory is Q's rows plus one block.
+    The M metrics' scores are ranked once, jointly, so the sign of a rank
+    difference is the sign of the score difference between any two of
+    them; h's ranks and tie count are taken once too.  Q of a pair is built
+    in row tiles whose four sign blocks hold at most ``_BUDGET`` entries,
+    once per call of :meth:`taus` whatever the number of batches it is
+    given; nothing is kept between calls.  The blocks are computed and added
+    into Q one at a time, so a tile's working memory is Q's rows plus one
+    block.
     """
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, h: np.ndarray):
+    def __init__(self, scores: np.ndarray, h: np.ndarray):
         n = len(h)
         self.n0 = n * (n - 1) // 2
         h_ranks = _dense_ranks(h)
@@ -224,15 +240,16 @@ class _SwapTauB:
         self.n2 = int((counts * (counts - 1) // 2).sum())
         if self.n0 == self.n2:
             raise AllTied("kendall tau undefined: reference vector is all ties")
-        # Ranks are below 2n; the narrowest type holding them makes the
+        # Ranks are below M * n; the narrowest type holding them makes the
         # pairwise comparisons cheapest.
-        dtype = np.min_scalar_type(2 * n)
-        self.ranks = _dense_ranks(np.stack([a, b])).astype(dtype)
+        dtype = np.min_scalar_type(scores.size)
+        self.ranks = _dense_ranks(scores).astype(dtype)
         self.h_ranks = h_ranks.astype(dtype)
         self.tile_rows = max(1, _BUDGET // (4 * n))
+        self.q_builds = 0  # calls of taus: each builds the pair's Q once
 
-    def _tile(self, lo: int) -> _Tile:
-        ranks, h_ranks = self.ranks, self.h_ranks
+    def _tile(self, a: int, b: int, lo: int) -> _Tile:
+        ranks, h_ranks = self.ranks[[a, b]], self.h_ranks
         n = len(h_ranks)
         hi = min(lo + self.tile_rows, n)
         rows = hi - lo
@@ -261,24 +278,72 @@ class _SwapTauB:
             lo, hi, quad.reshape(2 * rows, n), 2.0 * lin, const.astype(np.float64)
         )
 
-    def taus(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """masks: (batch, n) booleans -> tau-b of A* and of B* per mask."""
-        w = masks.astype(np.float32)
-        twice = np.zeros((len(w), 4))  # 2 * (cmd_a, cmd_b, n1_a, n1_b)
-        for lo in range(0, w.shape[1], self.tile_rows):
-            tile = self._tile(lo)
-            w_rows = w[:, tile.lo : tile.hi]
-            prod = (w @ tile.quad.T).reshape(len(w), 2, -1)
-            prod *= w_rows[:, None, :]
-            forms = prod.sum(axis=2, dtype=np.float64)  # m'Qm per kind
-            twice += tile.const + w_rows @ tile.lin + np.repeat(forms, 2, axis=1)
-        con_minus_dis = twice[:, :2] / 2
-        n1 = twice[:, 2:] / 2
-        denom = np.sqrt((self.n0 - n1) * float(self.n0 - self.n2))
-        if np.any(denom == 0.0):
-            raise AllTied("kendall tau degenerate inside permutation test")
-        tau = con_minus_dis / denom
-        return tau[:, 0], tau[:, 1]
+    def taus(
+        self, a: int, b: int, batches: Sequence[np.ndarray]
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Metrics a and b (rows of the scores) and (rows, n) boolean mask
+        batches -> per batch, tau-b of A* and of B* per mask.  Each tile of
+        Q is built once and applied to every batch."""
+        self.q_builds += 1
+        ws = [masks.astype(np.float32) for masks in batches]
+        # per batch: 2 * (cmd_a, cmd_b, n1_a, n1_b)
+        twice = [np.zeros((len(w), 4)) for w in ws]
+        for lo in range(0, len(self.h_ranks), self.tile_rows):
+            tile = self._tile(a, b, lo)
+            for w, acc in zip(ws, twice):
+                w_rows = w[:, tile.lo : tile.hi]
+                prod = (w @ tile.quad.T).reshape(len(w), 2, -1)
+                prod *= w_rows[:, None, :]
+                forms = prod.sum(axis=2, dtype=np.float64)  # m'Qm per kind
+                acc += tile.const + w_rows @ tile.lin + np.repeat(forms, 2, axis=1)
+        result = []
+        for acc in twice:
+            con_minus_dis = acc[:, :2] / 2
+            n1 = acc[:, 2:] / 2
+            denom = np.sqrt((self.n0 - n1) * float(self.n0 - self.n2))
+            if np.any(denom == 0.0):
+                raise AllTied("kendall tau degenerate inside permutation test")
+            tau = con_minus_dis / denom
+            result.append((tau[:, 0], tau[:, 1]))
+        return result
+
+
+def _swap_hits(
+    kernel: _SwapTauB, a: int, b: int, seeds: Sequence[int], r: int
+) -> list[int]:
+    """#{delta* >= delta} of the test of metric a against metric b under the
+    masks drawn from ``seeds[0]`` and, when a second seed is given, of b
+    against a under the masks drawn from ``seeds[1]``.
+
+    Each seed's replicate i swaps the cells where row i of
+    ``rng_for(seed, "perm-both").random((r, n)) < 0.5``.  Every seed has
+    its own generator, and each batch of replicates draws its rows, in
+    order, into one reused buffer, so the masks do not depend on the batch
+    size.  Row 0 of the buffer stays at 1.0, the unswapped mask, so every
+    batch also gives the observed difference; a batch, that row included,
+    holds at most ``_BUDGET`` entries.  Both directions share one pass over
+    Q's tiles per batch: under one mask, (b, a)'s pair of taus is (a, b)'s
+    exchanged, and IEEE subtraction is antisymmetric, so b against a counts
+    delta* <= delta on (a, b)'s differences, bit for bit as its own test.
+    """
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
+    n = len(kernel.h_ranks)
+    chunk = max(1, _BUDGET // n - 1)
+    generators = [rng_for(seed, "perm-both") for seed in seeds]
+    uniforms = np.ones((1 + min(chunk, r), n))
+    hits = [0] * len(seeds)
+    for start in range(0, r, chunk):
+        rows = uniforms[: 1 + min(chunk, r - start)]
+        batches = []
+        for generator in generators:
+            generator.random(out=rows[1:])
+            batches.append(rows < 0.5)
+        for direction, (tau_a, tau_b) in enumerate(kernel.taus(a, b, batches)):
+            delta = tau_a - tau_b
+            beats = delta[1:] >= delta[0] if direction == 0 else delta[1:] <= delta[0]
+            hits[direction] += int(np.count_nonzero(beats))
+    return hits
 
 
 def perm_both(
@@ -295,29 +360,11 @@ def perm_both(
     is (1 + #{delta* >= delta}) / (r + 1), so it is never exactly zero.
     Replicate i swaps the cells where row i of
     ``rng_for(seed, "perm-both").random((r, n)) < 0.5``, over the cells in
-    sorted key order.  One generator serves the whole call: each batch of
-    replicates draws its rows, in order, into one reused buffer, so the
-    masks do not depend on the batch size.  Row 0 of the buffer stays at
-    1.0, the unswapped mask, so every batch also gives the observed
-    difference; a batch, that row included, holds at most ``_BUDGET``
-    entries.
+    sorted key order (see :func:`_swap_hits`).
     """
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    a, b, h = _pooled_cells(table_a, table_b, human_segment_scores)
-    kernel = _SwapTauB(a, b, h)
-    n = len(a)
-    chunk = max(1, _BUDGET // n - 1)
-    generator = rng_for(seed, "perm-both")
-    uniforms = np.ones((1 + min(chunk, r), n))
-    total = 0
-    for start in range(0, r, chunk):
-        rows = uniforms[: 1 + min(chunk, r - start)]
-        generator.random(out=rows[1:])
-        tau_a, tau_b = kernel.taus(rows < 0.5)
-        delta = tau_a - tau_b
-        total += int(np.count_nonzero(delta[1:] >= delta[0]))
-    return (1 + total) / (r + 1)
+    scores, h = _gather([table_a, table_b], human_segment_scores)
+    (hits,) = _swap_hits(_SwapTauB(scores, h), 0, 1, [seed], r)
+    return (1 + hits) / (r + 1)
 
 
 def bonferroni(pvals: Sequence[float], alpha: float = 0.05) -> list[bool]:
@@ -342,17 +389,31 @@ def segment_sig_matrix(
     """Pairwise one-sided permutation-test matrix over segment-level metrics.
 
     The Bonferroni flag divides alpha by the number of ordered pairs in the
-    matrix.  Each pair's test derives its own seed from the two metric
-    names, so the matrix does not depend on the order of the pairs.
+    matrix.  Each ordered pair's test derives its own seed from the two
+    metric names, so the matrix does not depend on the order of the pairs;
+    every p-value equals ``perm_both(tables[row], tables[col], human, r,
+    derive_int(seed, "segment-sig", row, col))``.  The cells are gathered
+    and ranked once, and the two orders of a pair share its Q.
     """
     names = list(tables)
     pairs = [(row, col) for row in names for col in names if row != col]
     m = len(pairs)
-    cells: dict[tuple[str, str], SigCell] = {}
     started = time.perf_counter()
+    p_values: dict[tuple[str, str], float] = {}
+    forms = 0
+    if pairs:
+        kernel = _SwapTauB(
+            *_gather([tables[name] for name in names], human_segment_scores)
+        )
+        for i, j in combinations(range(len(names)), 2):
+            orders = [(names[i], names[j]), (names[j], names[i])]
+            seeds = [derive_int(seed, "segment-sig", *pair) for pair in orders]
+            for pair, hits in zip(orders, _swap_hits(kernel, i, j, seeds, r)):
+                p_values[pair] = (1 + hits) / (r + 1)
+        forms = kernel.q_builds
+    cells: dict[tuple[str, str], SigCell] = {}
     for row, col in pairs:
-        pair_seed = derive_int(seed, "segment-sig", row, col)
-        p = perm_both(tables[row], tables[col], human_segment_scores, r, pair_seed)
+        p = p_values[(row, col)]
         cells[(row, col)] = SigCell(
             row_metric=row,
             col_metric=col,
@@ -363,12 +424,13 @@ def segment_sig_matrix(
         )
     logger.info(
         "segment significance %s: %d metrics, %d ordered pairs, n=%d cells, "
-        "R=%d replicates, %.3f s",
+        "R=%d replicates, %d quadratic forms, %.3f s",
         task.label,
         len(names),
         m,
         len(tables[names[0]].cells) if names else 0,
         r,
+        forms,
         time.perf_counter() - started,
     )
     return SigMatrix(task=task, level="segment", metrics=tuple(names), cells=cells)

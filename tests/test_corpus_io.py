@@ -189,6 +189,24 @@ class TestLoadCampaign:
         with pytest.raises(ParseError, match="duplicate seg_id"):
             load_campaign(config)
 
+    @pytest.mark.parametrize(
+        "value, expected",
+        [(12, 12), (12.0, 12), ("12", 12), (3.7, None), (True, None), (False, None)],
+    )
+    def test_reference_length_must_be_whole(self, tmp_path, value, expected):
+        config = write_minimal_campaign(tmp_path)
+        seg_file = tmp_path / "segments.jsonl"
+        lines = seg_file.read_text().splitlines()
+        record = json.loads(lines[1])
+        record["reference_length"] = value
+        lines[1] = json.dumps(record)
+        seg_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        if expected is None:
+            with pytest.raises(ParseError, match="jsonl:2: bad reference_length"):
+                load_campaign(config)
+        else:
+            assert load_campaign(config).segments["g2"].reference_length == expected
+
     def test_trap_rating_system_unchecked(self, tmp_path):
         rows = [
             "u1,g1,s1,0.8,50,30.0,false",

@@ -246,12 +246,38 @@ class TestCli:
         assert f"sig.csv:3: bad {column} 'x'" in capsys.readouterr().err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("column", ["ratio", "p_value", "fields"])
+    def test_report_errors_name_the_physical_line(self, tmp_path, capsys, column):
+        csv_path = tmp_path / "sig.csv"
+        emit_sig_matrix(make_matrix(["m1", "m2"]), "csv", csv_path)
+        lines = csv_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        fields = lines[2].rstrip("\n").split(",")
+        if column == "fields":
+            fields.append("extra")
+        else:
+            fields[SIG_HEADER.index(column)] = "zz"
+        # blank lines 2 and 4 before the bad row, which lands on line 5
+        lines[2] = ",".join(fields) + "\n"
+        csv_path.write_text(
+            lines[0] + "\n" + lines[1] + "\n" + "".join(lines[2:]), encoding="utf-8"
+        )
+        out_path = tmp_path / "sig.txt"
+        assert main(["report", str(csv_path), "--format", "textgrid",
+                     str(out_path)]) == 2
+        message = (
+            "row has 12 fields, header has 11" if column == "fields"
+            else f"bad {column} 'zz'"
+        )
+        assert f"sig.csv:5: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "carrier, field, value",
         [
             ("hypotheses.jsonl", "length_ratio", "eighty"),
             ("hypotheses.jsonl", "length_ratio", None),
             ("segments.jsonl", "reference_length", "ten"),
+            ("segments.jsonl", "reference_length", 3.7),
+            ("segments.jsonl", "reference_length", True),
         ],
     )
     def test_malformed_number_exit_2(
@@ -386,6 +412,28 @@ class TestRunCommand:
             for out in ("chars", "ws")
         )
         assert chars != ws
+
+    def test_manifest_records_parameters(self, fixture_config_path, tmp_path):
+        base = ["run", str(fixture_config_path), "--level", "segment",
+                "--hybrids", "60", "--bootstrap", "100", "--threads", "2"]
+        for out, r in (("a", "20"), ("b", "30")):
+            assert main(base + ["--out", str(tmp_path / out), "--permutations", r]) == 0
+        first, second = (
+            json.loads((tmp_path / out / "manifest.json").read_text())["parameters"]
+            for out in ("a", "b")
+        )
+        assert first == {
+            "hybrids": 60, "permutations": 20, "bootstrap": 100, "alpha": 0.05,
+            "level": "segment", "include_traps": False, "timing_cutoff": 600.0,
+            "length_unit": "characters", "threads": 2,
+        }
+        assert second == {**first, "permutations": 30}
+        # JSON has no infinity: an unbounded cutoff is recorded as a string
+        out = tmp_path / "c"
+        assert main(base + ["--out", str(out), "--timing-cutoff", "inf"]) == 0
+        text = (out / "manifest.json").read_text()
+        assert "Infinity" not in text
+        assert json.loads(text)["parameters"]["timing_cutoff"] == "inf"
 
     @pytest.mark.parametrize(
         "flag, value",

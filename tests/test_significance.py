@@ -25,6 +25,7 @@ from lcmteval.significance import (
     system_sig_matrix,
     zou_ci,
 )
+from lcmteval.seeding import derive_int
 
 from .oracles import kendall_tau_b_enumeration, perm_both_enumeration
 
@@ -32,6 +33,7 @@ TASK = Task("aa-bb", 0.8)
 
 # ROUGE-style scores: a few levels, so most pairs of cells tie.
 LEVELS = st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 2 / 3, 1.0])
+SIGNED_LEVELS = st.sampled_from([-0.0, 0.0, 0.25, 1 / 3, 0.5, 2 / 3, 1.0])
 
 
 def seg_table(cells, metric="m", variant="-"):
@@ -46,6 +48,16 @@ def tie_heavy_cells(draw, max_n=30):
     b = draw(st.lists(LEVELS, min_size=n, max_size=n))
     h = draw(st.lists(st.integers(-2, 2).map(float), min_size=n, max_size=n))
     return a, b, h
+
+
+@st.composite
+def tie_heavy_metrics(draw, max_n=16):
+    """(scores of 2-5 metrics, h) over the same n cells; h takes five values."""
+    n = draw(st.integers(3, max_n))
+    m = draw(st.integers(2, 5))
+    scores = [draw(st.lists(SIGNED_LEVELS, min_size=n, max_size=n)) for _ in range(m)]
+    h = draw(st.lists(st.integers(-2, 2).map(float), min_size=n, max_size=n))
+    return scores, h
 
 
 def swapped(a, b, mask):
@@ -251,7 +263,7 @@ class TestSwapKernel:
             st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
                      min_size=1, max_size=5)
         )
-        kernel = _SwapTauB(np.array(a), np.array(b), np.array(h))
+        kernel = _SwapTauB(np.array([a, b]), np.array(h))
         try:
             expected = [
                 tuple(kendall_tau_b_enumeration(side, h) for side in swapped(a, b, m))
@@ -259,9 +271,9 @@ class TestSwapKernel:
             ]
         except ZeroDivisionError:  # some A* or B* is all ties
             with pytest.raises(AllTied):
-                kernel.taus(np.array(masks))
+                kernel.taus(0, 1, [np.array(masks)])
             return
-        tau_a, tau_b = kernel.taus(np.array(masks))
+        ((tau_a, tau_b),) = kernel.taus(0, 1, [np.array(masks)])
         assert list(zip(tau_a.tolist(), tau_b.tolist())) == expected
 
     @given(tie_heavy_cells(max_n=20), st.integers(0, 2**32))
@@ -288,16 +300,19 @@ class TestSwapKernel:
         ta, tb = seg_table(dict(zip(keys, a)), "A"), seg_table(dict(zip(keys, b)), "B")
         human = dict(zip(keys, h))
         masks = rng.random((30, n)) < 0.5
-        untiled = _SwapTauB(a, b, h)
+        untiled = _SwapTauB(np.stack([a, b]), h)
         assert untiled.tile_rows >= n
         p_untiled = perm_both(ta, tb, human, r=150, seed=13)
 
         # 7-row tiles (13 of them) and batches of 27 replicates plus the
         # unswapped row
         monkeypatch.setattr(significance, "_BUDGET", 4 * n * 7)
-        tiled = _SwapTauB(a, b, h)
+        tiled = _SwapTauB(np.stack([a, b]), h)
         assert tiled.tile_rows == 7
-        for got, want in zip(tiled.taus(masks), untiled.taus(masks)):
+        (tiled_taus,), (untiled_taus,) = (
+            kernel.taus(0, 1, [masks]) for kernel in (tiled, untiled)
+        )
+        for got, want in zip(tiled_taus, untiled_taus):
             assert np.array_equal(got, want)
         assert perm_both(ta, tb, human, r=150, seed=13) == p_untiled
 
@@ -327,13 +342,13 @@ class TestSwapKernel:
         tiles, batches = [], []
         real_tile, real_taus = _SwapTauB._tile, _SwapTauB.taus
 
-        def counting_tile(self, lo):
+        def counting_tile(self, a, b, lo):
             tiles.append(lo)
-            return real_tile(self, lo)
+            return real_tile(self, a, b, lo)
 
-        def counting_taus(self, masks):
-            batches.append(len(masks))
-            return real_taus(self, masks)
+        def counting_taus(self, a, b, masks):
+            batches.extend(len(m) for m in masks)
+            return real_taus(self, a, b, masks)
 
         monkeypatch.setattr(_SwapTauB, "_tile", counting_tile)
         monkeypatch.setattr(_SwapTauB, "taus", counting_taus)
@@ -418,6 +433,100 @@ class TestSegmentSigMatrix:
             "segment significance aa-bb.80: 3 metrics, 6 ordered pairs, "
             "n=20 cells, R=20 replicates, "
         )
+
+    @given(tie_heavy_metrics(), st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_p_values_equal_one_perm_both_per_ordered_pair(self, cells, seed):
+        scores, h = cells
+        n = len(h)
+        keys = sorted((f"s{i % 3}", f"g{i:02d}") for i in range(n))
+        tables = {
+            f"m{j}": seg_table(dict(zip(keys, column)), f"m{j}")
+            for j, column in enumerate(scores)
+        }
+        human = dict(zip(keys, h))
+        try:
+            expected = {
+                (row, col): perm_both(
+                    tables[row], tables[col], human, r=40,
+                    seed=derive_int(seed, "segment-sig", row, col),
+                )
+                for row in tables
+                for col in tables
+                if row != col
+            }
+        except AllTied:  # h or some replicate of some pair is all ties
+            expected = None
+        # the default budget (one tile, one batch), then 2-row tiles and
+        # batches of 7 replicates plus the unswapped row
+        for budget in (significance._BUDGET, 4 * n * 2):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(significance, "_BUDGET", budget)
+                if expected is None:
+                    with pytest.raises(AllTied):
+                        segment_sig_matrix(tables, human, TASK, r=40, seed=seed)
+                    continue
+                matrix = segment_sig_matrix(tables, human, TASK, r=40, seed=seed)
+            assert {k: c.p_value for k, c in matrix.cells.items()} == expected
+
+    def test_pairs_share_q_and_cells_are_ranked_once(self, monkeypatch, caplog):
+        # 3 metrics (3 unordered pairs), 7-row tiles (13 of them) and, at
+        # R = 60, 3 batches of up to 27 replicates plus the unswapped row
+        rng = np.random.default_rng(97)
+        n = 90
+        keys = sorted((f"s{i % 3}", f"g{i:02d}") for i in range(n))
+        tables = {
+            name: seg_table(dict(zip(keys, rng.integers(0, 5, n) / 4)), name)
+            for name in ("A", "B", "C")
+        }
+        human = dict(zip(keys, rng.integers(-3, 4, n).astype(float)))
+        monkeypatch.setattr(significance, "_BUDGET", 4 * n * 7)
+        calls = {"_gather": 0, "_dense_ranks": 0}
+        tiles = []
+
+        def counting(name):
+            real = getattr(significance, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(significance, name, counting(name))
+        real_tile = _SwapTauB._tile
+
+        def counting_tile(self, *args):
+            tiles.append(args[-1])
+            return real_tile(self, *args)
+
+        monkeypatch.setattr(_SwapTauB, "_tile", counting_tile)
+        with caplog.at_level(logging.INFO, logger="lcmteval.significance"):
+            segment_sig_matrix(tables, human, TASK, r=60, seed=8)
+        # one gather and two rankings (the scores and h) per task; each
+        # unordered pair builds each tile once per batch for both orders
+        assert calls == {"_gather": 1, "_dense_ranks": 2}
+        assert tiles == list(range(0, n, 7)) * (3 * 3)
+        (message,) = [r.getMessage() for r in caplog.records]
+        assert "R=60 replicates, 9 quadratic forms, " in message
+
+    def test_cell_errors_match_perm_both(self):
+        keys = [("s1", "g0"), ("s1", "g1"), ("s2", "g0"), ("s2", "g1")]
+        human = dict(zip(keys, [1.0, 2.0, 3.0, 4.0]))
+        tables = {
+            "A": seg_table(dict(zip(keys, [1.0, 2.0, 3.0, 4.0])), "A"),
+            "B": seg_table(dict(zip(keys, [4.0, 3.0, 2.0, 1.0])), "B"),
+            "C": seg_table(dict(zip(keys[:3], [1.0, 2.0, 3.0])), "C"),
+        }
+        with pytest.raises(CellMismatch) as single:
+            perm_both(tables["A"], tables["C"], human, r=10, seed=0)
+        with pytest.raises(CellMismatch) as matrix:
+            segment_sig_matrix(tables, human, TASK, r=10, seed=0)
+        assert str(matrix.value) == str(single.value)
+        tables["C"] = seg_table(dict(zip(keys, [1.0, float("inf"), 3.0, 4.0])), "C")
+        with pytest.raises(NonFiniteScore):
+            segment_sig_matrix(tables, human, TASK, r=10, seed=0)
 
     def test_pair_order_does_not_change_results(self):
         human, tables = self._human_and_tables(seed=67, n=20)
