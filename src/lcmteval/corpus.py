@@ -622,6 +622,32 @@ def scores_file_name(task: Task) -> str:
     return f"{task.label}.tsv"
 
 
+def score_files(config: CampaignConfig, base: Path) -> dict[Task, Path]:
+    """The external score file of each task that has one, under ``base`` (the
+    config file's directory)."""
+    if config.scores_dir is None:
+        return {}
+    paths = {
+        task: base / config.scores_dir / scores_file_name(task)
+        for task in config.tasks()
+    }
+    return {task: path for task, path in paths.items() if path.is_file()}
+
+
+def input_files(config: CampaignConfig, base: Path) -> dict[str, Path]:
+    """Every data file :func:`load_campaign` reads for ``config``, keyed by
+    its path relative to ``base`` (the config file's directory) as the
+    config gives it, in POSIX form."""
+    names = [config.segments_path, config.hypotheses_path]
+    if config.ratings_path is not None:
+        names.append(config.ratings_path)
+    names += [
+        Path(config.scores_dir, scores_file_name(task))
+        for task in score_files(config, base)
+    ]
+    return {Path(name).as_posix(): base / name for name in names}
+
+
 def load_campaign(config_path: str | os.PathLike) -> Campaign:
     """Load and cross-link a full campaign from its config file."""
     config_path = Path(config_path)
@@ -635,23 +661,18 @@ def load_campaign(config_path: str | os.PathLike) -> Campaign:
         ratings = load_ratings(base / config.ratings_path, config, segments)
 
     external: dict[Task, tuple[ScoreTable, ...]] = {}
-    if config.scores_dir is not None:
-        scores_base = base / config.scores_dir
-        for task in config.tasks():
-            score_path = scores_base / scores_file_name(task)
-            if not score_path.is_file():
-                continue
-            seg_ids = sorted(
-                s.seg_id for s in segments.values() if s.direction == task.direction
+    for task, score_path in score_files(config, base).items():
+        seg_ids = sorted(
+            s.seg_id for s in segments.values() if s.direction == task.direction
+        )
+        external[task] = tuple(
+            load_external_scores(
+                score_path,
+                task,
+                systems=config.systems,
+                segment_ids=seg_ids,
             )
-            external[task] = tuple(
-                load_external_scores(
-                    score_path,
-                    task,
-                    systems=config.systems,
-                    segment_ids=seg_ids,
-                )
-            )
+        )
     return Campaign(
         config=config,
         segments=dict(segments),

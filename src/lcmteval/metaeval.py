@@ -31,6 +31,7 @@ from .errors import (
     CellMismatch,
     IncompleteTable,
     LengthMismatch,
+    NonFiniteScore,
     NoVariants,
     SampleTooSmall,
     SystemOnlyTable,
@@ -107,23 +108,40 @@ def system_scores(table: ScoreTable) -> SystemScoreVector:
     return SystemScoreVector(task=table.task, scores=scores)
 
 
-def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
-    """Product-moment correlation."""
-    if len(x) != len(y):
-        raise LengthMismatch(f"vector lengths differ: {len(x)} vs {len(y)}")
-    n = len(x)
-    if n < 2:
-        raise SampleTooSmall("pearson needs at least 2 points")
+def _centred(x: Sequence[float]) -> tuple[np.ndarray, float]:
+    """x - mean(x) as float64, and its sum of squares: each vector's share of
+    :func:`pearson`, taken once per vector.  Raises :class:`NonFiniteScore`
+    on NaN or ±inf."""
     xa = np.asarray(x, dtype=np.float64)
-    ya = np.asarray(y, dtype=np.float64)
+    if not np.isfinite(xa).all():
+        raise NonFiniteScore("pearson needs finite scores")
     dx = xa - xa.mean()
-    dy = ya - ya.mean()
-    sxx = float(np.dot(dx, dx))
-    syy = float(np.dot(dy, dy))
+    return dx, float(np.dot(dx, dx))
+
+
+def _centred_r(x: tuple[np.ndarray, float], y: tuple[np.ndarray, float]) -> float:
+    """Pearson r of two :func:`_centred` vectors of the same length."""
+    (dx, sxx), (dy, syy) = x, y
     if sxx == 0.0 or syy == 0.0:
         raise ZeroVariance("pearson undefined for a constant vector")
     r = float(np.dot(dx, dy)) / math.sqrt(sxx * syy)
-    return CorrelationResult(PEARSON_R, max(-1.0, min(1.0, r)), n)
+    return max(-1.0, min(1.0, r))
+
+
+def _check_paired(x: Sequence[float], y: Sequence[float], what: str) -> int:
+    """The common length of two vectors, which must be at least 2."""
+    if len(x) != len(y):
+        raise LengthMismatch(f"vector lengths differ: {len(x)} vs {len(y)}")
+    if len(x) < 2:
+        raise SampleTooSmall(f"{what} needs at least 2 points")
+    return len(x)
+
+
+def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
+    """Product-moment correlation; NaN or ±inf on either side raises
+    :class:`NonFiniteScore`."""
+    n = _check_paired(x, y, "pearson")
+    return CorrelationResult(PEARSON_R, _centred_r(_centred(x), _centred(y)), n)
 
 
 # Element budget of the pairwise working arrays of ``kendall_tau_b`` and of
@@ -155,11 +173,7 @@ def kendall_tau_b(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     tied pairs T_x and T_y come from the rank counts.  ±inf rank as ordinary
     values; a NaN on either side raises :class:`AllTied`.
     """
-    if len(x) != len(y):
-        raise LengthMismatch(f"vector lengths differ: {len(x)} vs {len(y)}")
-    n = len(x)
-    if n < 2:
-        raise SampleTooSmall("kendall_tau_b needs at least 2 points")
+    n = _check_paired(x, y, "kendall_tau_b")
     xa = np.asarray(x, dtype=np.float64)
     ya = np.asarray(y, dtype=np.float64)
     if np.all(xa == xa[0]) or np.all(ya == ya[0]):

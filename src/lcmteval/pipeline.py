@@ -38,6 +38,7 @@ from .corpus import (
     ScoreTable,
     Task,
     ValidationReport,
+    input_files,
     load_campaign,
     validate_campaign,
 )
@@ -253,6 +254,7 @@ class PipelineState:
 
     @cached_property
     def human_by_task(self) -> dict[Task, dict[tuple[str, str], float]]:
+        started = time.perf_counter()
         normalized = znormalize(
             self.campaign.ratings, include_traps=self.include_traps
         )
@@ -264,11 +266,36 @@ class PipelineState:
         out: dict[Task, dict[tuple[str, str], float]] = {t: {} for t in self.tasks}
         for (task, system, seg_id), value in aggregated.items():
             out[task][(system, seg_id)] = value
+        logger.info(
+            "human aggregation: %d ratings (%d normalised), %d cells over %d "
+            "tasks, %.3f s",
+            len(self.campaign.ratings),
+            len(normalized),
+            len(aggregated),
+            len(self.tasks),
+            time.perf_counter() - started,
+        )
         return out
 
     @cached_property
     def natives(self) -> dict[Task, NativeScores]:
-        return {t: score_tables_for_task(self.campaign, t) for t in self.tasks}
+        out = {}
+        for t in self.tasks:
+            started = time.perf_counter()
+            out[t] = score_tables_for_task(self.campaign, t)
+            n_systems, n_segments = out[t].bleu_stats.shape[:2]
+            cells = n_systems * n_segments
+            logger.info(
+                "native scores %s: %d cells, %d tokenised texts (%d hypotheses, "
+                "%d references), %.3f s",
+                t.label,
+                cells,
+                cells + n_segments,
+                cells,
+                n_segments,
+                time.perf_counter() - started,
+            )
+        return out
 
     @cached_property
     def external_variants(self) -> dict[str, dict[str, dict[Task, ScoreTable]]]:
@@ -711,6 +738,10 @@ def run_pipeline(
     written += state.emit_length_deviation(out)
 
     config_digest = sha256_file(config_path)
+    inputs = {
+        name: sha256_file(path)
+        for name, path in input_files(campaign.config, Path(config_path).parent).items()
+    }
     names = sorted(p.name for p in written)
     manifest = tuple((name, sha256_file(out / name)) for name in names)
     artifacts = PipelineArtifacts(
@@ -724,6 +755,7 @@ def run_pipeline(
             {
                 "files": [{"name": n, "sha256": d} for n, d in manifest],
                 "config_digest": config_digest,
+                "inputs": inputs,
                 "parameters": {
                     "hybrids": state.hybrids,
                     "permutations": state.permutations,

@@ -7,22 +7,29 @@ Segment-level comparison runs a permutation test that swaps the two
 metrics' scores per cell with probability one half.  System comparison
 under a fixed metric uses paired bootstrap resampling over segments.
 
+System-level matrices convert and centre each vector once per task (the
+arithmetic of :func:`~.metaeval.pearson`), take r(human, metric) once per
+metric and r(row, col) once per unordered pair.
+
 The permutation test evaluates Kendall tau-b of both swapped vectors as
-quadratic forms in the swap mask (see :class:`_SwapTauB`): two n x n
-matrices per pair of metrics (concordance and ties) and one matrix product
+quadratic forms in the swap mask (see :class:`_SwapTauB`): one n x n matrix
+per pair of metrics and kind (concordance and ties) and one matrix product
 per batch of replicates replace the per-replicate enumeration of the
 n(n-1)/2 cell pairs.  Every count is an exact integer, so the statistics
-equal pairwise enumeration bit for bit.  Memory is bounded whatever the
-number of cells n: the matrices are built in row tiles and the replicates in
-batches, each of at most ``_BUDGET`` (4,000,000) entries.  Each batch
-carries the unswapped mask as its first row, so one pass over the tiles
-per batch gives both the observed difference and the replicates'.
+equal pairwise enumeration bit for bit.  The matrix of metrics A and B is
+assembled from int8 sign blocks: each metric's within-metric block, which
+every pair using that metric shares, and one cross block of A against B.
+Memory is bounded whatever the number of cells n: the blocks are built in
+row tiles and the replicates in batches, each of at most ``_BUDGET``
+(4,000,000) entries, and the within-metric blocks are kept only for the
+rows where they fit in ``_BUDGET`` entries too.  Each batch carries the
+unswapped mask as its first row, so one pass over the tiles per batch gives
+both the observed difference and the replicates'.
 
 A matrix of M metrics gathers and ranks its cells once per task, and the
-two orders (A, B) and (B, A) of a pair share that pair's matrices: Q is
-symmetric in A and B, so each pass over its tiles serves a batch of each
-order's own masks.  Every p-value equals that of one ``perm_both`` call
-per ordered pair.
+two orders (A, B) and (B, A) of a pair share that pair's matrices: each
+pass over its tiles serves a batch of each order's own masks.  Every
+p-value equals that of one ``perm_both`` call per ordered pair.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from statistics import NormalDist
 from typing import Mapping, Sequence
 
@@ -47,7 +54,14 @@ from .errors import (
     SampleTooSmall,
     SystemOnlyTable,
 )
-from .metaeval import _BUDGET, _dense_ranks, _sign_of_difference, pearson
+from .metaeval import (
+    _BUDGET,
+    _centred,
+    _centred_r,
+    _check_paired,
+    _dense_ranks,
+    _sign_of_difference,
+)
 from .seeding import derive_int, rng_for
 
 logger = logging.getLogger(__name__)
@@ -136,20 +150,33 @@ def system_sig_matrix(
     """Pairwise win matrix over system-level metric vectors.
 
     A row metric significantly wins over a column metric when the interval
-    for (r(human, row) - r(human, col)) lies strictly above zero.
+    for (r(human, row) - r(human, col)) lies strictly above zero.  Each
+    vector is converted and centred once (:func:`~.metaeval._centred`, the
+    arithmetic of :func:`~.metaeval.pearson`), r(human, metric) is taken
+    once per metric and r(row, col) once per unordered pair, so every cell
+    equals the one built from ``pearson`` and :func:`zou_ci` per ordered
+    pair, errors included.
     """
     names = list(metric_vectors)
     n = len(human_vector)
-    human_r = {
-        name: pearson(human_vector, metric_vectors[name]).value for name in names
-    }
+    human = None
+    vectors, human_r = {}, {}
+    for name in names:  # each check in the order pearson(human, metric) makes it
+        _check_paired(human_vector, metric_vectors[name], "pearson")
+        if human is None:
+            human = _centred(human_vector)
+        vectors[name] = _centred(metric_vectors[name])
+        human_r[name] = _centred_r(human, vectors[name])
+    cross_r: dict[frozenset[str], float] = {}
     cells: dict[tuple[str, str], SigCell] = {}
     for row in names:
         for col in names:
             if row == col:
                 continue
-            r23 = pearson(metric_vectors[row], metric_vectors[col]).value
-            ci = zou_ci(human_r[row], human_r[col], r23, n, level)
+            pair = frozenset((row, col))
+            if pair not in cross_r:
+                cross_r[pair] = _centred_r(vectors[row], vectors[col])
+            ci = zou_ci(human_r[row], human_r[col], cross_r[pair], n, level)
             cells[(row, col)] = SigCell(
                 row_metric=row,
                 col_metric=col,
@@ -188,17 +215,6 @@ def _gather(
     return scores, h
 
 
-@dataclass(frozen=True)
-class _Tile:
-    """Rows ``lo:hi`` of the quadratic forms of one pair of metrics."""
-
-    lo: int
-    hi: int
-    quad: np.ndarray  # (2 * rows, n) float32: Q rows for cmd, then for n1
-    lin: np.ndarray  # (rows, 4): linear terms of 2*(cmd_a, cmd_b, n1_a, n1_b)
-    const: np.ndarray  # (4,): this tile's share of the unswapped counts
-
-
 class _SwapTauB:
     """Kendall tau-b against the human scores h of both sides of a per-cell
     swap of two of M metrics, for batches of swap masks.
@@ -213,27 +229,36 @@ class _SwapTauB:
         2 cmd(B*) = sum(G_bb) + 2 m.(rowsum(G_ab) - rowsum(G_bb)) + m'Qm
 
     with Q = G_aa + G_bb - G_ab - G_ba shared by both sides (m_i^2 = m_i
-    folds the rest into the linear term).  The tie count n1 has the same
-    form with T_xy[i, j] = [x_i == y_j and i != j] in place of G_xy.  One
-    matrix product per batch of masks gives both sides.
+    folds the rest into the linear term).  g and sign are antisymmetric, so
+    G_ba = G_ab' : m'Qm = m'Q'm with Q' = G_aa + G_bb - 2 G_ab, and
+    rowsum(G_ba) is colsum(G_ab).  The tie count n1 has the same form with
+    T_xy[i, j] = [x_i == y_j and i != j] in place of G_xy (T_ba = T_ab' too).
+    One matrix product per batch of masks gives both sides.
 
     Every count is an exact integer, so tau-b equals pairwise enumeration
-    bit for bit: Q's entries lie in [-4, 4], so float32 holds each entry of
-    Qm exactly (|.| <= 4n < 2**24), and the sums over rows, the linear terms
-    and the constants are taken in float64 (|.| <= 4n^2 < 2**53).
+    bit for bit: the entries of Q' lie in [-4, 4], so float32 holds each
+    entry of Q'm exactly (|.| <= 4n < 2**24) and each tile's share of m'Q'm
+    (|.| <= 4n * rows <= 2**24, which caps the tile rows), and the linear
+    terms, the constants and the sums over tiles are taken in float64
+    (|.| <= 4n^2 < 2**53).
 
     The M metrics' scores are ranked once, jointly, so the sign of a rank
     difference is the sign of the score difference between any two of
-    them; h's ranks and tie count are taken once too.  Q of a pair is built
-    in row tiles whose four sign blocks hold at most ``_BUDGET`` entries,
-    once per call of :meth:`taus` whatever the number of batches it is
-    given; nothing is kept between calls.  The blocks are computed and added
-    into Q one at a time, so a tile's working memory is Q's rows plus one
-    block.
+    them; h's ranks and tie count are taken once too.  The int8 blocks are
+    built in row tiles of at most ``_BUDGET // (4n)`` rows.  The constructor
+    builds g and each metric's within-metric block G_xx once per tile and
+    keeps their row sums; T_xx is a comparison of ranks, rebuilt where it
+    is needed, and its row sums come from the rank counts.  The constructor
+    keeps g and the G_xx themselves for the first ``kept`` rows, as many as
+    M + 1 blocks fit in ``_BUDGET`` entries (every row up to about 570
+    cells at 11 metrics); those rows are the first tile.  Per batch,
+    :meth:`taus` builds one cross block (G_ab, T_ab) per tile (past the
+    kept rows also g, G_aa and G_bb) and forms Q' in one float32 buffer that
+    every pair reuses.
     """
 
     def __init__(self, scores: np.ndarray, h: np.ndarray):
-        n = len(h)
+        m, n = scores.shape
         self.n0 = n * (n - 1) // 2
         h_ranks = _dense_ranks(h)
         counts = np.bincount(h_ranks)
@@ -245,67 +270,122 @@ class _SwapTauB:
         dtype = np.min_scalar_type(scores.size)
         self.ranks = _dense_ranks(scores).astype(dtype)
         self.h_ranks = h_ranks.astype(dtype)
-        self.tile_rows = max(1, _BUDGET // (4 * n))
-        self.q_builds = 0  # calls of taus: each builds the pair's Q once
-
-    def _tile(self, a: int, b: int, lo: int) -> _Tile:
-        ranks, h_ranks = self.ranks[[a, b]], self.h_ranks
-        n = len(h_ranks)
-        hi = min(lo + self.tile_rows, n)
-        rows = hi - lo
-        g = _sign_of_difference(h_ranks[lo:hi, None], h_ranks)
-        quad = np.zeros((2, rows, n), dtype=np.float32)  # (kind, p, q)
-        sums = np.empty((2, 2, rows, 2), dtype=np.int64)  # (kind, x, p, y)
-        for x in (0, 1):
-            for y in (0, 1):
-                # block (x, y): sign(x_p - y_q) and [x_p == y_q, p != q]
-                s = _sign_of_difference(ranks[x, lo:hi, None], ranks[y])
-                tie = (s == 0).view(np.int8)
-                tie[np.arange(rows), np.arange(lo, hi)] = 0  # same cell
-                s *= g
-                add = np.add if x == y else np.subtract  # Q = aa + bb - ab - ba
-                for kind, block in enumerate((s, tie)):
-                    add(quad[kind], block, out=quad[kind])
-                    sums[kind, x, :, y] = block.sum(axis=1, dtype=np.int32)
-        lin = np.stack([
-            sums[:, 1, :, 0] - sums[:, 0, :, 0],  # rowsum(G_ba) - rowsum(G_aa)
-            sums[:, 0, :, 1] - sums[:, 1, :, 1],  # rowsum(G_ab) - rowsum(G_bb)
-        ], axis=1).reshape(4, rows).T
-        const = np.stack([
-            sums[:, 0, :, 0].sum(axis=1), sums[:, 1, :, 1].sum(axis=1)
-        ], axis=1).reshape(4)
-        return _Tile(
-            lo, hi, quad.reshape(2 * rows, n), 2.0 * lin, const.astype(np.float64)
+        # at most 2**24 entries keep a tile's share of m'Q'm exact in float32
+        budget = min(_BUDGET, 2**24)
+        self.tile_rows = max(1, budget // (4 * n))
+        self.kept = min(n, budget // ((m + 1) * n))
+        self.tiles = [(0, self.kept)] if self.kept else []
+        self.tiles += [
+            (lo, min(lo + self.tile_rows, n))
+            for lo in range(self.kept, n, self.tile_rows)
+        ]
+        rows = max(hi - lo for lo, hi in self.tiles)
+        fresh_rows = max(
+            (hi - lo for lo, hi in self.tiles if lo >= self.kept), default=0
         )
+        self.within_builds = 0  # one metric's G_xx rows of one tile
+        self.cross_builds = 0  # one pair's (G_ab, T_ab) rows of one tile
+        self.g = np.empty((self.kept, n), dtype=np.int8)
+        self.within = np.empty((m, self.kept, n), dtype=np.int8)
+        # rowsum(G_xx) and rowsum(T_xx) of each metric x over every column
+        self.row_sums = np.empty((2, m, n), dtype=np.int64)
+        for x, ranks in enumerate(self.ranks):
+            self.row_sums[1, x] = np.bincount(ranks)[ranks] - 1
+        # the working blocks: g, G_aa and G_bb past the kept rows, a pair's
+        # cross block and then Q' in int8, a rank comparison, Q' in float32
+        self._fresh = np.empty((3, fresh_rows, n), dtype=np.int8)
+        self._pair_buf = np.empty(2 * rows * n, dtype=np.int8)
+        self._equal_buf = np.empty(rows * n, dtype=np.bool_)
+        self._quad_buf = np.empty(2 * rows * n, dtype=np.float32)
+        for lo, hi in self.tiles:
+            kept = lo < self.kept
+            g = self._g(lo, hi, self.g if kept else self._fresh[0, : hi - lo])
+            for x in range(m):
+                out = self.within[x] if kept else self._fresh[1, : hi - lo]
+                self._within(x, g, lo, out).sum(axis=1, out=self.row_sums[0, x, lo:hi])
+
+    def _g(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        """Rows lo:hi of g = sign(h_i - h_j), written into ``out``."""
+        out[...] = _sign_of_difference(self.h_ranks[lo:hi, None], self.h_ranks)
+        return out
+
+    def _within(self, x: int, g: np.ndarray, lo: int, out: np.ndarray) -> np.ndarray:
+        """Rows lo:lo + len(g) of G_xx, written into ``out``."""
+        self.within_builds += 1
+        ranks = self.ranks[x]
+        s = _sign_of_difference(ranks[lo : lo + len(g), None], ranks)
+        return np.multiply(s, g, out=out)
+
+    def _cross(
+        self, a: int, b: int, g: np.ndarray, lo: int, out: np.ndarray
+    ) -> np.ndarray:
+        """Rows lo:lo + len(g) of G_ab and of T_ab, written into ``out[0]``
+        and ``out[1]``."""
+        self.cross_builds += 1
+        hi = lo + len(g)
+        s = _sign_of_difference(self.ranks[a, lo:hi, None], self.ranks[b])
+        np.equal(s, 0, out=out[1].view(np.bool_))
+        np.fill_diagonal(out[1, :, lo:hi], 0)  # the same cell
+        np.multiply(s, g, out=out[0])
+        return out
 
     def taus(
         self, a: int, b: int, batches: Sequence[np.ndarray]
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Metrics a and b (rows of the scores) and (rows, n) boolean mask
         batches -> per batch, tau-b of A* and of B* per mask.  Each tile of
-        Q is built once and applied to every batch."""
-        self.q_builds += 1
-        ws = [masks.astype(np.float32) for masks in batches]
-        # per batch: 2 * (cmd_a, cmd_b, n1_a, n1_b)
-        twice = [np.zeros((len(w), 4)) for w in ws]
-        for lo in range(0, len(self.h_ranks), self.tile_rows):
-            tile = self._tile(a, b, lo)
-            for w, acc in zip(ws, twice):
-                w_rows = w[:, tile.lo : tile.hi]
-                prod = (w @ tile.quad.T).reshape(len(w), 2, -1)
-                prod *= w_rows[:, None, :]
-                forms = prod.sum(axis=2, dtype=np.float64)  # m'Qm per kind
-                acc += tile.const + w_rows @ tile.lin + np.repeat(forms, 2, axis=1)
-        result = []
-        for acc in twice:
-            con_minus_dis = acc[:, :2] / 2
-            n1 = acc[:, 2:] / 2
-            denom = np.sqrt((self.n0 - n1) * float(self.n0 - self.n2))
-            if np.any(denom == 0.0):
-                raise AllTied("kendall tau degenerate inside permutation test")
-            tau = con_minus_dis / denom
-            result.append((tau[:, 0], tau[:, 1]))
-        return result
+        Q' is built once and applied to every batch."""
+        n = len(self.h_ranks)
+        w = np.concatenate(batches).astype(np.float32)
+        ends = list(accumulate(len(masks) for masks in batches))
+        spans = list(zip([0, *ends], ends))
+        forms = np.zeros((len(w), 2))  # m'Q'm per kind
+        # per kind (G, T): colsum and rowsum of the cross block over all rows
+        cross_sums = np.zeros((2, 2, n), dtype=np.int64)
+        for lo, hi in self.tiles:
+            rows = hi - lo
+            if lo < self.kept:
+                g, within_a, within_b = self.g, self.within[a], self.within[b]
+            else:
+                g = self._g(lo, hi, self._fresh[0, :rows])
+                within_a = self._within(a, g, lo, self._fresh[1, :rows])
+                within_b = self._within(b, g, lo, self._fresh[2, :rows])
+            cross = self._cross(
+                a, b, g, lo, self._pair_buf[: 2 * rows * n].reshape(2, rows, n)
+            )
+            cross_sums[:, 0] += cross.sum(axis=1, dtype=np.int32)
+            cross_sums[:, 1, lo:hi] = cross.sum(axis=2, dtype=np.int32)
+            # Q' in place, in [-4, 4]: G_aa + G_bb - 2 G_ab, T_aa + T_bb - 2 T_ab
+            cross *= -2
+            cross[0] += within_a
+            cross[0] += within_b
+            equal = self._equal_buf[: rows * n].reshape(rows, n)
+            for x in (a, b):
+                np.equal(self.ranks[x, lo:hi, None], self.ranks[x], out=equal)
+                cross[1] += equal
+            np.fill_diagonal(cross[1, :, lo:hi], 0)  # T_xx leaves out the same cell
+            quad = self._quad_buf[: 2 * rows * n].reshape(2 * rows, n)
+            quad[...] = cross.reshape(2 * rows, n)
+            for start, end in spans:  # one product per batch bounds its size
+                prod = (w[start:end] @ quad.T).reshape(end - start, 2, rows)
+                forms[start:end] += np.einsum("rkp,rp->rk", prod, w[start:end, lo:hi])
+        # per kind and side: rowsum(G_aa), rowsum(G_bb), rowsum(T_aa), ...
+        within_sums = self.row_sums[:, [a, b]]
+        # 2 * (cmd_a, cmd_b, n1_a, n1_b): the unswapped counts, the linear
+        # terms (A: colsum(G_ab) - rowsum(G_aa), B: rowsum(G_ab) - rowsum(G_bb))
+        # and the quadratic forms
+        lin = 2.0 * (cross_sums - within_sums).reshape(4, n).T
+        twice = w @ lin
+        twice += within_sums.sum(axis=2, dtype=np.float64).reshape(4)
+        by_kind = twice.reshape(-1, 2, 2)  # a view: (replicate, kind, side)
+        by_kind += forms[:, :, None]
+        con_minus_dis = twice[:, :2] / 2
+        n1 = twice[:, 2:] / 2
+        denom = np.sqrt((self.n0 - n1) * float(self.n0 - self.n2))
+        if not denom.all():
+            raise AllTied("kendall tau degenerate inside permutation test")
+        tau = con_minus_dis / denom
+        return [(tau[start:end, 0], tau[start:end, 1]) for start, end in spans]
 
 
 def _swap_hits(
@@ -400,7 +480,7 @@ def segment_sig_matrix(
     m = len(pairs)
     started = time.perf_counter()
     p_values: dict[tuple[str, str], float] = {}
-    forms = 0
+    within = cross = 0
     if pairs:
         kernel = _SwapTauB(
             *_gather([tables[name] for name in names], human_segment_scores)
@@ -410,7 +490,7 @@ def segment_sig_matrix(
             seeds = [derive_int(seed, "segment-sig", *pair) for pair in orders]
             for pair, hits in zip(orders, _swap_hits(kernel, i, j, seeds, r)):
                 p_values[pair] = (1 + hits) / (r + 1)
-        forms = kernel.q_builds
+        within, cross = kernel.within_builds, kernel.cross_builds
     cells: dict[tuple[str, str], SigCell] = {}
     for row, col in pairs:
         p = p_values[(row, col)]
@@ -424,13 +504,14 @@ def segment_sig_matrix(
         )
     logger.info(
         "segment significance %s: %d metrics, %d ordered pairs, n=%d cells, "
-        "R=%d replicates, %d quadratic forms, %.3f s",
+        "R=%d replicates, %d within-metric and %d cross blocks, %.3f s",
         task.label,
         len(names),
         m,
         len(tables[names[0]].cells) if names else 0,
         r,
-        forms,
+        within,
+        cross,
         time.perf_counter() - started,
     )
     return SigMatrix(task=task, level="segment", metrics=tuple(names), cells=cells)

@@ -17,6 +17,7 @@ from lcmteval.errors import (
     CellMismatch,
     IncompleteTable,
     LengthMismatch,
+    NonFiniteScore,
     NoVariants,
     SystemOnlyTable,
     TooFewSystems,
@@ -91,6 +92,14 @@ class TestPearson:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             pearson([1.0, 2.0], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_score_rejected(self, bad):
+        # the clamp to [-1, 1] would turn a NaN r into 1.0
+        with pytest.raises(NonFiniteScore):
+            pearson([1, 2, bad, 4], [1, 2, 3, 5])
+        with pytest.raises(NonFiniteScore):
+            pearson([1, 2, 3, 5], [1, 2, bad, 4])
 
     @given(
         st.lists(st.integers(-50, 50), min_size=3, max_size=50),

@@ -175,6 +175,7 @@ class TestScoreTables:
 
     def test_system_stage_logs_one_line_per_task(self, campaign, caplog):
         state = PipelineState(campaign, hybrids=20)
+        state.human_by_task, state.natives  # they log their own lines
         with caplog.at_level(logging.INFO, logger="lcmteval.pipeline"):
             state.system_stage
         messages = [
@@ -189,6 +190,30 @@ class TestScoreTables:
                 "K=20 hybrids, "
             )
             assert message.endswith(" s")
+
+    def test_human_aggregation_and_native_scores_log_work_at_info(
+        self, campaign, caplog
+    ):
+        state = PipelineState(campaign)
+        with caplog.at_level(logging.INFO, logger="lcmteval.pipeline"):
+            state.human_by_task
+            state.natives
+        messages = [
+            r.getMessage() for r in caplog.records if r.name == "lcmteval.pipeline"
+        ]
+        tasks = campaign.tasks()
+        assert len(messages) == 1 + len(tasks)
+        # 2 systems x 12 segments per direction rated by 3 annotators per
+        # task, plus 48 trap ratings left out of the z-scores
+        assert messages[0].startswith(
+            "human aggregation: 336 ratings (288 normalised), 96 cells over 4 tasks, "
+        )
+        for task, message in zip(tasks, messages[1:]):
+            assert message.startswith(
+                f"native scores {task.label}: 24 cells, 36 tokenised texts "
+                "(24 hypotheses, 12 references), "
+            )
+        assert all(message.endswith(" s") for message in messages)
 
     def test_one_hybrid_draw_set_per_task(self, campaign, monkeypatch):
         import lcmteval.metaeval as metaeval_module

@@ -4,7 +4,7 @@ import shutil
 import pytest
 
 from lcmteval.cli import main
-from lcmteval.corpus import Task
+from lcmteval.corpus import Task, input_files, parse_config
 from lcmteval.errors import UnsupportedFormat
 from lcmteval.reports import (
     SIG_HEADER,
@@ -434,6 +434,35 @@ class TestRunCommand:
         text = (out / "manifest.json").read_text()
         assert "Infinity" not in text
         assert json.loads(text)["parameters"]["timing_cutoff"] == "inf"
+
+    def test_manifest_records_input_digests(self, fixture_config_path, tmp_path):
+        import hashlib
+
+        campaign = tmp_path / "campaign"
+        shutil.copytree(fixture_config_path.parent, campaign)
+        run = ["run", str(campaign / "campaign.conf"), "--level", "segment"]
+        assert main(run + FAST_FLAGS + ["--out", str(tmp_path / "a")]) == 0
+        manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        names = ["hypotheses.jsonl", "ratings.csv", "scores/en-zh.50.tsv",
+                 "scores/en-zh.80.tsv", "scores/zh-en.50.tsv",
+                 "scores/zh-en.80.tsv", "segments.jsonl"]
+        assert manifest["inputs"] == {
+            name: hashlib.sha256((campaign / name).read_bytes()).hexdigest()
+            for name in names
+        }
+        # an edited input changes its digest and nothing else in the block
+        with (campaign / "ratings.csv").open("a", encoding="utf-8") as fh:
+            fh.write("\n")
+        assert main(run + FAST_FLAGS + ["--out", str(tmp_path / "b")]) == 0
+        edited = json.loads((tmp_path / "b" / "manifest.json").read_text())["inputs"]
+        changed = [n for n in names if edited[n] != manifest["inputs"][n]]
+        assert changed == ["ratings.csv"]
+        # a task without a score file reads none
+        (campaign / "scores" / "zh-en.50.tsv").unlink()
+        config = parse_config(campaign / "campaign.conf")
+        assert sorted(input_files(config, campaign)) == [
+            name for name in names if name != "scores/zh-en.50.tsv"
+        ]
 
     @pytest.mark.parametrize(
         "flag, value",

@@ -12,9 +12,12 @@ from lcmteval.errors import (
     AllTied,
     CellMismatch,
     DegenerateCorrelation,
+    LengthMismatch,
     NonFiniteScore,
     SampleTooSmall,
+    ZeroVariance,
 )
+from lcmteval.metaeval import pearson
 from lcmteval.significance import (
     _SwapTauB,
     bonferroni,
@@ -168,6 +171,60 @@ class TestSystemSigMatrix:
                     continue
                 if matrix.cells[(row, col)].significant:
                     assert not matrix.cells[(col, row)].significant
+
+    @staticmethod
+    def _per_ordered_pair(vectors, human):
+        """The cells from one ``pearson`` per correlation and one ``zou_ci``
+        per ordered pair."""
+        human_r = {name: pearson(human, v).value for name, v in vectors.items()}
+        cells = {}
+        for row in vectors:
+            for col in vectors:
+                if row != col:
+                    r23 = pearson(vectors[row], vectors[col]).value
+                    ci = zou_ci(human_r[row], human_r[col], r23, len(human))
+                    cells[(row, col)] = (ci, ci.lower > 0.0)
+        return cells
+
+    @given(
+        st.integers(4, 12).flatmap(
+            lambda n: st.tuples(
+                st.lists(
+                    st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5]),
+                             min_size=n, max_size=n),
+                    min_size=1, max_size=5,
+                ),
+                st.lists(st.floats(-3, 3), min_size=n, max_size=n),
+            )
+        ),
+        st.integers(0, 6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_cells_equal_per_ordered_pair_construction(self, drawn, short):
+        # few levels, so constant vectors (ZeroVariance) and exact copies
+        # occur; ``short`` > 0 cuts one vector (LengthMismatch)
+        columns, human = drawn
+        vectors = {f"m{j}": column for j, column in enumerate(columns)}
+        if short and short < len(columns[0]):
+            vectors[f"m{short % len(columns)}"] = columns[short % len(columns)][short:]
+        try:
+            expected = self._per_ordered_pair(vectors, human)
+        except Exception as exc:  # the same error, with the same message
+            with pytest.raises(type(exc)) as raised:
+                system_sig_matrix(vectors, human, TASK)
+            assert str(raised.value) == str(exc)
+            return
+        matrix = system_sig_matrix(vectors, human, TASK)
+        assert {
+            key: (cell.ci, cell.significant) for key, cell in matrix.cells.items()
+        } == expected
+
+    def test_zero_variance_and_length_mismatch(self):
+        human = [0.1, 0.4, 0.2, 0.9, 0.5]
+        with pytest.raises(ZeroVariance):
+            system_sig_matrix({"a": [1, 2, 3, 4, 6], "b": [2.0] * 5}, human, TASK)
+        with pytest.raises(LengthMismatch):
+            system_sig_matrix({"a": [1, 2, 3, 4, 6], "b": [1, 2, 3, 4]}, human, TASK)
 
 
 class TestPermBoth:
@@ -330,31 +387,54 @@ class TestSwapKernel:
         assert perm_both(ta, tb, dict(zip(keys, h)), r=45, seed=21) == expected
 
     def test_each_tile_built_once_per_batch(self, monkeypatch):
-        # 7-row tiles (13 of them) and one batch of 20 replicates: the
-        # unswapped row rides in the batch, so Q is built once
+        # the constructor builds each metric's within-metric block once per
+        # tile; each batch builds one cross block per tile, and past the kept
+        # rows the pair's within-metric blocks again
         rng = np.random.default_rng(89)
         n = 90
         keys = sorted((f"s{i % 3}", f"g{i:02d}") for i in range(n))
         a, b = rng.integers(0, 5, n) / 4, rng.integers(0, 5, n) / 4
         h = rng.integers(-3, 4, n).astype(float)
         ta, tb = seg_table(dict(zip(keys, a)), "A"), seg_table(dict(zip(keys, b)), "B")
-        monkeypatch.setattr(significance, "_BUDGET", 4 * n * 7)
-        tiles, batches = [], []
-        real_tile, real_taus = _SwapTauB._tile, _SwapTauB.taus
+        blocks, sizes = [], []
+        real_within, real_cross, real_taus = (
+            _SwapTauB._within, _SwapTauB._cross, _SwapTauB.taus
+        )
 
-        def counting_tile(self, a, b, lo):
-            tiles.append(lo)
-            return real_tile(self, a, b, lo)
+        def counting_within(self, x, g, lo, out):
+            blocks.append((x, x, lo))
+            return real_within(self, x, g, lo, out)
+
+        def counting_cross(self, x, y, g, lo, out):
+            blocks.append((x, y, lo))
+            return real_cross(self, x, y, g, lo, out)
 
         def counting_taus(self, a, b, masks):
-            batches.extend(len(m) for m in masks)
+            sizes.append([len(m) for m in masks])
             return real_taus(self, a, b, masks)
 
-        monkeypatch.setattr(_SwapTauB, "_tile", counting_tile)
+        monkeypatch.setattr(_SwapTauB, "_within", counting_within)
+        monkeypatch.setattr(_SwapTauB, "_cross", counting_cross)
         monkeypatch.setattr(_SwapTauB, "taus", counting_taus)
-        perm_both(ta, tb, dict(zip(keys, h)), r=20, seed=5)
-        assert tiles == list(range(0, n, 7))
-        assert batches == [21]
+        for budget, r, tiles, batches in (
+            # every row kept (one tile), three batches of up to 269
+            # replicates plus the unswapped row
+            (3 * n * n, 700, [0], [270, 270, 163]),
+            # 9 kept rows, then 7-row tiles (13 tiles), one batch of 20
+            (4 * n * 7, 20, [0, *range(9, n, 7)], [21]),
+        ):
+            blocks.clear()
+            sizes.clear()
+            monkeypatch.setattr(significance, "_BUDGET", budget)
+            perm_both(ta, tb, dict(zip(keys, h)), r=r, seed=5)
+            per_batch = [(0, 1, 0)] + [
+                block
+                for lo in tiles[1:]
+                for block in ((0, 0, lo), (1, 1, lo), (0, 1, lo))
+            ]
+            built_once = [(x, x, lo) for lo in tiles for x in (0, 1)]
+            assert blocks == built_once + per_batch * len(batches)
+            assert sizes == [[size] for size in batches]
 
     def test_non_finite_score_rejected(self):
         keys = [("s1", "g0"), ("s1", "g1"), ("s2", "g0"), ("s2", "g1")]
@@ -469,9 +549,56 @@ class TestSegmentSigMatrix:
                 matrix = segment_sig_matrix(tables, human, TASK, r=40, seed=seed)
             assert {k: c.p_value for k, c in matrix.cells.items()} == expected
 
+    @given(
+        st.integers(3, 10).flatmap(
+            lambda n: st.tuples(
+                st.lists(
+                    st.lists(SIGNED_LEVELS, min_size=n, max_size=n),
+                    min_size=3, max_size=4,
+                ),
+                st.lists(st.integers(-2, 2).map(float), min_size=n, max_size=n),
+            )
+        ),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_shrunk_budget_p_values_equal_enumeration_oracle(self, cells, seed):
+        # 2-row tiles (after at most 2 kept rows) and batches of 7
+        # replicates plus the unswapped row: 4 batches at R = 25
+        scores, h = cells
+        n = len(h)
+        keys = sorted((f"s{i % 3}", f"g{i:02d}") for i in range(n))
+        tables = {
+            f"m{j}": seg_table(dict(zip(keys, column)), f"m{j}")
+            for j, column in enumerate(scores)
+        }
+        human = dict(zip(keys, h))
+        try:
+            expected = {
+                (row, col): perm_both_enumeration(
+                    scores[int(row[1:])], scores[int(col[1:])], h, r=25,
+                    seed=derive_int(seed, "segment-sig", row, col),
+                )
+                for row in tables
+                for col in tables
+                if row != col
+            }
+        except ZeroDivisionError:  # h or some replicate of some pair is all ties
+            expected = None
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(significance, "_BUDGET", 4 * n * 2)
+            if expected is None:
+                with pytest.raises(AllTied):
+                    segment_sig_matrix(tables, human, TASK, r=25, seed=seed)
+                return
+            matrix = segment_sig_matrix(tables, human, TASK, r=25, seed=seed)
+        assert {k: c.p_value for k, c in matrix.cells.items()} == expected
+
     def test_pairs_share_q_and_cells_are_ranked_once(self, monkeypatch, caplog):
-        # 3 metrics (3 unordered pairs), 7-row tiles (13 of them) and, at
-        # R = 60, 3 batches of up to 27 replicates plus the unswapped row
+        # 3 metrics (3 unordered pairs); the constructor builds each metric's
+        # within-metric block once per tile, and each pair builds one cross
+        # block per tile and batch for both orders (past the kept rows also
+        # its two within-metric blocks)
         rng = np.random.default_rng(97)
         n = 90
         keys = sorted((f"s{i % 3}", f"g{i:02d}") for i in range(n))
@@ -480,9 +607,8 @@ class TestSegmentSigMatrix:
             for name in ("A", "B", "C")
         }
         human = dict(zip(keys, rng.integers(-3, 4, n).astype(float)))
-        monkeypatch.setattr(significance, "_BUDGET", 4 * n * 7)
         calls = {"_gather": 0, "_dense_ranks": 0}
-        tiles = []
+        blocks = []
 
         def counting(name):
             real = getattr(significance, name)
@@ -495,21 +621,50 @@ class TestSegmentSigMatrix:
 
         for name in calls:
             monkeypatch.setattr(significance, name, counting(name))
-        real_tile = _SwapTauB._tile
+        real_within, real_cross = _SwapTauB._within, _SwapTauB._cross
 
-        def counting_tile(self, *args):
-            tiles.append(args[-1])
-            return real_tile(self, *args)
+        def counting_within(self, x, g, lo, out):
+            blocks.append((x, x, lo))
+            return real_within(self, x, g, lo, out)
 
-        monkeypatch.setattr(_SwapTauB, "_tile", counting_tile)
-        with caplog.at_level(logging.INFO, logger="lcmteval.significance"):
-            segment_sig_matrix(tables, human, TASK, r=60, seed=8)
-        # one gather and two rankings (the scores and h) per task; each
-        # unordered pair builds each tile once per batch for both orders
-        assert calls == {"_gather": 1, "_dense_ranks": 2}
-        assert tiles == list(range(0, n, 7)) * (3 * 3)
-        (message,) = [r.getMessage() for r in caplog.records]
-        assert "R=60 replicates, 9 quadratic forms, " in message
+        def counting_cross(self, x, y, g, lo, out):
+            blocks.append((x, y, lo))
+            return real_cross(self, x, y, g, lo, out)
+
+        monkeypatch.setattr(_SwapTauB, "_within", counting_within)
+        monkeypatch.setattr(_SwapTauB, "_cross", counting_cross)
+        for budget, r, tiles, n_batches in (
+            # every row kept (one tile), R = 800: 3 batches of up to 359
+            # replicates plus the unswapped row
+            (4 * n * n, 800, [0], 3),
+            # 7 kept rows, then 7-row tiles (13 tiles), R = 60: 3 batches of
+            # up to 27 replicates plus the unswapped row
+            (4 * n * 7, 60, [0, *range(7, n, 7)], 3),
+        ):
+            for counter in calls:
+                calls[counter] = 0
+            blocks.clear()
+            caplog.clear()
+            monkeypatch.setattr(significance, "_BUDGET", budget)
+            with caplog.at_level(logging.INFO, logger="lcmteval.significance"):
+                segment_sig_matrix(tables, human, TASK, r=r, seed=8)
+            # one gather and two rankings (the scores and h) per task
+            assert calls == {"_gather": 1, "_dense_ranks": 2}
+            expected = [(x, x, lo) for lo in tiles for x in range(3)]
+            for i, j in ((0, 1), (0, 2), (1, 2)):
+                per_batch = [(i, j, 0)] + [
+                    block
+                    for lo in tiles[1:]
+                    for block in ((i, i, lo), (j, j, lo), (i, j, lo))
+                ]
+                expected += per_batch * n_batches
+            assert blocks == expected
+            within = sum(x == y for x, y, _ in blocks)
+            (message,) = [r.getMessage() for r in caplog.records]
+            assert (
+                f"R={r} replicates, {within} within-metric and "
+                f"{len(blocks) - within} cross blocks, "
+            ) in message
 
     def test_cell_errors_match_perm_both(self):
         keys = [("s1", "g0"), ("s1", "g1"), ("s2", "g0"), ("s2", "g1")]
