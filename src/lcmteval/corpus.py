@@ -360,6 +360,14 @@ def _whole_number(value) -> int:
     return int(value)
 
 
+def _number(value) -> float:
+    """``float(value)`` for a number or numeric string; a boolean raises
+    ValueError instead of reading as 1.0 or 0.0."""
+    if isinstance(value, bool):
+        raise ValueError(f"not a number: {value!r}")
+    return float(value)
+
+
 def load_segments(path: Path, config: CampaignConfig) -> dict[str, SegmentRecord]:
     segments: dict[str, SegmentRecord] = {}
     for lineno, obj in _read_jsonl(path):
@@ -414,7 +422,7 @@ def load_hypotheses(
             rec = HypothesisRecord(
                 system_id=str(obj["system_id"]),
                 seg_id=str(obj["seg_id"]),
-                length_ratio=float(obj["length_ratio"]),
+                length_ratio=_number(obj["length_ratio"]),
                 text=str(obj["text"]),
             )
         except KeyError as exc:

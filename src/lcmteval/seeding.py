@@ -6,7 +6,9 @@ through ``(master, purpose-tag, indices...)`` derivations, and
 generator per hybrid index.  The permutation test, the paired bootstrap and
 trap sampling get one generator per call, from which the replicates are
 drawn in order, so a result depends only on its key and never on how the
-draws are batched.
+draws are batched.  A segment significance matrix gets one permutation-test
+generator per unordered pair of metrics, keyed by the two names in sorted
+order, and both orders of the pair read their p-values off its masks.
 """
 
 from __future__ import annotations

@@ -26,10 +26,12 @@ rows where they fit in ``_BUDGET`` entries too.  Each batch carries the
 unswapped mask as its first row, so one pass over the tiles per batch gives
 both the observed difference and the replicates'.
 
-A matrix of M metrics gathers and ranks its cells once per task, and the
-two orders (A, B) and (B, A) of a pair share that pair's matrices: each
-pass over its tiles serves a batch of each order's own masks.  Every
-p-value equals that of one ``perm_both`` call per ordered pair.
+A matrix of M metrics gathers and ranks its cells once per task and tests
+each unordered pair once: under one swap mask, (B, A)'s difference is
+exactly minus (A, B)'s, so one mask set, drawn from a seed keyed by the
+sorted pair, and one pass over the pair's tiles per batch give the
+p-values of both orders.  Every p-value equals that of one ``perm_both``
+call per ordered pair with that seed.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import combinations
 from statistics import NormalDist
 from typing import Mapping, Sequence
 
@@ -233,7 +235,7 @@ class _SwapTauB:
     G_ba = G_ab' : m'Qm = m'Q'm with Q' = G_aa + G_bb - 2 G_ab, and
     rowsum(G_ba) is colsum(G_ab).  The tie count n1 has the same form with
     T_xy[i, j] = [x_i == y_j and i != j] in place of G_xy (T_ba = T_ab' too).
-    One matrix product per batch of masks gives both sides.
+    One matrix product per tile and batch of masks gives both sides.
 
     Every count is an exact integer, so tau-b equals pairwise enumeration
     bit for bit: the entries of Q' lie in [-4, 4], so float32 holds each
@@ -329,16 +331,11 @@ class _SwapTauB:
         np.multiply(s, g, out=out[0])
         return out
 
-    def taus(
-        self, a: int, b: int, batches: Sequence[np.ndarray]
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Metrics a and b (rows of the scores) and (rows, n) boolean mask
-        batches -> per batch, tau-b of A* and of B* per mask.  Each tile of
-        Q' is built once and applied to every batch."""
+    def taus(self, a: int, b: int, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Metrics a and b (rows of the scores) and a (rows, n) boolean mask
+        array -> tau-b of A* and of B* per mask."""
         n = len(self.h_ranks)
-        w = np.concatenate(batches).astype(np.float32)
-        ends = list(accumulate(len(masks) for masks in batches))
-        spans = list(zip([0, *ends], ends))
+        w = masks.astype(np.float32)
         forms = np.zeros((len(w), 2))  # m'Q'm per kind
         # per kind (G, T): colsum and rowsum of the cross block over all rows
         cross_sums = np.zeros((2, 2, n), dtype=np.int64)
@@ -366,9 +363,8 @@ class _SwapTauB:
             np.fill_diagonal(cross[1, :, lo:hi], 0)  # T_xx leaves out the same cell
             quad = self._quad_buf[: 2 * rows * n].reshape(2 * rows, n)
             quad[...] = cross.reshape(2 * rows, n)
-            for start, end in spans:  # one product per batch bounds its size
-                prod = (w[start:end] @ quad.T).reshape(end - start, 2, rows)
-                forms[start:end] += np.einsum("rkp,rp->rk", prod, w[start:end, lo:hi])
+            prod = (w @ quad.T).reshape(len(w), 2, rows)
+            forms += np.einsum("rkp,rp->rk", prod, w[:, lo:hi])
         # per kind and side: rowsum(G_aa), rowsum(G_bb), rowsum(T_aa), ...
         within_sums = self.row_sums[:, [a, b]]
         # 2 * (cmd_a, cmd_b, n1_a, n1_b): the unswapped counts, the linear
@@ -385,45 +381,39 @@ class _SwapTauB:
         if not denom.all():
             raise AllTied("kendall tau degenerate inside permutation test")
         tau = con_minus_dis / denom
-        return [(tau[start:end, 0], tau[start:end, 1]) for start, end in spans]
+        return tau[:, 0], tau[:, 1]
 
 
-def _swap_hits(
-    kernel: _SwapTauB, a: int, b: int, seeds: Sequence[int], r: int
-) -> list[int]:
-    """#{delta* >= delta} of the test of metric a against metric b under the
-    masks drawn from ``seeds[0]`` and, when a second seed is given, of b
-    against a under the masks drawn from ``seeds[1]``.
+def _swap_hits(kernel: _SwapTauB, a: int, b: int, seed: int, r: int) -> tuple[int, int]:
+    """#{delta* >= delta} of the test of metric a against metric b and
+    #{delta* <= delta}, the count of b against a, under one mask set.
 
-    Each seed's replicate i swaps the cells where row i of
-    ``rng_for(seed, "perm-both").random((r, n)) < 0.5``.  Every seed has
-    its own generator, and each batch of replicates draws its rows, in
-    order, into one reused buffer, so the masks do not depend on the batch
-    size.  Row 0 of the buffer stays at 1.0, the unswapped mask, so every
-    batch also gives the observed difference; a batch, that row included,
-    holds at most ``_BUDGET`` entries.  Both directions share one pass over
-    Q's tiles per batch: under one mask, (b, a)'s pair of taus is (a, b)'s
-    exchanged, and IEEE subtraction is antisymmetric, so b against a counts
-    delta* <= delta on (a, b)'s differences, bit for bit as its own test.
+    Replicate i swaps the cells where row i of
+    ``rng_for(seed, "perm-both").random((r, n)) < 0.5``.  Each batch of
+    replicates draws its rows, in order, into one reused buffer, so the
+    masks do not depend on the batch size.  Row 0 of the buffer stays at
+    1.0, the unswapped mask, so every batch also gives the observed
+    difference; a batch, that row included, holds at most ``_BUDGET``
+    entries.  Under one mask, (b, a)'s pair of taus is (a, b)'s exchanged,
+    and IEEE subtraction is antisymmetric, so b against a counts
+    delta* <= delta on (a, b)'s differences, bit for bit as its own test
+    under the same seed.
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     n = len(kernel.h_ranks)
     chunk = max(1, _BUDGET // n - 1)
-    generators = [rng_for(seed, "perm-both") for seed in seeds]
+    generator = rng_for(seed, "perm-both")
     uniforms = np.ones((1 + min(chunk, r), n))
-    hits = [0] * len(seeds)
+    forward = backward = 0
     for start in range(0, r, chunk):
         rows = uniforms[: 1 + min(chunk, r - start)]
-        batches = []
-        for generator in generators:
-            generator.random(out=rows[1:])
-            batches.append(rows < 0.5)
-        for direction, (tau_a, tau_b) in enumerate(kernel.taus(a, b, batches)):
-            delta = tau_a - tau_b
-            beats = delta[1:] >= delta[0] if direction == 0 else delta[1:] <= delta[0]
-            hits[direction] += int(np.count_nonzero(beats))
-    return hits
+        generator.random(out=rows[1:])
+        tau_a, tau_b = kernel.taus(a, b, rows < 0.5)
+        delta = tau_a - tau_b
+        forward += int(np.count_nonzero(delta[1:] >= delta[0]))
+        backward += int(np.count_nonzero(delta[1:] <= delta[0]))
+    return forward, backward
 
 
 def perm_both(
@@ -443,7 +433,7 @@ def perm_both(
     sorted key order (see :func:`_swap_hits`).
     """
     scores, h = _gather([table_a, table_b], human_segment_scores)
-    (hits,) = _swap_hits(_SwapTauB(scores, h), 0, 1, [seed], r)
+    hits, _ = _swap_hits(_SwapTauB(scores, h), 0, 1, seed, r)
     return (1 + hits) / (r + 1)
 
 
@@ -469,15 +459,15 @@ def segment_sig_matrix(
     """Pairwise one-sided permutation-test matrix over segment-level metrics.
 
     The Bonferroni flag divides alpha by the number of ordered pairs in the
-    matrix.  Each ordered pair's test derives its own seed from the two
-    metric names, so the matrix does not depend on the order of the pairs;
-    every p-value equals ``perm_both(tables[row], tables[col], human, r,
-    derive_int(seed, "segment-sig", row, col))``.  The cells are gathered
-    and ranked once, and the two orders of a pair share its Q.
+    matrix.  Each unordered pair is tested once, under one mask set whose
+    seed is derived from the two metric names in sorted order, so the
+    matrix does not depend on the order of the pairs; every p-value, in
+    both orders, equals ``perm_both(tables[row], tables[col], human, r,
+    derive_int(seed, "segment-sig", *sorted((row, col))))``.  The cells are
+    gathered and ranked once.
     """
     names = list(tables)
     pairs = [(row, col) for row in names for col in names if row != col]
-    m = len(pairs)
     started = time.perf_counter()
     p_values: dict[tuple[str, str], float] = {}
     within = cross = 0
@@ -487,12 +477,13 @@ def segment_sig_matrix(
         )
         for i, j in combinations(range(len(names)), 2):
             orders = [(names[i], names[j]), (names[j], names[i])]
-            seeds = [derive_int(seed, "segment-sig", *pair) for pair in orders]
-            for pair, hits in zip(orders, _swap_hits(kernel, i, j, seeds, r)):
+            pair_seed = derive_int(seed, "segment-sig", *sorted(orders[0]))
+            for pair, hits in zip(orders, _swap_hits(kernel, i, j, pair_seed, r)):
                 p_values[pair] = (1 + hits) / (r + 1)
         within, cross = kernel.within_builds, kernel.cross_builds
+    flags = bonferroni([p_values[pair] for pair in pairs], alpha)
     cells: dict[tuple[str, str], SigCell] = {}
-    for row, col in pairs:
+    for (row, col), flag in zip(pairs, flags):
         p = p_values[(row, col)]
         cells[(row, col)] = SigCell(
             row_metric=row,
@@ -500,14 +491,14 @@ def segment_sig_matrix(
             ci=None,
             p_value=p,
             significant=p < alpha,
-            bonferroni_significant=p < alpha / m,
+            bonferroni_significant=flag,
         )
     logger.info(
         "segment significance %s: %d metrics, %d ordered pairs, n=%d cells, "
         "R=%d replicates, %d within-metric and %d cross blocks, %.3f s",
         task.label,
         len(names),
-        m,
+        len(pairs),
         len(tables[names[0]].cells) if names else 0,
         r,
         within,

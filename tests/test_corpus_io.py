@@ -175,6 +175,23 @@ class TestLoadCampaign:
         with pytest.raises(ParseError, match="0.7"):
             load_campaign(config)
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_boolean_length_ratio_rejected(self, tmp_path, value):
+        # 1.0 is a configured ratio, so true must not load as it
+        config = write_minimal_campaign(tmp_path)
+        config.write_text(
+            config.read_text().replace("ratios = 0.8, 0.5", "ratios = 0.8, 0.5, 1.0"),
+            encoding="utf-8",
+        )
+        hyp_file = tmp_path / "hypotheses.jsonl"
+        lines = hyp_file.read_text().splitlines()
+        record = json.loads(lines[1])
+        record["length_ratio"] = value
+        lines[1] = json.dumps(record)
+        hyp_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"jsonl:2: bad length_ratio {value}"):
+            load_campaign(config)
+
     def test_missing_ratings_file(self, tmp_path):
         config = write_minimal_campaign(tmp_path)
         (tmp_path / "ratings.csv").unlink()

@@ -1,4 +1,5 @@
 import logging
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -328,9 +329,9 @@ class TestSwapKernel:
             ]
         except ZeroDivisionError:  # some A* or B* is all ties
             with pytest.raises(AllTied):
-                kernel.taus(0, 1, [np.array(masks)])
+                kernel.taus(0, 1, np.array(masks))
             return
-        ((tau_a, tau_b),) = kernel.taus(0, 1, [np.array(masks)])
+        tau_a, tau_b = kernel.taus(0, 1, np.array(masks))
         assert list(zip(tau_a.tolist(), tau_b.tolist())) == expected
 
     @given(tie_heavy_cells(max_n=20), st.integers(0, 2**32))
@@ -366,8 +367,8 @@ class TestSwapKernel:
         monkeypatch.setattr(significance, "_BUDGET", 4 * n * 7)
         tiled = _SwapTauB(np.stack([a, b]), h)
         assert tiled.tile_rows == 7
-        (tiled_taus,), (untiled_taus,) = (
-            kernel.taus(0, 1, [masks]) for kernel in (tiled, untiled)
+        tiled_taus, untiled_taus = (
+            kernel.taus(0, 1, masks) for kernel in (tiled, untiled)
         )
         for got, want in zip(tiled_taus, untiled_taus):
             assert np.array_equal(got, want)
@@ -410,7 +411,7 @@ class TestSwapKernel:
             return real_cross(self, x, y, g, lo, out)
 
         def counting_taus(self, a, b, masks):
-            sizes.append([len(m) for m in masks])
+            sizes.append(len(masks))
             return real_taus(self, a, b, masks)
 
         monkeypatch.setattr(_SwapTauB, "_within", counting_within)
@@ -434,7 +435,7 @@ class TestSwapKernel:
             ]
             built_once = [(x, x, lo) for lo in tiles for x in (0, 1)]
             assert blocks == built_once + per_batch * len(batches)
-            assert sizes == [[size] for size in batches]
+            assert sizes == batches
 
     def test_non_finite_score_rejected(self):
         keys = [("s1", "g0"), ("s1", "g1"), ("s2", "g0"), ("s2", "g1")]
@@ -529,7 +530,7 @@ class TestSegmentSigMatrix:
             expected = {
                 (row, col): perm_both(
                     tables[row], tables[col], human, r=40,
-                    seed=derive_int(seed, "segment-sig", row, col),
+                    seed=derive_int(seed, "segment-sig", *sorted((row, col))),
                 )
                 for row in tables
                 for col in tables
@@ -577,7 +578,7 @@ class TestSegmentSigMatrix:
             expected = {
                 (row, col): perm_both_enumeration(
                     scores[int(row[1:])], scores[int(col[1:])], h, r=25,
-                    seed=derive_int(seed, "segment-sig", row, col),
+                    seed=derive_int(seed, "segment-sig", *sorted((row, col))),
                 )
                 for row in tables
                 for col in tables
@@ -665,6 +666,35 @@ class TestSegmentSigMatrix:
                 f"R={r} replicates, {within} within-metric and "
                 f"{len(blocks) - within} cross blocks, "
             ) in message
+
+    def test_one_generator_per_unordered_pair(self, monkeypatch):
+        # 4 metrics, not in sorted order: 6 unordered pairs, each seeded by
+        # its sorted names; batches of 6 replicates plus the unswapped row
+        rng = np.random.default_rng(101)
+        n = 12
+        keys = sorted((f"s{i % 3}", f"g{i:02d}") for i in range(n))
+        names = ["m2", "m0", "m3", "m1"]
+        tables = {
+            name: seg_table(dict(zip(keys, rng.standard_normal(n))), name)
+            for name in names
+        }
+        human = dict(zip(keys, rng.standard_normal(n)))
+        real_rng_for = significance.rng_for
+        keys_seen = []
+
+        def counting_rng_for(*key):
+            keys_seen.append(key)
+            return real_rng_for(*key)
+
+        monkeypatch.setattr(significance, "rng_for", counting_rng_for)
+        monkeypatch.setattr(significance, "_BUDGET", 7 * n)
+        segment_sig_matrix(tables, human, TASK, r=20, seed=9)
+        expected = [
+            (derive_int(9, "segment-sig", a, b), "perm-both")
+            for a, b in combinations(sorted(names), 2)
+        ]
+        assert len(keys_seen) == len(expected) == 6
+        assert sorted(keys_seen) == sorted(expected)
 
     def test_cell_errors_match_perm_both(self):
         keys = [("s1", "g0"), ("s1", "g1"), ("s2", "g0"), ("s2", "g1")]
