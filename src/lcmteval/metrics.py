@@ -86,19 +86,48 @@ def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
     return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
+def ngram_counts(tokens: Sequence[str], max_n: int = 4) -> list[Counter]:
+    """The n-gram counts of one token sequence for orders 1..``max_n``.
+
+    Counted once per text, they serve every pair the text is in: see
+    :func:`bleu_stats_from_counts`.
+    """
+    return [_ngram_counts(tokens, n) for n in range(1, max_n + 1)]
+
+
+def _clipped_matches(hyp_counts: Counter, ref_counts: Counter) -> int:
+    # only n-grams on both sides match; the key intersection runs in C
+    common = hyp_counts.keys() & ref_counts.keys()
+    return sum(
+        map(min, map(hyp_counts.__getitem__, common), map(ref_counts.__getitem__, common))
+    )
+
+
+def bleu_stats_from_counts(
+    hyp_counts: Sequence[Counter],
+    ref_counts: Sequence[Counter],
+    hyp_len: int,
+    ref_len: int,
+) -> tuple[int, ...]:
+    """:func:`bleu_stats` of a pair from each side's :func:`ngram_counts`
+    (same ``max_n``) and token count."""
+    correct = [_clipped_matches(h, r) for h, r in zip(hyp_counts, ref_counts)]
+    total = [max(hyp_len - k, 0) for k in range(len(hyp_counts))]
+    return (*correct, *total, hyp_len, ref_len)
+
+
 def bleu_stats(hyp: TokenSeq, ref: TokenSeq, max_n: int = 4) -> tuple[int, ...]:
     """One segment's additive BLEU statistics: clipped n-gram matches for
     orders 1..``max_n``, then n-gram totals for the same orders, then the
     hypothesis and the reference length.  Summed over segments they are all
     :func:`bleu_from_stats` needs to score a corpus.
     """
-    correct, total = [], []
-    for n in range(1, max_n + 1):
-        hyp_counts = _ngram_counts(hyp.tokens, n)
-        ref_counts = _ngram_counts(ref.tokens, n)
-        correct.append(sum(min(c, ref_counts[g]) for g, c in hyp_counts.items()))
-        total.append(sum(hyp_counts.values()))
-    return (*correct, *total, len(hyp), len(ref))
+    return bleu_stats_from_counts(
+        ngram_counts(hyp.tokens, max_n),
+        ngram_counts(ref.tokens, max_n),
+        len(hyp),
+        len(ref),
+    )
 
 
 def bleu_from_stats(stats: Sequence[int]) -> BleuScore:
@@ -184,30 +213,48 @@ def _prf(overlap: float, hyp_total: int, ref_total: int) -> RougeScore:
     return RougeScore(precision=precision, recall=recall, f1=f1)
 
 
+def _rouge_n_prf(overlap: int, hyp_len: int, ref_len: int, n: int) -> RougeScore:
+    # a sequence of length L has max(L - n + 1, 0) n-grams
+    return _prf(overlap, max(hyp_len - n + 1, 0), max(ref_len - n + 1, 0))
+
+
 def rouge_n(hyp: TokenSeq, ref: TokenSeq, n: int) -> RougeScore:
     """Clipped n-gram overlap precision/recall/F1 between two sequences."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    hyp_counts = _ngram_counts(hyp.tokens, n)
-    ref_counts = _ngram_counts(ref.tokens, n)
-    overlap = sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
-    return _prf(overlap, sum(hyp_counts.values()), sum(ref_counts.values()))
+    overlap = _clipped_matches(
+        _ngram_counts(hyp.tokens, n), _ngram_counts(ref.tokens, n)
+    )
+    return _rouge_n_prf(overlap, len(hyp), len(ref), n)
+
+
+def rouge_n_from_stats(stats: Sequence[int], n: int) -> RougeScore:
+    """:func:`rouge_n` of one segment from its :func:`bleu_stats`: the
+    overlap is BLEU's clipped match count of order ``n``, and the n-gram
+    totals follow from the two lengths."""
+    max_n = (len(stats) - 2) // 2
+    if not 1 <= n <= max_n:
+        raise ValueError(f"n must be in 1..{max_n}, got {n}")
+    return _rouge_n_prf(stats[n - 1], stats[-2], stats[-1], n)
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    # Two-row dynamic program; O(len(a) * len(b)) time, O(len(b)) space.
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
+    # Bit-parallel LCS (Allison and Dix, IPL 1986; Hyyro 2004). v holds the
+    # DP row of the prefix of a read so far: bit i is 0 exactly where
+    # LCS(prefix, b[: i + 1]) exceeds LCS(prefix, b[:i]), so the LCS is the
+    # number of 0 bits.  One match mask per distinct token of b, then
+    # O(len(a)) big-int operations.
+    masks: dict[str, int] = {}
+    for i, y in enumerate(b):
+        masks[y] = masks.get(y, 0) | (1 << i)
+    full = (1 << len(b)) - 1
+    v = full
     for x in a:
-        cur = [0] * (len(b) + 1)
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                cur[j] = prev[j - 1] + 1
-            else:
-                cur[j] = max(prev[j], cur[j - 1])
-        prev = cur
-    return prev[-1]
+        m = masks.get(x)
+        if m:
+            u = v & m
+            v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l(hyp: TokenSeq, ref: TokenSeq) -> RougeScore:

@@ -9,10 +9,13 @@ and writes a digest manifest.  ``PipelineState.report_tables`` decides once
 per task which metrics the correlation, significance and system comparison
 reports cover: the native metrics but length deviation, plus the chosen
 variant of each external metric, sorted by display name; the segment-level
-reports take its segment-level subset.  Hybrid BLEU and BLEU* sum the
-additive statistics that the native stage counts once per (system, segment)
-cell, and one ``NativeScores.corpus_scorer`` call per hybrid pass finishes
-each hybrid's statistics once for both.
+reports take its segment-level subset.  The native stage tokenises each
+reference once per task and each hypothesis once per (system, segment) cell
+and counts each text's n-grams once; a cell's additive BLEU statistics and
+its ROUGE-1/2 come from those counts.  Real-system BLEU and BLEU* finish each
+system's summed cell statistics; hybrid BLEU and BLEU* sum the statistics of
+the cells a hybrid selects, and one ``NativeScores.corpus_scorer`` call per
+hybrid pass finishes each hybrid's statistics once for both.
 Given identical inputs and master seed, two runs produce byte-identical
 artifacts: every random draw derives from the master seed, rows are sorted
 deterministically, and numeric report cells are fixed at 4 decimals.
@@ -44,6 +47,7 @@ from .corpus import (
 )
 from .errors import (
     DuplicateMetricName,
+    EmptyCorpus,
     IncompleteTable,
     MissingFile,
     SampleTooSmall,
@@ -60,11 +64,12 @@ from .metaeval import (
 )
 from .metrics import (
     bleu_from_stats,
-    bleu_stats,
-    corpus_bleu,
+    bleu_stats_from_counts,
+    corpus_bleu,  # noqa: F401  the benchmark tracer wraps it until its next revision
     expected_length,
+    ngram_counts,
     rouge_l,
-    rouge_n,
+    rouge_n_from_stats,
     scheme_for_direction,
     tokenize,
 )
@@ -140,49 +145,57 @@ class NativeScores:
 def score_tables_for_task(campaign: Campaign, task: Task) -> NativeScores:
     """Native metric tables for one task: the nine ROUGE variants and length
     deviation per (system, segment), plus corpus BLEU and BLEU* per system.
+
+    Each reference is tokenised and its n-grams counted once, and so is each
+    hypothesis; a cell's BLEU statistics and ROUGE-1/2 come from those
+    counts, and a system's corpus BLEU is its summed cell statistics,
+    finished.
     """
     scheme = scheme_for_direction(task.direction)
     segments = campaign.segments_for_direction(task.direction)
     systems = campaign.config.systems
+    if not segments:
+        raise EmptyCorpus(
+            f"{task.label}: direction {task.direction} has no segments"
+        )
 
-    ref_tokens = {s.seg_id: tokenize(s.reference_text, scheme) for s in segments}
-    hyp_tokens = {}
-    for system in systems:
-        for seg in segments:
-            try:
-                hyp = campaign.hypothesis(system, seg.seg_id, task.ratio)
-            except KeyError:
-                raise IncompleteTable(
-                    f"no hypothesis for ({system}, {seg.seg_id}, ratio {task.ratio})"
-                ) from None
-            hyp_tokens[(system, seg.seg_id)] = tokenize(hyp.text, scheme)
+    refs = {}
+    for seg in segments:
+        ref = tokenize(seg.reference_text, scheme)
+        target = max(expected_length(task.ratio, campaign.reference_length(seg)), 1)
+        refs[seg.seg_id] = (ref, ngram_counts(ref.tokens), target)
 
     rouge_cells: dict[str, dict[tuple[str, str], float]] = {
         m: {} for m in ROUGE_METRICS
     }
     dev_cells: dict[tuple[str, str], float] = {}
+    stats_by_cell: dict[tuple[str, str], tuple[int, ...]] = {}
     for system in systems:
         for seg in segments:
             cell = (system, seg.seg_id)
-            hyp = hyp_tokens[cell]
-            ref = ref_tokens[seg.seg_id]
-            for n, prefix in ((1, "ROUGE1"), (2, "ROUGE2")):
-                score = rouge_n(hyp, ref, n)
+            try:
+                record = campaign.hypothesis(system, seg.seg_id, task.ratio)
+            except KeyError:
+                raise IncompleteTable(
+                    f"no hypothesis for ({system}, {seg.seg_id}, ratio {task.ratio})"
+                ) from None
+            hyp = tokenize(record.text, scheme)
+            ref, ref_counts, target = refs[seg.seg_id]
+            stats = bleu_stats_from_counts(
+                ngram_counts(hyp.tokens), ref_counts, len(hyp), len(ref)
+            )
+            stats_by_cell[cell] = stats
+            for prefix, score in (
+                ("ROUGE1", rouge_n_from_stats(stats, 1)),
+                ("ROUGE2", rouge_n_from_stats(stats, 2)),
+                ("ROUGEL", rouge_l(hyp, ref)),
+            ):
                 rouge_cells[f"{prefix}-P"][cell] = score.precision
                 rouge_cells[f"{prefix}-R"][cell] = score.recall
                 rouge_cells[f"{prefix}-F1"][cell] = score.f1
-            score = rouge_l(hyp, ref)
-            rouge_cells["ROUGEL-P"][cell] = score.precision
-            rouge_cells["ROUGEL-R"][cell] = score.recall
-            rouge_cells["ROUGEL-F1"][cell] = score.f1
 
-            expect = max(
-                expected_length(task.ratio, campaign.reference_length(seg)), 1
-            )
-            out_len = campaign.hypothesis_length(
-                campaign.hypothesis(system, seg.seg_id, task.ratio)
-            )
-            dev_cells[cell] = abs(out_len - expect) / expect
+            out_len = campaign.hypothesis_length(record)
+            dev_cells[cell] = abs(out_len - target) / target
 
     tables = [
         ScoreTable.segment_table(metric, "-", task, cells)
@@ -190,24 +203,24 @@ def score_tables_for_task(campaign: Campaign, task: Task) -> NativeScores:
     ]
     tables.append(ScoreTable.segment_table(LENGTH_DEV_ID, "-", task, dev_cells))
 
-    bleu_cells = {}
-    star_cells = {}
-    seg_order = [s.seg_id for s in segments]
-    for system in systems:
-        score = corpus_bleu(
-            [hyp_tokens[(system, g)] for g in seg_order],
-            [ref_tokens[g] for g in seg_order],
-        )
-        bleu_cells[system] = score.bleu
-        star_cells[system] = score.bleu_star
-    tables.append(ScoreTable.system_table(BLEU_ID, "-", task, bleu_cells))
-    tables.append(ScoreTable.system_table(BLEU_STAR_ID, "-", task, star_cells))
+    sorted_systems = sorted(systems)
+    seg_order = sorted(seg.seg_id for seg in segments)
     cell_stats = np.asarray(
-        [
-            [bleu_stats(hyp_tokens[(s, g)], ref_tokens[g]) for g in sorted(seg_order)]
-            for s in sorted(systems)
-        ],
+        [[stats_by_cell[(s, g)] for g in seg_order] for s in sorted_systems],
         dtype=np.int64,
+    )
+    # a system's corpus BLEU is bleu_from_stats of its summed cell statistics
+    totals = dict(zip(sorted_systems, cell_stats.sum(axis=1).tolist()))
+    scores = {system: bleu_from_stats(totals[system]) for system in systems}
+    tables.append(
+        ScoreTable.system_table(
+            BLEU_ID, "-", task, {s: score.bleu for s, score in scores.items()}
+        )
+    )
+    tables.append(
+        ScoreTable.system_table(
+            BLEU_STAR_ID, "-", task, {s: score.bleu_star for s, score in scores.items()}
+        )
     )
     return NativeScores(tables, cell_stats)
 
@@ -286,8 +299,8 @@ class PipelineState:
             n_systems, n_segments = out[t].bleu_stats.shape[:2]
             cells = n_systems * n_segments
             logger.info(
-                "native scores %s: %d cells, %d tokenised texts (%d hypotheses, "
-                "%d references), %.3f s",
+                "native scores %s: %d cells, %d texts tokenised and counted once "
+                "each (%d hypotheses, %d references), %.3f s",
                 t.label,
                 cells,
                 cells + n_segments,
@@ -693,7 +706,7 @@ def run_pipeline(
     ``seed`` defaults to the campaign config's seed; ``level`` picks the
     correlation used to choose the best variant of multi-variant metrics;
     ``length_unit`` overrides the config's length unit; ``threads`` is
-    accepted for compatibility, and every stage runs on one thread.
+    accepted for compatibility and ignored: every stage runs on one thread.
     Raises :class:`ValidationFailure` when the rating grid is incomplete.
     """
     campaign = open_campaign(config_path, length_unit)
@@ -768,7 +781,6 @@ def run_pipeline(
                     if math.isfinite(state.timing_cutoff)
                     else str(state.timing_cutoff),
                     "length_unit": campaign.config.length_unit,
-                    "threads": threads,
                 },
                 "seed": state.seed,
                 "version": VERSION,

@@ -8,14 +8,18 @@ from lcmteval.metrics import (
     WHITESPACE,
     BleuScore,
     LengthRecord,
+    _lcs_length,
     bleu_from_stats,
     bleu_star,
     bleu_stats,
+    bleu_stats_from_counts,
     corpus_bleu,
     expected_length,
     length_deviation,
+    ngram_counts,
     rouge_l,
     rouge_n,
+    rouge_n_from_stats,
     round_half_up,
     scheme_for_direction,
     tokenize,
@@ -24,6 +28,10 @@ from lcmteval.metrics import (
 from .oracles import clipped_ngram_overlap, lcs_length_recursive
 
 tokens = st.lists(st.sampled_from("abcdefg"), min_size=0, max_size=20)
+# few distinct tokens: many equal-length LCS paths and repeated n-grams
+tie_tokens = st.sampled_from(["ab", "abc"]).flatmap(
+    lambda alphabet: st.lists(st.sampled_from(alphabet), max_size=150)
+)
 
 
 def tok(words, scheme=WHITESPACE):
@@ -236,6 +244,84 @@ class TestRouge:
     def test_precision_equals_recall_gives_same_f1(self):
         score = rouge_n(tok(["a", "x"]), tok(["a", "y"]), 1)
         assert score.precision == score.recall == score.f1 == 0.5
+
+
+def lcs_two_row(a, b):
+    """The two-row dynamic program the bit-parallel kernel replaced."""
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0] * (len(b) + 1)
+        for j, y in enumerate(b, start=1):
+            if x == y:
+                cur[j] = prev[j - 1] + 1
+            else:
+                cur[j] = max(prev[j], cur[j - 1])
+        prev = cur
+    return prev[-1]
+
+
+class TestLcsKernel:
+    @given(tie_tokens, tie_tokens)
+    @example(a=[], b=[])
+    @example(a=[], b=["a", "b"])
+    @example(a=["a", "b"], b=[])
+    @example(a=["a", "b"] * 40, b=["b", "a"] * 45)  # masks past 64 bits
+    @example(a=["a"] * 70, b=["a"] * 130)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_recursive_oracle_and_two_row_dp(self, a, b):
+        lcs = _lcs_length(tuple(a), tuple(b))
+        assert lcs == lcs_two_row(a, b)
+        assert lcs == lcs_length_recursive(tuple(a), tuple(b))
+
+    @given(
+        st.lists(st.sampled_from("abc"), min_size=65, max_size=140),
+        st.lists(st.sampled_from("abc"), min_size=65, max_size=140),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_sequences_longer_than_a_machine_word(self, a, b):
+        assert _lcs_length(a, b) == lcs_two_row(a, b)
+        assert _lcs_length(b, a) == lcs_two_row(a, b)
+
+    def test_hand_cases(self):
+        assert _lcs_length("ABCBDAB", "BDCABA") == 4
+        assert _lcs_length("aaaa", "aa") == 2
+        assert _lcs_length("abc", "xyz") == 0
+
+
+class TestSharedCounts:
+    @given(tie_tokens, tie_tokens)
+    @settings(max_examples=150, deadline=None)
+    def test_bleu_stats_and_rouge_n_match_enumeration_oracle(self, hyp, ref):
+        stats = bleu_stats(tok(hyp), tok(ref))
+        counts = [clipped_ngram_overlap(hyp, ref, n) for n in range(1, 5)]
+        assert stats == (
+            *(overlap for overlap, _, _ in counts),
+            *(hyp_count for _, hyp_count, _ in counts),
+            len(hyp),
+            len(ref),
+        )
+        for n, (overlap, hyp_total, ref_total) in enumerate(counts, start=1):
+            score = rouge_n(tok(hyp), tok(ref), n)
+            assert score.precision == (overlap / hyp_total if hyp_total else 0.0)
+            assert score.recall == (overlap / ref_total if ref_total else 0.0)
+
+    @given(tie_tokens, tie_tokens, st.integers(1, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_counted_once_equals_pairwise(self, hyp, ref, max_n):
+        stats = bleu_stats_from_counts(
+            ngram_counts(hyp, max_n), ngram_counts(ref, max_n), len(hyp), len(ref)
+        )
+        assert stats == bleu_stats(tok(hyp), tok(ref), max_n)
+        for n in range(1, max_n + 1):
+            assert rouge_n_from_stats(stats, n) == rouge_n(tok(hyp), tok(ref), n)
+
+    def test_rouge_order_must_be_counted(self):
+        stats = bleu_stats(tok(["a", "b"]), tok(["a"]))
+        for n in (0, 5):
+            with pytest.raises(ValueError):
+                rouge_n_from_stats(stats, n)
 
 
 class TestLengthDeviation:

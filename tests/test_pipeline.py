@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import logging
 import re
@@ -13,6 +14,7 @@ from lcmteval.corpus import (
     SegmentRecord,
     Task,
 )
+from lcmteval.errors import EmptyCorpus
 from lcmteval.pipeline import (
     BLEU_ID,
     BLEU_STAR_ID,
@@ -25,9 +27,12 @@ from lcmteval.pipeline import (
 from lcmteval.metaeval import hybrid_supersample, pearson
 from lcmteval.metrics import (
     LengthRecord,
+    bleu_stats,
     corpus_bleu,
     expected_length,
     length_deviation,
+    rouge_l,
+    rouge_n,
     scheme_for_direction,
     tokenize,
 )
@@ -35,6 +40,7 @@ from lcmteval.reports import read_csv_table
 
 GOLDEN = Path(__file__).parent / "goldens" / "fixture_manifest.json"
 GOLDEN_SEGMENT = Path(__file__).parent / "goldens" / "fixture_manifest_segment.json"
+CAMPAIGN_GEN = Path(__file__).resolve().parents[1] / "perfbench" / "campaign_gen.py"
 
 
 def echo_campaign():
@@ -76,6 +82,15 @@ class TestScoreTables:
         assert set(tables[BLEU_ID].system_cells.values()) == {1.0}
         assert set(tables[BLEU_STAR_ID].system_cells.values()) == {1.0}
         assert set(tables[LENGTH_DEV_ID].cells.values()) == {0.0}
+
+    def test_direction_without_segments_is_an_empty_corpus(self):
+        campaign = echo_campaign()
+        campaign = replace(
+            campaign,
+            config=replace(campaign.config, directions=("aa-bb", "aa-cc")),
+        )
+        with pytest.raises(EmptyCorpus):
+            score_tables_for_task(campaign, Task("aa-cc", 1.0))
 
     def test_fixture_bleu_star_dominates(self, campaign):
         for task in campaign.tasks():
@@ -210,8 +225,8 @@ class TestScoreTables:
         )
         for task, message in zip(tasks, messages[1:]):
             assert message.startswith(
-                f"native scores {task.label}: 24 cells, 36 tokenised texts "
-                "(24 hypotheses, 12 references), "
+                f"native scores {task.label}: 24 cells, 36 texts tokenised and "
+                "counted once each (24 hypotheses, 12 references), "
             )
         assert all(message.endswith(" s") for message in messages)
 
@@ -326,6 +341,88 @@ class TestScoreTables:
             bleu = corpus_bleu(hyps, refs)
             assert tables[BLEU_ID].system_cells[system] == bleu.bleu
             assert tables[BLEU_STAR_ID].system_cells[system] == bleu.bleu_star
+
+
+def generated_campaign(segments: int, systems: int, seed: int) -> Campaign:
+    """A campaign from the benchmark's generator: two directions (one
+    character-scored), repetitive text over a small vocabulary."""
+    spec = importlib.util.spec_from_file_location("campaign_gen", CAMPAIGN_GEN)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.build_campaign(segments, systems, [], seed)
+
+
+@pytest.fixture(scope="module", params=["fixture", "generated", "unsorted-systems"])
+def scored_campaign(request, campaign):
+    if request.param == "fixture":
+        return campaign
+    generated = generated_campaign(segments=6, systems=5, seed=5)
+    if request.param == "generated":
+        return generated
+    # config order is not sorted order: sys01, sys03, sys00, sys04, sys02
+    systems = tuple(generated.config.systems[i] for i in (1, 3, 0, 4, 2))
+    return replace(generated, config=replace(generated.config, systems=systems))
+
+
+class TestNativeScoresEqualPairwiseCalls:
+    # the native stage counts each text once; every number must equal the
+    # pairwise library call on that cell's tokens, exactly
+
+    @staticmethod
+    def _tokens(campaign, task):
+        scheme = scheme_for_direction(task.direction)
+        seg_ids = sorted(campaign.segment_ids_for_direction(task.direction))
+        refs = {
+            g: tokenize(campaign.segments[g].reference_text, scheme) for g in seg_ids
+        }
+        hyps = {
+            (s, g): tokenize(campaign.hypothesis(s, g, task.ratio).text, scheme)
+            for s in campaign.config.systems
+            for g in seg_ids
+        }
+        return seg_ids, refs, hyps
+
+    def test_rouge_cells(self, scored_campaign):
+        for task in scored_campaign.tasks():
+            tables = {
+                t.metric_id: t
+                for t in score_tables_for_task(scored_campaign, task).tables
+            }
+            _, refs, hyps = self._tokens(scored_campaign, task)
+            for (system, g), hyp in hyps.items():
+                for prefix, score in (
+                    ("ROUGE1", rouge_n(hyp, refs[g], 1)),
+                    ("ROUGE2", rouge_n(hyp, refs[g], 2)),
+                    ("ROUGEL", rouge_l(hyp, refs[g])),
+                ):
+                    assert tables[f"{prefix}-P"].cells[(system, g)] == score.precision
+                    assert tables[f"{prefix}-R"].cells[(system, g)] == score.recall
+                    assert tables[f"{prefix}-F1"].cells[(system, g)] == score.f1
+
+    def test_system_bleu_equals_corpus_bleu(self, scored_campaign):
+        for task in scored_campaign.tasks():
+            tables = {
+                t.metric_id: t
+                for t in score_tables_for_task(scored_campaign, task).tables
+            }
+            seg_ids, refs, hyps = self._tokens(scored_campaign, task)
+            for system in scored_campaign.config.systems:
+                score = corpus_bleu(
+                    [hyps[(system, g)] for g in seg_ids], [refs[g] for g in seg_ids]
+                )
+                assert tables[BLEU_ID].system_cells[system] == score.bleu
+                assert tables[BLEU_STAR_ID].system_cells[system] == score.bleu_star
+
+    def test_statistics_rows_equal_cell_bleu_stats(self, scored_campaign):
+        for task in scored_campaign.tasks():
+            native = score_tables_for_task(scored_campaign, task)
+            seg_ids, refs, hyps = self._tokens(scored_campaign, task)
+            systems = sorted(scored_campaign.config.systems)
+            assert native.bleu_stats.shape == (len(systems), len(seg_ids), 10)
+            for row, system in zip(native.bleu_stats.tolist(), systems):
+                assert row == [
+                    list(bleu_stats(hyps[(system, g)], refs[g])) for g in seg_ids
+                ]
 
 
 def golden_run(config_path, golden_path, tmp_path_factory):

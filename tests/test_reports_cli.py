@@ -425,7 +425,7 @@ class TestRunCommand:
         assert first == {
             "hybrids": 60, "permutations": 20, "bootstrap": 100, "alpha": 0.05,
             "level": "segment", "include_traps": False, "timing_cutoff": 600.0,
-            "length_unit": "characters", "threads": 2,
+            "length_unit": "characters",
         }
         assert second == {**first, "permutations": 30}
         # JSON has no infinity: an unbounded cutoff is recorded as a string
