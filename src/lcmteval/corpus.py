@@ -228,14 +228,20 @@ class Campaign:
         return measure_length(hyp.text, self.config.length_unit, direction)
 
 
-def measure_length(text: str, unit: str, direction: str) -> int:
+def length_scheme(unit: str, direction: str) -> str:
+    """The tokenization scheme that measures a length in ``unit`` on a
+    direction's target side."""
     if unit == "characters":
-        return len(tokenize(text, CHARACTER))
+        return CHARACTER
     if unit == "whitespace-tokens":
-        return len(tokenize(text, WHITESPACE))
+        return WHITESPACE
     # provided-counts has no native measurement for arbitrary text; fall back
     # to the direction's scoring scheme (character for zh targets).
-    return len(tokenize(text, scheme_for_direction(direction)))
+    return scheme_for_direction(direction)
+
+
+def measure_length(text: str, unit: str, direction: str) -> int:
+    return len(tokenize(text, length_scheme(unit, direction)))
 
 
 # --- campaign.conf ----------------------------------------------------------

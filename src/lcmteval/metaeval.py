@@ -3,7 +3,10 @@
 System-level comparison uses Pearson r over system score vectors; with only
 a handful of real systems those vectors are padded by hybrid super sampling:
 pseudo-systems assembled by picking, per segment, one real system's output
-uniformly at random, the same for every table of a task.  Segment-level
+uniformly at random, the same for every table of a task.  The pipeline
+takes them as arrays from :func:`hybrid_arrays`, whose index rows come from
+one :func:`~.seeding.integer_rows` call per task; :func:`hybrid_supersample`
+adds the selector and vector objects for library callers.  Segment-level
 comparison pools every (system, segment) cell of a task into one vector
 pair and uses Kendall tau-b.
 
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -38,7 +41,10 @@ from .errors import (
     TooFewSystems,
     ZeroVariance,
 )
-from .seeding import rng_for
+from .seeding import (
+    integer_rows,
+    rng_for,  # noqa: F401  the benchmark tracer wraps it until its next revision
+)
 
 PEARSON_R = "pearson_r"
 KENDALL_TAU_B = "kendall_tau_b"
@@ -144,6 +150,22 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     return CorrelationResult(PEARSON_R, _centred_r(_centred(x), _centred(y)), n)
 
 
+def pearson_rs(
+    human: Sequence[float], vectors: Mapping[Hashable, Sequence[float]]
+) -> dict[Hashable, float]:
+    """``pearson(human, vector).value`` for each vector, by its key.  The
+    human vector is converted, checked and centred once; every check and
+    error comes in the order the ``pearson`` calls would make it."""
+    centred = None
+    out = {}
+    for key, vector in vectors.items():
+        _check_paired(human, vector, "pearson")
+        if centred is None:
+            centred = _centred(human)
+        out[key] = _centred_r(centred, _centred(vector))
+    return out
+
+
 # Element budget of the pairwise working arrays of ``kendall_tau_b`` and of
 # the permutation test: a tile of pairwise signs and a batch of replicate
 # masks (and of their uniform draws) each hold at most this many entries,
@@ -230,31 +252,36 @@ def apply_selector(table: ScoreTable, choices: Mapping[str, str]) -> float:
     return float(np.mean(np.asarray(values, dtype=np.float64)))
 
 
-def hybrid_supersample(
+@dataclass(frozen=True)
+class HybridArrays:
+    """One task's hybrid pass as arrays: every vector lists the real systems
+    first, in sorted order, then the ``k`` hybrids in row order."""
+
+    systems: list[str]
+    seg_ids: list[str]
+    # (k, segments): entry (i, j) indexes ``systems`` for ``seg_ids[j]``
+    index_rows: np.ndarray
+    vectors: dict[tuple[str, str], np.ndarray]  # float64, by table key
+    human: np.ndarray  # float64
+    redrawn: int  # index rows drawn again through rng_for
+
+
+def hybrid_arrays(
     tables: Sequence[ScoreTable],
     human_segment_scores: Mapping[tuple[str, str], float],
     k: int,
     seed: int,
     corpus_scorer: Callable[[np.ndarray], Mapping[tuple[str, str], Sequence[float]]]
     | None = None,
-    threads: int = 1,
-) -> tuple[
-    list[HybridSelector],
-    dict[tuple[str, str], SystemScoreVector],
-    SystemScoreVector,
-]:
-    """Extend every metric's system score vector with ``k`` hybrid systems.
+) -> HybridArrays:
+    """The arrays behind :func:`hybrid_supersample`, which documents the
+    draws, the checks and the errors.
 
-    Selector ``i`` draws, for each segment in lexicographic order, one real
-    system uniformly at random from a generator seeded by (seed, task, i),
-    so the output depends on the inputs alone.  Entry (i, j) of the k x
-    segments index matrix picks, for the j-th segment id in sorted order,
-    one of the sorted real system ids.  Segment-level tables and the human
-    scores are averaged over the selected cells; system-only tables
-    (corpus-level metrics) are re-scored by ``corpus_scorer``, called at most
-    once with the whole index matrix, which returns the k hybrid scores in
-    row order of each table key it scores.  Real systems always lead the
-    output vectors.  ``threads`` is accepted for compatibility and ignored.
+    The index rows come from one :func:`~.seeding.integer_rows` call.  The
+    segment-level tables and the human scores are gathered into one
+    (tables + 1, systems, segments) array; one mean over its last axis
+    gives the real systems' scores and one over the hybrids' selected cells
+    gives theirs, gathering at most ``_BUDGET`` cells at a time.
     """
     if not tables:
         raise NoVariants("hybrid_supersample needs at least one score table")
@@ -275,56 +302,96 @@ def hybrid_supersample(
 
     n_sys = len(systems)
     n_seg = len(seg_ids)
-    index_rows = np.empty((k, n_seg), dtype=np.int64)
-    for i in range(k):
-        index_rows[i] = rng_for(seed, f"hybrid:{task.label}", i).integers(
-            0, n_sys, size=n_seg
-        )
+    index_rows, redrawn = integer_rows(seed, f"hybrid:{task.label}", k, n_sys, n_seg)
 
+    seg_tables = [table for table in tables if table.level == SEGMENT_LEVEL]
+    cube = np.array(
+        [
+            [[cells[(s, g)] for g in seg_ids] for s in systems]
+            for cells in [*(table.cells for table in seg_tables), human_segment_scores]
+        ],
+        dtype=np.float64,
+    )
+    extended = np.empty((len(cube), n_sys + k))
+    extended[:, :n_sys] = cube.mean(axis=2)
+    # np.take lays each hybrid's cells out contiguously, so every mean sums
+    # them in the order numpy sums one row (fancy indexing of the cube does
+    # not, and its sums differ in the last bits)
+    flat = cube.reshape(len(cube), n_sys * n_seg)
+    picked = index_rows * n_seg + np.arange(n_seg)
+    step = max(1, _BUDGET // max(1, k * n_seg))
+    for lo in range(0, len(cube), step):
+        cells = np.take(flat[lo : lo + step], picked, axis=1)
+        extended[lo : lo + step, n_sys:] = cells.mean(axis=2)
+    by_table = dict(zip((table.key for table in seg_tables), extended))
+
+    corpus_scores: Mapping[tuple[str, str], Sequence[float]] = {}
+    if k > 0 and len(seg_tables) < len(tables) and corpus_scorer is not None:
+        corpus_scores = corpus_scorer(index_rows)
+    vectors: dict[tuple[str, str], np.ndarray] = {}
+    for table in tables:
+        if table.level == SEGMENT_LEVEL:
+            vectors[table.key] = by_table[table.key]
+            continue
+        values = [table.system_cells[s] for s in systems]
+        if k > 0:
+            if table.key not in corpus_scores:
+                raise SystemOnlyTable(
+                    f"no corpus scores supplied for system-only table "
+                    f"{table.display_name()}"
+                )
+            values += corpus_scores[table.key]
+        vectors[table.key] = np.array(values, dtype=np.float64)
+    return HybridArrays(systems, seg_ids, index_rows, vectors, extended[-1], redrawn)
+
+
+def hybrid_supersample(
+    tables: Sequence[ScoreTable],
+    human_segment_scores: Mapping[tuple[str, str], float],
+    k: int,
+    seed: int,
+    corpus_scorer: Callable[[np.ndarray], Mapping[tuple[str, str], Sequence[float]]]
+    | None = None,
+    threads: int = 1,
+) -> tuple[
+    list[HybridSelector],
+    dict[tuple[str, str], SystemScoreVector],
+    SystemScoreVector,
+]:
+    """Extend every metric's system score vector with ``k`` hybrid systems.
+
+    Selector ``i`` draws, for each segment in lexicographic order, one real
+    system uniformly at random from a generator seeded by (seed, task, i),
+    so the output depends on the inputs alone; all ``k`` rows come from one
+    :func:`~.seeding.integer_rows` call, row i equal to that generator's
+    draws.  Entry (i, j) of the k x segments index matrix picks, for the
+    j-th segment id in sorted order, one of the sorted real system ids.
+    Segment-level tables and the human scores are averaged over the
+    selected cells; system-only tables (corpus-level metrics) are re-scored
+    by ``corpus_scorer``, called at most once with the whole index matrix,
+    which returns the k hybrid scores in row order of each table key it
+    scores.  Real systems always lead the output vectors.  The selectors and
+    vectors are built from :func:`hybrid_arrays`, which the pipeline calls
+    directly.  ``threads`` is accepted for compatibility and ignored.
+    """
+    arrays = hybrid_arrays(tables, human_segment_scores, k, seed, corpus_scorer)
+    systems, seg_ids = arrays.systems, arrays.seg_ids
     selectors = [
         HybridSelector(
             hybrid_id=f"hyb{i:04d}",
-            choices={seg_ids[j]: systems[int(row[j])] for j in range(n_seg)},
+            choices={g: systems[s] for g, s in zip(seg_ids, row)},
             seed_lineage=(seed, i),
         )
-        for i, row in enumerate(index_rows)
+        for i, row in enumerate(arrays.index_rows.tolist())
     ]
-    ids = list(systems) + [sel.hybrid_id for sel in selectors]
-    cols = np.arange(n_seg)
+    ids = systems + [sel.hybrid_id for sel in selectors]
+    task = tables[0].task
 
-    def extend_matrix(cells: Mapping[tuple[str, str], float]) -> list[float]:
-        m = np.asarray(
-            [[cells[(s, g)] for g in seg_ids] for s in systems], dtype=np.float64
-        )
-        real = [float(m[i].mean()) for i in range(n_sys)]
-        hybrid = m[index_rows, cols].mean(axis=1)
-        return real + [float(v) for v in hybrid]
+    def vector(values: np.ndarray) -> SystemScoreVector:
+        return SystemScoreVector(task=task, scores=dict(zip(ids, values.tolist())))
 
-    corpus_scores: Mapping[tuple[str, str], Sequence[float]] = {}
-    system_only = any(table.level != SEGMENT_LEVEL for table in tables)
-    if k > 0 and system_only and corpus_scorer is not None:
-        corpus_scores = corpus_scorer(index_rows)
-    vectors: dict[tuple[str, str], SystemScoreVector] = {}
-    for table in tables:
-        if table.level == SEGMENT_LEVEL:
-            values = extend_matrix(table.cells)
-        else:
-            values = [table.system_cells[s] for s in systems]
-            if k > 0:
-                if table.key not in corpus_scores:
-                    raise SystemOnlyTable(
-                        f"no corpus scores supplied for system-only table "
-                        f"{table.display_name()}"
-                    )
-                values += [float(v) for v in corpus_scores[table.key]]
-        vectors[table.key] = SystemScoreVector(
-            task=task, scores=dict(zip(ids, values))
-        )
-
-    human_vector = SystemScoreVector(
-        task=task, scores=dict(zip(ids, extend_matrix(human_segment_scores)))
-    )
-    return selectors, vectors, human_vector
+    vectors = {key: vector(values) for key, values in arrays.vectors.items()}
+    return selectors, vectors, vector(arrays.human)
 
 
 def segment_correlation(
@@ -352,7 +419,7 @@ def select_best_variant(
     tasks: Sequence[Task],
     level: str = SEGMENT_LEVEL,
     system_vectors: Mapping[
-        Task, tuple[Mapping[tuple[str, str], SystemScoreVector], SystemScoreVector]
+        Task, tuple[Mapping[tuple[str, str], Sequence[float]], Sequence[float]]
     ]
     | None = None,
 ) -> VariantSelection:
@@ -361,9 +428,11 @@ def select_best_variant(
     ``level`` chooses the correlation: pooled Kendall tau-b per task for
     segment level, or Pearson r over system score vectors for system level.
     At system level ``system_vectors`` gives, per task, the (hybrid-extended)
-    score vectors by table key and the human vector, as
-    :func:`hybrid_supersample` returns them; every variant's table needs its
-    own key.  Ties go to the lexicographically smallest variant id.
+    score arrays by table key and the human array, as :class:`HybridArrays`
+    holds them (or the ``.values`` of :func:`hybrid_supersample`'s vectors);
+    every variant's table needs its own key, and the human array is centred
+    once per task (:func:`pearson_rs`).  Ties go to the lexicographically
+    smallest variant id.
     """
     if not variant_tables:
         raise NoVariants("no variants to select from")
@@ -390,11 +459,12 @@ def select_best_variant(
         else:
             if len({table.key for table in tables}) != len(tables):
                 raise ValueError(f"variants of {metric_id} share a table key")
-            vectors, human_vec = system_vectors[task]
-            for v, table in zip(variant_ids, tables):
-                corr[v][task] = pearson(
-                    human_vec.values, vectors[table.key].values
-                ).value
+            vectors, human = system_vectors[task]
+            rs = pearson_rs(
+                human, {v: vectors[table.key] for v, table in zip(variant_ids, tables)}
+            )
+            for v in variant_ids:
+                corr[v][task] = rs[v]
     results = {v: (corr[v], sum(corr[v].values()) / len(corr[v])) for v in variant_ids}
 
     best_id = max(sorted(results), key=lambda v: results[v][1])

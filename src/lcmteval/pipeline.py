@@ -2,8 +2,8 @@
 correlation -> significance -> report files.
 
 :class:`PipelineState` lazily computes shared intermediates (normalized
-ratings, native score tables, hybrid-extended system vectors from one hybrid
-pass per task that variant selection and the system stage share) so each
+ratings, native score tables, hybrid-extended system score arrays from one
+hybrid pass per task that variant selection and the system stage share) so each
 report table is reachable standalone; :func:`run_pipeline` drives the whole chain
 and writes a digest manifest.  ``PipelineState.report_tables`` decides once
 per task which metrics the correlation, significance and system comparison
@@ -42,6 +42,7 @@ from .corpus import (
     Task,
     ValidationReport,
     input_files,
+    length_scheme,
     load_campaign,
     validate_campaign,
 )
@@ -54,10 +55,10 @@ from .errors import (
     ValidationFailure,
 )
 from .metaeval import (
-    SystemScoreVector,
     VariantSelection,
-    hybrid_supersample,
-    pearson,
+    hybrid_arrays,
+    hybrid_supersample,  # noqa: F401  the benchmark tracer wraps it
+    pearson_rs,
     segment_correlation,
     select_best_variant,
     system_scores,
@@ -149,9 +150,13 @@ def score_tables_for_task(campaign: Campaign, task: Task) -> NativeScores:
     Each reference is tokenised and its n-grams counted once, and so is each
     hypothesis; a cell's BLEU statistics and ROUGE-1/2 come from those
     counts, and a system's corpus BLEU is its summed cell statistics,
-    finished.
+    finished.  Where the length unit tokenises like the scoring scheme, a
+    hypothesis's length is its scored token count.
     """
     scheme = scheme_for_direction(task.direction)
+    length_scored = (
+        length_scheme(campaign.config.length_unit, task.direction) == scheme
+    )
     segments = campaign.segments_for_direction(task.direction)
     systems = campaign.config.systems
     if not segments:
@@ -194,7 +199,10 @@ def score_tables_for_task(campaign: Campaign, task: Task) -> NativeScores:
                 rouge_cells[f"{prefix}-R"][cell] = score.recall
                 rouge_cells[f"{prefix}-F1"][cell] = score.f1
 
-            out_len = campaign.hypothesis_length(record)
+            if length_scored:
+                out_len = len(hyp)
+            else:
+                out_len = campaign.hypothesis_length(record)
             dev_cells[cell] = abs(out_len - target) / target
 
     tables = [
@@ -346,12 +354,12 @@ class PipelineState:
     @cached_property
     def hybrid_pass(
         self,
-    ) -> dict[Task, tuple[dict[tuple[str, str], SystemScoreVector], SystemScoreVector]]:
-        """Per task, the hybrid-extended score vectors (by table key) of the
+    ) -> dict[Task, tuple[dict[tuple[str, str], np.ndarray], np.ndarray]]:
+        """Per task, the hybrid-extended score arrays (by table key) of the
         correlated native tables and of every variant of every external
-        metric, and the human vector: one :func:`hybrid_supersample` call per
+        metric, and the human array: one :func:`hybrid_arrays` call per
         task, so variant selection and the system stage meet the same K
-        pseudo-systems."""
+        pseudo-systems, whose index rows are drawn in one call."""
         out = {}
         for t in self.tasks:
             native = self.natives[t]
@@ -363,39 +371,50 @@ class PipelineState:
                 for per_task in variants.values()
             ]
             started = time.perf_counter()
-            _, vectors, human_vec = hybrid_supersample(
+            arrays = hybrid_arrays(
                 tables,
                 self.human_by_task[t],
                 self.hybrids,
                 self.seed,
                 corpus_scorer=native.corpus_scorer,
             )
-            out[t] = (vectors, human_vec)
+            out[t] = (arrays.vectors, arrays.human)
             logger.info(
-                "hybrid pass %s: %d tables (%d native, %d external), K=%d hybrids, "
-                "%.3f s",
+                "hybrid pass %s: %d tables (%d native, %d external), K=%d hybrids "
+                "drawn in one call (%d redrawn one by one), %.3f s",
                 t.label,
                 len(tables),
                 n_native,
                 len(tables) - n_native,
                 self.hybrids,
+                arrays.redrawn,
                 time.perf_counter() - started,
             )
         return out
 
     @cached_property
     def selections(self) -> list[VariantSelection]:
-        system_level = self.level == SYSTEM_LEVEL
-        return [
+        system_vectors = self.hybrid_pass if self.level == SYSTEM_LEVEL else None
+        human = self.human_by_task
+        started = time.perf_counter()
+        selections = [
             select_best_variant(
                 self.external_variants[metric],
-                self.human_by_task,
+                human,
                 self.tasks,
                 level=self.level,
-                system_vectors=self.hybrid_pass if system_level else None,
+                system_vectors=system_vectors,
             )
             for metric in sorted(self.external_variants)
         ]
+        logger.info(
+            "variant selection: %d metrics, %d variants, %s level, %.3f s",
+            len(selections),
+            sum(len(variants) for variants in self.external_variants.values()),
+            self.level,
+            time.perf_counter() - started,
+        )
+        return selections
 
     @cached_property
     def report_tables(self) -> dict[Task, list[ScoreTable]]:
@@ -418,17 +437,17 @@ class PipelineState:
     @cached_property
     def system_stage(
         self,
-    ) -> tuple[dict[Task, dict[str, SystemScoreVector]], dict[Task, SystemScoreVector]]:
+    ) -> tuple[dict[Task, dict[str, np.ndarray]], dict[Task, np.ndarray]]:
         """Hybrid-extended metric (by display name, in report order) and human
-        score vectors per task, taken from the hybrid pass."""
+        score arrays per task, taken from the hybrid pass."""
         if self.hybrids == 0 and len(self.campaign.config.systems) < 3:
             logger.warning(
                 "system-level Pearson over %d real systems without hybrids is "
                 "degenerate",
                 len(self.campaign.config.systems),
             )
-        sys_vectors: dict[Task, dict[str, SystemScoreVector]] = {}
-        human_vectors: dict[Task, SystemScoreVector] = {}
+        sys_vectors: dict[Task, dict[str, np.ndarray]] = {}
+        human_vectors: dict[Task, np.ndarray] = {}
         for t in self.tasks:
             vectors, human_vectors[t] = self.hybrid_pass[t]
             sys_vectors[t] = {
@@ -477,6 +496,7 @@ class PipelineState:
     # --- emitters -----------------------------------------------------------
 
     def emit_qc(self, out: Path) -> list[Path]:
+        started = time.perf_counter()
         timing_path = out / "qc_timing.csv"
         write_csv(
             timing_path,
@@ -505,9 +525,17 @@ class PipelineState:
                 ]
             ],
         )
+        logger.info(
+            "qc: %d tasks, %d ratings, timing cutoff %g s, %.3f s",
+            len(self.tasks),
+            len(self.campaign.ratings),
+            self.timing_cutoff,
+            time.perf_counter() - started,
+        )
         return [timing_path, traps_path]
 
     def emit_agreement(self, out: Path) -> list[Path]:
+        started = time.perf_counter()
         rows = []
         for t in self.tasks:
             task_ratings = self.campaign.ratings_for_task(t)
@@ -536,6 +564,11 @@ class PipelineState:
             ],
             rows,
         )
+        logger.info(
+            "agreement: %d tasks, with and without traps, %.3f s",
+            len(self.tasks),
+            time.perf_counter() - started,
+        )
         return [path]
 
     def emit_variant_selection(self, out: Path) -> list[Path]:
@@ -554,12 +587,11 @@ class PipelineState:
 
     def emit_correlations_system(self, out: Path) -> list[Path]:
         sys_vectors, human_vectors = self.system_stage
+        rs = {t: pearson_rs(human_vectors[t], sys_vectors[t]) for t in self.tasks}
         return self._emit_correlations(
             out / "correlations_system.csv",
             self.report_tables,
-            lambda t, tb: pearson(
-                human_vectors[t].values, sys_vectors[t][tb.display_name()].values
-            ).value,
+            lambda t, tb: rs[t][tb.display_name()],
         )
 
     def emit_correlations_segment(self, out: Path) -> list[Path]:
@@ -575,18 +607,14 @@ class PipelineState:
 
         def matrix_for(t: Task):
             started = time.perf_counter()
-            matrix = system_sig_matrix(
-                {name: vector.values for name, vector in sys_vectors[t].items()},
-                human_vectors[t].values,
-                t,
-            )
+            matrix = system_sig_matrix(sys_vectors[t], human_vectors[t], t)
             logger.info(
                 "system significance %s: %d metrics, %d ordered pairs, "
                 "n=%d systems, %.3f s",
                 t.label,
                 len(matrix.metrics),
                 len(matrix.cells),
-                len(human_vectors[t].values),
+                len(human_vectors[t]),
                 time.perf_counter() - started,
             )
             return matrix
@@ -678,7 +706,21 @@ class PipelineState:
 
 def open_campaign(config_path, length_unit: str | None = None) -> Campaign:
     """Load a campaign; ``length_unit``, when given, overrides its config's."""
+    started = time.perf_counter()
     campaign = load_campaign(config_path)
+    logger.info(
+        "campaign load: %d segments, %d hypotheses, %d ratings, %d external "
+        "score cells, %.3f s",
+        len(campaign.segments),
+        len(campaign.hypotheses),
+        len(campaign.ratings),
+        sum(
+            len(t.cells) + len(t.system_cells)
+            for ts in campaign.external_scores.values()
+            for t in ts
+        ),
+        time.perf_counter() - started,
+    )
     if length_unit is not None and length_unit != campaign.config.length_unit:
         campaign = replace(
             campaign, config=replace(campaign.config, length_unit=length_unit)
@@ -712,7 +754,17 @@ def run_pipeline(
     campaign = open_campaign(config_path, length_unit)
     if campaign.config.ratings_path is None:
         raise MissingFile("campaign config declares no ratings file")
+    started = time.perf_counter()
     report = validate_campaign(campaign)
+    logger.info(
+        "campaign validation: %d of %d expected ratings found, %d missing and "
+        "%d duplicate cells, %.3f s",
+        report.found_rating_count,
+        report.expected_rating_count,
+        len(report.missing_cells),
+        len(report.duplicate_cells),
+        time.perf_counter() - started,
+    )
     for warning in report.warnings:
         logger.warning(warning)
     if not report.ok:

@@ -279,6 +279,30 @@ class TestHybridSupersample:
             results[threads] = (selectors, vectors[table.key].scores, human_vec.scores)
         assert results[1] == results[2] == results[8]
 
+    @pytest.mark.parametrize("n_segs", [5, 20])
+    def test_matches_one_generator_and_one_mean_per_hybrid(self, n_segs):
+        # the batched draws and means equal, with ==, one rng_for generator
+        # per hybrid and one mean over each hybrid's selected cells
+        table, human = make_aligned(n_segs=n_segs, seed=3)
+        other = seg_table({key: 2.0 * v - 1.0 for key, v in human.items()}, variant="w")
+        selectors, vectors, human_vec = hybrid_supersample(
+            [table, other], human, 25, seed=8
+        )
+        systems, seg_ids = table.systems(), table.segment_ids()
+        for i, sel in enumerate(selectors):
+            row = metaeval_module.rng_for(8, f"hybrid:{TASK.label}", i).integers(
+                0, len(systems), size=len(seg_ids)
+            )
+            assert sel.choices == {g: systems[j] for g, j in zip(seg_ids, row)}
+            for tb in (table, other):
+                score = vectors[tb.key].scores[sel.hybrid_id]
+                assert score == apply_selector(tb, sel.choices)
+            expected_human = np.mean([human[(sel.choices[g], g)] for g in seg_ids])
+            assert human_vec.scores[sel.hybrid_id] == float(expected_human)
+        for tb in (table, other):
+            real = {s: vectors[tb.key].scores[s] for s in systems}
+            assert real == system_scores(tb).scores
+
     def test_different_seed_differs(self):
         table, human = make_aligned()
         a = hybrid_supersample([table], human, 20, seed=1)[1][table.key].scores
@@ -467,13 +491,17 @@ class TestSelectBestVariant:
 
     @staticmethod
     def _hybrid_vectors(variants, human, tasks, k, seed):
-        """Per task, one hybrid_supersample call over every variant's table."""
+        """Per task, one hybrid_supersample call over every variant's table,
+        as (values by table key, human values)."""
         out = {}
         for t in tasks:
             _, vectors, human_vec = hybrid_supersample(
                 [per_task[t] for per_task in variants.values()], human[t], k, seed
             )
-            out[t] = (vectors, human_vec)
+            out[t] = (
+                {key: vector.values for key, vector in vectors.items()},
+                human_vec.values,
+            )
         return out
 
     def test_system_level_with_hybrids(self):

@@ -188,6 +188,48 @@ class TestScoreTables:
                 ]
                 assert float(cell) == length_deviation(records)
 
+    @pytest.mark.parametrize(
+        "unit", ["characters", "whitespace-tokens", "provided-counts"]
+    )
+    def test_length_deviation_counts_scored_tokens_when_units_agree(
+        self, campaign, unit, monkeypatch
+    ):
+        # a hypothesis is tokenised a second time, in the length unit, only
+        # where that unit does not tokenise like the scoring scheme; every
+        # cell still equals the length measured in the unit
+        import lcmteval.corpus as corpus_module
+
+        campaign = replace(campaign, config=replace(campaign.config, length_unit=unit))
+        hypothesis_texts = {record.text for record in campaign.hypotheses.values()}
+        calls = []
+        real_tokenize = corpus_module.tokenize
+
+        def counting_tokenize(text, scheme):
+            if text in hypothesis_texts:
+                calls.append(text)
+            return real_tokenize(text, scheme)
+
+        monkeypatch.setattr(corpus_module, "tokenize", counting_tokenize)
+        for task in campaign.tasks():
+            calls.clear()
+            native = score_tables_for_task(campaign, task)
+            scheme = scheme_for_direction(task.direction)
+            agree = {
+                "characters": scheme == "character",
+                "whitespace-tokens": scheme == "whitespace",
+                "provided-counts": True,
+            }[unit]
+            assert len(calls) == (0 if agree else 24)
+            (table,) = [t for t in native.tables if t.metric_id == LENGTH_DEV_ID]
+            for seg in campaign.segments_for_direction(task.direction):
+                reference_length = campaign.reference_length(seg)
+                target = max(expected_length(task.ratio, reference_length), 1)
+                for system in campaign.config.systems:
+                    record = campaign.hypothesis(system, seg.seg_id, task.ratio)
+                    out_len = campaign.hypothesis_length(record)
+                    expected = abs(out_len - target) / target
+                    assert table.cells[(system, seg.seg_id)] == expected
+
     def test_system_stage_logs_one_line_per_task(self, campaign, caplog):
         state = PipelineState(campaign, hybrids=20)
         state.human_by_task, state.natives  # they log their own lines
@@ -196,15 +238,20 @@ class TestScoreTables:
         messages = [
             r.getMessage() for r in caplog.records if r.name == "lcmteval.pipeline"
         ]
-        assert len(messages) == len(campaign.tasks())
-        for task, message in zip(campaign.tasks(), messages):
+        tasks = campaign.tasks()
+        assert len(messages) == len(tasks) + 1
+        for task, message in zip(tasks, messages):
             # 11 native tables without LengthDev, plus neuralA's three
-            # variants and neuralB
+            # variants and neuralB; 2 systems never take a rejection branch
             assert message.startswith(
                 f"hybrid pass {task.label}: 15 tables (11 native, 4 external), "
-                "K=20 hybrids, "
+                "K=20 hybrids drawn in one call (0 redrawn one by one), "
             )
-            assert message.endswith(" s")
+        # the system stage reads the selections, which log their own line
+        assert messages[-1].startswith(
+            "variant selection: 2 metrics, 4 variants, system level, "
+        )
+        assert all(message.endswith(" s") for message in messages)
 
     def test_human_aggregation_and_native_scores_log_work_at_info(
         self, campaign, caplog
@@ -231,22 +278,23 @@ class TestScoreTables:
         assert all(message.endswith(" s") for message in messages)
 
     def test_one_hybrid_draw_set_per_task(self, campaign, monkeypatch):
+        # one integer_rows call per task draws all K index rows
         import lcmteval.metaeval as metaeval_module
 
-        draws = []
-        real_rng_for = metaeval_module.rng_for
+        calls = []
+        real_integer_rows = metaeval_module.integer_rows
 
-        def counting_rng_for(*key):
-            if str(key[1]).startswith("hybrid:"):
-                draws.append(key)
-            return real_rng_for(*key)
+        def counting_integer_rows(master_seed, tag, k, high, size):
+            calls.append((master_seed, tag, k))
+            return real_integer_rows(master_seed, tag, k, high, size)
 
-        monkeypatch.setattr(metaeval_module, "rng_for", counting_rng_for)
+        monkeypatch.setattr(metaeval_module, "integer_rows", counting_integer_rows)
         state = PipelineState(campaign, hybrids=20)
         state.selections
         state.system_stage
-        assert len(draws) == len(campaign.tasks()) * 20
-        assert len(set(draws)) == len(draws)
+        assert len(calls) == len(campaign.tasks())
+        assert all(k == 20 for _, _, k in calls)
+        assert len(set(calls)) == len(calls)
 
     def test_hybrid_pass_equals_separate_calls(self, campaign):
         # one pass per task gives the selections and the system stage what
@@ -271,10 +319,10 @@ class TestScoreTables:
                 assert per_variant[selection.variant_id] == max(per_variant.values())
                 chosen = variants[selection.variant_id][t]
                 assert (
-                    sys_vectors[t][chosen.display_name()].scores
-                    == vectors[chosen.key].scores
+                    sys_vectors[t][chosen.display_name()].tolist()
+                    == vectors[chosen.key].values
                 )
-                assert human_vectors[t].scores == human_vec.scores
+                assert human_vectors[t].tolist() == human_vec.values
         for t in state.tasks:
             native = score_tables_for_task(campaign, t)
             tables = [tb for tb in native.tables if tb.metric_id != LENGTH_DEV_ID]
@@ -286,8 +334,9 @@ class TestScoreTables:
                 corpus_scorer=native.corpus_scorer,
             )
             for tb in tables:
-                assert sys_vectors[t][tb.display_name()].scores == vectors[tb.key].scores
-            assert human_vectors[t].scores == human_vec.scores
+                vector = sys_vectors[t][tb.display_name()]
+                assert vector.tolist() == vectors[tb.key].values
+            assert human_vectors[t].tolist() == human_vec.values
 
     def test_significance_and_comparison_log_work_at_info(
         self, campaign, caplog, tmp_path
@@ -314,6 +363,35 @@ class TestScoreTables:
             f"system comparison: {len(tasks)} tasks, 11 metrics, B=30 resamples, "
         )
         assert messages[-1].endswith(" s")
+
+    def test_load_validation_qc_agreement_and_selection_log_at_info(
+        self, fixture_config_path, caplog, tmp_path
+    ):
+        with caplog.at_level(logging.INFO, logger="lcmteval.pipeline"):
+            run_pipeline(
+                fixture_config_path,
+                tmp_path,
+                hybrids=20,
+                permutations=10,
+                bootstrap=20,
+                level="segment",
+            )
+        messages = [
+            r.getMessage() for r in caplog.records if r.name == "lcmteval.pipeline"
+        ]
+        # 2 x 12 segments, 2 systems x 2 ratios per segment, 336 ratings with
+        # 48 traps, 384 external cells (4 variants x 4 tasks x 24 cells)
+        for prefix in (
+            "campaign load: 24 segments, 96 hypotheses, 336 ratings, 384 external "
+            "score cells, ",
+            "campaign validation: 288 of 288 expected ratings found, 0 missing and "
+            "0 duplicate cells, ",
+            "qc: 4 tasks, 336 ratings, timing cutoff 600 s, ",
+            "agreement: 4 tasks, with and without traps, ",
+            "variant selection: 2 metrics, 4 variants, segment level, ",
+        ):
+            (line,) = [m for m in messages if m.startswith(prefix)]
+            assert line.endswith(" s")
 
     def test_composition_matches_direct_metric_calls(self, campaign):
         # the task tables must equal metric calls composed by hand
