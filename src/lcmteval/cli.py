@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Each report table of the pipeline is reachable through its own subcommand so
-individual stages can be inspected and tested; ``run`` drives the complete
-chain.  Exit codes: 0 success, 1 campaign validation failure, 2 I/O or
-format error, 3 violated statistical precondition.
+Every report table of ``run`` is reachable through a stage command (``qc``,
+``correlate``, ``significance``, ``syscompare``) that writes exactly ``run``'s
+files of that stage at the same flags; ``run`` writes every stage in that order
+and a digest manifest.  ``--level`` is the variant-selection level everywhere.
+Exit codes: 0 success, 1 campaign validation failure, 2 I/O or format error,
+3 violated statistical precondition.
 """
 
 from __future__ import annotations
@@ -15,13 +17,14 @@ import sys
 from pathlib import Path
 
 from ._version import VERSION
-from .corpus import SCORES_HEADER, Campaign, validate_campaign
+from .corpus import _MAX_SEED, SCORES_HEADER, Campaign, length_scheme, validate_campaign
 from .errors import DataError, StatError, ToolkitError, ValidationFailure
-from .metrics import CHARACTER, WHITESPACE, scheme_for_direction
 from .pipeline import (
     PipelineState,
+    emit_stage,
     format_validation_report,
     open_campaign,
+    require_ratings,
     run_pipeline,
     score_tables_for_task,
 )
@@ -48,6 +51,13 @@ def _at_least(minimum: int):
     return integer
 
 
+def master_seed(text: str) -> int:
+    """argparse type: an integer in the config seed's range [0, 2**64 - 1]."""
+    if not 0 <= int(text) <= _MAX_SEED:
+        raise argparse.ArgumentTypeError(f"must be in [0, {_MAX_SEED}], got {text}")
+    return int(text)
+
+
 def probability(text: str) -> float:
     """argparse type: a float strictly between 0 and 1 (not NaN)."""
     value = float(text)
@@ -65,7 +75,7 @@ def positive_seconds(text: str) -> float:
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=master_seed, default=None,
                         help="master seed (default: the config's seed)")
     parser.add_argument("--hybrids", type=_at_least(0), default=1000, metavar="K",
                         help="hybrid systems per task for system-level correlation")
@@ -110,7 +120,7 @@ def _options(args) -> dict:
 
 
 def _state(args) -> PipelineState:
-    return PipelineState(_load(args), **_options(args))
+    return PipelineState(require_ratings(_load(args)), **_options(args))
 
 
 def _out_dir(args) -> Path:
@@ -130,17 +140,13 @@ def cmd_traps(args) -> int:
     campaign = _load(args)
     config = campaign.config
     seed = config.seed if args.seed is None else args.seed
-    unit_scheme = {
-        "characters": CHARACTER,
-        "whitespace-tokens": WHITESPACE,
-    }.get(config.length_unit)
     out = _out_dir(args)
     path = out / "traps.jsonl"
     n_written = 0
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         for direction in config.directions:
             segments = campaign.segments_for_direction(direction)
-            scheme = unit_scheme or scheme_for_direction(direction)
+            scheme = length_scheme(config.length_unit, direction)
             for ratio in config.length_ratios:
                 if not (0.0 < ratio < 1.0):
                     logger.warning(
@@ -180,15 +186,15 @@ def cmd_traps(args) -> int:
     return 0
 
 
-def cmd_qc(args) -> int:
-    state = _state(args)
-    for path in state.emit_qc(_out_dir(args)):
+def cmd_stage(args) -> int:
+    """One stage command: the files ``run`` writes for that stage."""
+    for path in emit_stage(_state(args), args.command, _out_dir(args)):
         print(f"wrote {path}")
     return 0
 
 
 def cmd_normalize(args) -> int:
-    campaign = _load(args)
+    campaign = require_ratings(_load(args))
     normalized = znormalize(campaign.ratings, include_traps=args.include_traps)
     out = _out_dir(args)
     norm_path = out / "normalized_ratings.csv"
@@ -277,38 +283,6 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def cmd_correlate(args) -> int:
-    state = _state(args)
-    out = _out_dir(args)
-    written = state.emit_variant_selection(out)
-    if args.level == "system":
-        written += state.emit_correlations_system(out)
-    else:
-        written += state.emit_correlations_segment(out)
-    for path in written:
-        print(f"wrote {path}")
-    return 0
-
-
-def cmd_significance(args) -> int:
-    state = _state(args)
-    out = _out_dir(args)
-    if args.level == "system":
-        written = state.emit_sig_system(out)
-    else:
-        written = state.emit_sig_segment(out)
-    for path in written:
-        print(f"wrote {path}")
-    return 0
-
-
-def cmd_syscompare(args) -> int:
-    state = _state(args)
-    for path in state.emit_system_eval(_out_dir(args)):
-        print(f"wrote {path}")
-    return 0
-
-
 def cmd_report(args) -> int:
     matrix = load_sig_matrix_csv(args.matrix)
     out = Path(args.out_file)
@@ -358,14 +332,15 @@ def build_parser() -> argparse.ArgumentParser:
     traps = add("traps", cmd_traps, "generate truncated-reference trap pairs")
     traps.add_argument("--count", type=_at_least(0), default=60,
                        help="trap samples per (direction, ratio)")
-    add("qc", cmd_qc, "timing and trap-bucket quality-control tables")
+    add("qc", cmd_stage, "timing, trap-bucket and agreement quality-control tables")
     add("normalize", cmd_normalize, "per-annotator z-scores and segment averages")
     add("score", cmd_score, "native lexical metric score tables")
     add("ingest", cmd_ingest, "validate and summarize external score files",
         needs_out=False)
-    add("correlate", cmd_correlate, "metric-human correlation tables")
-    add("significance", cmd_significance, "pairwise metric significance matrices")
-    add("syscompare", cmd_syscompare, "per-system scores with bootstrap daggers")
+    add("correlate", cmd_stage, "variant selection and metric-human correlation tables")
+    add("significance", cmd_stage, "pairwise metric significance matrices")
+    add("syscompare", cmd_stage,
+        "per-system scores with bootstrap daggers, and length deviation")
     report = sub.add_parser(
         "report", help="re-render an emitted significance matrix"
     )

@@ -3,19 +3,20 @@ correlation -> significance -> report files.
 
 :class:`PipelineState` lazily computes shared intermediates (normalized
 ratings, native score tables, hybrid-extended system score arrays from one
-hybrid pass per task that variant selection and the system stage share) so each
-report table is reachable standalone; :func:`run_pipeline` drives the whole chain
-and writes a digest manifest.  ``PipelineState.report_tables`` decides once
-per task which metrics the correlation, significance and system comparison
-reports cover: the native metrics but length deviation, plus the chosen
-variant of each external metric, sorted by display name; the segment-level
-reports take its segment-level subset.  The native stage tokenises each
-reference once per task and each hypothesis once per (system, segment) cell
-and counts each text's n-grams once; a cell's additive BLEU statistics and
-its ROUGE-1/2 come from those counts.  Real-system BLEU and BLEU* finish each
-system's summed cell statistics; hybrid BLEU and BLEU* sum the statistics of
-the cells a hybrid selects, and one ``NativeScores.corpus_scorer`` call per
-hybrid pass finishes each hybrid's statistics once for both.
+hybrid pass per task that variant selection and the system stage share) for the
+report emitters; ``STAGES`` groups the emitters by stage command, and
+:func:`run_pipeline` writes every stage in order, then a digest manifest.
+``PipelineState.report_tables`` decides once per task which metrics the
+correlation, significance and system comparison reports cover: the native
+metrics but length deviation, plus the chosen variant of each external metric,
+sorted by display name; the segment-level reports take its segment-level
+subset.  The native stage tokenises each reference once per task and each
+hypothesis once per (system, segment) cell and counts each text's n-grams once;
+a cell's additive BLEU statistics and its ROUGE-1/2 come from those counts.
+Real-system BLEU and BLEU* finish each system's summed cell statistics; hybrid
+BLEU and BLEU* sum the statistics of the cells a hybrid selects, and one
+``NativeScores.corpus_scorer`` call per hybrid pass finishes each hybrid's
+statistics once for both.
 Given identical inputs and master seed, two runs produce byte-identical
 artifacts: every random draw derives from the master seed, rows are sorted
 deterministically, and numeric report cells are fixed at 4 decimals.
@@ -728,6 +729,32 @@ def open_campaign(config_path, length_unit: str | None = None) -> Campaign:
     return campaign
 
 
+# Each stage command's PipelineState emitters, in ``run``'s order; looked up by
+# name at call time, so a wrapper set on the class after import is what runs.
+STAGES = {
+    "qc": ("emit_qc", "emit_agreement"),
+    "correlate": (
+        "emit_variant_selection",
+        "emit_correlations_system",
+        "emit_correlations_segment",
+    ),
+    "significance": ("emit_sig_system", "emit_sig_segment"),
+    "syscompare": ("emit_system_eval", "emit_length_deviation"),
+}
+
+
+def emit_stage(state: PipelineState, stage: str, out: Path) -> list[Path]:
+    """Write one stage's report files into ``out``; returns their paths."""
+    return [path for name in STAGES[stage] for path in getattr(state, name)(out)]
+
+
+def require_ratings(campaign: Campaign) -> Campaign:
+    """``campaign``; :class:`MissingFile` if its config names no ratings file."""
+    if campaign.config.ratings_path is None:
+        raise MissingFile("campaign config declares no ratings file")
+    return campaign
+
+
 def run_pipeline(
     config_path,
     out_dir,
@@ -751,9 +778,7 @@ def run_pipeline(
     accepted for compatibility and ignored: every stage runs on one thread.
     Raises :class:`ValidationFailure` when the rating grid is incomplete.
     """
-    campaign = open_campaign(config_path, length_unit)
-    if campaign.config.ratings_path is None:
-        raise MissingFile("campaign config declares no ratings file")
+    campaign = require_ratings(open_campaign(config_path, length_unit))
     started = time.perf_counter()
     report = validate_campaign(campaign)
     logger.info(
@@ -791,16 +816,7 @@ def run_pipeline(
     state.external_variants  # raises on incomplete or clashing external tables
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    written += state.emit_qc(out)
-    written += state.emit_agreement(out)
-    written += state.emit_variant_selection(out)
-    written += state.emit_correlations_system(out)
-    written += state.emit_correlations_segment(out)
-    written += state.emit_sig_system(out)
-    written += state.emit_sig_segment(out)
-    written += state.emit_system_eval(out)
-    written += state.emit_length_deviation(out)
+    written = [path for stage in STAGES for path in emit_stage(state, stage, out)]
 
     config_digest = sha256_file(config_path)
     inputs = {

@@ -130,7 +130,11 @@ def _sig_to_csv(matrix: SigMatrix, path: str | os.PathLike) -> None:
 
 
 def load_sig_matrix_csv(path: str | os.PathLike) -> SigMatrix:
-    """Rebuild a SigMatrix from its CSV emission (4-decimal statistics)."""
+    """Rebuild a SigMatrix from its CSV emission (4-decimal statistics).
+
+    The file must hold exactly one row per ordered pair of distinct metrics;
+    a same-metric or repeated row, or a missing pair, is a :class:`ParseError`.
+    """
     path = Path(path)
     header, rows = _read_numbered_rows(path)
     if header != SIG_HEADER:
@@ -165,6 +169,14 @@ def load_sig_matrix_csv(path: str | os.PathLike) -> SigMatrix:
             raise ParseError(
                 "mixed tasks or levels in one matrix file", path=path, line=line
             )
+        if row_m == col_m:
+            raise ParseError(
+                f"cell pairs metric {row_m!r} with itself", path=path, line=line
+            )
+        if (row_m, col_m) in cells:
+            raise ParseError(
+                f"repeated cell {row_m!r} x {col_m!r}", path=path, line=line
+            )
         for name in (row_m, col_m):
             if name not in metrics:
                 metrics.append(name)
@@ -184,6 +196,10 @@ def load_sig_matrix_csv(path: str | os.PathLike) -> SigMatrix:
             significant=parse_bool(row[9], line),
             bonferroni_significant=parse_bool(row[10], line),
         )
+    for row_m in metrics:
+        for col_m in metrics:
+            if row_m != col_m and (row_m, col_m) not in cells:
+                raise ParseError(f"no cell {row_m!r} x {col_m!r}", path=path)
     return SigMatrix(task=task, level=level, metrics=tuple(metrics), cells=cells)
 
 

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,8 @@ from lcmteval.reports import (
 from lcmteval.significance import CIResult, SigCell, SigMatrix
 
 TASK = Task("aa-bb", 0.8)
+GOLDENS = Path(__file__).parent / "goldens"
+STAGE_COMMANDS = ["qc", "correlate", "significance", "syscompare"]
 
 
 def make_matrix(metrics, wins=(), bonferroni=(), level="segment"):
@@ -183,6 +187,8 @@ class TestCli:
         header, rows = read_csv_table(tmp_path / "qc_timing.csv")
         assert header == ["direction", "ratio", "all_ave", "cut_ave"]
         assert len(rows) == 4
+        header, rows = read_csv_table(tmp_path / "agreement.csv")
+        assert len(rows) == 4 * 2  # tasks x with and without traps
         assert main(["normalize", str(fixture_config_path), "--out", str(tmp_path)]) == 0
         header, rows = read_csv_table(tmp_path / "normalized_ratings.csv")
         assert len(rows) == 288  # traps dropped by default
@@ -269,6 +275,71 @@ class TestCli:
             else f"bad {column} 'zz'"
         )
         assert f"sig.csv:5: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["csv", "textgrid", "svg"])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ("drop", "sig.csv: no cell 'm1' x 'm3'"),
+            ("repeat", "sig.csv:8: repeated cell 'm1' x 'm2'"),
+            ("self", "sig.csv:4: cell pairs metric 'm2' with itself"),
+        ],
+    )
+    def test_report_needs_one_row_per_ordered_pair(
+        self, tmp_path, capsys, fmt, edit, message
+    ):
+        csv_path = tmp_path / "sig.csv"
+        # rows on lines 2-7: m1 m2, m1 m3, m2 m1, m2 m3, m3 m1, m3 m2
+        emit_sig_matrix(make_matrix(["m1", "m2", "m3"]), "csv", csv_path)
+        lines = csv_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        if edit == "drop":
+            del lines[2]
+        elif edit == "repeat":
+            lines.append(lines[1])
+        else:
+            fields = lines[3].split(",")
+            fields[SIG_HEADER.index("col_metric")] = "m2"
+            lines[3] = ",".join(fields)
+        csv_path.write_text("".join(lines), encoding="utf-8")
+        out_path = tmp_path / f"out.{fmt}"
+        assert main(["report", str(csv_path), "--format", fmt, str(out_path)]) == 2
+        assert f"{message}\n" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("golden", ["fixture_manifest", "fixture_manifest_segment"])
+    def test_stage_commands_write_the_golden_files(
+        self, fixture_config_path, tmp_path, golden
+    ):
+        golden = json.loads((GOLDENS / f"{golden}.json").read_text())
+        flags = [
+            arg
+            for name, value in sorted(golden["flags"].items())
+            for arg in (f"--{name}", str(value))
+        ]
+        for command in STAGE_COMMANDS:
+            assert main(
+                [command, str(fixture_config_path), "--out", str(tmp_path)] + flags
+            ) == 0
+        assert {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.iterdir()
+        } == golden["files"]
+
+    @pytest.mark.parametrize("command", ["normalize", *STAGE_COMMANDS, "run"])
+    def test_no_ratings_file_exit_2(
+        self, fixture_config_path, tmp_path, capsys, command
+    ):
+        shutil.copytree(fixture_config_path.parent, tmp_path / "camp")
+        config = tmp_path / "camp" / "campaign.conf"
+        lines = config.read_text(encoding="utf-8").splitlines(keepends=True)
+        config.write_text(
+            "".join(line for line in lines if not line.startswith("ratings")),
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        assert main([command, str(config), "--out", str(out)] + FAST_FLAGS) == 2
+        assert "campaign config declares no ratings file" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "carrier, field, value",
@@ -357,6 +428,9 @@ class TestCli:
         assert len(rows) == 11  # 9 ROUGE + neuralA best variant + neuralB
         header, rows = read_csv_table(tmp_path / "variant_selection.csv")
         assert {row[1] for row in rows} == {"segment"}
+        # --level picks the variants only: both correlation levels are written
+        header, rows = read_csv_table(tmp_path / "correlations_system.csv")
+        assert len(rows) == 13  # 11 segment-level metrics + BLEU + BLEU*
 
     def test_significance_system_level(self, fixture_config_path, tmp_path):
         code = main(
@@ -367,6 +441,9 @@ class TestCli:
         matrix = load_sig_matrix_csv(tmp_path / "sig_system_en-zh.80.csv")
         assert matrix.level == "system"
         assert len(matrix.metrics) == 13  # 9 ROUGE + BLEU + BLEU* + 2 neural
+        matrix = load_sig_matrix_csv(tmp_path / "sig_segment_en-zh.80.csv")
+        assert matrix.level == "segment"
+        assert len(matrix.metrics) == 11
 
     def test_syscompare(self, fixture_config_path, tmp_path):
         code = main(
@@ -376,6 +453,8 @@ class TestCli:
         assert code == 0
         header, rows = read_csv_table(tmp_path / "system_eval.csv")
         assert len(rows) == 11 * 2  # metrics x systems
+        header, rows = read_csv_table(tmp_path / "length_deviation.csv")
+        assert len(rows) == 2  # systems
 
 
 FAST_FLAGS = ["--hybrids", "60", "--permutations", "60", "--bootstrap", "100"]
@@ -485,12 +564,34 @@ class TestRunCommand:
         assert f"argument {flag}: {bound}" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
 
+    @pytest.mark.parametrize("value", ["-1", str(2**64)])
+    def test_seed_out_of_range_exit_2(
+        self, fixture_config_path, tmp_path, capsys, value
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(fixture_config_path), "--out", str(tmp_path)]
+                 + FAST_FLAGS + ["--seed", value])
+        assert exc.value.code == 2
+        assert (
+            f"argument --seed: must be in [0, {2**64 - 1}], got {value}"
+            in capsys.readouterr().err
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_seed_range_ends_are_accepted(self, fixture_config_path, tmp_path):
+        for value in ("0", str(2**64 - 1)):
+            out = tmp_path / value
+            assert main(["traps", str(fixture_config_path), "--out", str(out),
+                         "--count", "1", "--seed", value]) == 0
+            assert (out / "traps.jsonl").exists()
+
     @pytest.mark.parametrize(
         "command",
         [
             ["run", "--hybrids", "0", "--level", "segment"],
             ["run", "--hybrids", "1"],
             ["significance", "--level", "system", "--hybrids", "1"],
+            ["significance", "--level", "segment", "--hybrids", "0"],
         ],
     )
     def test_too_few_systems_for_system_significance_exit_3_first(
