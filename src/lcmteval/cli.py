@@ -3,8 +3,13 @@
 Every report table of ``run`` is reachable through a stage command (``qc``,
 ``correlate``, ``significance``, ``syscompare``) that writes exactly ``run``'s
 files of that stage at the same flags; ``run`` writes every stage in that order
-and a digest manifest.  ``--level`` is the variant-selection level everywhere.
-Exit codes: 0 success, 1 campaign validation failure, 2 I/O or format error,
+and a digest manifest.  ``run`` and the stage commands open a campaign through
+``pipeline.open_state``, so they refuse the same campaigns: no ratings file
+(exit 2) or an incomplete rating grid (exit 1), before writing anything.
+``validate`` reports the grid; ``traps``, ``normalize``, ``score`` and
+``ingest`` load without the grid check, to inspect a campaign still being
+collected.  ``--level`` is the variant-selection level everywhere.  Exit
+codes: 0 success, 1 campaign validation failure, 2 I/O or format error,
 3 violated statistical precondition.
 """
 
@@ -17,23 +22,25 @@ import sys
 from pathlib import Path
 
 from ._version import VERSION
-from .corpus import _MAX_SEED, SCORES_HEADER, Campaign, length_scheme, validate_campaign
+from .corpus import (
+    _MAX_SEED,
+    Campaign,
+    length_scheme,
+    validate_campaign,
+    write_scores_file,
+)
 from .errors import DataError, StatError, ToolkitError, ValidationFailure
 from .pipeline import (
-    PipelineState,
     emit_stage,
     format_validation_report,
+    human_scores,
     open_campaign,
+    open_state,
     require_ratings,
     run_pipeline,
     score_tables_for_task,
 )
-from .ratings import (
-    aggregate_segment_human,
-    generate_traps,
-    trap_schedule_count,
-    znormalize,
-)
+from .ratings import generate_traps, trap_schedule_count
 from .reports import emit_sig_matrix, load_sig_matrix_csv, write_csv
 from .seeding import derive_int
 
@@ -108,6 +115,7 @@ def _options(args) -> dict:
     """The pipeline options of the common flags, for both ``run`` and the
     stage commands."""
     return {
+        "length_unit": args.length_unit,
         "seed": args.seed,
         "hybrids": args.hybrids,
         "permutations": args.permutations,
@@ -119,10 +127,6 @@ def _options(args) -> dict:
     }
 
 
-def _state(args) -> PipelineState:
-    return PipelineState(require_ratings(_load(args)), **_options(args))
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -130,7 +134,7 @@ def _out_dir(args) -> Path:
 
 
 def cmd_validate(args) -> int:
-    campaign = _load(args)
+    campaign = require_ratings(_load(args))
     report = validate_campaign(campaign)
     print(format_validation_report(report))
     return 0 if report.ok else 1
@@ -140,62 +144,60 @@ def cmd_traps(args) -> int:
     campaign = _load(args)
     config = campaign.config
     seed = config.seed if args.seed is None else args.seed
-    out = _out_dir(args)
-    path = out / "traps.jsonl"
-    n_written = 0
+    # draw every trap first, so a refused run writes nothing
+    traps = []
+    for direction in config.directions:
+        segments = campaign.segments_for_direction(direction)
+        scheme = length_scheme(config.length_unit, direction)
+        for ratio in config.length_ratios:
+            if not (0.0 < ratio < 1.0):
+                logger.warning("skipping ratio %s: traps need a ratio in (0, 1)", ratio)
+                continue
+            traps += generate_traps(
+                segments,
+                ratio,
+                args.count,
+                derive_int(seed, "traps-task", direction, repr(ratio)),
+                scheme=scheme,
+            )
+    path = _out_dir(args) / "traps.jsonl"
     with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for direction in config.directions:
-            segments = campaign.segments_for_direction(direction)
-            scheme = length_scheme(config.length_unit, direction)
-            for ratio in config.length_ratios:
-                if not (0.0 < ratio < 1.0):
-                    logger.warning(
-                        "skipping ratio %s: traps need a ratio in (0, 1)", ratio
-                    )
-                    continue
-                traps = generate_traps(
-                    segments,
-                    ratio,
-                    args.count,
-                    derive_int(seed, "traps-task", direction, repr(ratio)),
-                    scheme=scheme,
+        for trap in traps:
+            fh.write(
+                json.dumps(
+                    {
+                        "seg_id": trap.seg_id,
+                        "truncated_text": trap.truncated_text,
+                        "original_reference": trap.original_reference,
+                        "ratio": trap.ratio,
+                    },
+                    ensure_ascii=False,
+                    sort_keys=True,
                 )
-                for trap in traps:
-                    fh.write(
-                        json.dumps(
-                            {
-                                "seg_id": trap.seg_id,
-                                "truncated_text": trap.truncated_text,
-                                "original_reference": trap.original_reference,
-                                "ratio": trap.ratio,
-                            },
-                            ensure_ascii=False,
-                            sort_keys=True,
-                        )
-                        + "\n"
-                    )
-                    n_written += 1
+                + "\n"
+            )
     scheduled = trap_schedule_count(
         len(config.directions),
         len(config.length_ratios),
         config.annotators_per_task,
         args.count,
     )
-    print(f"wrote {n_written} trap pairs to {path}")
+    print(f"wrote {len(traps)} trap pairs to {path}")
     print(f"scheduled trap annotations: {scheduled}")
     return 0
 
 
 def cmd_stage(args) -> int:
     """One stage command: the files ``run`` writes for that stage."""
-    for path in emit_stage(_state(args), args.command, _out_dir(args)):
+    state = open_state(args.config, **_options(args))
+    for path in emit_stage(state, args.command, _out_dir(args)):
         print(f"wrote {path}")
     return 0
 
 
 def cmd_normalize(args) -> int:
     campaign = require_ratings(_load(args))
-    normalized = znormalize(campaign.ratings, include_traps=args.include_traps)
+    normalized, aggregated = human_scores(campaign, args.include_traps)
     out = _out_dir(args)
     norm_path = out / "normalized_ratings.csv"
     write_csv(
@@ -214,11 +216,6 @@ def cmd_normalize(args) -> int:
             for r in normalized
         ],
     )
-    aggregated, warnings = aggregate_segment_human(
-        normalized, annotators_per_task=campaign.config.annotators_per_task
-    )
-    for w in warnings:
-        logger.warning("aggregation: %s", w)
     agg_path = out / "human_segment_scores.csv"
     write_csv(
         agg_path,
@@ -239,19 +236,7 @@ def cmd_score(args) -> int:
     for task in campaign.tasks():
         tables = score_tables_for_task(campaign, task).tables
         seg_path = out / f"native_scores_{task.label}.tsv"
-        with seg_path.open("w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\t".join(SCORES_HEADER) + "\n")
-            for table in tables:
-                if table.level != "segment":
-                    continue
-                for (system, seg_id), score in sorted(table.cells.items()):
-                    fh.write(
-                        "\t".join(
-                            [table.metric_id, table.variant_id, system, seg_id,
-                             repr(score)]
-                        )
-                        + "\n"
-                    )
+        write_scores_file(seg_path, [tb for tb in tables if tb.level == "segment"])
         sys_path = out / f"native_system_{task.label}.csv"
         write_csv(
             sys_path,
@@ -292,13 +277,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_run(args) -> int:
-    artifacts = run_pipeline(
-        args.config,
-        args.out,
-        length_unit=args.length_unit,
-        threads=args.threads,
-        **_options(args),
-    )
+    artifacts = run_pipeline(args.config, args.out, **_options(args))
     for name, digest in artifacts.manifest:
         print(f"{digest}  {name}")
     print(f"seed {artifacts.seed}, version {artifacts.version}")

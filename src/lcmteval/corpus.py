@@ -11,7 +11,7 @@ Carrier formats (all UTF-8, LF line endings):
   texts may contain tabs here, which is why the JSON-lines carrier is used.
 * ``ratings.csv`` -- header ``annotator,seg_id,system,ratio,score,duration_s,is_trap``.
 * ``scores.tsv`` -- header ``metric<TAB>variant<TAB>system<TAB>seg_id<TAB>score``;
-  embedded tabs in fields are rejected by construction.
+  a field holding a tab, a quote or a line break is CSV-quoted.
 
 Loaded campaigns are immutable and safe to share across threads.  Segment
 ids must be unique across the whole campaign (not just per direction): the
@@ -21,6 +21,7 @@ to resolve to a single direction.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -79,6 +80,15 @@ class CampaignConfig:
     def __post_init__(self):
         if not self.directions:
             raise ParseError("config needs at least one direction")
+        for kind, ids in (("direction", self.directions), ("system", self.systems)):
+            for item in ids:
+                # parse_config splits on ',' and strips each item
+                if item.splitlines() != [item] or item != item.strip() or "," in item:
+                    raise ParseError(
+                        f"{kind} id {item!r} does not survive the config file: "
+                        "it must be non-empty, hold no ',' or line break, and "
+                        "have no leading or trailing whitespace"
+                    )
         if len(set(self.directions)) != len(self.directions):
             raise ParseError("directions must be unique")
         if not self.length_ratios:
@@ -470,8 +480,6 @@ RATINGS_HEADER = ["annotator", "seg_id", "system", "ratio", "score", "duration_s
 def load_ratings(
     path: Path, config: CampaignConfig, segments: Mapping[str, SegmentRecord]
 ) -> tuple[RatingRecord, ...]:
-    import csv
-
     if not path.is_file():
         raise MissingFile(f"ratings file not found: {path}")
     records: list[RatingRecord] = []
@@ -557,8 +565,6 @@ def load_external_scores(
     segment_ids: Sequence[str],
 ) -> list[ScoreTable]:
     """Read a tab-separated score file into one dense table per (metric, variant)."""
-    import csv
-
     path = Path(path)
     if not path.is_file():
         raise MissingFile(f"scores file not found: {path}")
@@ -632,6 +638,19 @@ def load_external_scores(
     return tables
 
 
+def write_scores_file(path: str | os.PathLike, tables: Iterable[ScoreTable]) -> None:
+    """Write segment-level tables to a scores file, in the given order and each
+    table's cells sorted, so that :func:`load_external_scores` reads them back."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
+        writer.writerow(SCORES_HEADER)
+        for table in tables:
+            for (system, seg_id), score in sorted(table.cells.items()):
+                writer.writerow(
+                    [table.metric_id, table.variant_id, system, seg_id, repr(score)]
+                )
+
+
 def scores_file_name(task: Task) -> str:
     return f"{task.label}.tsv"
 
@@ -698,8 +717,6 @@ def load_campaign(config_path: str | os.PathLike) -> Campaign:
 
 def save_campaign(campaign: Campaign, directory: str | os.PathLike) -> None:
     """Write a campaign back to disk in the canonical carrier formats."""
-    import csv
-
     base = Path(directory)
     base.mkdir(parents=True, exist_ok=True)
     config = campaign.config
@@ -759,16 +776,10 @@ def save_campaign(campaign: Campaign, directory: str | os.PathLike) -> None:
         scores_base = base / config.scores_dir
         scores_base.mkdir(parents=True, exist_ok=True)
         for task, tables in sorted(campaign.external_scores.items()):
-            with (scores_base / scores_file_name(task)).open(
-                "w", encoding="utf-8", newline=""
-            ) as fh:
-                writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
-                writer.writerow(SCORES_HEADER)
-                for table in sorted(tables, key=lambda t: t.key):
-                    for (system, seg_id), score in sorted(table.cells.items()):
-                        writer.writerow(
-                            [table.metric_id, table.variant_id, system, seg_id, repr(score)]
-                        )
+            write_scores_file(
+                scores_base / scores_file_name(task),
+                sorted(tables, key=lambda t: t.key),
+            )
 
 
 def validate_campaign(campaign: Campaign) -> ValidationReport:

@@ -4,8 +4,10 @@ correlation -> significance -> report files.
 :class:`PipelineState` lazily computes shared intermediates (normalized
 ratings, native score tables, hybrid-extended system score arrays from one
 hybrid pass per task that variant selection and the system stage share) for the
-report emitters; ``STAGES`` groups the emitters by stage command, and
-:func:`run_pipeline` writes every stage in order, then a digest manifest.
+report emitters; :func:`open_state` opens and checks a campaign and builds its
+state for ``run`` and the stage commands alike.  ``STAGES`` groups the emitters
+by stage command, and :func:`run_pipeline` writes every stage in order, then a
+digest manifest.
 ``PipelineState.report_tables`` decides once per task which metrics the
 correlation, significance and system comparison reports cover: the native
 metrics but length deviation, plus the chosen variant of each external metric,
@@ -76,6 +78,7 @@ from .metrics import (
     tokenize,
 )
 from .ratings import (
+    NormalizedRating,
     agreement,
     aggregate_segment_human,
     timing_report,
@@ -234,8 +237,36 @@ def score_tables_for_task(campaign: Campaign, task: Task) -> NativeScores:
     return NativeScores(tables, cell_stats)
 
 
+def human_scores(
+    campaign: Campaign, include_traps: bool = False
+) -> tuple[list[NormalizedRating], dict[tuple[Task, str, str], float]]:
+    """The z-normalised ratings and the mean z per (task, system, seg_id)
+    cell; aggregation warnings are logged."""
+    started = time.perf_counter()
+    normalized = znormalize(campaign.ratings, include_traps=include_traps)
+    aggregated, warnings = aggregate_segment_human(
+        normalized, annotators_per_task=campaign.config.annotators_per_task
+    )
+    for w in warnings:
+        logger.warning("aggregation: %s", w)
+    logger.info(
+        "human aggregation: %d ratings (%d normalised), %d cells over %d "
+        "tasks, %.3f s",
+        len(campaign.ratings),
+        len(normalized),
+        len(aggregated),
+        len(campaign.tasks()),
+        time.perf_counter() - started,
+    )
+    return normalized, aggregated
+
+
 class PipelineState:
-    """Shared intermediates for the report emitters, computed lazily."""
+    """Shared intermediates for the report emitters, computed lazily.
+
+    ``seed`` defaults to the campaign config's seed; ``level`` picks the
+    correlation used to choose the best variant of multi-variant metrics.
+    """
 
     def __init__(
         self,
@@ -276,27 +307,10 @@ class PipelineState:
 
     @cached_property
     def human_by_task(self) -> dict[Task, dict[tuple[str, str], float]]:
-        started = time.perf_counter()
-        normalized = znormalize(
-            self.campaign.ratings, include_traps=self.include_traps
-        )
-        aggregated, warnings = aggregate_segment_human(
-            normalized, annotators_per_task=self.campaign.config.annotators_per_task
-        )
-        for w in warnings:
-            logger.warning("aggregation: %s", w)
+        _, aggregated = human_scores(self.campaign, self.include_traps)
         out: dict[Task, dict[tuple[str, str], float]] = {t: {} for t in self.tasks}
         for (task, system, seg_id), value in aggregated.items():
             out[task][(system, seg_id)] = value
-        logger.info(
-            "human aggregation: %d ratings (%d normalised), %d cells over %d "
-            "tasks, %.3f s",
-            len(self.campaign.ratings),
-            len(normalized),
-            len(aggregated),
-            len(self.tasks),
-            time.perf_counter() - started,
-        )
         return out
 
     @cached_property
@@ -755,29 +769,14 @@ def require_ratings(campaign: Campaign) -> Campaign:
     return campaign
 
 
-def run_pipeline(
-    config_path,
-    out_dir,
-    *,
-    seed: int | None = None,
-    hybrids: int = 1000,
-    permutations: int = 1000,
-    bootstrap: int = 1000,
-    alpha: float = 0.05,
-    timing_cutoff: float = 600.0,
-    include_traps: bool = False,
-    level: str = SYSTEM_LEVEL,
-    threads: int = 1,
-    length_unit: str | None = None,
-) -> PipelineArtifacts:
-    """Run the full evaluation pipeline and write every report table.
-
-    ``seed`` defaults to the campaign config's seed; ``level`` picks the
-    correlation used to choose the best variant of multi-variant metrics;
-    ``length_unit`` overrides the config's length unit; ``threads`` is
-    accepted for compatibility and ignored: every stage runs on one thread.
-    Raises :class:`ValidationFailure` when the rating grid is incomplete.
-    """
+def open_state(
+    config_path, length_unit: str | None = None, **options
+) -> PipelineState:
+    """Open a campaign for ``run`` or a stage command: its
+    :class:`PipelineState` with ``options``, ``length_unit`` (when given)
+    overriding the config's.  Raises :class:`MissingFile` when the config names
+    no ratings file, :class:`ValidationFailure` when the rating grid is
+    incomplete."""
     campaign = require_ratings(open_campaign(config_path, length_unit))
     started = time.perf_counter()
     report = validate_campaign(campaign)
@@ -799,18 +798,26 @@ def run_pipeline(
             f"(expected {report.expected_rating_count}, found "
             f"{report.found_rating_count})"
         )
+    return PipelineState(campaign, **options)
 
-    state = PipelineState(
-        campaign,
-        seed=seed,
-        hybrids=hybrids,
-        permutations=permutations,
-        bootstrap=bootstrap,
-        alpha=alpha,
-        timing_cutoff=timing_cutoff,
-        include_traps=include_traps,
-        level=level,
-    )
+
+def run_pipeline(
+    config_path,
+    out_dir,
+    *,
+    length_unit: str | None = None,
+    threads: int = 1,
+    **options,
+) -> PipelineArtifacts:
+    """Run the full evaluation pipeline and write every report table.
+
+    ``options`` are :class:`PipelineState`'s keywords; ``length_unit``
+    overrides the config's length unit; ``threads`` is accepted for
+    compatibility and ignored: every stage runs on one thread.
+    Raises :class:`ValidationFailure` when the rating grid is incomplete.
+    """
+    state = open_state(config_path, length_unit, **options)
+    campaign = state.campaign
     # fail before any file is written
     state.check_system_sig()
     state.external_variants  # raises on incomplete or clashing external tables

@@ -15,7 +15,7 @@ import os
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import Task
+from .corpus import SEGMENT_LEVEL, SYSTEM_LEVEL, Task
 from .errors import ParseError, UnsupportedFormat
 from .significance import CIResult, SigCell, SigMatrix
 
@@ -132,8 +132,9 @@ def _sig_to_csv(matrix: SigMatrix, path: str | os.PathLike) -> None:
 def load_sig_matrix_csv(path: str | os.PathLike) -> SigMatrix:
     """Rebuild a SigMatrix from its CSV emission (4-decimal statistics).
 
-    The file must hold exactly one row per ordered pair of distinct metrics;
-    a same-metric or repeated row, or a missing pair, is a :class:`ParseError`.
+    The file must hold exactly one row per ordered pair of distinct metrics,
+    all of one task and of level ``system`` or ``segment``; a same-metric or
+    repeated row, a missing pair or another level is a :class:`ParseError`.
     """
     path = Path(path)
     header, rows = _read_numbered_rows(path)
@@ -165,6 +166,8 @@ def load_sig_matrix_csv(path: str | os.PathLike) -> SigMatrix:
     for line, row in rows:
         direction, ratio, row_level, row_m, col_m = row[0], row[1], row[2], row[3], row[4]
         row_task = Task(direction, parse_float(ratio, "ratio", line))
+        if row_level not in (SYSTEM_LEVEL, SEGMENT_LEVEL):
+            raise ParseError(f"bad level {row_level!r}", path=path, line=line)
         if row_task != task or row_level != level:
             raise ParseError(
                 "mixed tasks or levels in one matrix file", path=path, line=line

@@ -14,6 +14,7 @@ from lcmteval.corpus import (
     percent_label,
     save_campaign,
     validate_campaign,
+    write_config,
 )
 from lcmteval.errors import (
     DuplicateCell,
@@ -135,6 +136,19 @@ class TestConfig:
         with pytest.raises(ParseError, match="length ratios must be unique") as info:
             parse_config(conf)
         assert info.value.path == conf
+
+    @pytest.mark.parametrize("field", ["directions", "systems"])
+    @pytest.mark.parametrize("bad", ["", "a,b", "a\nb", "a\r", "a\u2028b", " a", "a\t"])
+    def test_ids_the_config_file_cannot_hold_rejected(self, field, bad):
+        # parse_config splits on ',' and strips each item, so these would load
+        # back as other ids: ("a,b", "c") as ("a", "b", "c")
+        with pytest.raises(ParseError, match="does not survive the config file"):
+            minimal_config(**{field: (bad, "c")})
+
+    def test_ids_round_trip_through_the_config_file(self, tmp_path):
+        config = minimal_config(directions=("a b", "c=d"), systems=("s 1", "#s2"))
+        write_config(config, tmp_path / "campaign.conf")
+        assert parse_config(tmp_path / "campaign.conf") == config
 
     def test_task_labels(self):
         assert Task("en-zh", 0.8).label == "en-zh.80"

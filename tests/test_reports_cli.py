@@ -146,6 +146,66 @@ class TestCli:
         assert "argument --count: must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "traps.jsonl").exists()
 
+    def test_traps_refused_count_writes_nothing(self, fixture_config_path, tmp_path):
+        # 12 segments per direction: 13 traps cannot be drawn without replacement
+        out = tmp_path / "out"
+        code = main(
+            ["traps", str(fixture_config_path), "--out", str(out), "--count", "13"]
+        )
+        assert code == 3
+        assert not (out / "traps.jsonl").exists()
+
+    def test_score_round_trips_a_seg_id_with_a_tab(self, fixture_config_path, tmp_path):
+        from lcmteval.corpus import load_campaign, load_external_scores
+        from lcmteval.pipeline import score_tables_for_task
+
+        # score needs no ratings or external scores; rename one segment
+        camp = tmp_path / "camp"
+        camp.mkdir()
+        config = camp / "campaign.conf"
+        config.write_text(
+            "".join(
+                line
+                for line in fixture_config_path.read_text(encoding="utf-8")
+                .splitlines(keepends=True)
+                if not line.startswith(("ratings", "scores_dir"))
+            ),
+            encoding="utf-8",
+        )
+        for carrier in ("segments.jsonl", "hypotheses.jsonl"):
+            records = [
+                json.loads(line)
+                for line in (fixture_config_path.parent / carrier)
+                .read_text(encoding="utf-8")
+                .splitlines()
+            ]
+            for record in records:
+                if record["seg_id"] == "ez00":
+                    record["seg_id"] = 'ez\t"00'
+            (camp / carrier).write_text(
+                "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records),
+                encoding="utf-8",
+            )
+        out = tmp_path / "out"
+        assert main(["score", str(config), "--out", str(out)]) == 0
+        campaign = load_campaign(config)
+        task = Task("en-zh", 0.8)
+        assert 'ez\t"00' in campaign.segment_ids_for_direction("en-zh")
+        emitted = {
+            t.key: t.cells
+            for t in load_external_scores(
+                out / "native_scores_en-zh.80.tsv",
+                task,
+                systems=campaign.config.systems,
+                segment_ids=campaign.segment_ids_for_direction("en-zh"),
+            )
+        }
+        assert emitted == {
+            t.key: t.cells
+            for t in score_tables_for_task(campaign, task).tables
+            if t.level == "segment"
+        }
+
     def test_score_emits_loadable_tables(self, fixture_config_path, tmp_path, campaign):
         from lcmteval.corpus import load_external_scores
 
@@ -277,6 +337,17 @@ class TestCli:
         assert f"sig.csv:5: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fmt", ["csv", "textgrid", "svg"])
+    def test_report_refuses_an_unknown_level(self, tmp_path, capsys, fmt):
+        csv_path = tmp_path / "sig.csv"
+        emit_sig_matrix(make_matrix(["m1", "m2"]), "csv", csv_path)
+        text = csv_path.read_text(encoding="utf-8")
+        csv_path.write_text(text.replace(",segment,", ",bogus,"), encoding="utf-8")
+        out_path = tmp_path / f"out.{fmt}"
+        assert main(["report", str(csv_path), "--format", fmt, str(out_path)]) == 2
+        assert "sig.csv:2: bad level 'bogus'\n" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "textgrid", "svg"])
     @pytest.mark.parametrize(
         "edit, message",
         [
@@ -325,7 +396,9 @@ class TestCli:
             for path in tmp_path.iterdir()
         } == golden["files"]
 
-    @pytest.mark.parametrize("command", ["normalize", *STAGE_COMMANDS, "run"])
+    @pytest.mark.parametrize(
+        "command", ["validate", "normalize", *STAGE_COMMANDS, "run"]
+    )
     def test_no_ratings_file_exit_2(
         self, fixture_config_path, tmp_path, capsys, command
     ):
@@ -337,7 +410,8 @@ class TestCli:
             encoding="utf-8",
         )
         out = tmp_path / "out"
-        assert main([command, str(config), "--out", str(out)] + FAST_FLAGS) == 2
+        where = [] if command == "validate" else ["--out", str(out)]
+        assert main([command, str(config)] + where + FAST_FLAGS) == 2
         assert "campaign config declares no ratings file" in capsys.readouterr().err
         assert not out.exists()
 
@@ -654,15 +728,24 @@ class TestRunCommand:
         assert err.count(f"{config}: length ratios must be unique") == 2
         assert list(out.iterdir()) == []
 
-    def test_incomplete_campaign_exit_1(self, fixture_config_path, tmp_path):
+    @pytest.mark.parametrize("command", ["run", *STAGE_COMMANDS])
+    def test_incomplete_campaign_exit_1(
+        self, fixture_config_path, tmp_path, capsys, command
+    ):
         shutil.copytree(fixture_config_path.parent, tmp_path / "camp")
         ratings = tmp_path / "camp" / "ratings.csv"
         lines = ratings.read_text().splitlines()
         real = max(i for i, line in enumerate(lines) if line.endswith(",false"))
         del lines[real]
         ratings.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
         code = main(
-            ["run", str(tmp_path / "camp" / "campaign.conf"), "--out",
-             str(tmp_path / "out")] + FAST_FLAGS
+            [command, str(tmp_path / "camp" / "campaign.conf"), "--out", str(out)]
+            + FAST_FLAGS
         )
         assert code == 1
+        assert (
+            "error: campaign incomplete: 1 missing and 0 duplicate cells "
+            "(expected 288, found 287)\n"
+        ) in capsys.readouterr().err
+        assert not out.exists()
