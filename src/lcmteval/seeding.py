@@ -8,9 +8,9 @@ reproduces those draws for all hybrids of a task at once.  The permutation
 test, the paired bootstrap and trap sampling get one generator per call,
 from which the replicates are drawn in order, so a result depends only on
 its key and never on how the draws are batched.  A segment significance
-matrix gets one permutation-test generator per unordered pair of metrics,
-keyed by the two names in sorted order, and both orders of the pair read
-their p-values off its masks.
+matrix draws one mask set from the permutation-test generator of its own
+seed, and every pair of its metrics, in both orders, reads its p-values off
+those masks.
 
 :func:`integer_rows` draws the hybrid index rows of a task in one
 vectorised call instead of one generator per hybrid: row i equals

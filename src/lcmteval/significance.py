@@ -12,26 +12,24 @@ arithmetic of :func:`~.metaeval.pearson`), take r(human, metric) once per
 metric and r(row, col) once per unordered pair.
 
 The permutation test evaluates Kendall tau-b of both swapped vectors as
-quadratic forms in the swap mask (see :class:`_SwapTauB`): one n x n matrix
-per pair of metrics and kind (concordance and ties) and one matrix product
-per batch of replicates replace the per-replicate enumeration of the
-n(n-1)/2 cell pairs.  Every count is an exact integer, so the statistics
-equal pairwise enumeration bit for bit.  The matrix of metrics A and B is
-assembled from int8 sign blocks: each metric's within-metric block, which
-every pair using that metric shares, and one cross block of A against B.
-Memory is bounded whatever the number of cells n: the blocks are built in
-row tiles and the replicates in batches, each of at most ``_BUDGET``
-(4,000,000) entries, and the within-metric blocks are kept only for the
-rows where they fit in ``_BUDGET`` entries too.  Each batch carries the
-unswapped mask as its first row, so one pass over the tiles per batch gives
-both the observed difference and the replicates'.
+quadratic forms in the swap mask (see :class:`_SwapTauB`), so a batch of
+replicates costs a few matrix products instead of enumerating the
+n(n-1)/2 cell pairs again.  Every count is an exact integer, so the
+statistics equal pairwise enumeration bit for bit.
 
-A matrix of M metrics gathers and ranks its cells once per task and tests
-each unordered pair once: under one swap mask, (B, A)'s difference is
-exactly minus (A, B)'s, so one mask set, drawn from a seed keyed by the
-sorted pair, and one pass over the pair's tiles per batch give the
-p-values of both orders.  Every p-value equals that of one ``perm_both``
-call per ordered pair with that seed.
+A matrix of M metrics gathers and ranks its cells once per task and draws
+one mask set, from ``rng_for(seed, "perm-both")`` with the matrix's own
+seed, for all M(M-1)/2 unordered pairs: each metric's forms are taken once,
+each pair adds only its cross forms, and one float32 product per tile of
+cell pairs and batch of replicates gives the forms of every pair.  Under one
+mask, (B, A)'s difference is exactly minus (A, B)'s, so each unordered pair
+gives the p-values of both orders, and every p-value equals that of one
+``perm_both`` call per ordered pair with the matrix's seed; ``perm_both``
+is the two-metric case.  The tests of one matrix thus share their
+replicates (common random numbers).  Each stays an exact permutation test,
+and the Bonferroni flags, a union bound, hold under any dependence between
+the tests.  Memory is bounded whatever n and R: every working block holds
+at most ``_BLOCK`` (131,072) entries.
 """
 
 from __future__ import annotations
@@ -57,14 +55,13 @@ from .errors import (
     SystemOnlyTable,
 )
 from .metaeval import (
-    _BUDGET,
     _centred,
     _centred_r,
     _check_paired,
     _dense_ranks,
     _sign_of_difference,
 )
-from .seeding import derive_int, rng_for
+from .seeding import rng_for
 
 logger = logging.getLogger(__name__)
 
@@ -217,9 +214,17 @@ def _gather(
     return scores, h
 
 
+# Entries of any one working block of the permutation test (see _SwapTauB).
+_BLOCK = 2**17
+# float32 holds every integer of magnitude up to this one exactly
+_FLOAT32_EXACT = 2**24
+# a pair's quadratic term from its forms m'X_aa m, m'X_bb m and m'X_ab m
+_QUAD_WEIGHTS = np.array([0.5, 0.5, -1.0], dtype=np.float32)
+
+
 class _SwapTauB:
     """Kendall tau-b against the human scores h of both sides of a per-cell
-    swap of two of M metrics, for batches of swap masks.
+    swap, for every pair of M metrics under one shared set of swap masks.
 
     Under mask m (1 = swap the cell), A* takes b_i where m_i = 1 and a_i
     elsewhere, B* the reverse.  The sign of the pair (i, j) in A* depends
@@ -227,36 +232,39 @@ class _SwapTauB:
     summed over ordered pairs with g = sign(h_i - h_j) and
     G_xy[i, j] = g * sign(x_i - y_j), is a quadratic form in m:
 
-        2 cmd(A*) = sum(G_aa) + 2 m.(rowsum(G_ba) - rowsum(G_aa)) + m'Qm
-        2 cmd(B*) = sum(G_bb) + 2 m.(rowsum(G_ab) - rowsum(G_bb)) + m'Qm
+        2 cmd(A*) = sum(G_aa) + 2 m.(colsum(G_ab) - rowsum(G_aa))
+                    + m'G_aa m + m'G_bb m - 2 m'G_ab m
 
-    with Q = G_aa + G_bb - G_ab - G_ba shared by both sides (m_i^2 = m_i
-    folds the rest into the linear term).  g and sign are antisymmetric, so
-    G_ba = G_ab' : m'Qm = m'Q'm with Q' = G_aa + G_bb - 2 G_ab, and
-    rowsum(G_ba) is colsum(G_ab).  The tie count n1 has the same form with
-    T_xy[i, j] = [x_i == y_j and i != j] in place of G_xy (T_ba = T_ab' too).
-    One matrix product per tile and batch of masks gives both sides.
+    and 2 cmd(B*) the same with rowsum(G_ab) - rowsum(G_bb) as its linear
+    term (g and sign are antisymmetric, so G_ba = G_ab', and m_i^2 = m_i
+    folds the rest into the linear term).  The tie count n1 has the same
+    form with T_xy[i, j] = [x_i == y_j and i != j] in place of G_xy.
+
+    So one mask set serves every pair: m'G_xx m and m'T_xx m are taken once
+    per metric, and each pair adds only its cross forms m'G_ab m and, when
+    some a_i equals some b_j (i != j), m'T_ab m.  Every diagonal is zero, so
+    a form m'G_xy m is the sum over the cell pairs i < j of
+    G_xy[i, j] + G_xy[j, i] = g * (sign(x_i - y_j) + sign(y_i - x_j)) times
+    m_i m_j, and one float32 product per tile of cell pairs, of the forms'
+    coefficients with the products m_i m_j of a batch of masks, gives every
+    form.  A pair's four counts, cmd and n1 of A* and of B*, are then its
+    unswapped counts plus one product of its linear coefficients with the
+    masks plus m'X_aa m / 2 + m'X_bb m / 2 - m'X_ab m of each kind X.
 
     Every count is an exact integer, so tau-b equals pairwise enumeration
-    bit for bit: the entries of Q' lie in [-4, 4], so float32 holds each
-    entry of Q'm exactly (|.| <= 4n < 2**24) and each tile's share of m'Q'm
-    (|.| <= 4n * rows <= 2**24, which caps the tile rows), and the linear
-    terms, the constants and the sums over tiles are taken in float64
-    (|.| <= 4n^2 < 2**53).
+    bit for bit.  A coefficient lies in [-2, 2], so float32 holds each
+    tile's share of a form (|.| <= 2 * entries <= 2**24).  The forms, the
+    linear terms and a pair's sum of them stay within 4n(n - 1),
+    which float32 holds up to n = 2048; past that they are taken in
+    float64.  The unswapped counts are added in float64.
 
     The M metrics' scores are ranked once, jointly, so the sign of a rank
     difference is the sign of the score difference between any two of
-    them; h's ranks and tie count are taken once too.  The int8 blocks are
-    built in row tiles of at most ``_BUDGET // (4n)`` rows.  The constructor
-    builds g and each metric's within-metric block G_xx once per tile and
-    keeps their row sums; T_xx is a comparison of ranks, rebuilt where it
-    is needed, and its row sums come from the rank counts.  The constructor
-    keeps g and the G_xx themselves for the first ``kept`` rows, as many as
-    M + 1 blocks fit in ``_BUDGET`` entries (every row up to about 570
-    cells at 11 metrics); those rows are the first tile.  Per batch,
-    :meth:`taus` builds one cross block (G_ab, T_ab) per tile (past the
-    kept rows also g, G_aa and G_bb) and forms Q' in one float32 buffer that
-    every pair reuses.
+    them; h's ranks and tie count are taken once too.  Memory is bounded
+    whatever n and R: the row and column sums are taken in row tiles, the
+    coefficients in tiles of cell pairs, the replicates in batches and the
+    pairs' counts in groups, each block of at most ``_BLOCK`` entries.  The
+    task keeps four linear coefficients per pair and cell.
     """
 
     def __init__(self, scores: np.ndarray, h: np.ndarray):
@@ -272,148 +280,214 @@ class _SwapTauB:
         dtype = np.min_scalar_type(scores.size)
         self.ranks = _dense_ranks(scores).astype(dtype)
         self.h_ranks = h_ranks.astype(dtype)
-        # at most 2**24 entries keep a tile's share of m'Q'm exact in float32
-        budget = min(_BUDGET, 2**24)
-        self.tile_rows = max(1, budget // (4 * n))
-        self.kept = min(n, budget // ((m + 1) * n))
-        self.tiles = [(0, self.kept)] if self.kept else []
-        self.tiles += [
-            (lo, min(lo + self.tile_rows, n))
-            for lo in range(self.kept, n, self.tile_rows)
-        ]
-        rows = max(hi - lo for lo, hi in self.tiles)
-        fresh_rows = max(
-            (hi - lo for lo, hi in self.tiles if lo >= self.kept), default=0
+        exact = 4 * n * (n - 1) <= _FLOAT32_EXACT
+        self.dtype = np.float32 if exact else np.float64
+        self.pairs = list(combinations(range(m), 2))
+        p = len(self.pairs)
+        a = np.array([a for a, _ in self.pairs], dtype=np.intp)
+        b = np.array([b for _, b in self.pairs], dtype=np.intp)
+        self.blocks_built = 0  # coefficient tiles built
+        # (x, y): (x, x) for each metric, then (a, b) for each pair
+        xs, ys = np.concatenate([np.arange(m), a]), np.concatenate([np.arange(m), b])
+        # rowsum and colsum of G_xy and T_xy; T's come from the rank counts
+        g_rows, g_cols = self._sign_sums(xs, ys)
+        t_rows, t_cols = np.empty_like(g_rows), np.empty_like(g_cols)
+        bins = int(self.ranks.max()) + 1
+        for k, (x, y) in enumerate(zip(xs, ys)):
+            rx, ry = self.ranks[x], self.ranks[y]
+            same = rx == ry  # T leaves out the cell itself
+            t_rows[k] = np.bincount(ry, minlength=bins)[rx] - same
+            t_cols[k] = np.bincount(rx, minlength=bins)[ry] - same
+        # the forms: m'G_xy m for each (x, y), then m'T_xy m for each (x, x)
+        # and each pair with some a_i == b_j (i != j); T_ab is zero otherwise
+        ties = np.flatnonzero(t_rows[m:].any(axis=1))
+        self.sign_pairs = xs, ys
+        self.tie_pairs = tuple(np.concatenate([z[:m], z[m + ties]]) for z in (xs, ys))
+        self.n_forms = len(xs) + len(self.tie_pairs[0])
+        # per pair and kind (G, T), the forms of its quadratic term:
+        # m'X_aa m / 2 + m'X_bb m / 2 - m'X_ab m; a pair without ties takes
+        # the row past the last form, which stays zero
+        t0 = len(xs)
+        t_ab = np.full(p, self.n_forms)
+        t_ab[ties] = t0 + m + np.arange(len(ties))
+        self.pick = np.stack(
+            [np.stack([a, b, m + np.arange(p)], axis=1),
+             np.stack([t0 + a, t0 + b, t_ab], axis=1)],
+            axis=1,
         )
-        self.within_builds = 0  # one metric's G_xx rows of one tile
-        self.cross_builds = 0  # one pair's (G_ab, T_ab) rows of one tile
-        self.g = np.empty((self.kept, n), dtype=np.int8)
-        self.within = np.empty((m, self.kept, n), dtype=np.int8)
-        # rowsum(G_xx) and rowsum(T_xx) of each metric x over every column
-        self.row_sums = np.empty((2, m, n), dtype=np.int64)
-        for x, ranks in enumerate(self.ranks):
-            self.row_sums[1, x] = np.bincount(ranks)[ranks] - 1
-        # the working blocks: g, G_aa and G_bb past the kept rows, a pair's
-        # cross block and then Q' in int8, a rank comparison, Q' in float32
-        self._fresh = np.empty((3, fresh_rows, n), dtype=np.int8)
-        self._pair_buf = np.empty(2 * rows * n, dtype=np.int8)
-        self._equal_buf = np.empty(rows * n, dtype=np.bool_)
-        self._quad_buf = np.empty(2 * rows * n, dtype=np.float32)
-        for lo, hi in self.tiles:
-            kept = lo < self.kept
-            g = self._g(lo, hi, self.g if kept else self._fresh[0, : hi - lo])
-            for x in range(m):
-                out = self.within[x] if kept else self._fresh[1, : hi - lo]
-                self._within(x, g, lo, out).sum(axis=1, out=self.row_sums[0, x, lo:hi])
+        # per pair, its counts cmd(A*), cmd(B*), n1(A*), n1(B*): unswapped
+        # and their linear coefficients
+        g_sums, t_sums = g_rows[:m].sum(axis=1) // 2, t_rows[:m].sum(axis=1) // 2
+        self.const = np.stack([g_sums[a], g_sums[b], t_sums[a], t_sums[b]], axis=1)
+        self.const = self.const.astype(np.float64)
+        self.lin = np.empty((p, 4, n), dtype=self.dtype)
+        np.subtract(g_cols[m:], g_rows[a], out=self.lin[:, 0])
+        np.subtract(g_rows[m:], g_rows[b], out=self.lin[:, 1])
+        np.subtract(t_cols[m:], t_rows[a], out=self.lin[:, 2])
+        np.subtract(t_rows[m:], t_rows[b], out=self.lin[:, 3])
+        self.lin = self.lin.reshape(4 * p, n)
+        # one tile of cell pairs when its coefficients fit in one block: they
+        # are built once and kept; else hits() takes tiles that each batch
+        # rebuilds
+        self.single = self.n_forms * (n - 1) ** 2 <= _BLOCK
+        self.kept: tuple[tuple[int, int, int, int], np.ndarray] | None = None
 
-    def _g(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
-        """Rows lo:hi of g = sign(h_i - h_j), written into ``out``."""
-        out[...] = _sign_of_difference(self.h_ranks[lo:hi, None], self.h_ranks)
-        return out
-
-    def _within(self, x: int, g: np.ndarray, lo: int, out: np.ndarray) -> np.ndarray:
-        """Rows lo:lo + len(g) of G_xx, written into ``out``."""
-        self.within_builds += 1
-        ranks = self.ranks[x]
-        s = _sign_of_difference(ranks[lo : lo + len(g), None], ranks)
-        return np.multiply(s, g, out=out)
-
-    def _cross(
-        self, a: int, b: int, g: np.ndarray, lo: int, out: np.ndarray
-    ) -> np.ndarray:
-        """Rows lo:lo + len(g) of G_ab and of T_ab, written into ``out[0]``
-        and ``out[1]``."""
-        self.cross_builds += 1
-        hi = lo + len(g)
-        s = _sign_of_difference(self.ranks[a, lo:hi, None], self.ranks[b])
-        np.equal(s, 0, out=out[1].view(np.bool_))
-        np.fill_diagonal(out[1, :, lo:hi], 0)  # the same cell
-        np.multiply(s, g, out=out[0])
-        return out
-
-    def taus(self, a: int, b: int, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Metrics a and b (rows of the scores) and a (rows, n) boolean mask
-        array -> tau-b of A* and of B* per mask."""
+    def _sign_sums(
+        self, xs: np.ndarray, ys: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """rowsum and colsum of G_xy for each (x, y) of ``xs`` and ``ys``,
+        in row tiles of at most ``_BLOCK`` entries."""
         n = len(self.h_ranks)
-        w = masks.astype(np.float32)
-        forms = np.zeros((len(w), 2))  # m'Q'm per kind
-        # per kind (G, T): colsum and rowsum of the cross block over all rows
-        cross_sums = np.zeros((2, 2, n), dtype=np.int64)
-        for lo, hi in self.tiles:
-            rows = hi - lo
-            if lo < self.kept:
-                g, within_a, within_b = self.g, self.within[a], self.within[b]
+        rows = np.empty((len(xs), n), dtype=np.int32)
+        cols = np.zeros((len(xs), n), dtype=np.int32)
+        group = max(1, _BLOCK // n)
+        for k0 in range(0, len(xs), group):
+            x, y = xs[k0 : k0 + group], ys[k0 : k0 + group]
+            step = max(1, _BLOCK // (len(x) * n))
+            for lo in range(0, n, step):
+                hi = min(lo + step, n)
+                s = _sign_of_difference(
+                    self.ranks[x, lo:hi, None], self.ranks[y, None]
+                )
+                s *= _sign_of_difference(self.h_ranks[lo:hi, None], self.h_ranks)
+                rows[k0 : k0 + len(x), lo:hi] = s.sum(axis=2, dtype=np.int32)
+                cols[k0 : k0 + len(x)] += s.sum(axis=1, dtype=np.int32)
+        return rows, cols
+
+    def _tiles(self, area: int) -> list[tuple[int, int, int, int]]:
+        """(lo, hi, c0, c1): rectangles of rows lo:hi and columns c0:c1, at
+        most ``area`` entries each, that cover the cell pairs i < j.  A tile
+        of several rows takes the columns lo + 1:n and no more rows than
+        columns; a row longer than ``area`` is split by columns."""
+        n = len(self.h_ranks)
+        tiles = []
+        lo = 0
+        while lo < n - 1:
+            width = n - 1 - lo
+            rows = max(1, min(area // width, width))
+            step = -(-width // -(-width // area))  # equal parts of at most area
+            tiles += [
+                (lo, lo + rows, c, min(c + step, n)) for c in range(lo + 1, n, step)
+            ]
+            lo += rows
+        return tiles
+
+    def _coefficients(
+        self, lo: int, hi: int, c0: int, c1: int, out: np.ndarray
+    ) -> np.ndarray:
+        """Rows lo:hi and columns c0:c1 of every form's coefficients, zero
+        where j <= i, written into ``out`` (forms, rows, columns)."""
+        self.blocks_built += 1
+        upper = np.arange(c0, c1) > np.arange(lo, hi)[:, None]
+        g = _sign_of_difference(self.h_ranks[lo:hi, None], self.h_ranks[c0:c1])
+        g *= upper
+        (gx, gy), (tx, ty) = self.sign_pairs, self.tie_pairs
+        r = self.ranks
+        s = _sign_of_difference(r[gx, lo:hi, None], r[gy, None, c0:c1])
+        s += _sign_of_difference(r[gy, lo:hi, None], r[gx, None, c0:c1])
+        np.multiply(s, g, out=out[: len(gx)])
+        t = np.equal(r[tx, lo:hi, None], r[ty, None, c0:c1]).view(np.int8)
+        t += np.equal(r[ty, lo:hi, None], r[tx, None, c0:c1]).view(np.int8)
+        np.multiply(t, upper, out=out[len(gx) :])
+        return out
+
+    def _forms(
+        self, w32: np.ndarray, tiles: list[tuple[int, int, int, int]]
+    ) -> np.ndarray:
+        """Every form (form, replicate) under the float32 masks ``w32`` (cell,
+        replicate), one product per tile, and a last row of zeros."""
+        rows, k = w32.shape[1], self.n_forms
+        areas = [(hi - lo) * (c1 - c0) for lo, hi, c0, c1 in tiles]
+        forms = np.zeros((k + 1, rows), dtype=self.dtype)
+        products = np.empty(max(areas) * rows, dtype=np.float32)
+        scratch = None
+        for tile, area in zip(tiles, areas):
+            lo, hi, c0, c1 = tile
+            if self.kept is not None and self.kept[0] == tile:
+                c = self.kept[1]
             else:
-                g = self._g(lo, hi, self._fresh[0, :rows])
-                within_a = self._within(a, g, lo, self._fresh[1, :rows])
-                within_b = self._within(b, g, lo, self._fresh[2, :rows])
-            cross = self._cross(
-                a, b, g, lo, self._pair_buf[: 2 * rows * n].reshape(2, rows, n)
-            )
-            cross_sums[:, 0] += cross.sum(axis=1, dtype=np.int32)
-            cross_sums[:, 1, lo:hi] = cross.sum(axis=2, dtype=np.int32)
-            # Q' in place, in [-4, 4]: G_aa + G_bb - 2 G_ab, T_aa + T_bb - 2 T_ab
-            cross *= -2
-            cross[0] += within_a
-            cross[0] += within_b
-            equal = self._equal_buf[: rows * n].reshape(rows, n)
-            for x in (a, b):
-                np.equal(self.ranks[x, lo:hi, None], self.ranks[x], out=equal)
-                cross[1] += equal
-            np.fill_diagonal(cross[1, :, lo:hi], 0)  # T_xx leaves out the same cell
-            quad = self._quad_buf[: 2 * rows * n].reshape(2 * rows, n)
-            quad[...] = cross.reshape(2 * rows, n)
-            prod = (w @ quad.T).reshape(len(w), 2, rows)
-            forms += np.einsum("rkp,rp->rk", prod, w[:, lo:hi])
-        # per kind and side: rowsum(G_aa), rowsum(G_bb), rowsum(T_aa), ...
-        within_sums = self.row_sums[:, [a, b]]
-        # 2 * (cmd_a, cmd_b, n1_a, n1_b): the unswapped counts, the linear
-        # terms (A: colsum(G_ab) - rowsum(G_aa), B: rowsum(G_ab) - rowsum(G_bb))
-        # and the quadratic forms
-        lin = 2.0 * (cross_sums - within_sums).reshape(4, n).T
-        twice = w @ lin
-        twice += within_sums.sum(axis=2, dtype=np.float64).reshape(4)
-        by_kind = twice.reshape(-1, 2, 2)  # a view: (replicate, kind, side)
-        by_kind += forms[:, :, None]
-        con_minus_dis = twice[:, :2] / 2
-        n1 = twice[:, 2:] / 2
-        denom = np.sqrt((self.n0 - n1) * float(self.n0 - self.n2))
+                if scratch is None:
+                    scratch = np.empty(k * max(areas), dtype=np.float32)
+                out = scratch[: k * area].reshape(k, hi - lo, c1 - c0)
+                c = self._coefficients(lo, hi, c0, c1, out).reshape(k, area)
+                if self.single:
+                    self.kept = tile, c
+            pairs = products[: area * rows].reshape(hi - lo, c1 - c0, rows)
+            np.multiply(w32[lo:hi, None], w32[None, c0:c1], out=pairs)
+            forms[:k] += c @ pairs.reshape(area, rows)
+        return forms
+
+    def _counts(
+        self, k0: int, k1: int, w: np.ndarray, forms: np.ndarray
+    ) -> np.ndarray:
+        """The exact counts (pair, 4, replicate) of pairs k0:k1, cmd(A*),
+        cmd(B*), n1(A*) and n1(B*), under the masks ``w`` (cell, replicate)
+        whose forms are ``forms``."""
+        counts = (self.lin[4 * k0 : 4 * k1] @ w).reshape(k1 - k0, 2, 2, -1)
+        quad = np.einsum("pkfr,f->pkr", forms[self.pick[k0:k1]], _QUAD_WEIGHTS)
+        counts += quad[:, :, None]
+        return counts.reshape(k1 - k0, 4, -1) + self.const[k0:k1, :, None]
+
+    def _taus(self, counts: np.ndarray) -> np.ndarray:
+        """tau-b (pair, side, replicate) of A* and B* from their counts."""
+        denom = self.n0 - counts[:, 2:]
+        denom *= float(self.n0 - self.n2)
+        np.sqrt(denom, out=denom)
         if not denom.all():
             raise AllTied("kendall tau degenerate inside permutation test")
-        tau = con_minus_dis / denom
-        return tau[:, 0], tau[:, 1]
+        return np.divide(counts[:, :2], denom, out=denom)
 
+    def hits(self, seed: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per pair (a, b) of ``self.pairs``: #{delta* >= delta}, the count
+        of the test of a against b, and #{delta* <= delta}, that of b
+        against a, over r replicates.
 
-def _swap_hits(kernel: _SwapTauB, a: int, b: int, seed: int, r: int) -> tuple[int, int]:
-    """#{delta* >= delta} of the test of metric a against metric b and
-    #{delta* <= delta}, the count of b against a, under one mask set.
-
-    Replicate i swaps the cells where row i of
-    ``rng_for(seed, "perm-both").random((r, n)) < 0.5``.  Each batch of
-    replicates draws its rows, in order, into one reused buffer, so the
-    masks do not depend on the batch size.  Row 0 of the buffer stays at
-    1.0, the unswapped mask, so every batch also gives the observed
-    difference; a batch, that row included, holds at most ``_BUDGET``
-    entries.  Under one mask, (b, a)'s pair of taus is (a, b)'s exchanged,
-    and IEEE subtraction is antisymmetric, so b against a counts
-    delta* <= delta on (a, b)'s differences, bit for bit as its own test
-    under the same seed.
-    """
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    n = len(kernel.h_ranks)
-    chunk = max(1, _BUDGET // n - 1)
-    generator = rng_for(seed, "perm-both")
-    uniforms = np.ones((1 + min(chunk, r), n))
-    forward = backward = 0
-    for start in range(0, r, chunk):
-        rows = uniforms[: 1 + min(chunk, r - start)]
-        generator.random(out=rows[1:])
-        tau_a, tau_b = kernel.taus(a, b, rows < 0.5)
-        delta = tau_a - tau_b
-        forward += int(np.count_nonzero(delta[1:] >= delta[0]))
-        backward += int(np.count_nonzero(delta[1:] <= delta[0]))
-    return forward, backward
+        Replicate i swaps the cells where row i of
+        ``rng_for(seed, "perm-both").random((r, n)) < 0.5``.  Each batch of
+        replicates draws its rows, in order, into one reused buffer, so the
+        masks do not depend on the batch size.  Under one mask, (b, a)'s
+        pair of taus is (a, b)'s exchanged, and IEEE subtraction is
+        antisymmetric, so b against a counts delta* <= delta on (a, b)'s
+        differences, bit for bit as its own test under the same seed.
+        """
+        if r < 1:
+            raise ValueError(f"r must be >= 1, got {r}")
+        n, p = len(self.h_ranks), len(self.pairs)
+        # A single tile's coefficients are built once, so batches are small
+        # enough to take every pair's counts at once.  Otherwise every batch
+        # rebuilds the coefficients of its tiles, so batches are as large as
+        # the masks and the forms allow, and tiles as the products allow.
+        if self.single:
+            widest = max(self.n_forms, n, (n - 1) ** 2, 16 * p)
+        else:
+            widest = max(self.n_forms, n)
+        batches = -(-r // max(1, _BLOCK // widest))
+        size = -(-r // batches)
+        if self.single:
+            tiles = [(0, n - 1, 1, n)]
+        else:
+            tiles = self._tiles(max(1, _BLOCK // max(self.n_forms, size)))
+        uniforms = np.empty((size, n))
+        # a group's float64 counts and their temporaries: about 16 entries a
+        # pair and replicate
+        group = max(1, _BLOCK // (16 * size))
+        tau = self._taus(self.const[:, :, None])
+        observed = tau[:, 0] - tau[:, 1]
+        forward = np.zeros(p, dtype=np.int64)
+        backward = np.zeros(p, dtype=np.int64)
+        generator = rng_for(seed, "perm-both")
+        for start in range(0, r, size):
+            u = uniforms[: min(size, r - start)]
+            generator.random(out=u)
+            w = np.less(u.T, 0.5).astype(self.dtype)
+            forms = self._forms(w.astype(np.float32, copy=False), tiles)
+            for k0 in range(0, p, group):
+                k1 = min(k0 + group, p)
+                tau = self._taus(self._counts(k0, k1, w, forms))
+                delta = tau[:, 0] - tau[:, 1]
+                forward[k0:k1] += np.count_nonzero(delta >= observed[k0:k1], axis=1)
+                backward[k0:k1] += np.count_nonzero(delta <= observed[k0:k1], axis=1)
+        return forward, backward
 
 
 def perm_both(
@@ -430,11 +504,12 @@ def perm_both(
     is (1 + #{delta* >= delta}) / (r + 1), so it is never exactly zero.
     Replicate i swaps the cells where row i of
     ``rng_for(seed, "perm-both").random((r, n)) < 0.5``, over the cells in
-    sorted key order (see :func:`_swap_hits`).
+    sorted key order (see :meth:`_SwapTauB.hits`): the two-metric case of
+    :func:`segment_sig_matrix`.
     """
     scores, h = _gather([table_a, table_b], human_segment_scores)
-    hits, _ = _swap_hits(_SwapTauB(scores, h), 0, 1, seed, r)
-    return (1 + hits) / (r + 1)
+    hits, _ = _SwapTauB(scores, h).hits(seed, r)
+    return (1 + int(hits[0])) / (r + 1)
 
 
 def bonferroni(pvals: Sequence[float], alpha: float = 0.05) -> list[bool]:
@@ -459,28 +534,28 @@ def segment_sig_matrix(
     """Pairwise one-sided permutation-test matrix over segment-level metrics.
 
     The Bonferroni flag divides alpha by the number of ordered pairs in the
-    matrix.  Each unordered pair is tested once, under one mask set whose
-    seed is derived from the two metric names in sorted order, so the
-    matrix does not depend on the order of the pairs; every p-value, in
-    both orders, equals ``perm_both(tables[row], tables[col], human, r,
-    derive_int(seed, "segment-sig", *sorted((row, col))))``.  The cells are
-    gathered and ranked once.
+    matrix.  The cells are gathered and ranked once, and one mask set, drawn
+    from ``rng_for(seed, "perm-both")``, serves every test of the matrix:
+    every p-value, in both orders, equals ``perm_both(tables[row],
+    tables[col], human, r, seed)``, so the matrix does not depend on the
+    order of the tables.  The tests share their replicates (common random
+    numbers); each stays an exact permutation test, and the Bonferroni
+    flags hold under any dependence between them.
     """
     names = list(tables)
     pairs = [(row, col) for row in names for col in names if row != col]
     started = time.perf_counter()
     p_values: dict[tuple[str, str], float] = {}
-    within = cross = 0
+    unordered = blocks = 0
     if pairs:
         kernel = _SwapTauB(
             *_gather([tables[name] for name in names], human_segment_scores)
         )
-        for i, j in combinations(range(len(names)), 2):
-            orders = [(names[i], names[j]), (names[j], names[i])]
-            pair_seed = derive_int(seed, "segment-sig", *sorted(orders[0]))
-            for pair, hits in zip(orders, _swap_hits(kernel, i, j, pair_seed, r)):
-                p_values[pair] = (1 + hits) / (r + 1)
-        within, cross = kernel.within_builds, kernel.cross_builds
+        forward, backward = kernel.hits(seed, r)
+        for (i, j), ahead, behind in zip(kernel.pairs, forward, backward):
+            p_values[(names[i], names[j])] = (1 + int(ahead)) / (r + 1)
+            p_values[(names[j], names[i])] = (1 + int(behind)) / (r + 1)
+        unordered, blocks = len(kernel.pairs), kernel.blocks_built
     flags = bonferroni([p_values[pair] for pair in pairs], alpha)
     cells: dict[tuple[str, str], SigCell] = {}
     for (row, col), flag in zip(pairs, flags):
@@ -495,14 +570,16 @@ def segment_sig_matrix(
         )
     logger.info(
         "segment significance %s: %d metrics, %d ordered pairs, n=%d cells, "
-        "R=%d replicates, %d within-metric and %d cross blocks, %.3f s",
+        "R=%d replicates, %d mask set, %d unordered pairs, %d coefficient "
+        "blocks built, %.3f s",
         task.label,
         len(names),
         len(pairs),
         len(tables[names[0]].cells) if names else 0,
         r,
-        within,
-        cross,
+        1 if pairs else 0,
+        unordered,
+        blocks,
         time.perf_counter() - started,
     )
     return SigMatrix(task=task, level="segment", metrics=tuple(names), cells=cells)

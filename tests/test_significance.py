@@ -1,5 +1,5 @@
 import logging
-from itertools import combinations
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +29,6 @@ from lcmteval.significance import (
     system_sig_matrix,
     zou_ci,
 )
-from lcmteval.seeding import derive_int
 
 from .oracles import kendall_tau_b_enumeration, perm_both_enumeration
 
@@ -291,7 +290,7 @@ class TestPermBoth:
             return real_rng_for(*key)
 
         monkeypatch.setattr(significance, "rng_for", counting_rng_for)
-        monkeypatch.setattr(significance, "_BUDGET", 7 * 20)  # 43 chunks
+        monkeypatch.setattr(significance, "_BLOCK", 7 * 20)  # 43 batches
         perm_both(ta, tb, human, r=300, seed=17)
         assert keys_seen == [(17, "perm-both")]
 
@@ -311,28 +310,36 @@ class TestPermBoth:
 
 
 class TestSwapKernel:
-    @given(tie_heavy_cells(), st.data())
+    @given(tie_heavy_metrics(), st.data())
     @settings(max_examples=200, deadline=None)
     def test_replicate_taus_equal_enumeration(self, cells, data):
-        a, b, h = cells
+        # every pair's tau-b of A* and B* under arbitrary masks, from the
+        # shared forms of one product per tile
+        scores, h = cells
         assume(len(set(h)) > 1)
-        n = len(a)
+        n = len(h)
         masks = [[False] * n] + data.draw(
             st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
                      min_size=1, max_size=5)
         )
-        kernel = _SwapTauB(np.array([a, b]), np.array(h))
-        try:
-            expected = [
-                tuple(kendall_tau_b_enumeration(side, h) for side in swapped(a, b, m))
-                for m in masks
-            ]
-        except ZeroDivisionError:  # some A* or B* is all ties
-            with pytest.raises(AllTied):
-                kernel.taus(0, 1, np.array(masks))
-            return
-        tau_a, tau_b = kernel.taus(0, 1, np.array(masks))
-        assert list(zip(tau_a.tolist(), tau_b.tolist())) == expected
+        kernel = _SwapTauB(np.array(scores), np.array(h))
+        w = np.array(masks, dtype=np.float32).T
+        forms = kernel._forms(w, kernel._tiles(n))
+        for k, (a, b) in enumerate(kernel.pairs):
+            try:
+                expected = [
+                    tuple(
+                        kendall_tau_b_enumeration(side, h)
+                        for side in swapped(scores[a], scores[b], m)
+                    )
+                    for m in masks
+                ]
+            except ZeroDivisionError:  # some A* or B* is all ties
+                with pytest.raises(AllTied):
+                    kernel._taus(kernel._counts(k, k + 1, w, forms))
+                continue
+            tau = kernel._taus(kernel._counts(k, k + 1, w, forms))
+            assert list(zip(tau[0, 0].tolist(), tau[0, 1].tolist())) == expected
 
     @given(tie_heavy_cells(max_n=20), st.integers(0, 2**32))
     @settings(max_examples=25, deadline=None)
@@ -357,21 +364,20 @@ class TestSwapKernel:
         h = rng.integers(-3, 4, n).astype(float)
         ta, tb = seg_table(dict(zip(keys, a)), "A"), seg_table(dict(zip(keys, b)), "B")
         human = dict(zip(keys, h))
-        masks = rng.random((30, n)) < 0.5
+        w = (rng.random((30, n)) < 0.5).astype(np.float32).T
         untiled = _SwapTauB(np.stack([a, b]), h)
-        assert untiled.tile_rows >= n
+        assert untiled.single
+        whole = untiled._forms(w, [(0, n - 1, 1, n)])
         p_untiled = perm_both(ta, tb, human, r=150, seed=13)
 
-        # 7-row tiles (13 of them) and batches of 27 replicates plus the
-        # unswapped row
-        monkeypatch.setattr(significance, "_BUDGET", 4 * n * 7)
+        # tiles of at most 100 entries (55 of them), rebuilt by each of 25
+        # batches of 6 replicates
+        monkeypatch.setattr(significance, "_BLOCK", 600)
         tiled = _SwapTauB(np.stack([a, b]), h)
-        assert tiled.tile_rows == 7
-        tiled_taus, untiled_taus = (
-            kernel.taus(0, 1, masks) for kernel in (tiled, untiled)
-        )
-        for got, want in zip(tiled_taus, untiled_taus):
-            assert np.array_equal(got, want)
+        assert not tiled.single
+        tiles = tiled._tiles(100)
+        assert len(tiles) == 55
+        assert np.array_equal(tiled._forms(w, tiles), whole)
         assert perm_both(ta, tb, human, r=150, seed=13) == p_untiled
 
     def test_mask_chunks_at_nonzero_indices_equal_oracle(self, monkeypatch):
@@ -382,60 +388,46 @@ class TestSwapKernel:
         h = rng.integers(-2, 3, n).astype(float)
         ta, tb = seg_table(dict(zip(keys, a)), "A"), seg_table(dict(zip(keys, b)), "B")
         expected = perm_both_enumeration(a.tolist(), b.tolist(), h.tolist(), r=45, seed=21)
-        # chunks of 6 masks plus the unswapped row: replicates 0-5, 6-11,
-        # ..., 42-44
-        monkeypatch.setattr(significance, "_BUDGET", 7 * n)
+        # batches of 7 masks: replicates 0-6, 7-13, ..., 42-44
+        monkeypatch.setattr(significance, "_BLOCK", 7 * n)
         assert perm_both(ta, tb, dict(zip(keys, h)), r=45, seed=21) == expected
 
     def test_each_tile_built_once_per_batch(self, monkeypatch):
-        # the constructor builds each metric's within-metric block once per
-        # tile; each batch builds one cross block per tile, and past the kept
-        # rows the pair's within-metric blocks again
+        # one tile is built once for every batch; several tiles are rebuilt
+        # by each batch
         rng = np.random.default_rng(89)
         n = 90
-        keys = sorted((f"s{i % 3}", f"g{i:02d}") for i in range(n))
         a, b = rng.integers(0, 5, n) / 4, rng.integers(0, 5, n) / 4
         h = rng.integers(-3, 4, n).astype(float)
-        ta, tb = seg_table(dict(zip(keys, a)), "A"), seg_table(dict(zip(keys, b)), "B")
-        blocks, sizes = [], []
-        real_within, real_cross, real_taus = (
-            _SwapTauB._within, _SwapTauB._cross, _SwapTauB.taus
-        )
+        built, sizes = [], []
+        real_coefficients, real_forms = _SwapTauB._coefficients, _SwapTauB._forms
 
-        def counting_within(self, x, g, lo, out):
-            blocks.append((x, x, lo))
-            return real_within(self, x, g, lo, out)
+        def counting_coefficients(self, lo, hi, c0, c1, out):
+            built.append((lo, hi, c0, c1))
+            return real_coefficients(self, lo, hi, c0, c1, out)
 
-        def counting_cross(self, x, y, g, lo, out):
-            blocks.append((x, y, lo))
-            return real_cross(self, x, y, g, lo, out)
+        def counting_forms(self, w32, tiles):
+            sizes.append((w32.shape[1], tiles))
+            return real_forms(self, w32, tiles)
 
-        def counting_taus(self, a, b, masks):
-            sizes.append(len(masks))
-            return real_taus(self, a, b, masks)
-
-        monkeypatch.setattr(_SwapTauB, "_within", counting_within)
-        monkeypatch.setattr(_SwapTauB, "_cross", counting_cross)
-        monkeypatch.setattr(_SwapTauB, "taus", counting_taus)
-        for budget, r, tiles, batches in (
-            # every row kept (one tile), three batches of up to 269
-            # replicates plus the unswapped row
-            (3 * n * n, 700, [0], [270, 270, 163]),
-            # 9 kept rows, then 7-row tiles (13 tiles), one batch of 20
-            (4 * n * 7, 20, [0, *range(9, n, 7)], [21]),
+        monkeypatch.setattr(_SwapTauB, "_coefficients", counting_coefficients)
+        monkeypatch.setattr(_SwapTauB, "_forms", counting_forms)
+        for budget, r, single, batches in (
+            # one tile (6 forms of 89 x 89 entries): 25 batches of 6 replicates
+            (6 * 89 * 89, 150, True, [6] * 25),
+            # tiles of at most 100 entries: 4 batches of 5 replicates
+            (600, 20, False, [5] * 4),
         ):
-            blocks.clear()
+            built.clear()
             sizes.clear()
-            monkeypatch.setattr(significance, "_BUDGET", budget)
-            perm_both(ta, tb, dict(zip(keys, h)), r=r, seed=5)
-            per_batch = [(0, 1, 0)] + [
-                block
-                for lo in tiles[1:]
-                for block in ((0, 0, lo), (1, 1, lo), (0, 1, lo))
-            ]
-            built_once = [(x, x, lo) for lo in tiles for x in (0, 1)]
-            assert blocks == built_once + per_batch * len(batches)
-            assert sizes == batches
+            monkeypatch.setattr(significance, "_BLOCK", budget)
+            kernel = _SwapTauB(np.stack([a, b]), h)
+            assert kernel.single == single
+            kernel.hits(5, r)
+            assert [size for size, _ in sizes] == batches
+            tiles = sizes[0][1]
+            assert all(t == tiles for _, t in sizes)
+            assert built == tiles if single else tiles * len(batches)
 
     def test_non_finite_score_rejected(self):
         keys = [("s1", "g0"), ("s1", "g1"), ("s2", "g0"), ("s2", "g1")]
@@ -512,7 +504,8 @@ class TestSegmentSigMatrix:
         (message,) = [r.getMessage() for r in caplog.records]
         assert message.startswith(
             "segment significance aa-bb.80: 3 metrics, 6 ordered pairs, "
-            "n=20 cells, R=20 replicates, "
+            "n=20 cells, R=20 replicates, 1 mask set, 3 unordered pairs, "
+            "1 coefficient blocks built, "
         )
 
     @given(tie_heavy_metrics(), st.integers(0, 2**32))
@@ -528,21 +521,18 @@ class TestSegmentSigMatrix:
         human = dict(zip(keys, h))
         try:
             expected = {
-                (row, col): perm_both(
-                    tables[row], tables[col], human, r=40,
-                    seed=derive_int(seed, "segment-sig", *sorted((row, col))),
-                )
+                (row, col): perm_both(tables[row], tables[col], human, r=40, seed=seed)
                 for row in tables
                 for col in tables
                 if row != col
             }
         except AllTied:  # h or some replicate of some pair is all ties
             expected = None
-        # the default budget (one tile, one batch), then 2-row tiles and
-        # batches of 7 replicates plus the unswapped row
-        for budget in (significance._BUDGET, 4 * n * 2):
+        # the default budget (one tile, one batch), then tiles of a row or
+        # less, rebuilt by each of several batches
+        for budget in (significance._BLOCK, 8 * n):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(significance, "_BUDGET", budget)
+                patch.setattr(significance, "_BLOCK", budget)
                 if expected is None:
                     with pytest.raises(AllTied):
                         segment_sig_matrix(tables, human, TASK, r=40, seed=seed)
@@ -564,8 +554,8 @@ class TestSegmentSigMatrix:
     )
     @settings(max_examples=30, deadline=None)
     def test_shrunk_budget_p_values_equal_enumeration_oracle(self, cells, seed):
-        # 2-row tiles (after at most 2 kept rows) and batches of 7
-        # replicates plus the unswapped row: 4 batches at R = 25
+        # tiles of a row or less, rebuilt by each of several batches of a few
+        # replicates at R = 25
         scores, h = cells
         n = len(h)
         keys = sorted((f"s{i % 3}", f"g{i:02d}") for i in range(n))
@@ -577,8 +567,7 @@ class TestSegmentSigMatrix:
         try:
             expected = {
                 (row, col): perm_both_enumeration(
-                    scores[int(row[1:])], scores[int(col[1:])], h, r=25,
-                    seed=derive_int(seed, "segment-sig", *sorted((row, col))),
+                    scores[int(row[1:])], scores[int(col[1:])], h, r=25, seed=seed
                 )
                 for row in tables
                 for col in tables
@@ -587,7 +576,7 @@ class TestSegmentSigMatrix:
         except ZeroDivisionError:  # h or some replicate of some pair is all ties
             expected = None
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(significance, "_BUDGET", 4 * n * 2)
+            patch.setattr(significance, "_BLOCK", 8 * n)
             if expected is None:
                 with pytest.raises(AllTied):
                     segment_sig_matrix(tables, human, TASK, r=25, seed=seed)
@@ -596,10 +585,9 @@ class TestSegmentSigMatrix:
         assert {k: c.p_value for k, c in matrix.cells.items()} == expected
 
     def test_pairs_share_q_and_cells_are_ranked_once(self, monkeypatch, caplog):
-        # 3 metrics (3 unordered pairs); the constructor builds each metric's
-        # within-metric block once per tile, and each pair builds one cross
-        # block per tile and batch for both orders (past the kept rows also
-        # its two within-metric blocks)
+        # 3 metrics (3 unordered pairs) share one mask set and one product of
+        # all their forms per tile and batch; one tile is built once, several
+        # tiles once per batch
         rng = np.random.default_rng(97)
         n = 90
         keys = sorted((f"s{i % 3}", f"g{i:02d}") for i in range(n))
@@ -609,7 +597,7 @@ class TestSegmentSigMatrix:
         }
         human = dict(zip(keys, rng.integers(-3, 4, n).astype(float)))
         calls = {"_gather": 0, "_dense_ranks": 0}
-        blocks = []
+        built, batches = [], []
 
         def counting(name):
             real = getattr(significance, name)
@@ -622,54 +610,49 @@ class TestSegmentSigMatrix:
 
         for name in calls:
             monkeypatch.setattr(significance, name, counting(name))
-        real_within, real_cross = _SwapTauB._within, _SwapTauB._cross
+        real_coefficients, real_forms = _SwapTauB._coefficients, _SwapTauB._forms
 
-        def counting_within(self, x, g, lo, out):
-            blocks.append((x, x, lo))
-            return real_within(self, x, g, lo, out)
+        def counting_coefficients(self, lo, hi, c0, c1, out):
+            built.append((lo, hi, c0, c1))
+            return real_coefficients(self, lo, hi, c0, c1, out)
 
-        def counting_cross(self, x, y, g, lo, out):
-            blocks.append((x, y, lo))
-            return real_cross(self, x, y, g, lo, out)
+        def counting_forms(self, w32, tiles):
+            batches.append(tiles)
+            return real_forms(self, w32, tiles)
 
-        monkeypatch.setattr(_SwapTauB, "_within", counting_within)
-        monkeypatch.setattr(_SwapTauB, "_cross", counting_cross)
-        for budget, r, tiles, n_batches in (
-            # every row kept (one tile), R = 800: 3 batches of up to 359
-            # replicates plus the unswapped row
-            (4 * n * n, 800, [0], 3),
-            # 7 kept rows, then 7-row tiles (13 tiles), R = 60: 3 batches of
-            # up to 27 replicates plus the unswapped row
-            (4 * n * 7, 60, [0, *range(7, n, 7)], 3),
+        monkeypatch.setattr(_SwapTauB, "_coefficients", counting_coefficients)
+        monkeypatch.setattr(_SwapTauB, "_forms", counting_forms)
+        for budget, r, n_tiles, n_batches in (
+            # one tile (12 forms of 89 x 89 entries), R = 200 in 17 batches
+            # of up to 12 replicates
+            (12 * 89 * 89, 200, 1, 17),
+            # 46 tiles of at most 126 entries, R = 60 in 3 batches of 20
+            (4 * n * 7, 60, 46, 3),
         ):
             for counter in calls:
                 calls[counter] = 0
-            blocks.clear()
+            built.clear()
+            batches.clear()
             caplog.clear()
-            monkeypatch.setattr(significance, "_BUDGET", budget)
+            monkeypatch.setattr(significance, "_BLOCK", budget)
             with caplog.at_level(logging.INFO, logger="lcmteval.significance"):
                 segment_sig_matrix(tables, human, TASK, r=r, seed=8)
             # one gather and two rankings (the scores and h) per task
             assert calls == {"_gather": 1, "_dense_ranks": 2}
-            expected = [(x, x, lo) for lo in tiles for x in range(3)]
-            for i, j in ((0, 1), (0, 2), (1, 2)):
-                per_batch = [(i, j, 0)] + [
-                    block
-                    for lo in tiles[1:]
-                    for block in ((i, i, lo), (j, j, lo), (i, j, lo))
-                ]
-                expected += per_batch * n_batches
-            assert blocks == expected
-            within = sum(x == y for x, y, _ in blocks)
+            assert len(batches) == n_batches
+            tiles = batches[0]
+            assert len(tiles) == n_tiles
+            assert all(t == tiles for t in batches)
+            assert built == (tiles if n_tiles == 1 else tiles * n_batches)
             (message,) = [r.getMessage() for r in caplog.records]
             assert (
-                f"R={r} replicates, {within} within-metric and "
-                f"{len(blocks) - within} cross blocks, "
+                f"R={r} replicates, 1 mask set, 3 unordered pairs, "
+                f"{len(built)} coefficient blocks built, "
             ) in message
 
-    def test_one_generator_per_unordered_pair(self, monkeypatch):
-        # 4 metrics, not in sorted order: 6 unordered pairs, each seeded by
-        # its sorted names; batches of 6 replicates plus the unswapped row
+    def test_one_generator_per_matrix(self, monkeypatch):
+        # 4 metrics, not in sorted order: the 6 unordered pairs share the
+        # matrix's one generator; 4 batches of 5 replicates
         rng = np.random.default_rng(101)
         n = 12
         keys = sorted((f"s{i % 3}", f"g{i:02d}") for i in range(n))
@@ -687,14 +670,44 @@ class TestSegmentSigMatrix:
             return real_rng_for(*key)
 
         monkeypatch.setattr(significance, "rng_for", counting_rng_for)
-        monkeypatch.setattr(significance, "_BUDGET", 7 * n)
+        monkeypatch.setattr(significance, "_BLOCK", 7 * n)
         segment_sig_matrix(tables, human, TASK, r=20, seed=9)
-        expected = [
-            (derive_int(9, "segment-sig", a, b), "perm-both")
-            for a, b in combinations(sorted(names), 2)
-        ]
-        assert len(keys_seen) == len(expected) == 6
-        assert sorted(keys_seen) == sorted(expected)
+        assert keys_seen == [(9, "perm-both")]
+
+    @pytest.mark.parametrize("n, r", [(24, 1000), (200, 20)])
+    def test_peak_memory_bounded(self, n, r):
+        # the fixture's shape (24 cells, 11 metrics, R = 1000) and the pool
+        # workload's (200 cells, R = 20); six score levels shared by every
+        # metric give every pair both cross forms
+        rng = np.random.default_rng(103)
+        keys = sorted((f"s{i % 4}", f"g{i:03d}") for i in range(n))
+        tables = {
+            f"m{j}": seg_table(dict(zip(keys, rng.integers(0, 6, n) / 5)), f"m{j}")
+            for j in range(11)
+        }
+        human = dict(zip(keys, rng.standard_normal(n)))
+        tracemalloc.start()
+        try:
+            segment_sig_matrix(tables, human, TASK, r=r, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
+
+    def test_float64_counts_equal_float32(self, monkeypatch):
+        # past n = 2048 the forms and counts are taken in float64; forcing
+        # that path here gives the same p-values, under one tile and under
+        # several tiles and batches
+        human, tables = self._human_and_tables(seed=107, n=15)
+        for budget in (significance._BLOCK, 300):
+            monkeypatch.setattr(significance, "_BLOCK", budget)
+            monkeypatch.setattr(significance, "_FLOAT32_EXACT", 2**24)
+            single = segment_sig_matrix(tables, human, TASK, r=90, seed=2)
+            monkeypatch.setattr(significance, "_FLOAT32_EXACT", 0)
+            double = segment_sig_matrix(tables, human, TASK, r=90, seed=2)
+            assert {k: c.p_value for k, c in double.cells.items()} == {
+                k: c.p_value for k, c in single.cells.items()
+            }
 
     def test_cell_errors_match_perm_both(self):
         keys = [("s1", "g0"), ("s1", "g1"), ("s2", "g0"), ("s2", "g1")]
@@ -716,7 +729,7 @@ class TestSegmentSigMatrix:
     def test_pair_order_does_not_change_results(self):
         # three equally noisy readings of the human scores: no metric is
         # better, so each pair's p-value sits mid-range and moves with the
-        # pair's seed, which therefore must not depend on the table order
+        # masks, which therefore must not depend on the table order
         rng = np.random.default_rng(67)
         keys = [(s, f"g{i:02d}") for s in ("s1", "s2") for i in range(20)]
         h = rng.standard_normal(40)
