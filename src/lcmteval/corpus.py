@@ -194,6 +194,7 @@ class ValidationReport:
     missing_cells: list[tuple]
     duplicate_cells: list[tuple]
     warnings: list[str]
+    trap_count: int = 0  # trap ratings, outside the grid
 
     @property
     def ok(self) -> bool:
@@ -787,7 +788,7 @@ def validate_campaign(campaign: Campaign) -> ValidationReport:
 
     The expected count multiplies segments per direction by systems, ratios,
     and annotators per task; trap ratings are quality-control items outside
-    that grid and are not counted.
+    that grid, counted apart in ``trap_count``.
     """
     config = campaign.config
     n_systems = len(config.systems)
@@ -835,14 +836,11 @@ def validate_campaign(campaign: Campaign) -> ValidationReport:
                 f"task {task.label}: {len(observed)} distinct annotators, "
                 f"config expects {config.annotators_per_task}"
             )
-    n_traps = sum(1 for r in campaign.ratings if r.is_trap)
-    if n_traps:
-        warnings.append(f"{n_traps} trap ratings present (excluded from the grid)")
-
     return ValidationReport(
         expected_rating_count=expected,
         found_rating_count=found,
         missing_cells=sorted(missing),
         duplicate_cells=duplicates,
         warnings=warnings,
+        trap_count=len(campaign.ratings) - found,
     )

@@ -172,6 +172,10 @@ def pearson_rs(
 # whatever the number of cells.
 _BUDGET = 4_000_000
 
+# Byte budget of one step of the hybrid gather in ``hybrid_arrays``: the
+# selected cells of as many tables as fit, at least one table per step.
+_GATHER_BYTES = 4 << 20
+
 
 def _dense_ranks(x: np.ndarray) -> np.ndarray:
     """0, 1, 2, ... by value; equal values share a rank, so for values other
@@ -281,7 +285,7 @@ def hybrid_arrays(
     segment-level tables and the human scores are gathered into one
     (tables + 1, systems, segments) array; one mean over its last axis
     gives the real systems' scores and one over the hybrids' selected cells
-    gives theirs, gathering at most ``_BUDGET`` cells at a time.
+    gives theirs, gathering at most ``_GATHER_BYTES`` of cells at a time.
     """
     if not tables:
         raise NoVariants("hybrid_supersample needs at least one score table")
@@ -319,7 +323,7 @@ def hybrid_arrays(
     # not, and its sums differ in the last bits)
     flat = cube.reshape(len(cube), n_sys * n_seg)
     picked = index_rows * n_seg + np.arange(n_seg)
-    step = max(1, _BUDGET // max(1, k * n_seg))
+    step = max(1, _GATHER_BYTES // max(1, flat.itemsize * k * n_seg))
     for lo in range(0, len(cube), step):
         cells = np.take(flat[lo : lo + step], picked, axis=1)
         extended[lo : lo + step, n_sys:] = cells.mean(axis=2)
@@ -340,8 +344,8 @@ def hybrid_arrays(
                     f"no corpus scores supplied for system-only table "
                     f"{table.display_name()}"
                 )
-            values += corpus_scores[table.key]
-        vectors[table.key] = np.array(values, dtype=np.float64)
+            values = np.concatenate([values, corpus_scores[table.key]])
+        vectors[table.key] = np.asarray(values, dtype=np.float64)
     return HybridArrays(systems, seg_ids, index_rows, vectors, extended[-1], redrawn)
 
 

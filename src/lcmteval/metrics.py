@@ -3,6 +3,14 @@ length deviation.
 
 All functions are pure and operate on immutable token sequences, so they are
 safe to call concurrently.
+
+Corpus BLEU is finished from additive per-segment statistics summed over a
+corpus.  :func:`bleu_arrays_from_stats` finishes a whole array of summed
+statistics in one pass (the pipeline's real systems of a task, or its K
+hybrid systems) and :func:`bleu_from_stats` is its one-row case, so the
+formula exists once.  The finish takes ``log`` and ``exp`` from libm through
+``math``, not from numpy, whose float64 kernels may differ from libm in the
+last bit, so every score is the scalar formula's, bit for bit.
 """
 
 from __future__ import annotations
@@ -12,6 +20,8 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import EmptyCorpus, EmptySet, LengthMismatch, ZeroLengthHypothesisCorpus
 
@@ -38,6 +48,17 @@ class BleuScore:
     bleu_star: float
     hyp_length: int
     ref_length: int
+
+
+@dataclass(frozen=True)
+class BleuArrays:
+    """:func:`bleu_arrays_from_stats` of a statistics array: one entry per
+    row, precisions one column per order."""
+
+    precisions: np.ndarray  # (rows, max_n) float64
+    brevity_penalty: np.ndarray  # float64
+    bleu: np.ndarray  # float64
+    bleu_star: np.ndarray  # float64
 
 
 @dataclass(frozen=True)
@@ -130,49 +151,91 @@ def bleu_stats(hyp: TokenSeq, ref: TokenSeq, max_n: int = 4) -> tuple[int, ...]:
     )
 
 
-def bleu_from_stats(stats: Sequence[int]) -> BleuScore:
-    """Corpus BLEU from summed :func:`bleu_stats` statistics.
+def _libm(func, values: np.ndarray) -> np.ndarray:
+    """``func`` (``math.log`` or ``math.exp``) of every entry, as float64."""
+    flat = np.fromiter(map(func, values.ravel().tolist()), np.float64, values.size)
+    return flat.reshape(values.shape)
+
+
+def bleu_arrays_from_stats(stats) -> BleuArrays:
+    """Corpus BLEU of every row of a (rows, 2 * max_n + 2) integer array of
+    summed :func:`bleu_stats` statistics, in one array pass.
 
     Zero precisions at orders >= 2 are exponentially smoothed: the k-th
-    zero-count order is replaced by 1 / (2^k * max(total_n, 1)).  A corpus
-    with no unigram matches at all scores exactly 0.  ``bleu_star`` is the
-    score with the brevity penalty divided back out, so it never falls below
-    ``bleu`` and equals it whenever the penalty is 1.
+    zero-count order of a row is replaced by 1 / (2^k * max(total_n, 1)).  A
+    row with no unigram matches at all scores exactly 0.  ``bleu_star`` is
+    the score with the brevity penalty divided back out, so it never falls
+    below ``bleu`` and equals it whenever the penalty is 1.  Raises
+    :class:`ZeroLengthHypothesisCorpus` when any row's hypothesis length is
+    0, ``ValueError`` for statistics that are not integers, not of that
+    shape, or with more clipped matches than n-grams at some order, and
+    ``ZeroDivisionError`` when a brevity penalty underflows to 0 (a
+    reference over 700 times longer than its hypothesis).
+
+    Every value equals the scalar arithmetic of one row, bit for bit, for
+    statistics below 2**53: the ratios, the smoothing terms, the penalty's
+    argument and the products are float64 operations on exact integers,
+    which round like Python's.  ``log`` and ``exp`` are libm's
+    (``math.log`` and ``math.exp`` mapped over flat lists), because numpy's
+    float64 ``log`` and ``exp`` may run SIMD kernels that differ from libm in
+    the last bit; and the log terms are added order by order, left to right,
+    as ``sum`` adds floats on Python 3.10 and 3.11.
     """
-    max_n = (len(stats) - 2) // 2
-    correct = stats[:max_n]
-    total = stats[max_n : 2 * max_n]
-    hyp_len, ref_len = stats[-2], stats[-1]
-    if hyp_len == 0:
+    stats = np.asarray(stats)
+    if stats.dtype.kind not in "iu":
+        raise ValueError(f"BLEU statistics must be integers, got {stats.dtype}")
+    if stats.ndim != 2 or stats.shape[1] < 4 or stats.shape[1] % 2:
+        raise ValueError(
+            f"BLEU statistics must be (rows, 2 * max_n + 2), got {stats.shape}"
+        )
+    max_n = (stats.shape[1] - 2) // 2
+    # exact: the statistics are integers below 2**53
+    exact = stats.astype(np.float64)
+    correct = exact[:, :max_n]
+    total = exact[:, max_n : 2 * max_n]
+    hyp_len, ref_len = exact[:, -2], exact[:, -1]
+    if not hyp_len.all():
         raise ZeroLengthHypothesisCorpus("all hypotheses are empty")
+    if (correct > total).any():
+        raise ValueError("clipped n-gram matches exceed the n-gram total")
 
-    if hyp_len >= ref_len:
-        bp = 1.0
-    else:
-        bp = math.exp(1.0 - ref_len / hyp_len)
+    brevity_penalty = np.ones(len(stats))
+    short = np.flatnonzero(hyp_len < ref_len)
+    brevity_penalty[short] = _libm(math.exp, 1.0 - ref_len[short] / hyp_len[short])
+    if not brevity_penalty.all():
+        raise ZeroDivisionError("the brevity penalty underflows to 0")
 
-    precisions: list[float] = []
-    smooth_k = 0
-    for n in range(1, max_n + 1):
-        if correct[n - 1] > 0:
-            precisions.append(correct[n - 1] / total[n - 1])
-        elif n == 1:
-            precisions.append(0.0)
-        else:
-            smooth_k += 1
-            precisions.append(1.0 / (2**smooth_k * max(total[n - 1], 1)))
+    matched = correct > 0
+    precisions = np.zeros(correct.shape)
+    # the k-th zero-count order >= 2 of a row is smoothed with 2**k
+    smoothing = np.ones(len(stats))
+    at_least_one = np.where(total > 0, total, 1.0)  # max(total_n, 1)
+    for n in range(1, max_n):
+        smoothing[~matched[:, n]] *= 2.0
+        precisions[:, n] = 1.0 / (smoothing * at_least_one[:, n])
+    precisions[matched] = correct[matched] / total[matched]
 
-    if precisions[0] == 0.0:
-        bleu = 0.0
-    else:
-        bleu = bp * math.exp(sum(math.log(p) for p in precisions) / max_n)
+    bleu = np.zeros(len(stats))
+    scored = np.flatnonzero(matched[:, 0])
+    logs = _libm(math.log, precisions[scored])
+    log_sum = logs[:, 0].copy()
+    for n in range(1, max_n):
+        log_sum += logs[:, n]
+    bleu[scored] = brevity_penalty[scored] * _libm(math.exp, log_sum / max_n)
+    return BleuArrays(precisions, brevity_penalty, bleu, bleu / brevity_penalty)
+
+
+def bleu_from_stats(stats: Sequence[int]) -> BleuScore:
+    """Corpus BLEU from summed :func:`bleu_stats` statistics: the one-row
+    case of :func:`bleu_arrays_from_stats`, which documents the formula."""
+    finished = bleu_arrays_from_stats([stats])
     return BleuScore(
-        precisions=tuple(precisions),
-        brevity_penalty=bp,
-        bleu=bleu,
-        bleu_star=bleu / bp,
-        hyp_length=hyp_len,
-        ref_length=ref_len,
+        precisions=tuple(finished.precisions[0].tolist()),
+        brevity_penalty=float(finished.brevity_penalty[0]),
+        bleu=float(finished.bleu[0]),
+        bleu_star=float(finished.bleu_star[0]),
+        hyp_length=stats[-2],
+        ref_length=stats[-1],
     )
 
 

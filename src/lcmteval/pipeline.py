@@ -17,8 +17,8 @@ hypothesis once per (system, segment) cell and counts each text's n-grams once;
 a cell's additive BLEU statistics and its ROUGE-1/2 come from those counts.
 Real-system BLEU and BLEU* finish each system's summed cell statistics; hybrid
 BLEU and BLEU* sum the statistics of the cells a hybrid selects, and one
-``NativeScores.corpus_scorer`` call per hybrid pass finishes each hybrid's
-statistics once for both.
+``NativeScores.corpus_scorer`` call per hybrid pass finishes all K hybrids'
+statistics in one array pass for both.
 Given identical inputs and master seed, two runs produce byte-identical
 artifacts: every random draw derives from the master seed, rows are sorted
 deterministically, and numeric report cells are fixed at 4 decimals.
@@ -67,7 +67,7 @@ from .metaeval import (
     system_scores,
 )
 from .metrics import (
-    bleu_from_stats,
+    bleu_arrays_from_stats,
     bleu_stats_from_counts,
     corpus_bleu,  # noqa: F401  the benchmark tracer wraps it until its next revision
     expected_length,
@@ -137,14 +137,11 @@ class NativeScores:
 
     def corpus_scorer(self, index_rows: np.ndarray) -> dict:
         """The ``corpus_scorer`` of :func:`hybrid_supersample`: BLEU and BLEU*
-        of every row of a hybrid index matrix, each row's summed cell
-        statistics finished once."""
+        of every row of a hybrid index matrix, the rows' summed cell
+        statistics finished in one array pass."""
         sums = self.bleu_stats[index_rows, np.arange(index_rows.shape[1])].sum(axis=1)
-        scores = [bleu_from_stats(row) for row in sums.tolist()]
-        return {
-            (BLEU_ID, "-"): [score.bleu for score in scores],
-            (BLEU_STAR_ID, "-"): [score.bleu_star for score in scores],
-        }
+        finished = bleu_arrays_from_stats(sums)
+        return {(BLEU_ID, "-"): finished.bleu, (BLEU_STAR_ID, "-"): finished.bleu_star}
 
 
 def score_tables_for_task(campaign: Campaign, task: Task) -> NativeScores:
@@ -221,19 +218,17 @@ def score_tables_for_task(campaign: Campaign, task: Task) -> NativeScores:
         [[stats_by_cell[(s, g)] for g in seg_order] for s in sorted_systems],
         dtype=np.int64,
     )
-    # a system's corpus BLEU is bleu_from_stats of its summed cell statistics
-    totals = dict(zip(sorted_systems, cell_stats.sum(axis=1).tolist()))
-    scores = {system: bleu_from_stats(totals[system]) for system in systems}
-    tables.append(
-        ScoreTable.system_table(
-            BLEU_ID, "-", task, {s: score.bleu for s, score in scores.items()}
+    # a system's corpus BLEU is its summed cell statistics, finished
+    finished = bleu_arrays_from_stats(cell_stats.sum(axis=1))
+    for metric_id, values in (
+        (BLEU_ID, finished.bleu),
+        (BLEU_STAR_ID, finished.bleu_star),
+    ):
+        tables.append(
+            ScoreTable.system_table(
+                metric_id, "-", task, dict(zip(sorted_systems, values.tolist()))
+            )
         )
-    )
-    tables.append(
-        ScoreTable.system_table(
-            BLEU_STAR_ID, "-", task, {s: score.bleu_star for s, score in scores.items()}
-        )
-    )
     return NativeScores(tables, cell_stats)
 
 
@@ -782,11 +777,12 @@ def open_state(
     report = validate_campaign(campaign)
     logger.info(
         "campaign validation: %d of %d expected ratings found, %d missing and "
-        "%d duplicate cells, %.3f s",
+        "%d duplicate cells, %d trap ratings (excluded from the grid), %.3f s",
         report.found_rating_count,
         report.expected_rating_count,
         len(report.missing_cells),
         len(report.duplicate_cells),
+        report.trap_count,
         time.perf_counter() - started,
     )
     for warning in report.warnings:
@@ -875,6 +871,7 @@ def format_validation_report(report: ValidationReport) -> str:
         f"found ratings:    {report.found_rating_count}",
         f"missing cells:    {len(report.missing_cells)}",
         f"duplicate cells:  {len(report.duplicate_cells)}",
+        f"trap ratings:     {report.trap_count} (excluded from the grid)",
     ]
     for cell in report.missing_cells[:20]:
         lines.append(f"  missing: {cell}")

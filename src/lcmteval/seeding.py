@@ -14,9 +14,11 @@ those masks.
 
 :func:`integer_rows` draws the hybrid index rows of a task in one
 vectorised call instead of one generator per hybrid: row i equals
-``rng_for(master, tag, i).integers(0, high, size=size)``.  It repeats, over
-uint32 and uint64 arrays with one entry per row, what numpy does for each
-row: :func:`derive_int`'s seed, ``SeedSequence``'s pool mixing and
+``rng_for(master, tag, i).integers(0, high, size=size)``.  It hashes the
+shared ``(master, tag)`` prefix of the K row keys once and copies its
+SHA-256 state for each row index, which gives :func:`derive_int`'s K seeds.
+It then repeats, over uint32 and uint64 arrays with one entry per row, what
+numpy does for each row: ``SeedSequence``'s pool mixing and
 ``generate_state(4, np.uint64)``, PCG64's seeding and 128-bit steps (held as
 high and low uint64 words) with its XSL-RR output, and Lemire's bounded draw
 on the 32-bit halves of each output, low half first.  A row whose draws
@@ -35,16 +37,22 @@ _MASK32 = (1 << 32) - 1
 _SEP = b"\x1f"
 
 
+def _prefix(master_seed: int, tag: str):
+    """The SHA-256 state after (master seed, tag), which every key of the
+    tag extends."""
+    h = hashlib.sha256(str(int(master_seed) & _MASK64).encode("ascii"))
+    h.update(_SEP)
+    h.update(tag.encode("utf-8"))
+    return h
+
+
 def derive_int(master_seed: int, tag: str, *indices) -> int:
     """Derive a stable 64-bit seed from (master seed, tag, indices).
 
     Indices may be ints or strings; they are folded into a SHA-256 digest so
     the derivation is stable across platforms and Python versions.
     """
-    h = hashlib.sha256()
-    h.update(str(int(master_seed) & _MASK64).encode("ascii"))
-    h.update(_SEP)
-    h.update(tag.encode("utf-8"))
+    h = _prefix(master_seed, tag)
     for ix in indices:
         h.update(_SEP)
         h.update(str(ix).encode("utf-8"))
@@ -131,7 +139,16 @@ def integer_rows(
     out = np.empty((k, size), dtype=np.int64)
     if k == 0 or size == 0:
         return out, 0
-    seeds = np.array([derive_int(master_seed, tag, i) for i in range(k)], np.uint64)
+    # derive_int(master_seed, tag, i) for every row: the prefix is hashed
+    # once, and each row's seed is the first big-endian word of its digest
+    prefix = _prefix(master_seed, tag)
+    prefix.update(_SEP)
+    digests = []
+    for i in range(k):
+        h = prefix.copy()
+        h.update(b"%d" % i)
+        digests.append(h.digest())
+    seeds = np.frombuffer(b"".join(digests), ">u8")[::4].astype(np.uint64)
     s0, s1, s2, s3 = _seed_sequence_words(seeds)
     # PCG64 seeding: inc = (s2:s3) << 1 | 1, state = (inc + (s0:s1)) * mult + inc
     inc = (s2 << 1) | (s3 >> 63), (s3 << 1) | 1

@@ -9,8 +9,11 @@ swap masks from the package: the seed stream is the documented contract.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
+from lcmteval.errors import ZeroLengthHypothesisCorpus
+from lcmteval.metrics import BleuScore
 from lcmteval.seeding import rng_for
 
 
@@ -36,6 +39,54 @@ def clipped_ngram_overlap(hyp: list, ref: list, n: int) -> tuple[int, int, int]:
     for gram in set(hyp_ngrams):
         overlap += min(hyp_ngrams.count(gram), ref_ngrams.count(gram))
     return overlap, len(hyp_ngrams), len(ref_ngrams)
+
+
+# bleu_from_stats_scalar adds its log terms with sum(), which adds floats left
+# to right on Python 3.10 and 3.11, as the package's array finish does on
+# every version; from 3.12 sum() compensates its rounding, so there the two
+# may differ in the last bit.
+SUM_LEFT_TO_RIGHT = sys.version_info < (3, 12)
+
+
+def bleu_from_stats_scalar(stats) -> BleuScore:
+    """Corpus BLEU of one row of summed BLEU statistics, one order at a time
+    in Python floats: the package's scalar finish before it moved onto
+    arrays."""
+    max_n = (len(stats) - 2) // 2
+    correct = stats[:max_n]
+    total = stats[max_n : 2 * max_n]
+    hyp_len, ref_len = stats[-2], stats[-1]
+    if hyp_len == 0:
+        raise ZeroLengthHypothesisCorpus("all hypotheses are empty")
+
+    if hyp_len >= ref_len:
+        bp = 1.0
+    else:
+        bp = math.exp(1.0 - ref_len / hyp_len)
+
+    precisions: list[float] = []
+    smooth_k = 0
+    for n in range(1, max_n + 1):
+        if correct[n - 1] > 0:
+            precisions.append(correct[n - 1] / total[n - 1])
+        elif n == 1:
+            precisions.append(0.0)
+        else:
+            smooth_k += 1
+            precisions.append(1.0 / (2**smooth_k * max(total[n - 1], 1)))
+
+    if precisions[0] == 0.0:
+        bleu = 0.0
+    else:
+        bleu = bp * math.exp(sum(math.log(p) for p in precisions) / max_n)
+    return BleuScore(
+        precisions=tuple(precisions),
+        brevity_penalty=bp,
+        bleu=bleu,
+        bleu_star=bleu / bp,
+        hyp_length=hyp_len,
+        ref_length=ref_len,
+    )
 
 
 def pearson_textbook(x, y) -> float:

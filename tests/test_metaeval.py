@@ -303,6 +303,17 @@ class TestHybridSupersample:
             real = {s: vectors[tb.key].scores[s] for s in systems}
             assert real == system_scores(tb).scores
 
+    def test_gather_steps_do_not_change_the_means(self, monkeypatch):
+        # one table per gather step gives the bytes of all tables at once
+        table, human = make_aligned(n_segs=7, seed=2)
+        other = seg_table({key: 1.0 - v for key, v in human.items()}, variant="w")
+        whole = metaeval_module.hybrid_arrays([table, other], human, 30, 6)
+        monkeypatch.setattr(metaeval_module, "_GATHER_BYTES", 1)
+        stepped = metaeval_module.hybrid_arrays([table, other], human, 30, 6)
+        for key, vector in whole.vectors.items():
+            assert vector.tobytes() == stepped.vectors[key].tobytes()
+        assert whole.human.tobytes() == stepped.human.tobytes()
+
     def test_different_seed_differs(self):
         table, human = make_aligned()
         a = hybrid_supersample([table], human, 20, seed=1)[1][table.key].scores

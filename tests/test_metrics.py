@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from lcmteval.metrics import (
     BleuScore,
     LengthRecord,
     _lcs_length,
+    bleu_arrays_from_stats,
     bleu_from_stats,
     bleu_star,
     bleu_stats,
@@ -25,7 +27,12 @@ from lcmteval.metrics import (
     tokenize,
 )
 
-from .oracles import clipped_ngram_overlap, lcs_length_recursive
+from .oracles import (
+    SUM_LEFT_TO_RIGHT,
+    bleu_from_stats_scalar,
+    clipped_ngram_overlap,
+    lcs_length_recursive,
+)
 
 tokens = st.lists(st.sampled_from("abcdefg"), min_size=0, max_size=20)
 # few distinct tokens: many equal-length LCS paths and repeated n-grams
@@ -155,6 +162,8 @@ class TestBleuStats:
             rnd.shuffle(per_segment)
         summed = [sum(column) for column in zip(*per_segment)]
         assert bleu_from_stats(summed) == corpus_bleu(hyps, refs)
+        if SUM_LEFT_TO_RIGHT:
+            assert bleu_from_stats(summed) == bleu_from_stats_scalar(summed)
 
     def test_smoothing_and_brevity_paths_reached(self):
         stats = bleu_stats(tok(["a", "b"]), tok(["b", "a", "c"]))
@@ -166,6 +175,87 @@ class TestBleuStats:
     def test_zero_length_hypotheses(self):
         with pytest.raises(ZeroLengthHypothesisCorpus):
             bleu_from_stats(bleu_stats(tok([]), tok(["a"])))
+
+
+@st.composite
+def bleu_stat_rows(draw, max_n=4):
+    """A row of summed BLEU statistics: zero matches at any order (the first
+    included), zero totals at high orders, hypotheses shorter and longer
+    than the reference."""
+    hyp_len = draw(st.integers(1, 5000))
+    ref_len = draw(
+        st.one_of(
+            st.integers(1, 5000),
+            st.sampled_from([hyp_len, hyp_len + 1, max(hyp_len - 1, 1)]),
+        )
+    )
+    total = [
+        draw(st.sampled_from([max(hyp_len - n, 0), 0, hyp_len]))
+        for n in range(max_n)
+    ]
+    correct = [
+        draw(st.sampled_from([0, t, t // 2]) | st.integers(0, t)) for t in total
+    ]
+    return [*correct, *total, hyp_len, ref_len]
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+class TestBleuArrays:
+    @pytest.mark.skipif(not SUM_LEFT_TO_RIGHT, reason="sum() compensates from 3.12")
+    @given(st.lists(bleu_stat_rows(), min_size=1, max_size=40))
+    @example(rows=[[0, 0, 0, 0, 5, 4, 3, 2, 5, 7]])  # no unigram matches
+    @example(rows=[[3, 0, 0, 0, 3, 2, 1, 0, 3, 4]])  # p2..p4 smoothed, hyp < ref
+    @example(rows=[[2, 1, 0, 0, 2, 1, 0, 0, 2, 2]])  # zero totals, hyp == ref
+    @example(rows=[[4, 3, 2, 1, 9, 8, 7, 6, 9, 3]])  # hyp > ref
+    @settings(max_examples=300)
+    def test_equals_the_scalar_oracle_bit_for_bit(self, rows):
+        try:
+            wants = [bleu_from_stats_scalar(row) for row in rows]
+        except ZeroDivisionError:  # a brevity penalty underflows to 0
+            with pytest.raises(ZeroDivisionError):
+                bleu_arrays_from_stats(np.array(rows))
+            return
+        finished = bleu_arrays_from_stats(np.array(rows))
+        assert finished.precisions.shape == (len(rows), 4)
+        for i, (row, want) in enumerate(zip(rows, wants)):
+            assert _bits(finished.precisions[i]) == _bits(want.precisions)
+            assert _bits(
+                [
+                    finished.brevity_penalty[i],
+                    finished.bleu[i],
+                    finished.bleu_star[i],
+                ]
+            ) == _bits([want.brevity_penalty, want.bleu, want.bleu_star])
+            assert bleu_from_stats(row) == want
+
+    def test_one_zero_length_row_raises(self):
+        rows = np.array([[2, 1, 0, 0, 3, 2, 1, 0, 3, 3]] * 5)
+        bleu_arrays_from_stats(rows)
+        rows[3, -2] = 0
+        with pytest.raises(ZeroLengthHypothesisCorpus):
+            bleu_arrays_from_stats(rows)
+
+    def test_more_matches_than_ngrams_rejected(self):
+        with pytest.raises(ValueError, match="exceed"):
+            bleu_arrays_from_stats([[2, 1, 0, 0, 3, 0, 0, 0, 3, 3]])
+
+    @pytest.mark.parametrize("shape", [(10,), (2, 3), (2, 9)])
+    def test_malformed_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="rows, 2 \\* max_n \\+ 2"):
+            bleu_arrays_from_stats(np.ones(shape, dtype=np.int64))
+
+    def test_non_integer_statistics_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            bleu_arrays_from_stats([[2.5, 1, 0, 0, 3, 2, 1, 0, 3, 3]])
+
+    def test_max_n_from_the_width(self):
+        # max_n = 2: p1 = 3/4, p2 = 1/3, bp = 1
+        finished = bleu_arrays_from_stats([[3, 1, 4, 3, 4, 4]])
+        assert finished.precisions.tolist() == [[0.75, 1 / 3]]
+        assert finished.bleu[0] == pytest.approx(0.5, abs=1e-15)
 
 
 class TestBleuStar:

@@ -37,6 +37,9 @@ from lcmteval.metrics import (
     tokenize,
 )
 from lcmteval.reports import read_csv_table
+from lcmteval.seeding import integer_rows
+
+from .oracles import SUM_LEFT_TO_RIGHT, bleu_from_stats_scalar
 
 GOLDEN = Path(__file__).parent / "goldens" / "fixture_manifest.json"
 GOLDEN_SEGMENT = Path(__file__).parent / "goldens" / "fixture_manifest_segment.json"
@@ -152,6 +155,23 @@ class TestScoreTables:
             )
             assert vectors[(BLEU_ID, "-")].values[n_real + i] == score.bleu
             assert vectors[(BLEU_STAR_ID, "-")].values[n_real + i] == score.bleu_star
+
+    @pytest.mark.skipif(not SUM_LEFT_TO_RIGHT, reason="sum() compensates from 3.12")
+    def test_hybrid_bleu_equals_the_scalar_oracle(self, campaign):
+        # all 1000 hybrids of one task, bit for bit, against the scalar finish
+        # of each row's summed statistics
+        task = campaign.tasks()[0]
+        native = score_tables_for_task(campaign, task)
+        cells = native.bleu_stats.tolist()
+        index_rows, _ = integer_rows(
+            campaign.config.seed, f"hybrid:{task.label}", 1000, len(cells), len(cells[0])
+        )
+        scores = native.corpus_scorer(index_rows)
+        for i, row in enumerate(index_rows.tolist()):
+            picked = [cells[s][g] for g, s in enumerate(row)]
+            want = bleu_from_stats_scalar([sum(column) for column in zip(*picked)])
+            assert scores[(BLEU_ID, "-")][i].hex() == want.bleu.hex()
+            assert scores[(BLEU_STAR_ID, "-")][i].hex() == want.bleu_star.hex()
 
     def test_echo_length_deviation_zero(self, tmp_path):
         state = PipelineState(echo_campaign())
@@ -385,7 +405,7 @@ class TestScoreTables:
             "campaign load: 24 segments, 96 hypotheses, 336 ratings, 384 external "
             "score cells, ",
             "campaign validation: 288 of 288 expected ratings found, 0 missing and "
-            "0 duplicate cells, ",
+            "0 duplicate cells, 48 trap ratings (excluded from the grid), ",
             "qc: 4 tasks, 336 ratings, timing cutoff 600 s, ",
             "agreement: 4 tasks, with and without traps, ",
             "variant selection: 2 metrics, 4 variants, segment level, ",

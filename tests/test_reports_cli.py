@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -111,6 +114,30 @@ class TestCli:
         assert main(["validate", str(fixture_config_path)]) == 0
         out = capsys.readouterr().out
         assert "expected ratings: 288" in out
+        assert "trap ratings:     48 (excluded from the grid)" in out
+
+    @pytest.mark.parametrize("verbose", [False, True])
+    def test_run_on_a_healthy_campaign_is_quiet_without_v(
+        self, fixture_config_path, tmp_path, verbose
+    ):
+        # trap ratings are part of a healthy campaign: reported at INFO only
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-m", "lcmteval.cli", *(["-v"] if verbose else []),
+             "run", str(fixture_config_path), "--out", str(tmp_path),
+             "--hybrids", "10", "--permutations", "5", "--bootstrap", "5"],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        if not verbose:
+            assert result.stderr == ""
+        else:
+            (line,) = [
+                line for line in result.stderr.splitlines()
+                if line.startswith("INFO lcmteval.pipeline: campaign validation: ")
+            ]
+            assert "48 trap ratings (excluded from the grid)" in line
+            assert "WARNING" not in result.stderr
 
     def test_validate_incomplete_exit_1(self, fixture_config_path, tmp_path, capsys):
         shutil.copytree(fixture_config_path.parent, tmp_path / "camp")
