@@ -26,6 +26,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -224,8 +225,17 @@ class Campaign:
     def hypothesis(self, system_id: str, seg_id: str, ratio: float) -> HypothesisRecord:
         return self.hypotheses[(system_id, seg_id, ratio)]
 
+    @cached_property
+    def ratings_by_task(self) -> Mapping[Task, tuple[RatingRecord, ...]]:
+        """The ratings of each task that has any, in file order, grouped once."""
+        groups: dict[Task, list[RatingRecord]] = {}
+        for rec in self.ratings:
+            groups.setdefault(rec.task, []).append(rec)
+        return {task: tuple(group) for task, group in groups.items()}
+
     def ratings_for_task(self, task: Task) -> list[RatingRecord]:
-        return [r for r in self.ratings if r.task == task]
+        """A new list of ``task``'s ratings, in file order; [] if it has none."""
+        return list(self.ratings_by_task.get(task, ()))
 
     def reference_length(self, seg: SegmentRecord) -> int:
         """Reference length in the configured unit."""
@@ -484,6 +494,8 @@ def load_ratings(
     if not path.is_file():
         raise MissingFile(f"ratings file not found: {path}")
     records: list[RatingRecord] = []
+    # one Task per (direction, ratio), shared by its ratings
+    tasks = {(task.direction, task.ratio): task for task in config.tasks()}
     with path.open(encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -544,7 +556,7 @@ def load_ratings(
             records.append(
                 RatingRecord(
                     annotator_id=annotator,
-                    task=Task(segments[seg_id].direction, ratio),
+                    task=tasks[(segments[seg_id].direction, ratio)],
                     seg_id=seg_id,
                     system_id=system,
                     raw_score=score,
@@ -830,7 +842,11 @@ def validate_campaign(campaign: Campaign) -> ValidationReport:
 
     warnings: list[str] = []
     for task in config.tasks():
-        observed = {r.annotator_id for r in real_ratings if r.task == task}
+        observed = {
+            r.annotator_id
+            for r in campaign.ratings_by_task.get(task, ())
+            if not r.is_trap
+        }
         if observed and len(observed) != config.annotators_per_task:
             warnings.append(
                 f"task {task.label}: {len(observed)} distinct annotators, "

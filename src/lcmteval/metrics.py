@@ -4,6 +4,14 @@ length deviation.
 All functions are pure and operate on immutable token sequences, so they are
 safe to call concurrently.
 
+Clipped n-gram counting exists once: :func:`ngram_stats` takes many
+(hypothesis, reference) pairs of a task, encodes their tokens to integer ids
+and counts and clips every order's n-grams in one array pass.
+:func:`bleu_stats` is its one-pair case and :func:`corpus_bleu` its
+one-corpus case; ROUGE-n reads its overlap from those statistics, and every
+ROUGE score is finished from arrays (:func:`rouge_n_arrays`,
+:func:`rouge_l_arrays`), the scalar functions being their one-pair cases.
+
 Corpus BLEU is finished from additive per-segment statistics summed over a
 corpus.  :func:`bleu_arrays_from_stats` finishes a whole array of summed
 statistics in one pass (the pipeline's real systems of a task, or its K
@@ -17,8 +25,8 @@ from __future__ import annotations
 
 import math
 import unicodedata
-from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, count
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -68,6 +76,10 @@ class RougeScore:
     f1: float
 
 
+# ROUGE of many pairs: precision, recall and F1, one float64 entry per pair
+RougeArrays = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 @dataclass(frozen=True)
 class LengthRecord:
     output_len: int
@@ -103,52 +115,109 @@ def scheme_for_direction(direction: str) -> str:
     return CHARACTER if target.startswith("zh") else WHITESPACE
 
 
-def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(zip(*(tokens[i:] for i in range(n))))
+# float64 holds every integer below 2**53 exactly
+_EXACT = 2**53
 
 
-def ngram_counts(tokens: Sequence[str], max_n: int = 4) -> list[Counter]:
-    """The n-gram counts of one token sequence for orders 1..``max_n``.
+def _exact_keys(bound: int) -> None:
+    """Refuse keys that could reach ``bound``: float64 would round them."""
+    if bound > _EXACT:
+        raise OverflowError(
+            f"n-gram keys up to {bound} do not fit the float64 mantissa (2**53)"
+        )
 
-    Counted once per text, they serve every pair the text is in: see
-    :func:`bleu_stats_from_counts`.
+
+def ngram_stats(
+    hypotheses: Sequence[Sequence[str]],
+    references: Sequence[Sequence[str]],
+    ref_index: Sequence[int],
+    max_n: int = 4,
+) -> tuple[np.ndarray, int]:
+    """The :func:`bleu_stats` of every pair (``hypotheses[i]``,
+    ``references[ref_index[i]]``) of token sequences, in one array pass: a
+    (pairs, 2 * max_n + 2) int64 array, one row per pair, and the number of
+    distinct n-grams over all the texts, summed over the orders.
+
+    The tokens are encoded to integer ids once.  Each order's n-gram ids
+    extend the order n - 1 ids by the next token and are renumbered densely,
+    so every key is an exact integer (below 2**53, checked; the keys are
+    sorted as float64).  Per order, one sort counts each reference's
+    n-grams, keyed by (reference, n-gram) for the reference and for every
+    hypothesis it clips, and one sort counts each hypothesis's; a reference
+    shared by many hypotheses is counted once.  The counting takes only
+    ``np.unique`` with ``return_inverse`` and ``np.bincount``: a run calls
+    both elsewhere too, and each numpy kernel a run touches first adds
+    resident code pages to its peak RSS.
     """
-    return [_ngram_counts(tokens, n) for n in range(1, max_n + 1)]
+    if max_n < 1:
+        raise ValueError(f"max_n must be >= 1, got {max_n}")
+    n_refs, n_hyps = len(references), len(hypotheses)
+    ref_index = np.asarray(ref_index, dtype=np.intp)
+    if len(ref_index) != n_hyps:
+        raise LengthMismatch(
+            f"{n_hyps} hypotheses vs {len(ref_index)} reference indices"
+        )
+    if n_hyps and not (0 <= ref_index.min() and ref_index.max() < n_refs):
+        raise ValueError(f"reference indices must lie in [0, {n_refs})")
 
+    texts = [*references, *hypotheses]
+    lengths = np.fromiter(map(len, texts), np.int64, len(texts))
+    flat = list(chain.from_iterable(texts))
+    vocab = dict(zip(dict.fromkeys(flat), count()))
+    tokens = np.fromiter(map(vocab.__getitem__, flat), np.float64, len(flat))
+    # per token position: its text, the reference that clips its n-grams
+    # (a reference clips its own) and where its text ends
+    text_of = np.repeat(np.arange(len(texts)), lengths)
+    clipper = np.concatenate([np.arange(n_refs), ref_index])[text_of]
+    text_end = np.repeat(np.cumsum(lengths), lengths)
+    text_of, clipper = text_of.astype(np.float64), clipper.astype(np.float64)
+    starts = np.arange(len(flat))  # where each n-gram of the current order starts
+    grams, n_grams = tokens, len(vocab)  # order-1 ids are the token ids
+    matches = np.zeros((n_hyps, max_n), np.int64)
+    distinct = 0
+    for n in range(1, max_n + 1):
+        if n > 1:
+            keep = starts + (n - 1) < text_end[starts]
+            starts = starts[keep]
+            _exact_keys(n_grams * len(vocab))
+            keys = grams[keep] * len(vocab) + tokens[starts + (n - 1)]
+            unique, inverse = np.unique(keys, return_inverse=True)
+            grams, n_grams = inverse.astype(np.float64), len(unique)
+        distinct += n_grams
+        _exact_keys(len(texts) * n_grams)
+        text = text_of[starts]
+        in_hyp = text >= n_refs
+        # each (reference, n-gram)'s count in that reference
+        clipped_by, by_ref = np.unique(
+            clipper[starts] * n_grams + grams, return_inverse=True
+        )
+        ref_counts = np.bincount(by_ref[~in_hyp], minlength=len(clipped_by))
+        # each (hypothesis, n-gram)'s count, clipped by its reference's
+        pairs, by_pair = np.unique(
+            text[in_hyp] * n_grams + grams[in_hyp], return_inverse=True
+        )
+        owner = np.zeros(len(pairs), np.intp)
+        owner[by_pair] = text[in_hyp] - n_refs
+        clip = np.zeros(len(pairs), np.int64)
+        clip[by_pair] = ref_counts[by_ref[in_hyp]]
+        clipped = np.minimum(np.bincount(by_pair, minlength=len(pairs)), clip)
+        matches[:, n - 1] = np.bincount(owner, weights=clipped, minlength=n_hyps)
 
-def _clipped_matches(hyp_counts: Counter, ref_counts: Counter) -> int:
-    # only n-grams on both sides match; the key intersection runs in C
-    common = hyp_counts.keys() & ref_counts.keys()
-    return sum(
-        map(min, map(hyp_counts.__getitem__, common), map(ref_counts.__getitem__, common))
-    )
-
-
-def bleu_stats_from_counts(
-    hyp_counts: Sequence[Counter],
-    ref_counts: Sequence[Counter],
-    hyp_len: int,
-    ref_len: int,
-) -> tuple[int, ...]:
-    """:func:`bleu_stats` of a pair from each side's :func:`ngram_counts`
-    (same ``max_n``) and token count."""
-    correct = [_clipped_matches(h, r) for h, r in zip(hyp_counts, ref_counts)]
-    total = [max(hyp_len - k, 0) for k in range(len(hyp_counts))]
-    return (*correct, *total, hyp_len, ref_len)
+    hyp_len = lengths[n_refs:]
+    totals = np.maximum(hyp_len[:, None] - np.arange(max_n), 0)
+    stats = np.column_stack([matches, totals, hyp_len, lengths[:n_refs][ref_index]])
+    return stats, distinct
 
 
 def bleu_stats(hyp: TokenSeq, ref: TokenSeq, max_n: int = 4) -> tuple[int, ...]:
     """One segment's additive BLEU statistics: clipped n-gram matches for
     orders 1..``max_n``, then n-gram totals for the same orders, then the
     hypothesis and the reference length.  Summed over segments they are all
-    :func:`bleu_from_stats` needs to score a corpus.
+    :func:`bleu_from_stats` needs to score a corpus.  The one-pair case of
+    :func:`ngram_stats`.
     """
-    return bleu_stats_from_counts(
-        ngram_counts(hyp.tokens, max_n),
-        ngram_counts(ref.tokens, max_n),
-        len(hyp),
-        len(ref),
-    )
+    stats, _ = ngram_stats([hyp.tokens], [ref.tokens], [0], max_n)
+    return tuple(stats[0].tolist())
 
 
 def _libm(func, values: np.ndarray) -> np.ndarray:
@@ -245,7 +314,8 @@ def corpus_bleu(
     max_n: int = 4,
 ) -> BleuScore:
     """Corpus-level BLEU with clipped n-gram precisions and brevity penalty:
-    :func:`bleu_from_stats` of the summed per-segment :func:`bleu_stats`.
+    :func:`bleu_from_stats` of the summed per-segment :func:`bleu_stats`, all
+    segments counted in one :func:`ngram_stats` pass.
     """
     if len(hypotheses) != len(references):
         raise LengthMismatch(
@@ -253,8 +323,13 @@ def corpus_bleu(
         )
     if not hypotheses:
         raise EmptyCorpus("corpus_bleu needs at least one hypothesis/reference pair")
-    per_segment = [bleu_stats(h, r, max_n) for h, r in zip(hypotheses, references)]
-    return bleu_from_stats([sum(column) for column in zip(*per_segment)])
+    per_segment, _ = ngram_stats(
+        [h.tokens for h in hypotheses],
+        [r.tokens for r in references],
+        range(len(references)),
+        max_n,
+    )
+    return bleu_from_stats(per_segment.sum(axis=0).tolist())
 
 
 def bleu_star(score: BleuScore) -> float:
@@ -264,66 +339,109 @@ def bleu_star(score: BleuScore) -> float:
     return score.bleu / score.brevity_penalty
 
 
-def _prf(overlap: float, hyp_total: int, ref_total: int) -> RougeScore:
+def _ratio(part: np.ndarray, whole: np.ndarray) -> np.ndarray:
+    # part / whole, and 0 where whole is 0
+    return np.where(whole > 0, part / np.where(whole > 0, whole, 1.0), 0.0)
+
+
+def _prf(overlap, hyp_total, ref_total) -> RougeArrays:
     # Zero denominators score 0 rather than erroring: heavily shortened
-    # hypotheses can be shorter than the n-gram order.
-    precision = overlap / hyp_total if hyp_total > 0 else 0.0
-    recall = overlap / ref_total if ref_total > 0 else 0.0
-    if precision + recall == 0.0:
-        f1 = 0.0
-    else:
-        f1 = 2.0 * precision * recall / (precision + recall)
+    # hypotheses can be shorter than the n-gram order.  Counts are exact in
+    # float64, so each ratio and product rounds as in scalar arithmetic.
+    overlap = np.asarray(overlap, dtype=np.float64)
+    precision = _ratio(overlap, np.asarray(hyp_total, dtype=np.float64))
+    recall = _ratio(overlap, np.asarray(ref_total, dtype=np.float64))
+    f1 = _ratio(2.0 * precision * recall, precision + recall)
+    return precision, recall, f1
+
+
+def _one_pair(scores: RougeArrays) -> RougeScore:
+    precision, recall, f1 = (float(values[0]) for values in scores)
     return RougeScore(precision=precision, recall=recall, f1=f1)
 
 
-def _rouge_n_prf(overlap: int, hyp_len: int, ref_len: int, n: int) -> RougeScore:
+def rouge_n_arrays(stats, n: int) -> RougeArrays:
+    """ROUGE-n precision, recall and F1 arrays of every row of a
+    (rows, 2 * max_n + 2) :func:`bleu_stats` array: the overlap is BLEU's
+    clipped match count of order ``n``, and the n-gram totals follow from
+    the two lengths."""
+    stats = np.asarray(stats)
+    max_n = (stats.shape[1] - 2) // 2
+    if not 1 <= n <= max_n:
+        raise ValueError(f"n must be in 1..{max_n}, got {n}")
     # a sequence of length L has max(L - n + 1, 0) n-grams
-    return _prf(overlap, max(hyp_len - n + 1, 0), max(ref_len - n + 1, 0))
+    return _prf(
+        stats[:, n - 1],
+        np.maximum(stats[:, -2] - (n - 1), 0),
+        np.maximum(stats[:, -1] - (n - 1), 0),
+    )
+
+
+def rouge_n_from_stats(stats: Sequence[int], n: int) -> RougeScore:
+    """:func:`rouge_n` of one segment from its :func:`bleu_stats`: the
+    one-row case of :func:`rouge_n_arrays`."""
+    return _one_pair(rouge_n_arrays([stats], n))
 
 
 def rouge_n(hyp: TokenSeq, ref: TokenSeq, n: int) -> RougeScore:
     """Clipped n-gram overlap precision/recall/F1 between two sequences."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    overlap = _clipped_matches(
-        _ngram_counts(hyp.tokens, n), _ngram_counts(ref.tokens, n)
-    )
-    return _rouge_n_prf(overlap, len(hyp), len(ref), n)
+    return rouge_n_from_stats(bleu_stats(hyp, ref, n), n)
 
 
-def rouge_n_from_stats(stats: Sequence[int], n: int) -> RougeScore:
-    """:func:`rouge_n` of one segment from its :func:`bleu_stats`: the
-    overlap is BLEU's clipped match count of order ``n``, and the n-gram
-    totals follow from the two lengths."""
-    max_n = (len(stats) - 2) // 2
-    if not 1 <= n <= max_n:
-        raise ValueError(f"n must be in 1..{max_n}, got {n}")
-    return _rouge_n_prf(stats[n - 1], stats[-2], stats[-1], n)
-
-
-def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    # Bit-parallel LCS (Allison and Dix, IPL 1986; Hyyro 2004). v holds the
-    # DP row of the prefix of a read so far: bit i is 0 exactly where
-    # LCS(prefix, b[: i + 1]) exceeds LCS(prefix, b[:i]), so the LCS is the
-    # number of 0 bits.  One match mask per distinct token of b, then
-    # O(len(a)) big-int operations.
+def _match_masks(b: Sequence[str]) -> dict[str, int]:
+    # bit i of a token's mask is set where b[i] is that token
     masks: dict[str, int] = {}
     for i, y in enumerate(b):
         masks[y] = masks.get(y, 0) | (1 << i)
-    full = (1 << len(b)) - 1
+    return masks
+
+
+def _lcs_from_masks(a: Sequence[str], masks: dict[str, int], len_b: int) -> int:
+    # Bit-parallel LCS (Allison and Dix, IPL 1986; Hyyro 2004). v holds the
+    # DP row of the prefix of a read so far: bit i is 0 exactly where
+    # LCS(prefix, b[: i + 1]) exceeds LCS(prefix, b[:i]), so the LCS is the
+    # number of 0 bits.  O(len(a)) big-int operations.
+    full = (1 << len_b) - 1
     v = full
     for x in a:
         m = masks.get(x)
         if m:
             u = v & m
             v = ((v + u) | (v - u)) & full
-    return len(b) - v.bit_count()
+    return len_b - v.bit_count()
+
+
+def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
+    return _lcs_from_masks(a, _match_masks(b), len(b))
+
+
+def rouge_l_arrays(
+    hypotheses: Sequence[Sequence[str]],
+    references: Sequence[Sequence[str]],
+    ref_index: Sequence[int],
+) -> RougeArrays:
+    """Longest-common-subsequence precision, recall and F1 arrays of every
+    pair (``hypotheses[i]``, ``references[ref_index[i]]``) of token
+    sequences; each reference's match masks are built once."""
+    if len(ref_index) != len(hypotheses):
+        raise LengthMismatch(
+            f"{len(hypotheses)} hypotheses vs {len(ref_index)} reference indices"
+        )
+    masks = [_match_masks(ref) for ref in references]
+    lcs = [
+        _lcs_from_masks(hyp, masks[r], len(references[r]))
+        for hyp, r in zip(hypotheses, ref_index)
+    ]
+    return _prf(
+        lcs, list(map(len, hypotheses)), [len(references[r]) for r in ref_index]
+    )
 
 
 def rouge_l(hyp: TokenSeq, ref: TokenSeq) -> RougeScore:
     """Longest-common-subsequence precision/recall/F1."""
-    lcs = _lcs_length(hyp.tokens, ref.tokens)
-    return _prf(lcs, len(hyp), len(ref))
+    return _one_pair(rouge_l_arrays([hyp.tokens], [ref.tokens], [0]))
 
 
 def length_deviation(records: Iterable[LengthRecord]) -> float:

@@ -13,10 +13,11 @@ correlation, significance and system comparison reports cover: the native
 metrics but length deviation, plus the chosen variant of each external metric,
 sorted by display name; the segment-level reports take its segment-level
 subset.  The native stage tokenises each reference once per task and each
-hypothesis once per (system, segment) cell and counts each text's n-grams once;
-a cell's additive BLEU statistics and its ROUGE-1/2 come from those counts.
-Real-system BLEU and BLEU* finish each system's summed cell statistics; hybrid
-BLEU and BLEU* sum the statistics of the cells a hybrid selects, and one
+hypothesis once per (system, segment) cell, and one ``ngram_stats`` array pass
+per task counts and clips every cell's n-grams; every cell's additive BLEU
+statistics and its ROUGE-1/2 come from that array.  Real-system BLEU and BLEU*
+finish each system's summed cell statistics; hybrid BLEU and BLEU* sum the
+statistics of the cells a hybrid selects, and one
 ``NativeScores.corpus_scorer`` call per hybrid pass finishes all K hybrids'
 statistics in one array pass for both.
 Given identical inputs and master seed, two runs produce byte-identical
@@ -58,6 +59,7 @@ from .errors import (
     ValidationFailure,
 )
 from .metaeval import (
+    _GATHER_BYTES,
     VariantSelection,
     hybrid_arrays,
     hybrid_supersample,  # noqa: F401  the benchmark tracer wraps it
@@ -68,12 +70,11 @@ from .metaeval import (
 )
 from .metrics import (
     bleu_arrays_from_stats,
-    bleu_stats_from_counts,
     corpus_bleu,  # noqa: F401  the benchmark tracer wraps it until its next revision
     expected_length,
-    ngram_counts,
-    rouge_l,
-    rouge_n_from_stats,
+    ngram_stats,
+    rouge_l_arrays,
+    rouge_n_arrays,
     scheme_for_direction,
     tokenize,
 )
@@ -128,6 +129,7 @@ class NativeScores:
 
     tables: list[ScoreTable]
     bleu_stats: np.ndarray  # (system, segment, statistic)
+    distinct_ngrams: int  # over the task's texts, summed over the orders
 
     @property
     def correlated(self) -> list[ScoreTable]:
@@ -138,8 +140,15 @@ class NativeScores:
     def corpus_scorer(self, index_rows: np.ndarray) -> dict:
         """The ``corpus_scorer`` of :func:`hybrid_supersample`: BLEU and BLEU*
         of every row of a hybrid index matrix, the rows' summed cell
-        statistics finished in one array pass."""
-        sums = self.bleu_stats[index_rows, np.arange(index_rows.shape[1])].sum(axis=1)
+        statistics finished in one array pass.  The cells are gathered a
+        chunk of segments at a time, at most ``_GATHER_BYTES`` a chunk."""
+        k, n_segments = index_rows.shape
+        width = self.bleu_stats.shape[2]
+        step = max(1, _GATHER_BYTES // (self.bleu_stats.itemsize * k * width))
+        sums = np.zeros((k, width), dtype=self.bleu_stats.dtype)
+        for lo in range(0, n_segments, step):
+            hi = min(lo + step, n_segments)
+            sums += self.bleu_stats[index_rows[:, lo:hi], np.arange(lo, hi)].sum(axis=1)
         finished = bleu_arrays_from_stats(sums)
         return {(BLEU_ID, "-"): finished.bleu, (BLEU_STAR_ID, "-"): finished.bleu_star}
 
@@ -148,11 +157,12 @@ def score_tables_for_task(campaign: Campaign, task: Task) -> NativeScores:
     """Native metric tables for one task: the nine ROUGE variants and length
     deviation per (system, segment), plus corpus BLEU and BLEU* per system.
 
-    Each reference is tokenised and its n-grams counted once, and so is each
-    hypothesis; a cell's BLEU statistics and ROUGE-1/2 come from those
-    counts, and a system's corpus BLEU is its summed cell statistics,
-    finished.  Where the length unit tokenises like the scoring scheme, a
-    hypothesis's length is its scored token count.
+    Each reference is tokenised once, and so is each hypothesis; one
+    :func:`ngram_stats` pass over those tokens gives every cell's BLEU
+    statistics, ROUGE-1/2 come from that array, and a system's corpus BLEU
+    is its summed cell statistics, finished.  ROUGE-L builds each
+    reference's match masks once.  Where the length unit tokenises like the
+    scoring scheme, a hypothesis's length is its scored token count.
     """
     scheme = scheme_for_direction(task.direction)
     length_scored = (
@@ -165,59 +175,54 @@ def score_tables_for_task(campaign: Campaign, task: Task) -> NativeScores:
             f"{task.label}: direction {task.direction} has no segments"
         )
 
-    refs = {}
-    for seg in segments:
-        ref = tokenize(seg.reference_text, scheme)
-        target = max(expected_length(task.ratio, campaign.reference_length(seg)), 1)
-        refs[seg.seg_id] = (ref, ngram_counts(ref.tokens), target)
-
-    rouge_cells: dict[str, dict[tuple[str, str], float]] = {
-        m: {} for m in ROUGE_METRICS
-    }
-    dev_cells: dict[tuple[str, str], float] = {}
-    stats_by_cell: dict[tuple[str, str], tuple[int, ...]] = {}
+    refs = [tokenize(seg.reference_text, scheme).tokens for seg in segments]
+    targets = [
+        max(expected_length(task.ratio, campaign.reference_length(seg)), 1)
+        for seg in segments
+    ]
+    # cells in config system order, segments sorted; a cell's reference is
+    # its segment's
+    cells: list[tuple[str, str]] = []
+    hyps: list[tuple[str, ...]] = []
+    deviations: list[float] = []
     for system in systems:
-        for seg in segments:
-            cell = (system, seg.seg_id)
+        for seg, target in zip(segments, targets):
             try:
                 record = campaign.hypothesis(system, seg.seg_id, task.ratio)
             except KeyError:
                 raise IncompleteTable(
                     f"no hypothesis for ({system}, {seg.seg_id}, ratio {task.ratio})"
                 ) from None
-            hyp = tokenize(record.text, scheme)
-            ref, ref_counts, target = refs[seg.seg_id]
-            stats = bleu_stats_from_counts(
-                ngram_counts(hyp.tokens), ref_counts, len(hyp), len(ref)
-            )
-            stats_by_cell[cell] = stats
-            for prefix, score in (
-                ("ROUGE1", rouge_n_from_stats(stats, 1)),
-                ("ROUGE2", rouge_n_from_stats(stats, 2)),
-                ("ROUGEL", rouge_l(hyp, ref)),
-            ):
-                rouge_cells[f"{prefix}-P"][cell] = score.precision
-                rouge_cells[f"{prefix}-R"][cell] = score.recall
-                rouge_cells[f"{prefix}-F1"][cell] = score.f1
-
+            hyp = tokenize(record.text, scheme).tokens
+            cells.append((system, seg.seg_id))
+            hyps.append(hyp)
             if length_scored:
                 out_len = len(hyp)
             else:
                 out_len = campaign.hypothesis_length(record)
-            dev_cells[cell] = abs(out_len - target) / target
+            deviations.append(abs(out_len - target) / target)
+    ref_index = np.tile(np.arange(len(segments)), len(systems))
+    stats, distinct = ngram_stats(hyps, refs, ref_index)
 
-    tables = [
-        ScoreTable.segment_table(metric, "-", task, cells)
-        for metric, cells in rouge_cells.items()
-    ]
-    tables.append(ScoreTable.segment_table(LENGTH_DEV_ID, "-", task, dev_cells))
+    tables = []
+    for prefix, scores in (
+        ("ROUGE1", rouge_n_arrays(stats, 1)),
+        ("ROUGE2", rouge_n_arrays(stats, 2)),
+        ("ROUGEL", rouge_l_arrays(hyps, refs, ref_index)),
+    ):
+        for suffix, values in zip(("P", "R", "F1"), scores):
+            tables.append(
+                ScoreTable.segment_table(
+                    f"{prefix}-{suffix}", "-", task, zip(cells, values.tolist())
+                )
+            )
+    tables.append(
+        ScoreTable.segment_table(LENGTH_DEV_ID, "-", task, zip(cells, deviations))
+    )
 
     sorted_systems = sorted(systems)
-    seg_order = sorted(seg.seg_id for seg in segments)
-    cell_stats = np.asarray(
-        [[stats_by_cell[(s, g)] for g in seg_order] for s in sorted_systems],
-        dtype=np.int64,
-    )
+    by_system = sorted(range(len(systems)), key=systems.__getitem__)
+    cell_stats = stats.reshape(len(systems), len(segments), -1)[by_system]
     # a system's corpus BLEU is its summed cell statistics, finished
     finished = bleu_arrays_from_stats(cell_stats.sum(axis=1))
     for metric_id, values in (
@@ -229,7 +234,7 @@ def score_tables_for_task(campaign: Campaign, task: Task) -> NativeScores:
                 metric_id, "-", task, dict(zip(sorted_systems, values.tolist()))
             )
         )
-    return NativeScores(tables, cell_stats)
+    return NativeScores(tables, cell_stats, distinct)
 
 
 def human_scores(
@@ -315,15 +320,13 @@ class PipelineState:
             started = time.perf_counter()
             out[t] = score_tables_for_task(self.campaign, t)
             n_systems, n_segments = out[t].bleu_stats.shape[:2]
-            cells = n_systems * n_segments
             logger.info(
-                "native scores %s: %d cells, %d texts tokenised and counted once "
-                "each (%d hypotheses, %d references), %.3f s",
+                "native scores %s: %d cells against %d references, %d distinct "
+                "n-grams of orders 1-4 counted in one array pass, %.3f s",
                 t.label,
-                cells,
-                cells + n_segments,
-                cells,
+                n_systems * n_segments,
                 n_segments,
+                out[t].distinct_ngrams,
                 time.perf_counter() - started,
             )
         return out
@@ -547,10 +550,12 @@ class PipelineState:
     def emit_agreement(self, out: Path) -> list[Path]:
         started = time.perf_counter()
         rows = []
+        items = 0
         for t in self.tasks:
             task_ratings = self.campaign.ratings_for_task(t)
             for with_traps in (True, False):
                 result = agreement(task_ratings, include_traps=with_traps)
+                items += result.n_items
                 rows.append(
                     (
                         t.direction,
@@ -575,8 +580,10 @@ class PipelineState:
             rows,
         )
         logger.info(
-            "agreement: %d tasks, with and without traps, %.3f s",
+            "agreement: %d tasks, with and without traps, %d pairable items "
+            "(one item table per task and trap setting), %.3f s",
             len(self.tasks),
+            items,
             time.perf_counter() - started,
         )
         return [path]
@@ -597,19 +604,39 @@ class PipelineState:
 
     def emit_correlations_system(self, out: Path) -> list[Path]:
         sys_vectors, human_vectors = self.system_stage
+        started = time.perf_counter()
         rs = {t: pearson_rs(human_vectors[t], sys_vectors[t]) for t in self.tasks}
-        return self._emit_correlations(
+        paths = self._emit_correlations(
             out / "correlations_system.csv",
             self.report_tables,
             lambda t, tb: rs[t][tb.display_name()],
         )
+        logger.info(
+            "system correlations: %d tasks, %d metrics, n=%d systems, %.3f s",
+            len(self.tasks),
+            len(self.report_tables[self.tasks[0]]),
+            len(human_vectors[self.tasks[0]]),
+            time.perf_counter() - started,
+        )
+        return paths
 
     def emit_correlations_segment(self, out: Path) -> list[Path]:
-        return self._emit_correlations(
+        tables = self.segment_tables
+        human = self.human_by_task
+        started = time.perf_counter()
+        paths = self._emit_correlations(
             out / "correlations_segment.csv",
-            self.segment_tables,
-            lambda t, tb: segment_correlation(tb, self.human_by_task[t]).value,
+            tables,
+            lambda t, tb: segment_correlation(tb, human[t]).value,
         )
+        logger.info(
+            "segment correlations: %d tasks, %d metrics, %d cells, %.3f s",
+            len(self.tasks),
+            len(tables[self.tasks[0]]),
+            sum(len(human[t]) for t in self.tasks),
+            time.perf_counter() - started,
+        )
+        return paths
 
     def emit_sig_system(self, out: Path) -> list[Path]:
         self.check_system_sig()
@@ -754,7 +781,16 @@ STAGES = {
 
 def emit_stage(state: PipelineState, stage: str, out: Path) -> list[Path]:
     """Write one stage's report files into ``out``; returns their paths."""
-    return [path for name in STAGES[stage] for path in getattr(state, name)(out)]
+    started = time.perf_counter()
+    paths = [path for name in STAGES[stage] for path in getattr(state, name)(out)]
+    logger.info(
+        "%s reports: %d files, %d bytes, %.3f s",
+        stage,
+        len(paths),
+        sum(path.stat().st_size for path in paths),
+        time.perf_counter() - started,
+    )
+    return paths
 
 
 def require_ratings(campaign: Campaign) -> Campaign:
@@ -821,6 +857,7 @@ def run_pipeline(
     out.mkdir(parents=True, exist_ok=True)
     written = [path for stage in STAGES for path in emit_stage(state, stage, out)]
 
+    started = time.perf_counter()
     config_digest = sha256_file(config_path)
     inputs = {
         name: sha256_file(path)
@@ -861,6 +898,12 @@ def run_pipeline(
         )
         + "\n",
         encoding="utf-8",
+    )
+    logger.info(
+        "manifest: %d report files and %d input files digested, %.3f s",
+        len(manifest),
+        len(inputs) + 1,
+        time.perf_counter() - started,
     )
     return artifacts
 

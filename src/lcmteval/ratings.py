@@ -1,5 +1,11 @@
 """Human-rating processing: trap samples, timing QC, per-annotator
 z-normalization, segment-score aggregation, and inter-annotator agreement.
+
+The agreement statistics read one task's ratings through one item table,
+(system, segment) -> annotator -> score: :func:`agreement` builds it once
+and takes one-vs-rest r, Krippendorff's alpha and the pairable item count
+from it.  The one-task check compares each rating's task with the first's,
+which for ratings loaded together is the same object.
 """
 
 from __future__ import annotations
@@ -226,22 +232,55 @@ def _pearson(x: Sequence[float], y: Sequence[float]) -> float:
     return max(-1.0, min(1.0, sxy / math.sqrt(sxx * syy)))
 
 
+Items = dict[tuple[str, str], dict[str, float]]
+
+
 def _item_scores(
     ratings: Sequence[RatingRecord | NormalizedRating],
     include_traps: bool,
-) -> dict[tuple[str, str], dict[str, float]]:
+) -> Items:
     """item (system, seg) -> annotator -> raw score, for a single task."""
     kept = [r for r in ratings if include_traps or not r.is_trap]
     if not kept:
         raise EmptySet("no ratings for agreement computation")
-    tasks = {r.task for r in kept}
-    if len(tasks) != 1:
+    task = kept[0].task
+    # ratings loaded together share their Task, so ``is`` settles most records
+    if any(r.task is not task and r.task != task for r in kept):
+        tasks = {r.task for r in kept}
         raise ValueError(f"agreement expects ratings from one task, got {len(tasks)}")
-    items: dict[tuple[str, str], dict[str, float]] = {}
+    items: Items = {}
     for rec in kept:
         item = items.setdefault((rec.system_id, rec.seg_id), {})
         item[rec.annotator_id] = float(rec.raw_score)
     return items
+
+
+def _one_vs_rest(items: Items) -> float:
+    annotators = sorted({a for scores in items.values() for a in scores})
+    if len(annotators) < 2:
+        raise InsufficientOverlap("one_vs_rest needs at least two annotators")
+
+    # one pass over the items: each annotator's scores and the mean of the
+    # others' on the items it shares, in item order
+    own: dict[str, list[float]] = {a: [] for a in annotators}
+    rest: dict[str, list[float]] = {a: [] for a in annotators}
+    for scores in items.values():
+        if len(scores) < 2:
+            continue
+        for annotator, score in scores.items():
+            others = [v for a, v in scores.items() if a != annotator]
+            own[annotator].append(score)
+            rest[annotator].append(sum(others) / len(others))
+
+    correlations = []
+    for annotator in annotators:
+        if len(own[annotator]) < 3:
+            raise InsufficientOverlap(
+                f"annotator {annotator!r} shares only {len(own[annotator])} items "
+                "with the rest"
+            )
+        correlations.append(_pearson(own[annotator], rest[annotator]))
+    return sum(correlations) / len(correlations)
 
 
 def one_vs_rest(
@@ -252,42 +291,15 @@ def one_vs_rest(
     the unweighted mean of all other annotators' scores on shared items;
     every annotator needs at least three of them.
     """
-    items = _item_scores(ratings, include_traps)
-    annotators = sorted({a for scores in items.values() for a in scores})
-    if len(annotators) < 2:
-        raise InsufficientOverlap("one_vs_rest needs at least two annotators")
-
-    correlations = []
-    for annotator in annotators:
-        own, rest = [], []
-        for scores in items.values():
-            if annotator not in scores:
-                continue
-            others = [v for a, v in scores.items() if a != annotator]
-            if not others:
-                continue
-            own.append(scores[annotator])
-            rest.append(sum(others) / len(others))
-        if len(own) < 3:
-            raise InsufficientOverlap(
-                f"annotator {annotator!r} shares only {len(own)} items with the rest"
-            )
-        correlations.append(_pearson(own, rest))
-    return sum(correlations) / len(correlations)
+    return _one_vs_rest(_item_scores(ratings, include_traps))
 
 
-def krippendorff_alpha(
-    ratings: Sequence[RatingRecord],
-    include_traps: bool = False,
-) -> float:
-    """Krippendorff's alpha for interval data over (system, segment) units.
+def _pairable(items: Items) -> list[list[float]]:
+    """The scores of every item rated by at least two annotators."""
+    return [list(scores.values()) for scores in items.values() if len(scores) > 1]
 
-    alpha = 1 - D_o / D_e with squared-difference disagreement, computed over
-    units carrying at least two ratings.  If every pairable value is
-    identical the expected disagreement is zero and alpha is defined as 1.
-    """
-    items = _item_scores(ratings, include_traps)
-    units = [list(scores.values()) for scores in items.values() if len(scores) > 1]
+
+def _krippendorff_alpha(units: list[list[float]]) -> float:
     if not units:
         raise NoPairableUnits("no unit has two or more ratings")
 
@@ -315,16 +327,30 @@ def krippendorff_alpha(
     return 1.0 - d_obs / d_exp
 
 
+def krippendorff_alpha(
+    ratings: Sequence[RatingRecord],
+    include_traps: bool = False,
+) -> float:
+    """Krippendorff's alpha for interval data over (system, segment) units.
+
+    alpha = 1 - D_o / D_e with squared-difference disagreement, computed over
+    units carrying at least two ratings.  If every pairable value is
+    identical the expected disagreement is zero and alpha is defined as 1.
+    """
+    return _krippendorff_alpha(_pairable(_item_scores(ratings, include_traps)))
+
+
 def agreement(
     ratings: Sequence[RatingRecord],
     include_traps: bool = False,
 ) -> AgreementResult:
-    """Both agreement statistics over the same pairable item set."""
+    """Both agreement statistics over the same pairable item set, from one
+    item table."""
     items = _item_scores(ratings, include_traps)
-    n_items = sum(1 for scores in items.values() if len(scores) > 1)
+    units = _pairable(items)
     return AgreementResult(
-        one_vs_rest_r=one_vs_rest(ratings, include_traps),
-        krippendorff_alpha=krippendorff_alpha(ratings, include_traps),
+        one_vs_rest_r=_one_vs_rest(items),
+        krippendorff_alpha=_krippendorff_alpha(units),
         with_traps=include_traps,
-        n_items=n_items,
+        n_items=len(units),
     )

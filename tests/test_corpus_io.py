@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from lcmteval.corpus import (
     Campaign,
     CampaignConfig,
+    RatingRecord,
     SegmentRecord,
     Task,
     load_campaign,
@@ -255,6 +257,62 @@ class TestLoadCampaign:
         )
         with pytest.raises(UnresolvedReference, match="sX"):
             load_campaign(config)
+
+
+class TestRatingsByTask:
+    @staticmethod
+    def rebuilt(campaign) -> Campaign:
+        # every record with its own Task object, equal to the loaded one
+        ratings = tuple(
+            replace(r, task=Task(r.task.direction, r.task.ratio))
+            for r in campaign.ratings
+        )
+        assert ratings[0].task is not ratings[1].task
+        return replace(campaign, ratings=ratings)
+
+    def test_loaded_ratings_share_one_task_per_direction_and_ratio(self, campaign):
+        tasks = {id(r.task) for r in campaign.ratings}
+        assert len(tasks) == len(campaign.tasks())
+
+    def test_groups_equal_a_scan(self, campaign):
+        for camp in (campaign, self.rebuilt(campaign)):
+            for task in camp.tasks():
+                scan = [r for r in camp.ratings if r.task == task]
+                assert scan
+                assert camp.ratings_for_task(Task(task.direction, task.ratio)) == scan
+            assert sum(len(g) for g in camp.ratings_by_task.values()) == len(
+                camp.ratings
+            )
+
+    def test_task_without_ratings_gives_empty_list(self, campaign):
+        assert campaign.ratings_for_task(Task("xx-yy", 0.8)) == []
+        empty = replace(campaign, ratings=())
+        assert empty.ratings_for_task(campaign.tasks()[0]) == []
+
+    def test_returned_list_is_the_callers(self, campaign):
+        task = campaign.tasks()[0]
+        first = campaign.ratings_for_task(task)
+        expected = list(first)
+        first.clear()
+        first.append(campaign.ratings[-1])
+        assert campaign.ratings_for_task(task) == expected
+
+    def test_annotator_count_warning_reads_the_groups(self, campaign):
+        # drop one annotator's real ratings from one task; a trap rating by a
+        # fourth annotator does not count as one
+        task = campaign.tasks()[0]
+        dropped = campaign.ratings_for_task(task)[0].annotator_id
+        ratings = tuple(
+            r
+            for r in campaign.ratings
+            if not (r.task == task and r.annotator_id == dropped and not r.is_trap)
+        ) + (
+            RatingRecord("extra", task, "x", "trap", 0, 1.0, True),
+        )
+        report = validate_campaign(replace(campaign, ratings=ratings))
+        assert report.warnings == [
+            f"task {task.label}: 2 distinct annotators, config expects 3"
+        ]
 
 
 class TestValidate:

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lcmteval.errors import EmptyCorpus, EmptySet, ZeroLengthHypothesisCorpus
+from lcmteval import metrics as metrics_module
+from lcmteval.errors import (
+    EmptyCorpus,
+    EmptySet,
+    LengthMismatch,
+    ZeroLengthHypothesisCorpus,
+)
 from lcmteval.metrics import (
     CHARACTER,
     WHITESPACE,
@@ -14,13 +20,14 @@ from lcmteval.metrics import (
     bleu_from_stats,
     bleu_star,
     bleu_stats,
-    bleu_stats_from_counts,
     corpus_bleu,
     expected_length,
     length_deviation,
-    ngram_counts,
+    ngram_stats,
     rouge_l,
+    rouge_l_arrays,
     rouge_n,
+    rouge_n_arrays,
     rouge_n_from_stats,
     round_half_up,
     scheme_for_direction,
@@ -400,18 +407,109 @@ class TestSharedCounts:
     @given(tie_tokens, tie_tokens, st.integers(1, 6))
     @settings(max_examples=150, deadline=None)
     def test_counted_once_equals_pairwise(self, hyp, ref, max_n):
-        stats = bleu_stats_from_counts(
-            ngram_counts(hyp, max_n), ngram_counts(ref, max_n), len(hyp), len(ref)
+        # one pair through the array pass: every order's clipped matches and
+        # totals are the oracle's, and ROUGE-n read from the statistics is
+        # ROUGE-n of the pair
+        stats = bleu_stats(tok(hyp), tok(ref), max_n)
+        counts = [clipped_ngram_overlap(hyp, ref, n) for n in range(1, max_n + 1)]
+        assert stats == (
+            *(overlap for overlap, _, _ in counts),
+            *(hyp_count for _, hyp_count, _ in counts),
+            len(hyp),
+            len(ref),
         )
-        assert stats == bleu_stats(tok(hyp), tok(ref), max_n)
-        for n in range(1, max_n + 1):
-            assert rouge_n_from_stats(stats, n) == rouge_n(tok(hyp), tok(ref), n)
+        assert ngram_stats([hyp], [ref], [0], max_n)[0].tolist() == [list(stats)]
+        for n, (overlap, hyp_total, ref_total) in enumerate(counts, start=1):
+            score = rouge_n_from_stats(stats, n)
+            assert score == rouge_n(tok(hyp), tok(ref), n)
+            assert score.precision == (overlap / hyp_total if hyp_total else 0.0)
+            assert score.recall == (overlap / ref_total if ref_total else 0.0)
 
     def test_rouge_order_must_be_counted(self):
         stats = bleu_stats(tok(["a", "b"]), tok(["a"]))
         for n in (0, 5):
             with pytest.raises(ValueError):
                 rouge_n_from_stats(stats, n)
+            with pytest.raises(ValueError):
+                rouge_n_arrays([stats], n)
+        with pytest.raises(ValueError):
+            rouge_n(tok(["a"]), tok(["a"]), 0)
+
+
+# repeated tokens, CJK characters, and texts shorter than the n-gram order
+grams = st.lists(st.sampled_from(["a", "b", "ab", "中", "文", "。"]), max_size=9)
+
+
+class TestNgramStats:
+    @given(
+        st.lists(grams, min_size=1, max_size=4),
+        st.lists(st.tuples(grams, st.integers(0, 3)), max_size=10),
+        st.integers(1, 5),
+    )
+    @example(refs=[["a"]], cells=[([], 0), ([], 0)], max_n=1)  # empty hypotheses
+    @example(refs=[[]], cells=[(["a", "a"], 0)], max_n=5)  # an empty reference
+    @example(refs=[["中", "文"], ["中"]], cells=[(["中", "文", "中"], 0)] * 3, max_n=2)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_enumeration_oracle(self, refs, cells, max_n):
+        # many cells sharing references, as the native stage passes them
+        hyps = [hyp for hyp, _ in cells]
+        ref_index = [r % len(refs) for _, r in cells]
+        stats, distinct = ngram_stats(hyps, refs, ref_index, max_n)
+        assert stats.dtype == np.int64
+        assert stats.shape == (len(hyps), 2 * max_n + 2)
+        for row, hyp, r in zip(stats.tolist(), hyps, ref_index):
+            counts = [
+                clipped_ngram_overlap(hyp, refs[r], n) for n in range(1, max_n + 1)
+            ]
+            assert row == [
+                *(overlap for overlap, _, _ in counts),
+                *(hyp_count for _, hyp_count, _ in counts),
+                len(hyp),
+                len(refs[r]),
+            ]
+        texts = [tuple(text) for text in [*refs, *hyps]]
+        assert distinct == sum(
+            len({text[i : i + n] for text in texts for i in range(len(text) - n + 1)})
+            for n in range(1, max_n + 1)
+        )
+
+    @given(st.lists(grams, min_size=1, max_size=4), st.lists(grams, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_rouge_arrays_equal_the_pairwise_scores(self, refs, hyps):
+        ref_index = [i % len(refs) for i in range(len(hyps))]
+        stats, _ = ngram_stats(hyps, refs, ref_index, 2)
+        rouge1, rouge2 = rouge_n_arrays(stats, 1), rouge_n_arrays(stats, 2)
+        rouge_lcs = rouge_l_arrays(hyps, refs, ref_index)
+        for i, (hyp, r) in enumerate(zip(hyps, ref_index)):
+            pair = (tok(hyp), tok(refs[r]))
+            for (precision, recall, f1), score in (
+                (rouge1, rouge_n(*pair, 1)),
+                (rouge2, rouge_n(*pair, 2)),
+                (rouge_lcs, rouge_l(*pair)),
+            ):
+                assert precision[i] == score.precision
+                assert recall[i] == score.recall
+                assert f1[i] == score.f1
+
+    def test_reference_indices_checked(self):
+        with pytest.raises(LengthMismatch):
+            ngram_stats([["a"]], [["a"]], [0, 0])
+        with pytest.raises(ValueError):
+            ngram_stats([["a"]], [["a"]], [1])
+        with pytest.raises(ValueError):
+            ngram_stats([["a"]], [["a"]], [-1])
+        with pytest.raises(ValueError):
+            ngram_stats([["a"]], [["a"]], [0], max_n=0)
+        with pytest.raises(LengthMismatch):
+            rouge_l_arrays([["a"]], [["a"]], [])
+
+    def test_keys_must_stay_exact(self, monkeypatch):
+        # 3 tokens and 5 texts: order-1 pair keys reach 5 * 3 = 15
+        monkeypatch.setattr(metrics_module, "_EXACT", 14)
+        with pytest.raises(OverflowError):
+            ngram_stats([["a", "b", "c"]] * 4, [["a"]], [0] * 4)
+        monkeypatch.setattr(metrics_module, "_EXACT", 15)
+        assert ngram_stats([["a", "b", "c"]] * 4, [["a"]], [0] * 4, max_n=1)
 
 
 class TestLengthDeviation:

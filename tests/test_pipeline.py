@@ -21,6 +21,7 @@ from lcmteval.pipeline import (
     LENGTH_DEV_ID,
     ROUGE_METRICS,
     PipelineState,
+    open_state,
     run_pipeline,
     score_tables_for_task,
 )
@@ -173,6 +174,24 @@ class TestScoreTables:
             assert scores[(BLEU_ID, "-")][i].hex() == want.bleu.hex()
             assert scores[(BLEU_STAR_ID, "-")][i].hex() == want.bleu_star.hex()
 
+    @pytest.mark.parametrize("gather_bytes", [1, 10 * 8 * 1000 * 5])
+    def test_hybrid_bleu_gathered_in_segment_chunks(
+        self, campaign, monkeypatch, gather_bytes
+    ):
+        # one segment, then 5 segments per chunk: the same sums, the same
+        # scores, as one gather of all 12 segments
+        import lcmteval.pipeline as pipeline_module
+
+        task = campaign.tasks()[0]
+        native = score_tables_for_task(campaign, task)
+        n_systems, n_segments = native.bleu_stats.shape[:2]
+        index_rows, _ = integer_rows(3, "chunks", 1000, n_systems, n_segments)
+        whole = native.corpus_scorer(index_rows)
+        monkeypatch.setattr(pipeline_module, "_GATHER_BYTES", gather_bytes)
+        chunked = native.corpus_scorer(index_rows)
+        for key, values in whole.items():
+            assert chunked[key].tolist() == values.tolist()
+
     def test_echo_length_deviation_zero(self, tmp_path):
         state = PipelineState(echo_campaign())
         (table,) = [
@@ -291,9 +310,25 @@ class TestScoreTables:
             "human aggregation: 336 ratings (288 normalised), 96 cells over 4 tasks, "
         )
         for task, message in zip(tasks, messages[1:]):
+            # every distinct n-gram of orders 1-4 over the task's 36 texts
+            scheme = scheme_for_direction(task.direction)
+            seg_ids = campaign.segment_ids_for_direction(task.direction)
+            texts = [
+                tokenize(campaign.segments[g].reference_text, scheme).tokens
+                for g in seg_ids
+            ] + [
+                tokenize(campaign.hypothesis(s, g, task.ratio).text, scheme).tokens
+                for s in campaign.config.systems
+                for g in seg_ids
+            ]
+            distinct = sum(
+                len({text[i : i + n] for text in texts for i in range(len(text) - n + 1)})
+                for n in range(1, 5)
+            )
             assert message.startswith(
-                f"native scores {task.label}: 24 cells, 36 texts tokenised and "
-                "counted once each (24 hypotheses, 12 references), "
+                f"native scores {task.label}: 24 cells against 12 references, "
+                f"{distinct} distinct n-grams of orders 1-4 counted in one array "
+                "pass, "
             )
         assert all(message.endswith(" s") for message in messages)
 
@@ -400,14 +435,18 @@ class TestScoreTables:
             r.getMessage() for r in caplog.records if r.name == "lcmteval.pipeline"
         ]
         # 2 x 12 segments, 2 systems x 2 ratios per segment, 336 ratings with
-        # 48 traps, 384 external cells (4 variants x 4 tasks x 24 cells)
+        # 48 traps, 384 external cells (4 variants x 4 tasks x 24 cells); the
+        # agreement line counts the pairable items of its 8 rows
+        _, rows = read_csv_table(tmp_path / "agreement.csv")
+        items = sum(int(row[-1]) for row in rows)
         for prefix in (
             "campaign load: 24 segments, 96 hypotheses, 336 ratings, 384 external "
             "score cells, ",
             "campaign validation: 288 of 288 expected ratings found, 0 missing and "
             "0 duplicate cells, 48 trap ratings (excluded from the grid), ",
             "qc: 4 tasks, 336 ratings, timing cutoff 600 s, ",
-            "agreement: 4 tasks, with and without traps, ",
+            f"agreement: 4 tasks, with and without traps, {items} pairable items "
+            "(one item table per task and trap setting), ",
             "variant selection: 2 metrics, 4 variants, segment level, ",
         ):
             (line,) = [m for m in messages if m.startswith(prefix)]
@@ -629,3 +668,24 @@ class TestRunArtifacts:
         }
         for row_m, col_m in significant:
             assert (col_m, row_m) not in significant
+
+
+def test_ratings_layer_compares_tasks_less_than_once_per_rating(
+    fixture_config_path, tmp_path, monkeypatch
+):
+    # the ratings are grouped by task once and share one Task per direction
+    # and ratio, so opening the campaign, QC and agreement compare far fewer
+    # Task pairs than there are ratings (one scan per task compared each)
+    comparisons = []
+    real_eq = Task.__eq__
+
+    def counting_eq(task, other):
+        comparisons.append(task)
+        return real_eq(task, other)
+
+    monkeypatch.setattr(Task, "__eq__", counting_eq)
+    state = open_state(fixture_config_path)
+    state.emit_qc(tmp_path)
+    state.emit_agreement(tmp_path)
+    assert len(state.campaign.ratings) == 336
+    assert len(comparisons) < len(state.campaign.ratings)

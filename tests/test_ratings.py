@@ -12,7 +12,9 @@ from lcmteval.errors import (
     ZeroVariance,
 )
 from lcmteval.metrics import CHARACTER
+from lcmteval import ratings as ratings_module
 from lcmteval.ratings import (
+    agreement,
     aggregate_segment_human,
     generate_traps,
     krippendorff_alpha,
@@ -362,3 +364,70 @@ class TestKrippendorff:
             for j in range(3)
         ]
         assert abs(krippendorff_alpha(records)) < 0.05
+
+
+class TestAgreement:
+    def test_equals_the_separate_statistics(self, campaign):
+        for task in campaign.tasks():
+            task_ratings = campaign.ratings_for_task(task)
+            for with_traps in (True, False):
+                result = agreement(task_ratings, include_traps=with_traps)
+                assert result.one_vs_rest_r == one_vs_rest(task_ratings, with_traps)
+                assert result.krippendorff_alpha == krippendorff_alpha(
+                    task_ratings, with_traps
+                )
+                kept = [r for r in task_ratings if with_traps or not r.is_trap]
+                raters: dict[tuple[str, str], set[str]] = {}
+                for r in kept:
+                    raters.setdefault((r.system_id, r.seg_id), set()).add(
+                        r.annotator_id
+                    )
+                assert result.n_items == sum(len(a) > 1 for a in raters.values())
+                assert result.with_traps is with_traps
+
+    def test_one_item_table_per_call(self, campaign, monkeypatch):
+        calls = []
+        real = ratings_module._item_scores
+
+        def counting(ratings, include_traps):
+            calls.append(include_traps)
+            return real(ratings, include_traps)
+
+        monkeypatch.setattr(ratings_module, "_item_scores", counting)
+        agreement(campaign.ratings_for_task(campaign.tasks()[0]), include_traps=True)
+        assert calls == [True]
+
+    def test_one_task_check_hashes_no_task(self, monkeypatch):
+        hashes = []
+        real_hash = Task.__hash__
+
+        def counting_hash(task):
+            hashes.append(task)
+            return real_hash(task)
+
+        monkeypatch.setattr(Task, "__hash__", counting_hash)
+        records = [
+            rating(a, f"g{i}", s, task=Task("aa-bb", 0.8))  # equal, not shared
+            for a in ("a1", "a2", "a3")
+            for i, s in enumerate([10, 40, 70, 90])
+        ]
+        assert agreement(records).n_items == 4
+        assert hashes == []
+
+    def test_ratings_from_two_tasks_rejected(self):
+        records = [
+            rating(a, f"g{i}", s)
+            for a in ("a1", "a2", "a3")
+            for i, s in enumerate([10, 40, 70, 90])
+        ]
+        records.append(rating("a1", "g9", 50, task=Task("aa-bb", 0.5)))
+        for statistic in (agreement, one_vs_rest, krippendorff_alpha):
+            with pytest.raises(
+                ValueError, match="agreement expects ratings from one task, got 2"
+            ):
+                statistic(records)
+
+    def test_no_ratings_rejected(self):
+        for statistic in (agreement, one_vs_rest, krippendorff_alpha):
+            with pytest.raises(EmptySet):
+                statistic([rating("a1", "g1", 10, trap=True)])

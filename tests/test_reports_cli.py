@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -138,6 +139,37 @@ class TestCli:
             ]
             assert "48 trap ratings (excluded from the grid)" in line
             assert "WARNING" not in result.stderr
+            info = [
+                line.removeprefix("INFO lcmteval.pipeline: ")
+                for line in result.stderr.splitlines()
+            ]
+            # 13 system-level metrics over 2 real + 10 hybrid systems; the 11
+            # segment-level ones over 4 tasks x 24 cells
+            for prefix in (
+                "system correlations: 4 tasks, 13 metrics, n=12 systems, ",
+                "segment correlations: 4 tasks, 11 metrics, 96 cells, ",
+                "manifest: 32 report files and 8 input files digested, ",
+            ):
+                (line,) = [m for m in info if m.startswith(prefix)]
+                assert line.endswith(" s")
+            # each stage's files and bytes add up to the report files written
+            written = 0
+            for stage, files in (
+                ("qc", 3),
+                ("correlate", 3),
+                ("significance", 24),
+                ("syscompare", 2),
+            ):
+                (line,) = [m for m in info if m.startswith(f"{stage} reports: ")]
+                match = re.fullmatch(
+                    rf"{stage} reports: {files} files, (\d+) bytes, \d+\.\d{{3}} s",
+                    line,
+                )
+                assert match, line
+                written += int(match.group(1))
+            assert written == sum(
+                p.stat().st_size for p in tmp_path.iterdir() if p.name != "manifest.json"
+            )
 
     def test_validate_incomplete_exit_1(self, fixture_config_path, tmp_path, capsys):
         shutil.copytree(fixture_config_path.parent, tmp_path / "camp")
