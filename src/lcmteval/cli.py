@@ -245,7 +245,7 @@ def cmd_score(args) -> int:
                 (table.metric_id, table.variant_id, system, repr(score))
                 for table in tables
                 if table.level == "system"
-                for system, score in sorted(table.system_cells.items())
+                for system, score in zip(table.system_ids, table.values.tolist())
             ],
         )
         print(f"wrote {seg_path}")
@@ -261,7 +261,7 @@ def cmd_ingest(args) -> int:
         for table in tables:
             print(
                 f"{task.label}: {table.display_name()} "
-                f"({len(table.cells)} cells)"
+                f"({table.values.size} cells)"
             )
             total += 1
     print(f"{total} external score tables ingested")

@@ -25,10 +25,14 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from itertools import product
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import (
     DuplicateCell,
@@ -113,7 +117,14 @@ class CampaignConfig:
             raise ParseError("seed must fit in 64 unsigned bits")
 
     def tasks(self) -> list[Task]:
-        return [Task(d, r) for d in self.directions for r in self.length_ratios]
+        """The tasks, directions outer: always the same object per task, so
+        dicts keyed by task never compare two."""
+        return [_task(d, r) for d in self.directions for r in self.length_ratios]
+
+
+@lru_cache(maxsize=None, typed=True)
+def _task(direction: str, ratio: float) -> Task:
+    return Task(direction, ratio)
 
 
 @dataclass(frozen=True)
@@ -144,31 +155,65 @@ class RatingRecord:
     is_trap: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreTable:
-    """One metric variant's scores for a task.
-
-    Segment-level tables are dense over (system, segment) cells; system-only
-    tables carry a single score per system (the shape of corpus-level
-    metrics that have no per-sentence decomposition).
+    """One metric variant's scores for a task: its sorted system and segment
+    ids and one read-only float64 array, systems x segments for a
+    segment-level table, one score per system for a system-only one (the
+    shape of corpus-level metrics that have no per-sentence decomposition).
+    The array is laid out row-major, in :meth:`cell_keys` order; ``cells``
+    and ``system_cells`` are read-only mappings built from it.
     """
 
     metric_id: str
     variant_id: str
     task: Task
     level: str
-    cells: Mapping[tuple[str, str], float] = field(default_factory=dict)
-    system_cells: Mapping[str, float] = field(default_factory=dict)
+    system_ids: tuple[str, ...]
+    seg_ids: tuple[str, ...]  # () for a system-only table
+    values: np.ndarray  # row-major; copied and reshaped to the table's shape
+
+    def __post_init__(self):
+        for name in ("system_ids", "seg_ids"):
+            ids = tuple(getattr(self, name))
+            if list(ids) != sorted(set(ids)):
+                raise ValueError(f"{name} must be sorted and unique")
+            object.__setattr__(self, name, ids)
+        shape = (len(self.system_ids), len(self.seg_ids))
+        values = np.array(self.values, dtype=np.float64).reshape(
+            shape if self.level == SEGMENT_LEVEL else shape[:1]
+        )
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def segment_table(cls, metric_id, variant_id, task, cells) -> "ScoreTable":
-        return cls(metric_id, variant_id, task, SEGMENT_LEVEL, cells=dict(cells))
+        """A table of (system, segment) -> score pairs; raises
+        :class:`IncompleteTable` unless they cover every system x segment."""
+        cells = dict(cells)
+        systems = sorted({s for s, _ in cells})
+        seg_ids = sorted({g for _, g in cells})
+        try:
+            values = [cells[(s, g)] for s in systems for g in seg_ids]
+        except KeyError as exc:
+            raise IncompleteTable(
+                f"table {metric_id}/{variant_id} missing cell {exc}"
+            ) from None
+        return cls(metric_id, variant_id, task, SEGMENT_LEVEL, systems, seg_ids, values)
 
     @classmethod
     def system_table(cls, metric_id, variant_id, task, system_cells) -> "ScoreTable":
-        return cls(
-            metric_id, variant_id, task, SYSTEM_LEVEL, system_cells=dict(system_cells)
-        )
+        system_cells = dict(system_cells)
+        systems = sorted(system_cells)
+        values = [system_cells[s] for s in systems]
+        return cls(metric_id, variant_id, task, SYSTEM_LEVEL, systems, (), values)
+
+    def __eq__(self, other):
+        if not isinstance(other, ScoreTable):
+            return NotImplemented
+        return (self.key, self.task, self.level, self.system_ids, self.seg_ids) == (
+            other.key, other.task, other.level, other.system_ids, other.seg_ids
+        ) and np.array_equal(self.values, other.values)
 
     @property
     def key(self) -> tuple[str, str]:
@@ -180,12 +225,25 @@ class ScoreTable:
         return f"{self.metric_id}.{self.variant_id}"
 
     def systems(self) -> list[str]:
-        if self.level == SYSTEM_LEVEL:
-            return sorted(self.system_cells)
-        return sorted({s for s, _ in self.cells})
+        return list(self.system_ids)
 
     def segment_ids(self) -> list[str]:
-        return sorted({g for _, g in self.cells})
+        return list(self.seg_ids)
+
+    def cell_keys(self) -> list[tuple[str, str]]:
+        """The (system, segment) keys in row-major order; none for a
+        system-only table."""
+        return list(product(self.system_ids, self.seg_ids))
+
+    @property
+    def cells(self) -> Mapping[tuple[str, str], float]:
+        values = self.values.ravel().tolist()
+        return MappingProxyType(dict(zip(self.cell_keys(), values)))
+
+    @property
+    def system_cells(self) -> Mapping[str, float]:
+        values = self.values.tolist() if self.level == SYSTEM_LEVEL else []
+        return MappingProxyType(dict(zip(self.system_ids, values)))
 
 
 @dataclass
@@ -237,11 +295,14 @@ class Campaign:
         """A new list of ``task``'s ratings, in file order; [] if it has none."""
         return list(self.ratings_by_task.get(task, ()))
 
-    def reference_length(self, seg: SegmentRecord) -> int:
-        """Reference length in the configured unit."""
+    def reference_length(self, seg: SegmentRecord, tokens=None) -> int:
+        """Reference length in the configured unit; ``tokens``, the reference
+        tokenised by the unit's scheme, are counted instead of tokenising."""
         unit = self.config.length_unit
         if unit == "provided-counts" and seg.reference_length is not None:
             return seg.reference_length
+        if tokens is not None:
+            return len(tokens)
         return measure_length(seg.reference_text, unit, seg.direction)
 
     def hypothesis_length(self, hyp: HypothesisRecord) -> int:
@@ -583,8 +644,12 @@ def load_external_scores(
         raise MissingFile(f"scores file not found: {path}")
     systems = list(systems)
     segment_ids = list(segment_ids)
-    known_segments = set(segment_ids)
-    cells: dict[tuple[str, str], dict[tuple[str, str], float]] = {}
+    system_ids = tuple(sorted(set(systems)))
+    seg_ids = tuple(sorted(set(segment_ids)))
+    # a cell's index in the row-major (system, segment) array is i + j
+    row_start = {s: i * len(seg_ids) for i, s in enumerate(system_ids)}
+    column = {g: j for j, g in enumerate(seg_ids)}
+    cells: dict[tuple[str, str], list[float | None]] = {}
     with path.open(encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter="\t")
         header = next(reader, None)
@@ -608,11 +673,13 @@ def load_external_scores(
             metric, variant, system, seg_id, score_s = row
             if not metric:
                 raise ParseError("empty metric name", path=path, line=lineno)
-            if seg_id not in known_segments:
+            j = column.get(seg_id)
+            if j is None:
                 raise UnknownSegment(
                     f"{path}:{lineno}: unknown seg_id {seg_id!r} for task {task.label}"
                 )
-            if system not in systems:
+            i = row_start.get(system)
+            if i is None:
                 raise UnresolvedReference(
                     f"{path}:{lineno}: unknown system {system!r}"
                 )
@@ -625,30 +692,33 @@ def load_external_scores(
                     f"{path}:{lineno}: non-finite score {score_s!r} for "
                     f"{metric}/{variant}"
                 )
-            table_cells = cells.setdefault((metric, variant), {})
-            cell_key = (system, seg_id)
-            if cell_key in table_cells:
+            table_cells = cells.get((metric, variant))
+            if table_cells is None:
+                table_cells = [None] * (len(system_ids) * len(seg_ids))
+                cells[(metric, variant)] = table_cells
+            if table_cells[i + j] is not None:
                 raise DuplicateCell(
-                    f"{path}:{lineno}: duplicate cell {cell_key!r} in "
+                    f"{path}:{lineno}: duplicate cell {(system, seg_id)!r} in "
                     f"{metric}/{variant}"
                 )
-            table_cells[cell_key] = score
+            table_cells[i + j] = score
 
-    tables: list[ScoreTable] = []
     for (metric, variant), table_cells in sorted(cells.items()):
-        missing = [
-            (system, seg_id)
-            for system in systems
-            for seg_id in segment_ids
-            if (system, seg_id) not in table_cells
-        ]
-        if missing:
+        if None in table_cells:
+            missing = [
+                (system, seg_id)
+                for system in systems
+                for seg_id in segment_ids
+                if table_cells[row_start[system] + column[seg_id]] is None
+            ]
             raise IncompleteTable(
                 f"{path}: table {metric}/{variant} missing {len(missing)} cells, "
                 f"first {missing[0]!r}"
             )
-        tables.append(ScoreTable.segment_table(metric, variant, task, table_cells))
-    return tables
+    return [
+        ScoreTable(metric, variant, task, SEGMENT_LEVEL, system_ids, seg_ids, values)
+        for (metric, variant), values in sorted(cells.items())
+    ]
 
 
 def write_scores_file(path: str | os.PathLike, tables: Iterable[ScoreTable]) -> None:
@@ -658,7 +728,8 @@ def write_scores_file(path: str | os.PathLike, tables: Iterable[ScoreTable]) -> 
         writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
         writer.writerow(SCORES_HEADER)
         for table in tables:
-            for (system, seg_id), score in sorted(table.cells.items()):
+            values = table.values.ravel().tolist()
+            for (system, seg_id), score in zip(table.cell_keys(), values):
                 writer.writerow(
                     [table.metric_id, table.variant_id, system, seg_id, repr(score)]
                 )

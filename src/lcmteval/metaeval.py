@@ -8,7 +8,9 @@ takes them as arrays from :func:`hybrid_arrays`, whose index rows come from
 one :func:`~.seeding.integer_rows` call per task; :func:`hybrid_supersample`
 adds the selector and vector objects for library callers.  Segment-level
 comparison pools every (system, segment) cell of a task into one vector
-pair and uses Kendall tau-b.
+pair and uses Kendall tau-b.  Every function reads a score table's array:
+its row means are the system scores, and its flattened row-major array, in
+sorted (system, segment) order, is the metric's side of the pooled pair.
 
 Kendall tau-b is counted exactly from int8 signs of dense ranks, the same
 pairwise signs the segment permutation test (``significance._SwapTauB``)
@@ -32,7 +34,6 @@ from .corpus import SEGMENT_LEVEL, SYSTEM_LEVEL, ScoreTable, Task
 from .errors import (
     AllTied,
     CellMismatch,
-    IncompleteTable,
     LengthMismatch,
     NonFiniteScore,
     NoVariants,
@@ -92,26 +93,14 @@ class VariantSelection:
 
 
 def system_scores(table: ScoreTable) -> SystemScoreVector:
-    """Per-system mean of segment scores; system-only tables pass through."""
-    if table.level == SYSTEM_LEVEL:
-        return SystemScoreVector(
-            task=table.task,
-            scores={s: table.system_cells[s] for s in sorted(table.system_cells)},
-        )
-    systems = table.systems()
-    seg_ids = table.segment_ids()
-    scores = {}
-    for system in systems:
-        values = []
-        for seg_id in seg_ids:
-            try:
-                values.append(table.cells[(system, seg_id)])
-            except KeyError:
-                raise IncompleteTable(
-                    f"{table.display_name()}: missing cell ({system}, {seg_id})"
-                ) from None
-        scores[system] = float(np.mean(np.asarray(values, dtype=np.float64)))
-    return SystemScoreVector(task=table.task, scores=scores)
+    """Per-system mean of segment scores (the table's row means); system-only
+    tables pass through."""
+    values = table.values
+    if table.level == SEGMENT_LEVEL:
+        values = values.mean(axis=1)
+    return SystemScoreVector(
+        task=table.task, scores=dict(zip(table.system_ids, values.tolist()))
+    )
 
 
 def _centred(x: Sequence[float]) -> tuple[np.ndarray, float]:
@@ -225,35 +214,34 @@ def kendall_tau_b(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
 
 
 def _check_aligned_tables(tables: Sequence[ScoreTable]) -> tuple[list[str], list[str]]:
+    """The system and segment ids that every table shares."""
     seg_tables = [t for t in tables if t.level == SEGMENT_LEVEL]
+    systems, seg_ids = (), ()
     if seg_tables:
-        systems = seg_tables[0].systems()
-        seg_ids = seg_tables[0].segment_ids()
-        want = {(s, g) for s in systems for g in seg_ids}
-        for t in seg_tables:
-            if set(t.cells) != want:
-                raise CellMismatch(
-                    f"table {t.display_name()} is not aligned with the others"
-                )
-    else:
-        systems, seg_ids = [], []
+        systems, seg_ids = seg_tables[0].system_ids, seg_tables[0].seg_ids
+    for t in seg_tables:
+        if (t.system_ids, t.seg_ids) != (systems, seg_ids):
+            raise CellMismatch(
+                f"table {t.display_name()} is not aligned with the others"
+            )
     for t in tables:
         if t.level == SYSTEM_LEVEL:
-            if systems and sorted(t.system_cells) != systems:
+            if systems and t.system_ids != systems:
                 raise CellMismatch(
                     f"system-only table {t.display_name()} covers different systems"
                 )
-            if not systems:
-                systems = sorted(t.system_cells)
-    return systems, seg_ids
+            systems = t.system_ids
+    return list(systems), list(seg_ids)
 
 
 def apply_selector(table: ScoreTable, choices: Mapping[str, str]) -> float:
     """Mean over segments of the selected system's segment score."""
     if table.level != SEGMENT_LEVEL:
         raise SystemOnlyTable("selectors need per-segment scores")
-    values = [table.cells[(choices[g], g)] for g in sorted(choices)]
-    return float(np.mean(np.asarray(values, dtype=np.float64)))
+    row = {s: i for i, s in enumerate(table.system_ids)}
+    column = {g: j for j, g in enumerate(table.seg_ids)}
+    values = [table.values[row[choices[g]], column[g]] for g in sorted(choices)]
+    return float(np.mean(values))
 
 
 @dataclass(frozen=True)
@@ -282,10 +270,11 @@ def hybrid_arrays(
     draws, the checks and the errors.
 
     The index rows come from one :func:`~.seeding.integer_rows` call.  The
-    segment-level tables and the human scores are gathered into one
-    (tables + 1, systems, segments) array; one mean over its last axis
-    gives the real systems' scores and one over the hybrids' selected cells
-    gives theirs, gathering at most ``_GATHER_BYTES`` of cells at a time.
+    segment-level tables' arrays and the human scores are stacked into one
+    (tables + 1, systems, segments) cube; one mean over its last axis gives
+    the real systems' scores and one over the hybrids' selected cells gives
+    theirs, gathering at most ``_GATHER_BYTES`` of cells at a time.
+    System-only tables' arrays are their real systems' scores.
     """
     if not tables:
         raise NoVariants("hybrid_supersample needs at least one score table")
@@ -309,13 +298,11 @@ def hybrid_arrays(
     index_rows, redrawn = integer_rows(seed, f"hybrid:{task.label}", k, n_sys, n_seg)
 
     seg_tables = [table for table in tables if table.level == SEGMENT_LEVEL]
-    cube = np.array(
-        [
-            [[cells[(s, g)] for g in seg_ids] for s in systems]
-            for cells in [*(table.cells for table in seg_tables), human_segment_scores]
-        ],
+    human = np.array(
+        [[human_segment_scores[(s, g)] for g in seg_ids] for s in systems],
         dtype=np.float64,
     )
+    cube = np.stack([*(table.values for table in seg_tables), human])
     extended = np.empty((len(cube), n_sys + k))
     extended[:, :n_sys] = cube.mean(axis=2)
     # np.take lays each hybrid's cells out contiguously, so every mean sums
@@ -337,7 +324,7 @@ def hybrid_arrays(
         if table.level == SEGMENT_LEVEL:
             vectors[table.key] = by_table[table.key]
             continue
-        values = [table.system_cells[s] for s in systems]
+        values = table.values
         if k > 0:
             if table.key not in corpus_scores:
                 raise SystemOnlyTable(
@@ -345,7 +332,7 @@ def hybrid_arrays(
                     f"{table.display_name()}"
                 )
             values = np.concatenate([values, corpus_scores[table.key]])
-        vectors[table.key] = np.asarray(values, dtype=np.float64)
+        vectors[table.key] = values
     return HybridArrays(systems, seg_ids, index_rows, vectors, extended[-1], redrawn)
 
 
@@ -408,13 +395,11 @@ def segment_correlation(
         raise SystemOnlyTable(
             f"{table.display_name()} has no segment scores to correlate"
         )
-    keys = sorted(table.cells)
     try:
-        human = [human_segment_scores[key] for key in keys]
+        human = [human_segment_scores[key] for key in table.cell_keys()]
     except KeyError as exc:
         raise CellMismatch(f"human score missing for cell {exc}") from None
-    metric = [table.cells[key] for key in keys]
-    return kendall_tau_b(metric, human)
+    return kendall_tau_b(table.values.ravel(), human)
 
 
 def select_best_variant(

@@ -162,27 +162,28 @@ def score_tables_for_task(campaign: Campaign, task: Task) -> NativeScores:
     statistics, ROUGE-1/2 come from that array, and a system's corpus BLEU
     is its summed cell statistics, finished.  ROUGE-L builds each
     reference's match masks once.  Where the length unit tokenises like the
-    scoring scheme, a hypothesis's length is its scored token count.
+    scoring scheme, a reference's or hypothesis's length is its scored token
+    count (a provided reference count still wins).  The tables are built
+    from those arrays.
     """
     scheme = scheme_for_direction(task.direction)
     length_scored = (
         length_scheme(campaign.config.length_unit, task.direction) == scheme
     )
     segments = campaign.segments_for_direction(task.direction)
-    systems = campaign.config.systems
+    systems = sorted(campaign.config.systems)
     if not segments:
         raise EmptyCorpus(
             f"{task.label}: direction {task.direction} has no segments"
         )
 
     refs = [tokenize(seg.reference_text, scheme).tokens for seg in segments]
-    targets = [
-        max(expected_length(task.ratio, campaign.reference_length(seg)), 1)
-        for seg in segments
-    ]
-    # cells in config system order, segments sorted; a cell's reference is
-    # its segment's
-    cells: list[tuple[str, str]] = []
+    targets = []
+    for seg, ref in zip(segments, refs):
+        length = campaign.reference_length(seg, ref if length_scored else None)
+        targets.append(max(expected_length(task.ratio, length), 1))
+    # cells in row-major (system, segment) order, both sorted; a cell's
+    # reference is its segment's
     hyps: list[tuple[str, ...]] = []
     deviations: list[float] = []
     for system in systems:
@@ -194,7 +195,6 @@ def score_tables_for_task(campaign: Campaign, task: Task) -> NativeScores:
                     f"no hypothesis for ({system}, {seg.seg_id}, ratio {task.ratio})"
                 ) from None
             hyp = tokenize(record.text, scheme).tokens
-            cells.append((system, seg.seg_id))
             hyps.append(hyp)
             if length_scored:
                 out_len = len(hyp)
@@ -204,36 +204,26 @@ def score_tables_for_task(campaign: Campaign, task: Task) -> NativeScores:
     ref_index = np.tile(np.arange(len(segments)), len(systems))
     stats, distinct = ngram_stats(hyps, refs, ref_index)
 
-    tables = []
-    for prefix, scores in (
-        ("ROUGE1", rouge_n_arrays(stats, 1)),
-        ("ROUGE2", rouge_n_arrays(stats, 2)),
-        ("ROUGEL", rouge_l_arrays(hyps, refs, ref_index)),
-    ):
-        for suffix, values in zip(("P", "R", "F1"), scores):
-            tables.append(
-                ScoreTable.segment_table(
-                    f"{prefix}-{suffix}", "-", task, zip(cells, values.tolist())
-                )
-            )
-    tables.append(
-        ScoreTable.segment_table(LENGTH_DEV_ID, "-", task, zip(cells, deviations))
-    )
-
-    sorted_systems = sorted(systems)
-    by_system = sorted(range(len(systems)), key=systems.__getitem__)
-    cell_stats = stats.reshape(len(systems), len(segments), -1)[by_system]
+    cell_stats = stats.reshape(len(systems), len(segments), -1)
     # a system's corpus BLEU is its summed cell statistics, finished
     finished = bleu_arrays_from_stats(cell_stats.sum(axis=1))
-    for metric_id, values in (
-        (BLEU_ID, finished.bleu),
-        (BLEU_STAR_ID, finished.bleu_star),
-    ):
-        tables.append(
-            ScoreTable.system_table(
-                metric_id, "-", task, dict(zip(sorted_systems, values.tolist()))
-            )
+    # the ids and layout of a segment-level and of a system-only table
+    per_cell = (task, SEGMENT_LEVEL, systems, [seg.seg_id for seg in segments])
+    per_system = (task, SYSTEM_LEVEL, systems, ())
+    tables = [
+        ScoreTable(f"{prefix}-{suffix}", "-", *per_cell, values)
+        for prefix, triple in (
+            ("ROUGE1", rouge_n_arrays(stats, 1)),
+            ("ROUGE2", rouge_n_arrays(stats, 2)),
+            ("ROUGEL", rouge_l_arrays(hyps, refs, ref_index)),
         )
+        for suffix, values in zip(("P", "R", "F1"), triple)
+    ]
+    tables += [
+        ScoreTable(LENGTH_DEV_ID, "-", *per_cell, deviations),
+        ScoreTable(BLEU_ID, "-", *per_system, finished.bleu),
+        ScoreTable(BLEU_STAR_ID, "-", *per_system, finished.bleu_star),
+    ]
     return NativeScores(tables, cell_stats, distinct)
 
 
@@ -683,19 +673,15 @@ class PipelineState:
             name = per_task[0].display_name()
             cells_by_task: dict[Task, dict[str, str]] = {}
             for t, table in zip(self.tasks, per_task):
-                seg_ids = self.campaign.segment_ids_for_direction(t.direction)
-                per_system = {
-                    system: {seg: table.cells[(system, seg)] for seg in seg_ids}
-                    for system in systems
-                }
+                by_system = dict(zip(table.system_ids, table.values.tolist()))
                 means = system_scores(table).scores
                 ranked = sorted(systems, key=lambda s: (-means[s], s))
                 marks = {s: "" for s in systems}
                 if len(ranked) >= 2:
                     best, second = ranked[0], ranked[1]
                     p = paired_bootstrap(
-                        per_system[best],
-                        per_system[second],
+                        dict(zip(table.seg_ids, by_system[best])),
+                        dict(zip(table.seg_ids, by_system[second])),
                         b_iter=self.bootstrap,
                         seed=derive_int(self.seed, "syscompare", name, t.label),
                     )
@@ -726,8 +712,8 @@ class PipelineState:
             (table,) = [
                 tb for tb in self.natives[t].tables if tb.metric_id == LENGTH_DEV_ID
             ]
-            seg_ids = self.campaign.segment_ids_for_direction(t.direction)
-            return sum(table.cells[(system, g)] for g in seg_ids) / len(seg_ids)
+            row = table.values[table.system_ids.index(system)].tolist()
+            return sum(row) / len(row)
 
         path = out / "length_deviation.csv"
         write_csv(
@@ -751,11 +737,7 @@ def open_campaign(config_path, length_unit: str | None = None) -> Campaign:
         len(campaign.segments),
         len(campaign.hypotheses),
         len(campaign.ratings),
-        sum(
-            len(t.cells) + len(t.system_cells)
-            for ts in campaign.external_scores.values()
-            for t in ts
-        ),
+        sum(t.values.size for ts in campaign.external_scores.values() for t in ts),
         time.perf_counter() - started,
     )
     if length_unit is not None and length_unit != campaign.config.length_unit:

@@ -17,19 +17,20 @@ replicates costs a few matrix products instead of enumerating the
 n(n-1)/2 cell pairs again.  Every count is an exact integer, so the
 statistics equal pairwise enumeration bit for bit.
 
-A matrix of M metrics gathers and ranks its cells once per task and draws
-one mask set, from ``rng_for(seed, "perm-both")`` with the matrix's own
-seed, for all M(M-1)/2 unordered pairs: each metric's forms are taken once,
-each pair adds only its cross forms, and one float32 product per tile of
-cell pairs and batch of replicates gives the forms of every pair.  Under one
-mask, (B, A)'s difference is exactly minus (A, B)'s, so each unordered pair
-gives the p-values of both orders, and every p-value equals that of one
-``perm_both`` call per ordered pair with the matrix's seed; ``perm_both``
-is the two-metric case.  The tests of one matrix thus share their
-replicates (common random numbers).  Each stays an exact permutation test,
-and the Bonferroni flags, a union bound, hold under any dependence between
-the tests.  Memory is bounded whatever n and R: every working block holds
-at most ``_BLOCK`` (131,072) entries.
+A matrix of M metrics stacks the flattened arrays of its score tables
+(cells in sorted (system, segment) order) once per task, ranks them once
+and draws one mask set, from ``rng_for(seed, "perm-both")`` with the
+matrix's own seed, for all M(M-1)/2 unordered pairs: each metric's forms
+are taken once, each pair adds only its cross forms, and one float32
+product per tile of cell pairs and batch of replicates gives the forms of
+every pair.  Under one mask, (B, A)'s difference is exactly minus (A, B)'s,
+so each unordered pair gives the p-values of both orders, and every p-value
+equals that of one ``perm_both`` call per ordered pair with the matrix's
+seed; ``perm_both`` is the two-metric case.  The tests of one matrix thus
+share their replicates (common random numbers).  Each stays an exact
+permutation test, and the Bonferroni flags, a union bound, hold under any
+dependence between the tests.  Memory is bounded whatever n and R: every
+working block holds at most ``_BLOCK`` (131,072) entries.
 """
 
 from __future__ import annotations
@@ -190,25 +191,23 @@ def system_sig_matrix(
 def _gather(
     tables: Sequence[ScoreTable], human: Mapping[tuple[str, str], float]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The (M, n) scores of M segment-level tables and their n human scores,
-    over the tables' common cells in sorted key order."""
+    """The (M, n) scores of M segment-level tables, each row a table's
+    flattened array, and their n human scores, over the tables' common cells
+    in sorted key order."""
     if any(table.level != SEGMENT_LEVEL for table in tables):
         raise SystemOnlyTable("permutation test needs segment-level tables")
     first = tables[0]
     for table in tables[1:]:
-        if table.cells.keys() != first.cells.keys():
+        if (table.system_ids, table.seg_ids) != (first.system_ids, first.seg_ids):
             raise CellMismatch(
                 f"{first.display_name()} and {table.display_name()} cover "
                 "different cells"
             )
-    keys = sorted(first.cells)
     try:
-        h = np.asarray([human[k] for k in keys], dtype=np.float64)
+        h = np.asarray([human[k] for k in first.cell_keys()], dtype=np.float64)
     except KeyError as exc:
         raise CellMismatch(f"human score missing for cell {exc}") from None
-    scores = np.asarray(
-        [[table.cells[k] for k in keys] for table in tables], dtype=np.float64
-    )
+    scores = np.stack([table.values.ravel() for table in tables])
     if not (np.isfinite(scores).all() and np.isfinite(h).all()):
         raise NonFiniteScore("permutation test needs finite scores")
     return scores, h
@@ -575,7 +574,7 @@ def segment_sig_matrix(
         task.label,
         len(names),
         len(pairs),
-        len(tables[names[0]].cells) if names else 0,
+        tables[names[0]].values.size if names else 0,
         r,
         1 if pairs else 0,
         unordered,

@@ -1,13 +1,16 @@
 import json
+import random
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lcmteval.corpus import (
     Campaign,
     CampaignConfig,
     RatingRecord,
+    ScoreTable,
     SegmentRecord,
     Task,
     load_campaign,
@@ -17,6 +20,7 @@ from lcmteval.corpus import (
     save_campaign,
     validate_campaign,
     write_config,
+    write_scores_file,
 )
 from lcmteval.errors import (
     DuplicateCell,
@@ -463,6 +467,27 @@ class TestExternalScores:
             f"layer.{i}.{m}" for i in range(13) for m in "PRF"
         }
 
+    def test_shuffled_rows_write_back_canonical(self, campaign, tmp_path):
+        # rows in any order load into the same arrays, and the writer puts
+        # the canonical file back byte for byte
+        task = campaign.tasks()[0]
+        canonical = tmp_path / "canonical.tsv"
+        write_scores_file(canonical, campaign.external_scores[task])
+        header, *rows = canonical.read_text(encoding="utf-8").splitlines(True)
+        random.Random(5).shuffle(rows)
+        shuffled = tmp_path / "shuffled.tsv"
+        shuffled.write_text(header + "".join(rows), encoding="utf-8")
+        tables = load_external_scores(
+            shuffled,
+            task,
+            systems=campaign.config.systems,
+            segment_ids=campaign.segment_ids_for_direction(task.direction),
+        )
+        assert tables == list(campaign.external_scores[task])
+        rewritten = tmp_path / "rewritten.tsv"
+        write_scores_file(rewritten, tables)
+        assert rewritten.read_bytes() == canonical.read_bytes()
+
     def test_embedded_tab_rejected(self, tmp_path):
         path = tmp_path / "scores.tsv"
         path.write_text(
@@ -474,6 +499,86 @@ class TestExternalScores:
             load_external_scores(
                 path, Task("aa-bb", 0.8), systems=["s1"], segment_ids=["g1"]
             )
+
+
+class TestScoreTable:
+    TASK = Task("aa-bb", 0.8)
+    CELLS = {
+        ("s2", "g1"): 0.5,
+        ("s1", "g2"): -1.25,
+        ("s1", "g1"): 0.0,
+        ("s2", "g2"): 3.0,
+    }
+
+    def table(self):
+        return ScoreTable.segment_table("m", "v", self.TASK, self.CELLS)
+
+    def test_sorted_ids_and_row_major_array(self):
+        table = self.table()
+        assert table.system_ids == ("s1", "s2")
+        assert table.seg_ids == ("g1", "g2")
+        assert table.values.dtype == np.float64
+        assert table.values.tolist() == [[0.0, -1.25], [0.5, 3.0]]
+        assert table.cell_keys() == sorted(self.CELLS)
+
+    def test_sparse_grid_rejected(self):
+        cells = dict(self.CELLS)
+        del cells[("s2", "g1")]
+        with pytest.raises(IncompleteTable, match=r"\('s2', 'g1'\)"):
+            ScoreTable.segment_table("m", "v", self.TASK, cells)
+
+    def test_cells_equal_the_dict_built_from(self):
+        table = self.table()
+        assert table.cells == self.CELLS
+        assert list(table.cells) == sorted(self.CELLS)
+        assert table.system_cells == {}
+        system = ScoreTable.system_table("m", "v", self.TASK, {"s2": 1.0, "s1": 2.0})
+        assert system.system_cells == {"s1": 2.0, "s2": 1.0}
+        assert system.cells == {}
+        assert system.values.tolist() == [2.0, 1.0]
+
+    def test_read_only(self):
+        table = self.table()
+        with pytest.raises(TypeError):
+            table.cells[("s1", "g1")] = 9.0
+        with pytest.raises(ValueError):
+            table.values[0, 0] = 9.0
+        system = ScoreTable.system_table("m", "v", self.TASK, {"s1": 2.0})
+        with pytest.raises(TypeError):
+            system.system_cells["s1"] = 9.0
+        with pytest.raises(ValueError):
+            system.values[0] = 9.0
+
+    def test_constructor_copies_its_values(self):
+        values = np.array([[1.0, 2.0]])
+        table = ScoreTable("m", "v", self.TASK, "segment", ["s1"], ["g1", "g2"], values)
+        values[0, 0] = 9.0
+        assert table.values.tolist() == [[1.0, 2.0]]
+        assert values.flags.writeable
+
+    def test_unsorted_ids_or_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="sorted"):
+            ScoreTable("m", "v", self.TASK, "segment", ["s2", "s1"], ["g1"], [1, 2])
+        with pytest.raises(ValueError):
+            ScoreTable("m", "v", self.TASK, "segment", ["s1"], ["g1"], [1.0, 2.0])
+
+    def test_equality(self):
+        table = self.table()
+        assert table == self.table()
+        changed = dict(self.CELLS)
+        changed[("s1", "g1")] = 0.125
+        assert table != ScoreTable.segment_table("m", "v", self.TASK, changed)
+        assert table != ScoreTable.segment_table("m", "w", self.TASK, self.CELLS)
+        assert table != "not a table"
+
+    def test_equal_after_save_and_load(self, campaign, tmp_path):
+        save_campaign(campaign, tmp_path)
+        reloaded = load_campaign(tmp_path / "campaign.conf")
+        for task, tables in campaign.external_scores.items():
+            assert reloaded.external_scores[task] == tables
+            for table, again in zip(tables, reloaded.external_scores[task]):
+                assert again.values is not table.values
+                assert again.cells == table.cells
 
 
 class TestRatingRecordInvariants:

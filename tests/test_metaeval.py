@@ -60,10 +60,29 @@ class TestSystemScores:
         table = seg_table(grid({"s1": [0.2, 0.4]}))
         assert system_scores(table).scores["s1"] == pytest.approx(0.3)
 
+    @pytest.mark.parametrize("n_segments", [2, 3, 7, 8, 9, 15, 16, 17, 100, 129, 1000])
+    def test_row_means_equal_one_mean_per_system(self, n_segments):
+        # the row means of the systems x segments array are bit-identical to
+        # a separate np.mean of each system's scores, the arithmetic the
+        # system-level reports were written with
+        rng = np.random.default_rng(n_segments)
+        values = rng.standard_normal((5, n_segments)) * 10.0 ** rng.integers(-3, 4)
+        table = seg_table(
+            {
+                (f"s{i}", f"g{j:04d}"): v
+                for i, row in enumerate(values.tolist())
+                for j, v in enumerate(row)
+            }
+        )
+        expected = {f"s{i}": float(np.mean(row)) for i, row in enumerate(values)}
+        assert system_scores(table).scores == expected
+
     def test_missing_cell(self):
-        table = seg_table({("s1", "g1"): 0.2, ("s1", "g2"): 0.4, ("s2", "g1"): 0.5})
+        # a sparse grid never becomes a table, so no mean can miss a cell
         with pytest.raises(IncompleteTable):
-            system_scores(table)
+            system_scores(
+                seg_table({("s1", "g1"): 0.2, ("s1", "g2"): 0.4, ("s2", "g1"): 0.5})
+            )
 
     def test_system_only_pass_through(self):
         table = ScoreTable.system_table("BLEU", "-", TASK, {"s1": 0.3, "s2": 0.5})

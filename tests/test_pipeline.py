@@ -269,6 +269,50 @@ class TestScoreTables:
                     expected = abs(out_len - target) / target
                     assert table.cells[(system, seg.seg_id)] == expected
 
+    @pytest.mark.parametrize("provided", [False, True])
+    def test_reference_length_taken_from_scored_tokens(
+        self, campaign, provided, monkeypatch
+    ):
+        # on en-zh the character length unit tokenises like the scoring
+        # scheme, so no reference is measured again; under provided-counts a
+        # segment's own reference_length still sets the target
+        import lcmteval.corpus as corpus_module
+
+        if provided:
+            segments = {
+                g: replace(seg, reference_length=len(g) + 3)
+                for g, seg in campaign.segments.items()
+            }
+            config = replace(campaign.config, length_unit="provided-counts")
+            campaign = replace(campaign, segments=segments, config=config)
+        references = {seg.reference_text for seg in campaign.segments.values()}
+        measured = []
+        real_measure = corpus_module.measure_length
+
+        def counting_measure(text, unit, direction):
+            if text in references:
+                measured.append(text)
+            return real_measure(text, unit, direction)
+
+        monkeypatch.setattr(corpus_module, "measure_length", counting_measure)
+        tasks = [t for t in campaign.tasks() if t.direction == "en-zh"]
+        assert tasks
+        for task in tasks:
+            native = score_tables_for_task(campaign, task)
+            (table,) = [t for t in native.tables if t.metric_id == LENGTH_DEV_ID]
+            for seg in campaign.segments_for_direction(task.direction):
+                if provided:
+                    length = seg.reference_length
+                else:
+                    length = len(tokenize(seg.reference_text, "character"))
+                target = max(expected_length(task.ratio, length), 1)
+                for system in campaign.config.systems:
+                    record = campaign.hypothesis(system, seg.seg_id, task.ratio)
+                    out_len = len(tokenize(record.text, "character"))
+                    expected = abs(out_len - target) / target
+                    assert table.cells[(system, seg.seg_id)] == expected
+        assert measured == []
+
     def test_system_stage_logs_one_line_per_task(self, campaign, caplog):
         state = PipelineState(campaign, hybrids=20)
         state.human_by_task, state.natives  # they log their own lines
@@ -689,3 +733,18 @@ def test_ratings_layer_compares_tasks_less_than_once_per_rating(
     state.emit_agreement(tmp_path)
     assert len(state.campaign.ratings) == 336
     assert len(comparisons) < len(state.campaign.ratings)
+
+
+def test_a_run_keys_every_task_by_one_object(fixture_config_path):
+    # the config hands out one Task object per task, so the human scores,
+    # the state and the ratings share it and filing a cell compares no Tasks
+    state = open_state(fixture_config_path)
+    human = state.human_by_task
+    assert list(human) == state.tasks
+    assert all(a is b for a, b in zip(human, state.tasks))
+    by_label = {task.label: task for task in state.tasks}
+    assert all(rec.task is by_label[rec.task.label] for rec in state.campaign.ratings)
+    assert all(
+        task is by_label[task.label] for task in state.campaign.external_scores
+    )
+    assert state.campaign.config.tasks()[0] is state.tasks[0]

@@ -43,6 +43,13 @@ def seg_table(cells, metric="m", variant="-"):
     return ScoreTable.segment_table(metric, variant, TASK, cells)
 
 
+def dense_keys(n, systems=1):
+    """The sorted (system, segment) keys of a dense grid of n cells in
+    ``systems`` rows (n a multiple of ``systems``): the permutation test
+    pools a task's cells, whatever their grid."""
+    return sorted((f"s{i % systems}", f"g{i // systems:04d}") for i in range(n))
+
+
 @st.composite
 def tie_heavy_cells(draw, max_n=30):
     """(a, b, h) over the same n cells; h takes five values."""
@@ -345,7 +352,7 @@ class TestSwapKernel:
     @settings(max_examples=25, deadline=None)
     def test_p_equals_enumeration_oracle(self, cells, seed):
         a, b, h = cells
-        keys = sorted((f"s{i % 3}", f"g{i:02d}") for i in range(len(a)))
+        keys = dense_keys(len(a))
         ta, tb = seg_table(dict(zip(keys, a)), "A"), seg_table(dict(zip(keys, b)), "B")
         human = dict(zip(keys, h))
         try:
@@ -359,7 +366,7 @@ class TestSwapKernel:
     def test_tiles_and_batches_match_untiled(self, monkeypatch):
         rng = np.random.default_rng(79)
         n = 90
-        keys = sorted((f"s{i % 3}", f"g{i:02d}") for i in range(n))
+        keys = dense_keys(n)
         a, b = rng.integers(0, 5, n) / 4, rng.integers(0, 5, n) / 4
         h = rng.integers(-3, 4, n).astype(float)
         ta, tb = seg_table(dict(zip(keys, a)), "A"), seg_table(dict(zip(keys, b)), "B")
@@ -383,7 +390,7 @@ class TestSwapKernel:
     def test_mask_chunks_at_nonzero_indices_equal_oracle(self, monkeypatch):
         rng = np.random.default_rng(83)
         n = 12
-        keys = sorted((f"s{i % 3}", f"g{i:02d}") for i in range(n))
+        keys = dense_keys(n)
         a, b = rng.integers(0, 4, n) / 3, rng.integers(0, 4, n) / 3
         h = rng.integers(-2, 3, n).astype(float)
         ta, tb = seg_table(dict(zip(keys, a)), "A"), seg_table(dict(zip(keys, b)), "B")
@@ -513,7 +520,7 @@ class TestSegmentSigMatrix:
     def test_p_values_equal_one_perm_both_per_ordered_pair(self, cells, seed):
         scores, h = cells
         n = len(h)
-        keys = sorted((f"s{i % 3}", f"g{i:02d}") for i in range(n))
+        keys = dense_keys(n)
         tables = {
             f"m{j}": seg_table(dict(zip(keys, column)), f"m{j}")
             for j, column in enumerate(scores)
@@ -558,7 +565,7 @@ class TestSegmentSigMatrix:
         # replicates at R = 25
         scores, h = cells
         n = len(h)
-        keys = sorted((f"s{i % 3}", f"g{i:02d}") for i in range(n))
+        keys = dense_keys(n)
         tables = {
             f"m{j}": seg_table(dict(zip(keys, column)), f"m{j}")
             for j, column in enumerate(scores)
@@ -590,7 +597,7 @@ class TestSegmentSigMatrix:
         # tiles once per batch
         rng = np.random.default_rng(97)
         n = 90
-        keys = sorted((f"s{i % 3}", f"g{i:02d}") for i in range(n))
+        keys = dense_keys(n)
         tables = {
             name: seg_table(dict(zip(keys, rng.integers(0, 5, n) / 4)), name)
             for name in ("A", "B", "C")
@@ -655,7 +662,7 @@ class TestSegmentSigMatrix:
         # matrix's one generator; 4 batches of 5 replicates
         rng = np.random.default_rng(101)
         n = 12
-        keys = sorted((f"s{i % 3}", f"g{i:02d}") for i in range(n))
+        keys = dense_keys(n)
         names = ["m2", "m0", "m3", "m1"]
         tables = {
             name: seg_table(dict(zip(keys, rng.standard_normal(n))), name)
@@ -680,7 +687,7 @@ class TestSegmentSigMatrix:
         # workload's (200 cells, R = 20); six score levels shared by every
         # metric give every pair both cross forms
         rng = np.random.default_rng(103)
-        keys = sorted((f"s{i % 4}", f"g{i:03d}") for i in range(n))
+        keys = dense_keys(n, systems=4)
         tables = {
             f"m{j}": seg_table(dict(zip(keys, rng.integers(0, 6, n) / 5)), f"m{j}")
             for j in range(11)
@@ -715,7 +722,8 @@ class TestSegmentSigMatrix:
         tables = {
             "A": seg_table(dict(zip(keys, [1.0, 2.0, 3.0, 4.0])), "A"),
             "B": seg_table(dict(zip(keys, [4.0, 3.0, 2.0, 1.0])), "B"),
-            "C": seg_table(dict(zip(keys[:3], [1.0, 2.0, 3.0])), "C"),
+            # dense, but over other cells than A and B
+            "C": seg_table(dict(zip(keys[:2], [1.0, 2.0])), "C"),
         }
         with pytest.raises(CellMismatch) as single:
             perm_both(tables["A"], tables["C"], human, r=10, seed=0)
