@@ -13,6 +13,7 @@ from lcmteval.corpus import (
     HypothesisRecord,
     SegmentRecord,
     Task,
+    save_campaign,
 )
 from lcmteval.errors import EmptyCorpus
 from lcmteval.pipeline import (
@@ -44,6 +45,7 @@ from .oracles import SUM_LEFT_TO_RIGHT, bleu_from_stats_scalar
 
 GOLDEN = Path(__file__).parent / "goldens" / "fixture_manifest.json"
 GOLDEN_SEGMENT = Path(__file__).parent / "goldens" / "fixture_manifest_segment.json"
+GOLDEN_PAPER = Path(__file__).parent / "goldens" / "paper_manifest.json"
 CAMPAIGN_GEN = Path(__file__).resolve().parents[1] / "perfbench" / "campaign_gen.py"
 
 
@@ -524,13 +526,16 @@ class TestScoreTables:
             assert tables[BLEU_STAR_ID].system_cells[system] == bleu.bleu_star
 
 
-def generated_campaign(segments: int, systems: int, seed: int) -> Campaign:
+def generated_campaign(
+    segments: int, systems: int, seed: int, variants=()
+) -> Campaign:
     """A campaign from the benchmark's generator: two directions (one
-    character-scored), repetitive text over a small vocabulary."""
+    character-scored), repetitive text over a small vocabulary, and one
+    external metric per (name, variant count) of ``variants``."""
     spec = importlib.util.spec_from_file_location("campaign_gen", CAMPAIGN_GEN)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.build_campaign(segments, systems, [], seed)
+    return module.build_campaign(segments, systems, list(variants), seed)
 
 
 @pytest.fixture(scope="module", params=["fixture", "generated", "unsorted-systems"])
@@ -624,6 +629,21 @@ def segment_run_dir(fixture_config_path, tmp_path_factory):
     return golden_run(fixture_config_path, GOLDEN_SEGMENT, tmp_path_factory)
 
 
+@pytest.fixture(scope="module")
+def paper_run_dir(tmp_path_factory):
+    """A run of the paper-shaped campaign its golden names (4 systems, 100
+    segments per direction, 17 segment-level metrics over 400 cells per
+    task), so the multi-tile permutation kernel, the chunked hybrid gathers
+    and 17-metric matrices are pinned byte for byte."""
+    spec = json.loads(GOLDEN_PAPER.read_text())["campaign"]
+    campaign = generated_campaign(
+        spec["segments"], spec["systems"], spec["seed"], spec["variants"].items()
+    )
+    directory = tmp_path_factory.mktemp("paper_campaign")
+    save_campaign(campaign, directory)
+    return golden_run(directory / "campaign.conf", GOLDEN_PAPER, tmp_path_factory)
+
+
 def display_name(metric: str, variant: str) -> str:
     return metric if variant == "-" else f"{metric}.{variant}"
 
@@ -635,6 +655,13 @@ class TestRunArtifacts:
             manifest = json.loads((out / "manifest.json").read_text())
             produced = {f["name"]: f["sha256"] for f in manifest["files"]}
             assert produced == golden["files"], path.name
+
+    def test_paper_digests_match_committed_golden(self, paper_run_dir):
+        golden = json.loads(GOLDEN_PAPER.read_text())
+        manifest = json.loads((paper_run_dir / "manifest.json").read_text())
+        assert manifest["config_digest"] == golden["config_digest"]
+        produced = {f["name"]: f["sha256"] for f in manifest["files"]}
+        assert produced == golden["files"]
 
     def test_reports_cover_the_same_metrics(self, run_dir, segment_run_dir, campaign):
         for out in (run_dir, segment_run_dir):
