@@ -155,10 +155,9 @@ def pearson_rs(
     return out
 
 
-# Element budget of the pairwise working arrays of ``kendall_tau_b`` and of
-# the permutation test: a tile of pairwise signs and a batch of replicate
-# masks (and of their uniform draws) each hold at most this many entries,
-# whatever the number of cells.
+# Element budget of the pairwise working arrays of ``kendall_tau_b``: a tile
+# of pairwise signs holds at most this many entries, whatever the number of
+# cells.
 _BUDGET = 4_000_000
 
 # Byte budget of one step of the hybrid gather in ``hybrid_arrays``: the

@@ -413,10 +413,6 @@ def _lcs_from_masks(a: Sequence[str], masks: dict[str, int], len_b: int) -> int:
     return len_b - v.bit_count()
 
 
-def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    return _lcs_from_masks(a, _match_masks(b), len(b))
-
-
 def rouge_l_arrays(
     hypotheses: Sequence[Sequence[str]],
     references: Sequence[Sequence[str]],

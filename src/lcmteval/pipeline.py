@@ -12,14 +12,9 @@ digest manifest.
 correlation, significance and system comparison reports cover: the native
 metrics but length deviation, plus the chosen variant of each external metric,
 sorted by display name; the segment-level reports take its segment-level
-subset.  The native stage tokenises each reference once per task and each
-hypothesis once per (system, segment) cell, and one ``ngram_stats`` array pass
-per task counts and clips every cell's n-grams; every cell's additive BLEU
-statistics and its ROUGE-1/2 come from that array.  Real-system BLEU and BLEU*
-finish each system's summed cell statistics; hybrid BLEU and BLEU* sum the
-statistics of the cells a hybrid selects, and one
-``NativeScores.corpus_scorer`` call per hybrid pass finishes all K hybrids'
-statistics in one array pass for both.
+subset.  Every cell's ROUGE-1/2 and additive BLEU statistics come from one
+``ngram_stats`` array pass per task; the corpus BLEU and BLEU* of a system or
+a hybrid finish the sum of its cells' statistics.
 Given identical inputs and master seed, two runs produce byte-identical
 artifacts: every random draw derives from the master seed, rows are sorted
 deterministically, and numeric report cells are fixed at 4 decimals.

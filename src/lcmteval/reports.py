@@ -75,11 +75,6 @@ def _read_numbered_rows(path: Path) -> tuple[list[str], list[tuple[int, list[str
     return header, rows
 
 
-def read_csv_table(path: str | os.PathLike) -> tuple[list[str], list[list[str]]]:
-    header, rows = _read_numbered_rows(Path(path))
-    return header, [row for _, row in rows]
-
-
 def sha256_file(path: str | os.PathLike) -> str:
     h = hashlib.sha256()
     with Path(path).open("rb") as fh:

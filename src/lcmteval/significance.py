@@ -29,8 +29,8 @@ equals that of one ``perm_both`` call per ordered pair with the matrix's
 seed; ``perm_both`` is the two-metric case.  The tests of one matrix thus
 share their replicates (common random numbers).  Each stays an exact
 permutation test, and the Bonferroni flags, a union bound, hold under any
-dependence between the tests.  Memory is bounded whatever n and R: every
-working block holds at most ``_BLOCK`` (131,072) entries.
+dependence between the tests.  Every working block holds at most
+``_BLOCK`` (131,072) entries; the masks and the forms grow with R.
 """
 
 from __future__ import annotations
@@ -39,9 +39,10 @@ import logging
 import math
 import time
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from statistics import NormalDist
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -107,10 +108,26 @@ def zou_ci(
     Two identical metrics (r23 = 1, r12 = r13) get the degenerate interval
     [0, 0].
     """
+    return _zou_interval(r12, r13, r23, level, _fisher_interval(n, level))
+
+
+def _fisher_interval(n: int, level: float) -> Callable[[float], tuple[float, float]]:
+    """r -> the Fisher-z interval of r at ``level`` over n points."""
     if n < 4:
         raise SampleTooSmall(f"zou_ci needs n >= 4, got {n}")
     if not (0.0 < level < 1.0):
         raise ValueError(f"confidence level must be in (0, 1), got {level}")
+    half = NormalDist().inv_cdf(0.5 + level / 2.0) / math.sqrt(n - 3)
+
+    def interval(r: float) -> tuple[float, float]:
+        z = math.atanh(r)
+        return math.tanh(z - half), math.tanh(z + half)
+
+    return interval
+
+
+def _zou_interval(r12, r13, r23, level, fisher_interval) -> CIResult:
+    """:func:`zou_ci` with the Fisher-z intervals from ``fisher_interval``."""
     if abs(r12 - r13) <= 1e-12 and r23 >= 1.0 - 1e-12:
         # Identical metrics (up to float noise, e.g. exact affine copies):
         # the difference of correlations is exactly zero.
@@ -118,16 +135,7 @@ def zou_ci(
     for name, r in (("r12", r12), ("r13", r13), ("r23", r23)):
         if abs(r) >= 1.0:
             raise DegenerateCorrelation(f"{name} = {r} is not inside (-1, 1)")
-
-    zcrit = NormalDist().inv_cdf(0.5 + level / 2.0)
-    half = zcrit / math.sqrt(n - 3)
-
-    def fisher_interval(r: float) -> tuple[float, float]:
-        z = math.atanh(r)
-        return math.tanh(z - half), math.tanh(z + half)
-
-    l1, u1 = fisher_interval(r12)
-    l2, u2 = fisher_interval(r13)
+    (l1, u1), (l2, u2) = fisher_interval(r12), fisher_interval(r13)
     c = ((r23 - r12 * r13 / 2.0) * (1.0 - r12**2 - r13**2 - r23**2) + r23**3) / (
         (1.0 - r12**2) * (1.0 - r13**2)
     )
@@ -152,10 +160,10 @@ def system_sig_matrix(
     A row metric significantly wins over a column metric when the interval
     for (r(human, row) - r(human, col)) lies strictly above zero.  Each
     vector is converted and centred once (:func:`~.metaeval._centred`, the
-    arithmetic of :func:`~.metaeval.pearson`), r(human, metric) is taken
-    once per metric and r(row, col) once per unordered pair, so every cell
-    equals the one built from ``pearson`` and :func:`zou_ci` per ordered
-    pair, errors included.
+    arithmetic of :func:`~.metaeval.pearson`), r(human, metric) and its
+    Fisher-z interval are taken once per metric and r(row, col) once per
+    unordered pair, so every cell equals the one built from ``pearson`` and
+    :func:`zou_ci` per ordered pair, errors included.
     """
     names = list(metric_vectors)
     n = len(human_vector)
@@ -167,6 +175,8 @@ def system_sig_matrix(
             human = _centred(human_vector)
         vectors[name] = _centred(metric_vectors[name])
         human_r[name] = _centred_r(human, vectors[name])
+    # zou_ci's checks of n and level, made before its first interval
+    fisher = cache(_fisher_interval(n, level)) if len(names) > 1 else None
     cross_r: dict[frozenset[str], float] = {}
     cells: dict[tuple[str, str], SigCell] = {}
     for row in names:
@@ -176,7 +186,7 @@ def system_sig_matrix(
             pair = frozenset((row, col))
             if pair not in cross_r:
                 cross_r[pair] = _centred_r(vectors[row], vectors[col])
-            ci = zou_ci(human_r[row], human_r[col], cross_r[pair], n, level)
+            ci = _zou_interval(human_r[row], human_r[col], cross_r[pair], level, fisher)
             cells[(row, col)] = SigCell(
                 row_metric=row,
                 col_metric=col,
@@ -241,14 +251,17 @@ class _SwapTauB:
 
     So one mask set serves every pair: m'G_xx m and m'T_xx m are taken once
     per metric, and each pair adds only its cross forms m'G_ab m and, when
-    some a_i equals some b_j (i != j), m'T_ab m.  Every diagonal is zero, so
-    a form m'G_xy m is the sum over the cell pairs i < j of
-    G_xy[i, j] + G_xy[j, i] = g * (sign(x_i - y_j) + sign(y_i - x_j)) times
-    m_i m_j, and one float32 product per tile of cell pairs, of the forms'
-    coefficients with the products m_i m_j of a batch of masks, gives every
-    form.  A pair's four counts, cmd and n1 of A* and of B*, are then its
-    unswapped counts plus one product of its linear coefficients with the
-    masks plus m'X_aa m / 2 + m'X_bb m / 2 - m'X_ab m of each kind X.
+    some a_i equals some b_j (i != j), m'T_ab m.  Every diagonal is zero and
+    G_xy[j, i] = s2[i, j], with s1[i, j] = g * sign(x_i - y_j) and
+    s2[i, j] = g * sign(y_i - x_j) over the cell pairs i < j.  So one pass
+    over tiles of those pairs does all the sign work: each tile's
+    coefficients s1 + s2 are built once, their float32 products with
+    m_i m_j over each batch of masks add up every form m'G_xy m, and
+    rowsum_i(G_xy) = rowsum_i(s1) + colsum_i(s2), colsum_j(G_xy) =
+    colsum_j(s1) + rowsum_j(s2); T's sums come from the rank counts.  A
+    pair's four counts, cmd and n1 of A* and of B*, are then its unswapped
+    counts plus one product of its linear coefficients with the masks plus
+    m'X_aa m / 2 + m'X_bb m / 2 - m'X_ab m of each kind X.
 
     Every count is an exact integer, so tau-b equals pairwise enumeration
     bit for bit.  A coefficient lies in [-2, 2], so float32 holds each
@@ -259,11 +272,12 @@ class _SwapTauB:
 
     The M metrics' scores are ranked once, jointly, so the sign of a rank
     difference is the sign of the score difference between any two of
-    them; h's ranks and tie count are taken once too.  Memory is bounded
-    whatever n and R: the row and column sums are taken in row tiles, the
-    coefficients in tiles of cell pairs, the replicates in batches and the
-    pairs' counts in groups, each block of at most ``_BLOCK`` entries.  The
-    task keeps four linear coefficients per pair and cell.
+    them; h's ranks and tie count are taken once too.  A tile's
+    coefficients, its products with a batch of masks, a batch of uniform
+    draws and a group of pairs' counts each hold at most ``_BLOCK`` entries.
+    The masks (n bytes a replicate) and the forms (n_forms + 1 floats a
+    replicate) grow with R; the task keeps four linear coefficients per pair
+    and cell.
     """
 
     def __init__(self, scores: np.ndarray, h: np.ndarray):
@@ -285,12 +299,14 @@ class _SwapTauB:
         p = len(self.pairs)
         a = np.array([a for a, _ in self.pairs], dtype=np.intp)
         b = np.array([b for _, b in self.pairs], dtype=np.intp)
+        self.sides = a, b
         self.blocks_built = 0  # coefficient tiles built
         # (x, y): (x, x) for each metric, then (a, b) for each pair
         xs, ys = np.concatenate([np.arange(m), a]), np.concatenate([np.arange(m), b])
-        # rowsum and colsum of G_xy and T_xy; T's come from the rank counts
-        g_rows, g_cols = self._sign_sums(xs, ys)
-        t_rows, t_cols = np.empty_like(g_rows), np.empty_like(g_cols)
+        # rowsum and colsum of T_xy from the rank counts; G's come from the
+        # tiles (_forms)
+        self.tie_sums = np.empty((2, len(xs), n), dtype=np.int32)
+        t_rows, t_cols = self.tie_sums
         bins = int(self.ranks.max()) + 1
         for k, (x, y) in enumerate(zip(xs, ys)):
             rx, ry = self.ranks[x], self.ranks[y]
@@ -314,44 +330,6 @@ class _SwapTauB:
              np.stack([t0 + a, t0 + b, t_ab], axis=1)],
             axis=1,
         )
-        # per pair, its counts cmd(A*), cmd(B*), n1(A*), n1(B*): unswapped
-        # and their linear coefficients
-        g_sums, t_sums = g_rows[:m].sum(axis=1) // 2, t_rows[:m].sum(axis=1) // 2
-        self.const = np.stack([g_sums[a], g_sums[b], t_sums[a], t_sums[b]], axis=1)
-        self.const = self.const.astype(np.float64)
-        self.lin = np.empty((p, 4, n), dtype=self.dtype)
-        np.subtract(g_cols[m:], g_rows[a], out=self.lin[:, 0])
-        np.subtract(g_rows[m:], g_rows[b], out=self.lin[:, 1])
-        np.subtract(t_cols[m:], t_rows[a], out=self.lin[:, 2])
-        np.subtract(t_rows[m:], t_rows[b], out=self.lin[:, 3])
-        self.lin = self.lin.reshape(4 * p, n)
-        # one tile of cell pairs when its coefficients fit in one block: they
-        # are built once and kept; else hits() takes tiles that each batch
-        # rebuilds
-        self.single = self.n_forms * (n - 1) ** 2 <= _BLOCK
-        self.kept: tuple[tuple[int, int, int, int], np.ndarray] | None = None
-
-    def _sign_sums(
-        self, xs: np.ndarray, ys: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """rowsum and colsum of G_xy for each (x, y) of ``xs`` and ``ys``,
-        in row tiles of at most ``_BLOCK`` entries."""
-        n = len(self.h_ranks)
-        rows = np.empty((len(xs), n), dtype=np.int32)
-        cols = np.zeros((len(xs), n), dtype=np.int32)
-        group = max(1, _BLOCK // n)
-        for k0 in range(0, len(xs), group):
-            x, y = xs[k0 : k0 + group], ys[k0 : k0 + group]
-            step = max(1, _BLOCK // (len(x) * n))
-            for lo in range(0, n, step):
-                hi = min(lo + step, n)
-                s = _sign_of_difference(
-                    self.ranks[x, lo:hi, None], self.ranks[y, None]
-                )
-                s *= _sign_of_difference(self.h_ranks[lo:hi, None], self.h_ranks)
-                rows[k0 : k0 + len(x), lo:hi] = s.sum(axis=2, dtype=np.int32)
-                cols[k0 : k0 + len(x)] += s.sum(axis=1, dtype=np.int32)
-        return rows, cols
 
     def _tiles(self, area: int) -> list[tuple[int, int, int, int]]:
         """(lo, hi, c0, c1): rectangles of rows lo:hi and columns c0:c1, at
@@ -372,48 +350,61 @@ class _SwapTauB:
         return tiles
 
     def _coefficients(
-        self, lo: int, hi: int, c0: int, c1: int, out: np.ndarray
+        self, lo: int, hi: int, c0: int, c1: int, out: np.ndarray, sums: np.ndarray
     ) -> np.ndarray:
         """Rows lo:hi and columns c0:c1 of every form's coefficients, zero
-        where j <= i, written into ``out`` (forms, rows, columns)."""
+        where j <= i, written into ``out`` (forms, rows, columns); adds the
+        tile's share of each G_xy's rowsum and colsum into ``sums``."""
         self.blocks_built += 1
         upper = np.arange(c0, c1) > np.arange(lo, hi)[:, None]
         g = _sign_of_difference(self.h_ranks[lo:hi, None], self.h_ranks[c0:c1])
         g *= upper
         (gx, gy), (tx, ty) = self.sign_pairs, self.tie_pairs
         r = self.ranks
-        s = _sign_of_difference(r[gx, lo:hi, None], r[gy, None, c0:c1])
-        s += _sign_of_difference(r[gy, lo:hi, None], r[gx, None, c0:c1])
-        np.multiply(s, g, out=out[: len(gx)])
+        s1 = _sign_of_difference(r[gx, lo:hi, None], r[gy, None, c0:c1])
+        s1 *= g
+        s2 = _sign_of_difference(r[gy, lo:hi, None], r[gx, None, c0:c1])
+        s2 *= g
+        rows, cols = sums
+        rows[:, lo:hi] += s1.sum(axis=2, dtype=np.int32)
+        rows[:, c0:c1] += s2.sum(axis=1, dtype=np.int32)
+        cols[:, c0:c1] += s1.sum(axis=1, dtype=np.int32)
+        cols[:, lo:hi] += s2.sum(axis=2, dtype=np.int32)
+        np.add(s1, s2, out=out[: len(gx)])
         t = np.equal(r[tx, lo:hi, None], r[ty, None, c0:c1]).view(np.int8)
         t += np.equal(r[ty, lo:hi, None], r[tx, None, c0:c1]).view(np.int8)
         np.multiply(t, upper, out=out[len(gx) :])
         return out
 
-    def _forms(
-        self, w32: np.ndarray, tiles: list[tuple[int, int, int, int]]
-    ) -> np.ndarray:
-        """Every form (form, replicate) under the float32 masks ``w32`` (cell,
-        replicate), one product per tile, and a last row of zeros."""
-        rows, k = w32.shape[1], self.n_forms
-        areas = [(hi - lo) * (c1 - c0) for lo, hi, c0, c1 in tiles]
-        forms = np.zeros((k + 1, rows), dtype=self.dtype)
-        products = np.empty(max(areas) * rows, dtype=np.float32)
-        scratch = None
-        for tile, area in zip(tiles, areas):
-            lo, hi, c0, c1 = tile
-            if self.kept is not None and self.kept[0] == tile:
-                c = self.kept[1]
-            else:
-                if scratch is None:
-                    scratch = np.empty(k * max(areas), dtype=np.float32)
-                out = scratch[: k * area].reshape(k, hi - lo, c1 - c0)
-                c = self._coefficients(lo, hi, c0, c1, out).reshape(k, area)
-                if self.single:
-                    self.kept = tile, c
-            pairs = products[: area * rows].reshape(hi - lo, c1 - c0, rows)
-            np.multiply(w32[lo:hi, None], w32[None, c0:c1], out=pairs)
-            forms[:k] += c @ pairs.reshape(area, rows)
+    def _forms(self, masks: np.ndarray, size: int) -> np.ndarray:
+        """Every form (form, replicate) under the boolean ``masks`` (cell,
+        replicate) in batches of ``size``, and a last row of zeros; then the
+        unswapped counts (pair, cmd(A*), cmd(B*), n1(A*), n1(B*)) and their
+        linear coefficients, ``const`` and ``lin``."""
+        (n, r), k, p = masks.shape, self.n_forms, len(self.pairs)
+        m = len(self.sign_pairs[0]) - p
+        tiles = self._tiles(max(1, _BLOCK // max(k, size)))
+        largest = max((hi - lo) * (c1 - c0) for lo, hi, c0, c1 in tiles)
+        forms = np.zeros((k + 1, r), dtype=self.dtype)
+        coefficients = np.empty(k * largest, dtype=np.float32)
+        products = np.empty(largest * size, dtype=np.float32)
+        sign_sums = np.zeros_like(self.tie_sums)
+        for lo, hi, c0, c1 in tiles:
+            area = (hi - lo) * (c1 - c0)
+            out = coefficients[: k * area].reshape(k, hi - lo, c1 - c0)
+            c = self._coefficients(lo, hi, c0, c1, out, sign_sums).reshape(k, area)
+            for start in range(0, r, size):
+                w = masks[:, start : start + size]
+                pairs = products[: area * w.shape[1]].reshape(hi - lo, c1 - c0, -1)
+                np.multiply(w[lo:hi, None], w[None, c0:c1], out=pairs)
+                forms[:k, start : start + size] += c @ pairs.reshape(area, -1)
+        (a, b), self.const = self.sides, np.empty((p, 4))
+        self.lin = np.empty((p, 4, n), dtype=self.dtype)
+        for kind, (rows, cols) in enumerate((sign_sums, self.tie_sums)):
+            np.subtract(cols[m:], rows[a], out=self.lin[:, 2 * kind])
+            np.subtract(rows[m:], rows[b], out=self.lin[:, 2 * kind + 1])
+            totals = rows[:m].sum(axis=1) // 2
+            self.const[:, 2 * kind], self.const[:, 2 * kind + 1] = totals[a], totals[b]
         return forms
 
     def _counts(
@@ -422,7 +413,8 @@ class _SwapTauB:
         """The exact counts (pair, 4, replicate) of pairs k0:k1, cmd(A*),
         cmd(B*), n1(A*) and n1(B*), under the masks ``w`` (cell, replicate)
         whose forms are ``forms``."""
-        counts = (self.lin[4 * k0 : 4 * k1] @ w).reshape(k1 - k0, 2, 2, -1)
+        lin = self.lin[k0:k1].reshape(4 * (k1 - k0), -1)
+        counts = (lin @ w).reshape(k1 - k0, 2, 2, -1)
         quad = np.einsum("pkfr,f->pkr", forms[self.pick[k0:k1]], _QUAD_WEIGHTS)
         counts += quad[:, :, None]
         return counts.reshape(k1 - k0, 4, -1) + self.const[k0:k1, :, None]
@@ -442,47 +434,41 @@ class _SwapTauB:
         against a, over r replicates.
 
         Replicate i swaps the cells where row i of
-        ``rng_for(seed, "perm-both").random((r, n)) < 0.5``.  Each batch of
-        replicates draws its rows, in order, into one reused buffer, so the
-        masks do not depend on the batch size.  Under one mask, (b, a)'s
-        pair of taus is (a, b)'s exchanged, and IEEE subtraction is
-        antisymmetric, so b against a counts delta* <= delta on (a, b)'s
-        differences, bit for bit as its own test under the same seed.
+        ``rng_for(seed, "perm-both").random((r, n)) < 0.5``, drawn in order a
+        batch at a time, so the masks do not depend on the batch size.
+        Under one mask, (b, a)'s pair of taus is (a, b)'s exchanged, and IEEE
+        subtraction is antisymmetric, so b against a counts delta* <= delta
+        on (a, b)'s differences, bit for bit as its own test under the same
+        seed.
         """
         if r < 1:
             raise ValueError(f"r must be >= 1, got {r}")
         n, p = len(self.h_ranks), len(self.pairs)
-        # A single tile's coefficients are built once, so batches are small
-        # enough to take every pair's counts at once.  Otherwise every batch
-        # rebuilds the coefficients of its tiles, so batches are as large as
-        # the masks and the forms allow, and tiles as the products allow.
-        if self.single:
-            widest = max(self.n_forms, n, (n - 1) ** 2, 16 * p)
-        else:
-            widest = max(self.n_forms, n)
-        batches = -(-r // max(1, _BLOCK // widest))
+        # A batch of replicates bounds the uniform draws (n entries a
+        # replicate) and, with the forms, the tile area (_forms).
+        batches = -(-r // max(1, _BLOCK // max(self.n_forms, n)))
         size = -(-r // batches)
-        if self.single:
-            tiles = [(0, n - 1, 1, n)]
-        else:
-            tiles = self._tiles(max(1, _BLOCK // max(self.n_forms, size)))
+        masks = np.empty((n, r), dtype=bool)
         uniforms = np.empty((size, n))
-        # a group's float64 counts and their temporaries: about 16 entries a
-        # pair and replicate
-        group = max(1, _BLOCK // (16 * size))
-        tau = self._taus(self.const[:, :, None])
-        observed = tau[:, 0] - tau[:, 1]
-        forward = np.zeros(p, dtype=np.int64)
-        backward = np.zeros(p, dtype=np.int64)
         generator = rng_for(seed, "perm-both")
         for start in range(0, r, size):
             u = uniforms[: min(size, r - start)]
             generator.random(out=u)
-            w = np.less(u.T, 0.5).astype(self.dtype)
-            forms = self._forms(w.astype(np.float32, copy=False), tiles)
+            np.less(u.T, 0.5, out=masks[:, start : start + len(u)])
+        forms = self._forms(masks, size)
+        tau = self._taus(self.const[:, :, None])
+        observed = tau[:, 0] - tau[:, 1]
+        # a group's float64 counts and their temporaries: about 16 entries a
+        # pair and replicate
+        group = max(1, _BLOCK // (16 * size))
+        forward = np.zeros(p, dtype=np.int64)
+        backward = np.zeros(p, dtype=np.int64)
+        for start in range(0, r, size):
+            w = masks[:, start : start + size].astype(self.dtype)
+            batch = forms[:, start : start + size]
             for k0 in range(0, p, group):
                 k1 = min(k0 + group, p)
-                tau = self._taus(self._counts(k0, k1, w, forms))
+                tau = self._taus(self._counts(k0, k1, w, batch))
                 delta = tau[:, 0] - tau[:, 1]
                 forward[k0:k1] += np.count_nonzero(delta >= observed[k0:k1], axis=1)
                 backward[k0:k1] += np.count_nonzero(delta <= observed[k0:k1], axis=1)
@@ -539,7 +525,9 @@ def segment_sig_matrix(
     tables[col], human, r, seed)``, so the matrix does not depend on the
     order of the tables.  The tests share their replicates (common random
     numbers); each stays an exact permutation test, and the Bonferroni
-    flags hold under any dependence between them.
+    flags hold under any dependence between them.  When the smallest p-value
+    R replicates give, 1/(R + 1), is not below alpha/m, no flag can be true,
+    and one INFO line names the least R that can resolve one.
     """
     names = list(tables)
     pairs = [(row, col) for row in names for col in names if row != col]
@@ -581,6 +569,16 @@ def segment_sig_matrix(
         blocks,
         time.perf_counter() - started,
     )
+    if pairs and 0.0 < alpha and 1 / (r + 1) >= alpha / len(pairs):
+        least = max(1, math.floor(len(pairs) / alpha) - 1)
+        while 1 / (least + 1) >= alpha / len(pairs):  # as bonferroni compares
+            least += 1
+        logger.info(
+            "segment significance %s: no Bonferroni flag can be true: the "
+            "smallest p-value at R=%d, 1/(R+1), is not below alpha/m over "
+            "m=%d ordered pairs; R=%d replicates or more can resolve it",
+            task.label, r, len(pairs), least,
+        )
     return SigMatrix(task=task, level="segment", metrics=tuple(names), cells=cells)
 
 

@@ -4,17 +4,36 @@ These deliberately re-derive each statistic from its definition (explicit
 enumeration, full-table recursion, textbook formulas) rather than sharing
 any code path with the package.  The permutation-test oracle takes only its
 swap masks from the package: the seed stream is the documented contract.
+Two test-only helpers sit with them: ``lcs_length_bit_parallel`` runs the
+package's LCS kernel on one pair, for comparison with the oracles, and
+``read_csv_table`` reads a report with the csv module alone.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 import sys
 from functools import lru_cache
 
 from lcmteval.errors import ZeroLengthHypothesisCorpus
-from lcmteval.metrics import BleuScore
+from lcmteval.metrics import BleuScore, _lcs_from_masks, _match_masks
 from lcmteval.seeding import rng_for
+
+
+def read_csv_table(path) -> tuple[list[str], list[list[str]]]:
+    """The header and the non-blank rows of a CSV report, every row as wide
+    as the header."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *rows = [row for row in csv.reader(fh) if row]
+    assert all(len(row) == len(header) for row in rows), path
+    return header, rows
+
+
+def lcs_length_bit_parallel(a, b) -> int:
+    """The LCS length of one pair from the package's bit-parallel kernel,
+    the one ``rouge_l`` and ``rouge_l_arrays`` run."""
+    return _lcs_from_masks(a, _match_masks(b), len(b))
 
 
 def lcs_length_recursive(a: tuple, b: tuple) -> int:

@@ -36,7 +36,7 @@ from lcmteval.metrics import (
 )
 from lcmteval.pipeline import run_pipeline
 from lcmteval.ratings import krippendorff_alpha, trap_schedule_count
-from lcmteval.reports import load_sig_matrix_csv, read_csv_table
+from lcmteval.reports import load_sig_matrix_csv
 from lcmteval.significance import dagger_marks, paired_bootstrap, perm_both, zou_ci
 
 from .oracles import (
@@ -45,6 +45,7 @@ from .oracles import (
     krippendorff_interval_bruteforce,
     lcs_length_recursive,
     pearson_textbook,
+    read_csv_table,
 )
 from .test_ratings import rating
 

@@ -15,7 +15,6 @@ from lcmteval.metrics import (
     WHITESPACE,
     BleuScore,
     LengthRecord,
-    _lcs_length,
     bleu_arrays_from_stats,
     bleu_from_stats,
     bleu_star,
@@ -38,6 +37,7 @@ from .oracles import (
     SUM_LEFT_TO_RIGHT,
     bleu_from_stats_scalar,
     clipped_ngram_overlap,
+    lcs_length_bit_parallel,
     lcs_length_recursive,
 )
 
@@ -368,7 +368,7 @@ class TestLcsKernel:
     @example(a=["a"] * 70, b=["a"] * 130)
     @settings(max_examples=150, deadline=None)
     def test_matches_recursive_oracle_and_two_row_dp(self, a, b):
-        lcs = _lcs_length(tuple(a), tuple(b))
+        lcs = lcs_length_bit_parallel(tuple(a), tuple(b))
         assert lcs == lcs_two_row(a, b)
         assert lcs == lcs_length_recursive(tuple(a), tuple(b))
 
@@ -378,13 +378,13 @@ class TestLcsKernel:
     )
     @settings(max_examples=40, deadline=None)
     def test_sequences_longer_than_a_machine_word(self, a, b):
-        assert _lcs_length(a, b) == lcs_two_row(a, b)
-        assert _lcs_length(b, a) == lcs_two_row(a, b)
+        assert lcs_length_bit_parallel(a, b) == lcs_two_row(a, b)
+        assert lcs_length_bit_parallel(b, a) == lcs_two_row(a, b)
 
     def test_hand_cases(self):
-        assert _lcs_length("ABCBDAB", "BDCABA") == 4
-        assert _lcs_length("aaaa", "aa") == 2
-        assert _lcs_length("abc", "xyz") == 0
+        assert lcs_length_bit_parallel("ABCBDAB", "BDCABA") == 4
+        assert lcs_length_bit_parallel("aaaa", "aa") == 2
+        assert lcs_length_bit_parallel("abc", "xyz") == 0
 
 
 class TestSharedCounts:

@@ -38,10 +38,9 @@ from lcmteval.metrics import (
     scheme_for_direction,
     tokenize,
 )
-from lcmteval.reports import read_csv_table
 from lcmteval.seeding import integer_rows
 
-from .oracles import SUM_LEFT_TO_RIGHT, bleu_from_stats_scalar
+from .oracles import SUM_LEFT_TO_RIGHT, bleu_from_stats_scalar, read_csv_table
 
 GOLDEN = Path(__file__).parent / "goldens" / "fixture_manifest.json"
 GOLDEN_SEGMENT = Path(__file__).parent / "goldens" / "fixture_manifest_segment.json"

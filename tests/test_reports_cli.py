@@ -16,11 +16,12 @@ from lcmteval.reports import (
     SIG_HEADER,
     emit_sig_matrix,
     load_sig_matrix_csv,
-    read_csv_table,
     sig_to_svg,
     sig_to_textgrid,
 )
 from lcmteval.significance import CIResult, SigCell, SigMatrix
+
+from .oracles import read_csv_table
 
 TASK = Task("aa-bb", 0.8)
 GOLDENS = Path(__file__).parent / "goldens"

@@ -19,6 +19,7 @@ from lcmteval.errors import (
     ZeroVariance,
 )
 from lcmteval.metaeval import pearson
+from lcmteval.reports import emit_sig_matrix
 from lcmteval.significance import (
     _SwapTauB,
     bonferroni,
@@ -30,7 +31,7 @@ from lcmteval.significance import (
     zou_ci,
 )
 
-from .oracles import kendall_tau_b_enumeration, perm_both_enumeration
+from .oracles import kendall_tau_b_enumeration, perm_both_enumeration, read_csv_table
 
 TASK = Task("aa-bb", 0.8)
 
@@ -68,6 +69,15 @@ def tie_heavy_metrics(draw, max_n=16):
     scores = [draw(st.lists(SIGNED_LEVELS, min_size=n, max_size=n)) for _ in range(m)]
     h = draw(st.lists(st.integers(-2, 2).map(float), min_size=n, max_size=n))
     return scores, h
+
+
+def assert_each_pair_in_one_tile(tiles, n):
+    """Every cell pair i < j lies in exactly one of the (lo, hi, c0, c1)
+    rectangles ``tiles``."""
+    covered = np.zeros((n, n), dtype=int)
+    for lo, hi, c0, c1 in tiles:
+        covered[lo:hi, c0:c1] += 1
+    assert np.array_equal(np.triu(covered, 1), np.triu(np.ones((n, n), dtype=int), 1))
 
 
 def swapped(a, b, mask):
@@ -331,7 +341,8 @@ class TestSwapKernel:
         )
         kernel = _SwapTauB(np.array(scores), np.array(h))
         w = np.array(masks, dtype=np.float32).T
-        forms = kernel._forms(w, kernel._tiles(n))
+        size = data.draw(st.integers(1, len(masks)))  # replicates a batch
+        forms = kernel._forms(w.astype(bool), size)
         for k, (a, b) in enumerate(kernel.pairs):
             try:
                 expected = [
@@ -371,20 +382,21 @@ class TestSwapKernel:
         h = rng.integers(-3, 4, n).astype(float)
         ta, tb = seg_table(dict(zip(keys, a)), "A"), seg_table(dict(zip(keys, b)), "B")
         human = dict(zip(keys, h))
-        w = (rng.random((30, n)) < 0.5).astype(np.float32).T
+        masks = rng.random((n, 30)) < 0.5
+        # one tile (6 forms of 89 x 89 entries), 6 batches of 5 masks
         untiled = _SwapTauB(np.stack([a, b]), h)
-        assert untiled.single
-        whole = untiled._forms(w, [(0, n - 1, 1, n)])
+        whole = untiled._forms(masks, 5)
+        assert untiled.blocks_built == 1
         p_untiled = perm_both(ta, tb, human, r=150, seed=13)
 
-        # tiles of at most 100 entries (55 of them), rebuilt by each of 25
-        # batches of 6 replicates
+        # tiles of at most 100 entries (55 of them), each multiplied with 5
+        # batches of 6 masks
         monkeypatch.setattr(significance, "_BLOCK", 600)
         tiled = _SwapTauB(np.stack([a, b]), h)
-        assert not tiled.single
-        tiles = tiled._tiles(100)
-        assert len(tiles) == 55
-        assert np.array_equal(tiled._forms(w, tiles), whole)
+        assert np.array_equal(tiled._forms(masks, 6), whole)
+        assert tiled.blocks_built == 55
+        assert np.array_equal(tiled.lin, untiled.lin)
+        assert np.array_equal(tiled.const, untiled.const)
         assert perm_both(ta, tb, human, r=150, seed=13) == p_untiled
 
     def test_mask_chunks_at_nonzero_indices_equal_oracle(self, monkeypatch):
@@ -399,9 +411,10 @@ class TestSwapKernel:
         monkeypatch.setattr(significance, "_BLOCK", 7 * n)
         assert perm_both(ta, tb, dict(zip(keys, h)), r=45, seed=21) == expected
 
-    def test_each_tile_built_once_per_batch(self, monkeypatch):
-        # one tile is built once for every batch; several tiles are rebuilt
-        # by each batch
+    def test_each_tile_built_once_per_task(self, monkeypatch):
+        # tiles of at most 100 entries and 4 batches of 5 replicates: each
+        # tile is built once, in the order _tiles gives, and covers its cell
+        # pairs for every batch
         rng = np.random.default_rng(89)
         n = 90
         a, b = rng.integers(0, 5, n) / 4, rng.integers(0, 5, n) / 4
@@ -409,32 +422,54 @@ class TestSwapKernel:
         built, sizes = [], []
         real_coefficients, real_forms = _SwapTauB._coefficients, _SwapTauB._forms
 
-        def counting_coefficients(self, lo, hi, c0, c1, out):
+        def counting_coefficients(self, lo, hi, c0, c1, out, sums):
             built.append((lo, hi, c0, c1))
-            return real_coefficients(self, lo, hi, c0, c1, out)
+            return real_coefficients(self, lo, hi, c0, c1, out, sums)
 
-        def counting_forms(self, w32, tiles):
-            sizes.append((w32.shape[1], tiles))
-            return real_forms(self, w32, tiles)
+        def counting_forms(self, masks, size):
+            sizes.append((masks.shape[1], size))
+            return real_forms(self, masks, size)
 
         monkeypatch.setattr(_SwapTauB, "_coefficients", counting_coefficients)
         monkeypatch.setattr(_SwapTauB, "_forms", counting_forms)
-        for budget, r, single, batches in (
-            # one tile (6 forms of 89 x 89 entries): 25 batches of 6 replicates
-            (6 * 89 * 89, 150, True, [6] * 25),
-            # tiles of at most 100 entries: 4 batches of 5 replicates
-            (600, 20, False, [5] * 4),
-        ):
-            built.clear()
-            sizes.clear()
-            monkeypatch.setattr(significance, "_BLOCK", budget)
-            kernel = _SwapTauB(np.stack([a, b]), h)
-            assert kernel.single == single
-            kernel.hits(5, r)
-            assert [size for size, _ in sizes] == batches
-            tiles = sizes[0][1]
-            assert all(t == tiles for _, t in sizes)
-            assert built == tiles if single else tiles * len(batches)
+        monkeypatch.setattr(significance, "_BLOCK", 600)
+        kernel = _SwapTauB(np.stack([a, b]), h)
+        kernel.hits(5, 20)
+        assert sizes == [(20, 5)]
+        tiles = kernel._tiles(100)
+        assert len(tiles) == 55
+        assert built == tiles
+        assert kernel.blocks_built == len(tiles)
+        assert_each_pair_in_one_tile(built, n)
+
+    @pytest.mark.parametrize("budget", [2**17, 8 * 40, 3 * 40])
+    def test_sign_sums_from_tiles_equal_full_sums(self, monkeypatch, budget):
+        # rowsum and colsum of every G_xy, added up from the tiles' s1 and s2
+        # halves, equal the n x n sums; three metrics on five levels and h on
+        # seven, so most pairs of cells tie somewhere
+        rng = np.random.default_rng(113)
+        n = 40
+        scores = rng.integers(0, 5, (3, n)) / 4
+        h = rng.integers(-3, 4, n).astype(float)
+        captured = []
+        real_coefficients = _SwapTauB._coefficients
+
+        def capturing_coefficients(self, lo, hi, c0, c1, out, sums):
+            captured.append(sums)
+            return real_coefficients(self, lo, hi, c0, c1, out, sums)
+
+        monkeypatch.setattr(_SwapTauB, "_coefficients", capturing_coefficients)
+        monkeypatch.setattr(significance, "_BLOCK", budget)
+        kernel = _SwapTauB(scores, h)
+        kernel._forms(rng.random((n, 8)) < 0.5, 8)
+        assert (kernel.blocks_built == 1) == (budget == 2**17)
+        assert all(sums is captured[0] for sums in captured)
+        rows, cols = captured[0]
+        g = np.sign(h[:, None] - h[None, :])
+        for k, (x, y) in enumerate(zip(*kernel.sign_pairs)):
+            full = g * np.sign(scores[x][:, None] - scores[y][None, :])
+            assert rows[k].tolist() == full.sum(axis=1).astype(int).tolist()
+            assert cols[k].tolist() == full.sum(axis=0).astype(int).tolist()
 
     def test_non_finite_score_rejected(self):
         keys = [("s1", "g0"), ("s1", "g1"), ("s2", "g0"), ("s2", "g1")]
@@ -508,12 +543,52 @@ class TestSegmentSigMatrix:
         human, tables = self._human_and_tables(seed=71, n=10)
         with caplog.at_level(logging.INFO, logger="lcmteval.significance"):
             segment_sig_matrix(tables, human, TASK, r=20, seed=7)
-        (message,) = [r.getMessage() for r in caplog.records]
-        assert message.startswith(
+        work, resolution = [r.getMessage() for r in caplog.records]
+        assert work.startswith(
             "segment significance aa-bb.80: 3 metrics, 6 ordered pairs, "
             "n=20 cells, R=20 replicates, 1 mask set, 3 unordered pairs, "
             "1 coefficient blocks built, "
         )
+        assert resolution == (
+            "segment significance aa-bb.80: no Bonferroni flag can be true: "
+            "the smallest p-value at R=20, 1/(R+1), is not below alpha/m over "
+            "m=6 ordered pairs; R=120 replicates or more can resolve it"
+        )
+
+    def test_bonferroni_flag_fires_from_the_least_resolving_r(
+        self, caplog, tmp_path
+    ):
+        # 3 metrics give m = 6 ordered pairs: the smallest p-value 1/(R + 1)
+        # is below alpha/m = 0.05/6 from R = 120 on, where the metric that
+        # tracks the human scores beats both noise metrics under the flag in
+        # every written format; below that the run says no flag can be true
+        human, tables = self._human_and_tables()
+        for r, resolves in ((119, False), (120, True)):
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="lcmteval.significance"):
+                matrix = segment_sig_matrix(tables, human, TASK, r=r, seed=4)
+            messages = [record.getMessage() for record in caplog.records]
+            unresolved = [m for m in messages if "no Bonferroni flag" in m]
+            for fmt in ("csv", "txt", "svg"):
+                emit_sig_matrix(
+                    matrix, "textgrid" if fmt == "txt" else fmt, tmp_path / f"sig.{fmt}"
+                )
+            header, rows = read_csv_table(tmp_path / "sig.csv")
+            column = header.index("bonferroni_significant")
+            flagged = {(row[3], row[4]) for row in rows if row[column] == "true"}
+            grid = (tmp_path / "sig.txt").read_text()
+            svg = (tmp_path / "sig.svg").read_text()
+            if resolves:
+                assert unresolved == []
+                assert flagged == {("good", "noise1"), ("good", "noise2")}
+                assert matrix.cells[("good", "noise1")].p_value == 1 / 121
+            else:
+                assert len(unresolved) == 1
+                assert "R=120 replicates or more" in unresolved[0]
+                assert flagged == set()
+            # "b" marks a Bonferroni win in the grid (no metric name has one),
+            # an orange outline in the SVG
+            assert grid.count("b") == svg.count('stroke="#ef6c00"') == len(flagged)
 
     @given(tie_heavy_metrics(), st.integers(0, 2**32))
     @settings(max_examples=40, deadline=None)
@@ -536,7 +611,7 @@ class TestSegmentSigMatrix:
         except AllTied:  # h or some replicate of some pair is all ties
             expected = None
         # the default budget (one tile, one batch), then tiles of a row or
-        # less, rebuilt by each of several batches
+        # less, each built once, and several batches
         for budget in (significance._BLOCK, 8 * n):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(significance, "_BLOCK", budget)
@@ -561,8 +636,8 @@ class TestSegmentSigMatrix:
     )
     @settings(max_examples=30, deadline=None)
     def test_shrunk_budget_p_values_equal_enumeration_oracle(self, cells, seed):
-        # tiles of a row or less, rebuilt by each of several batches of a few
-        # replicates at R = 25
+        # tiles of a row or less, each built once, and several batches of a
+        # few replicates at R = 25
         scores, h = cells
         n = len(h)
         keys = dense_keys(n)
@@ -593,8 +668,7 @@ class TestSegmentSigMatrix:
 
     def test_pairs_share_q_and_cells_are_ranked_once(self, monkeypatch, caplog):
         # 3 metrics (3 unordered pairs) share one mask set and one product of
-        # all their forms per tile and batch; one tile is built once, several
-        # tiles once per batch
+        # all their forms per tile and batch; each tile is built once
         rng = np.random.default_rng(97)
         n = 90
         keys = dense_keys(n)
@@ -604,7 +678,7 @@ class TestSegmentSigMatrix:
         }
         human = dict(zip(keys, rng.integers(-3, 4, n).astype(float)))
         calls = {"_gather": 0, "_dense_ranks": 0}
-        built, batches = [], []
+        built, sizes = [], []
 
         def counting(name):
             real = getattr(significance, name)
@@ -619,42 +693,41 @@ class TestSegmentSigMatrix:
             monkeypatch.setattr(significance, name, counting(name))
         real_coefficients, real_forms = _SwapTauB._coefficients, _SwapTauB._forms
 
-        def counting_coefficients(self, lo, hi, c0, c1, out):
+        def counting_coefficients(self, lo, hi, c0, c1, out, sums):
             built.append((lo, hi, c0, c1))
-            return real_coefficients(self, lo, hi, c0, c1, out)
+            return real_coefficients(self, lo, hi, c0, c1, out, sums)
 
-        def counting_forms(self, w32, tiles):
-            batches.append(tiles)
-            return real_forms(self, w32, tiles)
+        def counting_forms(self, masks, size):
+            sizes.append(size)
+            return real_forms(self, masks, size)
 
         monkeypatch.setattr(_SwapTauB, "_coefficients", counting_coefficients)
         monkeypatch.setattr(_SwapTauB, "_forms", counting_forms)
-        for budget, r, n_tiles, n_batches in (
-            # one tile (12 forms of 89 x 89 entries), R = 200 in 17 batches
-            # of up to 12 replicates
-            (12 * 89 * 89, 200, 1, 17),
+        for budget, r, size, n_tiles in (
+            # one tile (89 x 89 entries) and one batch of R = 200
+            (200 * 89 * 89, 200, 200, 1),
             # 46 tiles of at most 126 entries, R = 60 in 3 batches of 20
-            (4 * n * 7, 60, 46, 3),
+            (4 * n * 7, 60, 20, 46),
         ):
             for counter in calls:
                 calls[counter] = 0
             built.clear()
-            batches.clear()
+            sizes.clear()
             caplog.clear()
             monkeypatch.setattr(significance, "_BLOCK", budget)
             with caplog.at_level(logging.INFO, logger="lcmteval.significance"):
                 segment_sig_matrix(tables, human, TASK, r=r, seed=8)
             # one gather and two rankings (the scores and h) per task
             assert calls == {"_gather": 1, "_dense_ranks": 2}
-            assert len(batches) == n_batches
-            tiles = batches[0]
-            assert len(tiles) == n_tiles
-            assert all(t == tiles for t in batches)
-            assert built == (tiles if n_tiles == 1 else tiles * n_batches)
-            (message,) = [r.getMessage() for r in caplog.records]
+            assert sizes == [size]
+            assert len(built) == n_tiles
+            assert_each_pair_in_one_tile(built, n)
+            (message,) = [
+                r.getMessage() for r in caplog.records if "blocks built" in r.getMessage()
+            ]
             assert (
                 f"R={r} replicates, 1 mask set, 3 unordered pairs, "
-                f"{len(built)} coefficient blocks built, "
+                f"{n_tiles} coefficient blocks built, "
             ) in message
 
     def test_one_generator_per_matrix(self, monkeypatch):
