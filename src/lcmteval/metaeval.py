@@ -12,6 +12,13 @@ pair and uses Kendall tau-b.  Every function reads a score table's array:
 its row means are the system scores, and its flattened row-major array, in
 sorted (system, segment) order, is the metric's side of the pooled pair.
 
+Every reader of score tables and human scores aligns them in one step: the
+tables share one task, the segment-level ones their system and segment ids,
+a system-only one covers the same systems, and the human mapping scores
+every (system, segment) cell of that grid and no other (its segment ids
+serve when every table is system-only).  Anything else raises
+:class:`CellMismatch`, which names a missing cell.
+
 Kendall tau-b is counted exactly from int8 signs of dense ranks, the same
 pairwise signs the segment permutation test (``significance._SwapTauB``)
 builds: twice the concordant-minus-discordant count is the sum of
@@ -30,7 +37,7 @@ from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import SEGMENT_LEVEL, SYSTEM_LEVEL, ScoreTable, Task
+from .corpus import SEGMENT_LEVEL, ScoreTable, Task
 from .errors import (
     AllTied,
     CellMismatch,
@@ -212,25 +219,35 @@ def kendall_tau_b(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     return CorrelationResult(KENDALL_TAU_B, max(-1.0, min(1.0, tau)), n)
 
 
-def _check_aligned_tables(tables: Sequence[ScoreTable]) -> tuple[list[str], list[str]]:
-    """The system and segment ids that every table shares."""
+def _check_aligned_tables(
+    tables: Sequence[ScoreTable], human: Mapping[tuple[str, str], float]
+) -> tuple[list[str], list[str], np.ndarray]:
+    """The alignment step of the module docstring: the sorted system and
+    segment ids, and a float64 (segment-level tables + 1, systems, segments)
+    cube of each segment-level table's array, then the human scores."""
+    if any(t.task != tables[0].task for t in tables):
+        raise CellMismatch("tables span different tasks")
     seg_tables = [t for t in tables if t.level == SEGMENT_LEVEL]
-    systems, seg_ids = (), ()
-    if seg_tables:
-        systems, seg_ids = seg_tables[0].system_ids, seg_tables[0].seg_ids
-    for t in seg_tables:
-        if (t.system_ids, t.seg_ids) != (systems, seg_ids):
+    systems = (seg_tables or tables)[0].system_ids
+    seg_ids = seg_tables[0].seg_ids if seg_tables else sorted({g for _, g in human})
+    for t in tables:
+        if t.level == SEGMENT_LEVEL and (t.system_ids, t.seg_ids) != (systems, seg_ids):
             raise CellMismatch(
                 f"table {t.display_name()} is not aligned with the others"
             )
-    for t in tables:
-        if t.level == SYSTEM_LEVEL:
-            if systems and t.system_ids != systems:
-                raise CellMismatch(
-                    f"system-only table {t.display_name()} covers different systems"
-                )
-            systems = t.system_ids
-    return list(systems), list(seg_ids)
+        if t.system_ids != systems:
+            raise CellMismatch(
+                f"system-only table {t.display_name()} covers different systems"
+            )
+    try:
+        cells = [human[(s, g)] for s in systems for g in seg_ids]
+    except KeyError as exc:
+        raise CellMismatch(f"human score missing for cell {exc}") from None
+    if len(human) != len(cells):
+        raise CellMismatch("human segment scores not aligned with the score tables")
+    grid = np.array(cells, dtype=np.float64).reshape(len(systems), len(seg_ids))
+    cube = np.stack([*(t.values for t in seg_tables), grid])
+    return list(systems), list(seg_ids), cube
 
 
 def apply_selector(table: ScoreTable, choices: Mapping[str, str]) -> float:
@@ -268,40 +285,25 @@ def hybrid_arrays(
     """The arrays behind :func:`hybrid_supersample`, which documents the
     draws, the checks and the errors.
 
-    The index rows come from one :func:`~.seeding.integer_rows` call.  The
-    segment-level tables' arrays and the human scores are stacked into one
-    (tables + 1, systems, segments) cube; one mean over its last axis gives
-    the real systems' scores and one over the hybrids' selected cells gives
-    theirs, gathering at most ``_GATHER_BYTES`` of cells at a time.
-    System-only tables' arrays are their real systems' scores.
+    The index rows come from one :func:`~.seeding.integer_rows` call.  One
+    mean over the last axis of the alignment step's cube gives the real
+    systems' scores and one over the hybrids' selected cells gives theirs,
+    gathering at most ``_GATHER_BYTES`` of cells at a time.  System-only
+    tables' arrays are their real systems' scores.
     """
     if not tables:
         raise NoVariants("hybrid_supersample needs at least one score table")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    task = tables[0].task
-    for t in tables:
-        if t.task != task:
-            raise CellMismatch("tables span different tasks")
-    systems, seg_ids = _check_aligned_tables(tables)
-    if not seg_ids:
-        seg_ids = sorted({g for _, g in human_segment_scores})
+    systems, seg_ids, cube = _check_aligned_tables(tables, human_segment_scores)
     if len(systems) < 2:
         raise TooFewSystems(f"need at least 2 real systems, got {len(systems)}")
-    want = {(s, g) for s in systems for g in seg_ids}
-    if set(human_segment_scores) != want:
-        raise CellMismatch("human segment scores not aligned with the score tables")
 
     n_sys = len(systems)
     n_seg = len(seg_ids)
+    task = tables[0].task
     index_rows, redrawn = integer_rows(seed, f"hybrid:{task.label}", k, n_sys, n_seg)
 
-    seg_tables = [table for table in tables if table.level == SEGMENT_LEVEL]
-    human = np.array(
-        [[human_segment_scores[(s, g)] for g in seg_ids] for s in systems],
-        dtype=np.float64,
-    )
-    cube = np.stack([*(table.values for table in seg_tables), human])
     extended = np.empty((len(cube), n_sys + k))
     extended[:, :n_sys] = cube.mean(axis=2)
     # np.take lays each hybrid's cells out contiguously, so every mean sums
@@ -313,15 +315,16 @@ def hybrid_arrays(
     for lo in range(0, len(cube), step):
         cells = np.take(flat[lo : lo + step], picked, axis=1)
         extended[lo : lo + step, n_sys:] = cells.mean(axis=2)
-    by_table = dict(zip((table.key for table in seg_tables), extended))
+    rows = iter(extended)  # the segment-level tables', in order
 
     corpus_scores: Mapping[tuple[str, str], Sequence[float]] = {}
-    if k > 0 and len(seg_tables) < len(tables) and corpus_scorer is not None:
+    system_only = any(table.level != SEGMENT_LEVEL for table in tables)
+    if k > 0 and system_only and corpus_scorer is not None:
         corpus_scores = corpus_scorer(index_rows)
     vectors: dict[tuple[str, str], np.ndarray] = {}
     for table in tables:
         if table.level == SEGMENT_LEVEL:
-            vectors[table.key] = by_table[table.key]
+            vectors[table.key] = next(rows)
             continue
         values = table.values
         if k > 0:
@@ -394,11 +397,8 @@ def segment_correlation(
         raise SystemOnlyTable(
             f"{table.display_name()} has no segment scores to correlate"
         )
-    try:
-        human = [human_segment_scores[key] for key in table.cell_keys()]
-    except KeyError as exc:
-        raise CellMismatch(f"human score missing for cell {exc}") from None
-    return kendall_tau_b(table.values.ravel(), human)
+    _, _, (scores, human) = _check_aligned_tables([table], human_segment_scores)
+    return kendall_tau_b(scores.ravel(), human.ravel())
 
 
 def select_best_variant(

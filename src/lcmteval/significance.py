@@ -31,6 +31,11 @@ share their replicates (common random numbers).  Each stays an exact
 permutation test, and the Bonferroni flags, a union bound, hold under any
 dependence between the tests.  Every working block holds at most
 ``_BLOCK`` (131,072) entries; the masks and the forms grow with R.
+
+The tests align their tables and the human scores in metaeval's one step:
+the tables share one task (a matrix's own) and their cells, and the human
+mapping scores those cells and no other; anything else raises
+:class:`CellMismatch`, which names a missing cell.
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ from .errors import (
 from .metaeval import (
     _centred,
     _centred_r,
+    _check_aligned_tables,
     _check_paired,
     _dense_ranks,
     _sign_of_difference,
@@ -206,21 +212,10 @@ def _gather(
     in sorted key order."""
     if any(table.level != SEGMENT_LEVEL for table in tables):
         raise SystemOnlyTable("permutation test needs segment-level tables")
-    first = tables[0]
-    for table in tables[1:]:
-        if (table.system_ids, table.seg_ids) != (first.system_ids, first.seg_ids):
-            raise CellMismatch(
-                f"{first.display_name()} and {table.display_name()} cover "
-                "different cells"
-            )
-    try:
-        h = np.asarray([human[k] for k in first.cell_keys()], dtype=np.float64)
-    except KeyError as exc:
-        raise CellMismatch(f"human score missing for cell {exc}") from None
-    scores = np.stack([table.values.ravel() for table in tables])
-    if not (np.isfinite(scores).all() and np.isfinite(h).all()):
+    cube = _check_aligned_tables(tables, human)[2].reshape(len(tables) + 1, -1)
+    if not np.isfinite(cube).all():
         raise NonFiniteScore("permutation test needs finite scores")
-    return scores, h
+    return cube[:-1], cube[-1]
 
 
 # Entries of any one working block of the permutation test (see _SwapTauB).
@@ -529,6 +524,8 @@ def segment_sig_matrix(
     R replicates give, 1/(R + 1), is not below alpha/m, no flag can be true,
     and one INFO line names the least R that can resolve one.
     """
+    if any(table.task != task for table in tables.values()):
+        raise CellMismatch(f"tables not all of task {task.label}")
     names = list(tables)
     pairs = [(row, col) for row in names for col in names if row != col]
     started = time.perf_counter()

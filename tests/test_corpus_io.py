@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -608,3 +611,24 @@ class TestRatingRecordInvariants:
         assert exc.value.path == tmp_path / "ratings.csv"
         assert exc.value.line == 3
         assert f"ratings.csv:3: duration '{duration}'" in str(exc.value)
+
+
+def test_load_and_validate_do_not_import_numpy_random(fixture_config_path):
+    """Only runs that draw pay for importing numpy.random: importing the
+    package, loading and validating a campaign leave it out."""
+    import lcmteval
+
+    code = (
+        "import sys\n"
+        "from lcmteval import load_campaign, validate_campaign\n"
+        "validate_campaign(load_campaign(sys.argv[1]))\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+    src = Path(lcmteval.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(fixture_config_path)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr

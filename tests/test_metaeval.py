@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +33,7 @@ from lcmteval.metaeval import (
     select_best_variant,
     system_scores,
 )
+from lcmteval.significance import perm_both, segment_sig_matrix
 
 from .oracles import kendall_tau_b_enumeration, pearson_textbook
 
@@ -40,6 +42,28 @@ TASK = Task("aa-bb", 0.8)
 
 def seg_table(cells, metric="m", variant="v", task=TASK):
     return ScoreTable.segment_table(metric, variant, task, cells)
+
+
+# Every reader of score tables and human scores, called on a list of tables
+# of one task and one human mapping; each checks both with one alignment step.
+READERS = {
+    "hybrid_supersample": lambda tables, human: hybrid_supersample(
+        tables, human, 3, seed=1
+    ),
+    "segment_correlation": lambda tables, human: [
+        segment_correlation(t, human) for t in tables
+    ],
+    "select_best_variant": lambda tables, human: [
+        select_best_variant({"v": {t.task: t}}, {t.task: human}, [t.task])
+        for t in tables
+    ],
+    "perm_both": lambda tables, human: perm_both(
+        tables[0], tables[-1], human, r=10, seed=0
+    ),
+    "segment_sig_matrix": lambda tables, human: segment_sig_matrix(
+        {t.display_name(): t for t in tables}, human, tables[0].task, r=10, seed=0
+    ),
+}
 
 
 def grid(values_by_system):
@@ -370,10 +394,28 @@ class TestHybridSupersample:
             hybrid_supersample([seg_table(cells)], human, 3, seed=1)
 
     def test_misaligned_human_rejected(self):
+        # every reader refuses a human mapping that misses a cell, naming
+        # it, or that holds a cell the tables lack
         table, human = make_aligned()
-        human.pop(("s1", "g00"))
-        with pytest.raises(CellMismatch):
-            hybrid_supersample([table], human, 3, seed=1)
+        tables = [table, seg_table(dict(table.cells), variant="w")]
+        extra = {**human, ("s9", "g00"): 0.5}
+        missing = {key: v for key, v in human.items() if key != ("s2", "g03")}
+        for read in READERS.values():
+            with pytest.raises(CellMismatch, match="human segment scores not aligned"):
+                read(tables, extra)
+            with pytest.raises(CellMismatch, match=re.escape("('s2', 'g03')")):
+                read(tables, missing)
+        # system-only tables alone take their segment ids from the mapping
+        bleu = ScoreTable.system_table(
+            "BLEU", "-", TASK, dict.fromkeys(table.systems(), 0.5)
+        )
+        arrays = metaeval_module.hybrid_arrays([bleu], human, 0, seed=1)
+        assert arrays.seg_ids == [f"g{i:02d}" for i in range(6)]
+        assert arrays.human.tolist() == system_scores(seg_table(human)).values
+        with pytest.raises(CellMismatch, match="human segment scores not aligned"):
+            hybrid_supersample([bleu], extra, 0, seed=1)
+        with pytest.raises(CellMismatch, match=re.escape("('s2', 'g03')")):
+            hybrid_supersample([bleu], missing, 0, seed=1)
 
     def test_system_only_table_needs_scorer(self):
         table, human = make_aligned()

@@ -32,6 +32,7 @@ from lcmteval.significance import (
 )
 
 from .oracles import kendall_tau_b_enumeration, perm_both_enumeration, read_csv_table
+from .test_metaeval import READERS
 
 TASK = Task("aa-bb", 0.8)
 
@@ -313,10 +314,18 @@ class TestPermBoth:
 
     def test_cell_mismatch(self):
         keys = [("s1", "g0"), ("s1", "g1"), ("s2", "g0"), ("s2", "g1")]
-        ta = seg_table(dict(zip(keys, [1.0, 2.0, 3.0, 4.0])))
+        human = dict(zip(keys, [1.0, 2.0, 3.0, 4.0]))
+        ta = seg_table(human)
         tb = seg_table({keys[0]: 1.0})
         with pytest.raises(CellMismatch):
-            perm_both(ta, tb, dict(zip(keys, [1.0, 2.0, 3.0, 4.0])), r=10, seed=0)
+            perm_both(ta, tb, human, r=10, seed=0)
+        # the same cells under another task
+        other = ScoreTable.segment_table("B", "-", Task("bb-aa", 0.8), human)
+        for name in ("hybrid_supersample", "perm_both", "segment_sig_matrix"):
+            with pytest.raises(CellMismatch, match="task"):
+                READERS[name]([ta, other], human)
+        with pytest.raises(CellMismatch, match="bb-aa"):
+            segment_sig_matrix({"A": ta}, human, other.task, r=10, seed=0)
 
     def test_all_tied_human_rejected(self):
         keys = [("s1", "g0"), ("s1", "g1"), ("s2", "g0"), ("s2", "g1")]
@@ -803,6 +812,18 @@ class TestSegmentSigMatrix:
         with pytest.raises(CellMismatch) as matrix:
             segment_sig_matrix(tables, human, TASK, r=10, seed=0)
         assert str(matrix.value) == str(single.value)
+        # a human mapping that misses a cell or holds one more: every reader
+        # of A and B refuses it with the same message
+        for misaligned in (
+            {k: v for k, v in human.items() if k != keys[2]},
+            {**human, ("s3", "g0"): 5.0},
+        ):
+            messages = set()
+            for read in READERS.values():
+                with pytest.raises(CellMismatch) as error:
+                    read([tables["A"], tables["B"]], misaligned)
+                messages.add(str(error.value))
+            assert len(messages) == 1, messages
         tables["C"] = seg_table(dict(zip(keys, [1.0, float("inf"), 3.0, 4.0])), "C")
         with pytest.raises(NonFiniteScore):
             segment_sig_matrix(tables, human, TASK, r=10, seed=0)
