@@ -219,7 +219,7 @@ def kendall_tau_b(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     return CorrelationResult(KENDALL_TAU_B, max(-1.0, min(1.0, tau)), n)
 
 
-def _check_aligned_tables(
+def _aligned_cube(
     tables: Sequence[ScoreTable], human: Mapping[tuple[str, str], float]
 ) -> tuple[list[str], list[str], np.ndarray]:
     """The alignment step of the module docstring: the sorted system and
@@ -295,7 +295,7 @@ def hybrid_arrays(
         raise NoVariants("hybrid_supersample needs at least one score table")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    systems, seg_ids, cube = _check_aligned_tables(tables, human_segment_scores)
+    systems, seg_ids, cube = _aligned_cube(tables, human_segment_scores)
     if len(systems) < 2:
         raise TooFewSystems(f"need at least 2 real systems, got {len(systems)}")
 
@@ -397,7 +397,7 @@ def segment_correlation(
         raise SystemOnlyTable(
             f"{table.display_name()} has no segment scores to correlate"
         )
-    _, _, (scores, human) = _check_aligned_tables([table], human_segment_scores)
+    _, _, (scores, human) = _aligned_cube([table], human_segment_scores)
     return kendall_tau_b(scores.ravel(), human.ravel())
 
 

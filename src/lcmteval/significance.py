@@ -62,9 +62,9 @@ from .errors import (
     SystemOnlyTable,
 )
 from .metaeval import (
+    _aligned_cube,
     _centred,
     _centred_r,
-    _check_aligned_tables,
     _check_paired,
     _dense_ranks,
     _sign_of_difference,
@@ -212,7 +212,7 @@ def _gather(
     in sorted key order."""
     if any(table.level != SEGMENT_LEVEL for table in tables):
         raise SystemOnlyTable("permutation test needs segment-level tables")
-    cube = _check_aligned_tables(tables, human)[2].reshape(len(tables) + 1, -1)
+    cube = _aligned_cube(tables, human)[2].reshape(len(tables) + 1, -1)
     if not np.isfinite(cube).all():
         raise NonFiniteScore("permutation test needs finite scores")
     return cube[:-1], cube[-1]

@@ -4,9 +4,10 @@ These deliberately re-derive each statistic from its definition (explicit
 enumeration, full-table recursion, textbook formulas) rather than sharing
 any code path with the package.  The permutation-test oracle takes only its
 swap masks from the package: the seed stream is the documented contract.
-Two test-only helpers sit with them: ``lcs_length_bit_parallel`` runs the
-package's LCS kernel on one pair, for comparison with the oracles, and
-``read_csv_table`` reads a report with the csv module alone.
+Three test-only helpers sit with them: ``lcs_length_bit_parallel`` runs the
+package's LCS kernel on one pair, for comparison with the oracles,
+``read_csv_table`` reads a report with the csv module alone, and ``READERS``
+calls each reader of score tables and human scores the same way.
 """
 
 from __future__ import annotations
@@ -17,8 +18,36 @@ import sys
 from functools import lru_cache
 
 from lcmteval.errors import ZeroLengthHypothesisCorpus
+from lcmteval.metaeval import (
+    hybrid_supersample,
+    segment_correlation,
+    select_best_variant,
+)
 from lcmteval.metrics import BleuScore, _lcs_from_masks, _match_masks
 from lcmteval.seeding import rng_for
+from lcmteval.significance import perm_both, segment_sig_matrix
+
+
+# Every reader of score tables and human scores, called on a list of tables
+# of one task and one human mapping; each checks both with one alignment step.
+READERS = {
+    "hybrid_supersample": lambda tables, human: hybrid_supersample(
+        tables, human, 3, seed=1
+    ),
+    "segment_correlation": lambda tables, human: [
+        segment_correlation(t, human) for t in tables
+    ],
+    "select_best_variant": lambda tables, human: [
+        select_best_variant({"v": {t.task: t}}, {t.task: human}, [t.task])
+        for t in tables
+    ],
+    "perm_both": lambda tables, human: perm_both(
+        tables[0], tables[-1], human, r=10, seed=0
+    ),
+    "segment_sig_matrix": lambda tables, human: segment_sig_matrix(
+        {t.display_name(): t for t in tables}, human, tables[0].task, r=10, seed=0
+    ),
+}
 
 
 def read_csv_table(path) -> tuple[list[str], list[list[str]]]:

@@ -615,11 +615,16 @@ class TestRatingRecordInvariants:
 
 def test_load_and_validate_do_not_import_numpy_random(fixture_config_path):
     """Only runs that draw pay for importing numpy.random: importing the
-    package, loading and validating a campaign leave it out."""
+    package, loading and validating a campaign leave it out.  Where numpy
+    itself imports it (numpy 1.x does, 2.x loads it lazily) there is nothing
+    to guard."""
     import lcmteval
 
     code = (
         "import sys\n"
+        "import numpy\n"
+        "if 'numpy.random' in sys.modules:\n"
+        "    sys.exit('numpy imports numpy.random')\n"
         "from lcmteval import load_campaign, validate_campaign\n"
         "validate_campaign(load_campaign(sys.argv[1]))\n"
         "assert 'numpy.random' not in sys.modules\n"
@@ -631,4 +636,6 @@ def test_load_and_validate_do_not_import_numpy_random(fixture_config_path):
         capture_output=True,
         text=True,
     )
+    if result.stderr.strip() == "numpy imports numpy.random":
+        pytest.skip("import numpy alone loads numpy.random")
     assert result.returncode == 0, result.stderr

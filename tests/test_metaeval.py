@@ -33,37 +33,14 @@ from lcmteval.metaeval import (
     select_best_variant,
     system_scores,
 )
-from lcmteval.significance import perm_both, segment_sig_matrix
 
-from .oracles import kendall_tau_b_enumeration, pearson_textbook
+from .oracles import READERS, kendall_tau_b_enumeration, pearson_textbook
 
 TASK = Task("aa-bb", 0.8)
 
 
 def seg_table(cells, metric="m", variant="v", task=TASK):
     return ScoreTable.segment_table(metric, variant, task, cells)
-
-
-# Every reader of score tables and human scores, called on a list of tables
-# of one task and one human mapping; each checks both with one alignment step.
-READERS = {
-    "hybrid_supersample": lambda tables, human: hybrid_supersample(
-        tables, human, 3, seed=1
-    ),
-    "segment_correlation": lambda tables, human: [
-        segment_correlation(t, human) for t in tables
-    ],
-    "select_best_variant": lambda tables, human: [
-        select_best_variant({"v": {t.task: t}}, {t.task: human}, [t.task])
-        for t in tables
-    ],
-    "perm_both": lambda tables, human: perm_both(
-        tables[0], tables[-1], human, r=10, seed=0
-    ),
-    "segment_sig_matrix": lambda tables, human: segment_sig_matrix(
-        {t.display_name(): t for t in tables}, human, tables[0].task, r=10, seed=0
-    ),
-}
 
 
 def grid(values_by_system):

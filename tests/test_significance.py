@@ -31,8 +31,12 @@ from lcmteval.significance import (
     zou_ci,
 )
 
-from .oracles import kendall_tau_b_enumeration, perm_both_enumeration, read_csv_table
-from .test_metaeval import READERS
+from .oracles import (
+    READERS,
+    kendall_tau_b_enumeration,
+    perm_both_enumeration,
+    read_csv_table,
+)
 
 TASK = Task("aa-bb", 0.8)
 
