@@ -23,7 +23,9 @@ Kendall tau-b is counted exactly from int8 signs of dense ranks, the same
 pairwise signs the segment permutation test (``significance._SwapTauB``)
 builds: twice the concordant-minus-discordant count is the sum of
 sign(x_i - x_j) * sign(y_i - y_j) over ordered pairs, taken in row tiles of
-at most ``_BUDGET`` entries, and the tie counts come from the rank counts.
+at most ``_BLOCK`` entries (the bound of every chunked pass, the hybrid
+gathers' and the permutation test's too), and the tie counts come from the
+rank counts.
 The float finish divides in a fixed order, (C - D) / sqrt(n0 - T_x) /
 sqrt(n0 - T_y) with n0 = n(n - 1)/2, the order of the reference
 implementation the tests compare against with ``==``.
@@ -162,14 +164,9 @@ def pearson_rs(
     return out
 
 
-# Element budget of the pairwise working arrays of ``kendall_tau_b``: a tile
-# of pairwise signs holds at most this many entries, whatever the number of
-# cells.
-_BUDGET = 4_000_000
-
-# Byte budget of one step of the hybrid gather in ``hybrid_arrays``: the
-# selected cells of as many tables as fit, at least one table per step.
-_GATHER_BYTES = 4 << 20
+# Entries of any one working array of a chunked pass: the kendall_tau_b
+# tiles, both hybrid gathers and the permutation test's blocks.
+_BLOCK = 2**17
 
 
 def _dense_ranks(x: np.ndarray) -> np.ndarray:
@@ -190,7 +187,7 @@ def kendall_tau_b(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     (C - D) / sqrt((C + D + T_x)(C + D + T_y)).
 
     C - D is counted exactly from the signs of dense-rank differences, in
-    row tiles whose two sign arrays hold at most ``_BUDGET`` entries; the
+    row tiles whose two sign arrays hold at most ``_BLOCK`` entries; the
     tied pairs T_x and T_y come from the rank counts.  ±inf rank as ordinary
     values; a NaN on either side raises :class:`AllTied`.
     """
@@ -209,7 +206,7 @@ def kendall_tau_b(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
         int((counts * (counts - 1) // 2).sum())
         for counts in (np.bincount(rx), np.bincount(ry))
     )
-    rows = max(1, _BUDGET // (2 * n))
+    rows = max(1, _BLOCK // (2 * n))
     twice = 0
     for lo in range(0, n, rows):
         s = _sign_of_difference(rx[lo : lo + rows, None], rx)
@@ -288,7 +285,8 @@ def hybrid_arrays(
     The index rows come from one :func:`~.seeding.integer_rows` call.  One
     mean over the last axis of the alignment step's cube gives the real
     systems' scores and one over the hybrids' selected cells gives theirs,
-    gathering at most ``_GATHER_BYTES`` of cells at a time.  System-only
+    gathered a chunk of hybrid rows at a time: at most ``_BLOCK`` cells, or
+    one row across the cube when that row alone is larger.  System-only
     tables' arrays are their real systems' scores.
     """
     if not tables:
@@ -310,11 +308,11 @@ def hybrid_arrays(
     # them in the order numpy sums one row (fancy indexing of the cube does
     # not, and its sums differ in the last bits)
     flat = cube.reshape(len(cube), n_sys * n_seg)
-    picked = index_rows * n_seg + np.arange(n_seg)
-    step = max(1, _GATHER_BYTES // max(1, flat.itemsize * k * n_seg))
-    for lo in range(0, len(cube), step):
-        cells = np.take(flat[lo : lo + step], picked, axis=1)
-        extended[lo : lo + step, n_sys:] = cells.mean(axis=2)
+    step = max(1, _BLOCK // max(1, len(cube) * n_seg))
+    for lo in range(0, k, step):
+        picked = index_rows[lo : lo + step] * n_seg + np.arange(n_seg)
+        cells = np.take(flat, picked, axis=1)
+        extended[:, n_sys + lo : n_sys + lo + step] = cells.mean(axis=2)
     rows = iter(extended)  # the segment-level tables', in order
 
     corpus_scores: Mapping[tuple[str, str], Sequence[float]] = {}

@@ -54,7 +54,7 @@ from .errors import (
     ValidationFailure,
 )
 from .metaeval import (
-    _GATHER_BYTES,
+    _BLOCK,
     VariantSelection,
     hybrid_arrays,
     hybrid_supersample,  # noqa: F401  the benchmark tracer wraps it
@@ -136,14 +136,14 @@ class NativeScores:
         """The ``corpus_scorer`` of :func:`hybrid_supersample`: BLEU and BLEU*
         of every row of a hybrid index matrix, the rows' summed cell
         statistics finished in one array pass.  The cells are gathered a
-        chunk of segments at a time, at most ``_GATHER_BYTES`` a chunk."""
+        chunk of rows at a time, at most ``_BLOCK`` statistics or one row."""
         k, n_segments = index_rows.shape
         width = self.bleu_stats.shape[2]
-        step = max(1, _GATHER_BYTES // (self.bleu_stats.itemsize * k * width))
-        sums = np.zeros((k, width), dtype=self.bleu_stats.dtype)
-        for lo in range(0, n_segments, step):
-            hi = min(lo + step, n_segments)
-            sums += self.bleu_stats[index_rows[:, lo:hi], np.arange(lo, hi)].sum(axis=1)
+        step = max(1, _BLOCK // (n_segments * width))
+        sums = np.empty((k, width), dtype=self.bleu_stats.dtype)
+        for lo in range(0, k, step):
+            cells = self.bleu_stats[index_rows[lo : lo + step], np.arange(n_segments)]
+            sums[lo : lo + step] = cells.sum(axis=1)
         finished = bleu_arrays_from_stats(sums)
         return {(BLEU_ID, "-"): finished.bleu, (BLEU_STAR_ID, "-"): finished.bleu_star}
 
@@ -251,6 +251,10 @@ class PipelineState:
 
     ``seed`` defaults to the campaign config's seed; ``level`` picks the
     correlation used to choose the best variant of multi-variant metrics.
+    The options follow the rules of the CLI flags: ``level`` is "segment" or
+    "system", ``hybrids >= 0``, ``permutations >= 1``, ``bootstrap >= 1``,
+    ``0 < alpha < 1`` and ``timing_cutoff > 0`` (inf keeps every
+    annotation); anything else raises a ``ValueError`` naming the option.
     """
 
     def __init__(
@@ -266,6 +270,19 @@ class PipelineState:
         include_traps: bool = False,
         level: str = SYSTEM_LEVEL,
     ):
+        if level not in (SEGMENT_LEVEL, SYSTEM_LEVEL):
+            raise ValueError(f"level must be 'segment' or 'system', got {level!r}")
+        for name, value, least in (
+            ("hybrids", hybrids, 0),
+            ("permutations", permutations, 1),
+            ("bootstrap", bootstrap, 1),
+        ):
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+        if not 0.0 < alpha < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+        if not timing_cutoff > 0.0:
+            raise ValueError(f"timing_cutoff must be > 0, got {timing_cutoff}")
         self.campaign = campaign
         self.seed = campaign.config.seed if seed is None else seed
         self.hybrids = hybrids
@@ -823,7 +840,9 @@ def run_pipeline(
     ``options`` are :class:`PipelineState`'s keywords; ``length_unit``
     overrides the config's length unit; ``threads`` is accepted for
     compatibility and ignored: every stage runs on one thread.
-    Raises :class:`ValidationFailure` when the rating grid is incomplete.
+    Raises :class:`ValidationFailure` when the rating grid is incomplete and
+    ``ValueError`` on an option :class:`PipelineState` refuses, either before
+    any file is written.
     """
     state = open_state(config_path, length_unit, **options)
     campaign = state.campaign

@@ -30,7 +30,7 @@ seed; ``perm_both`` is the two-metric case.  The tests of one matrix thus
 share their replicates (common random numbers).  Each stays an exact
 permutation test, and the Bonferroni flags, a union bound, hold under any
 dependence between the tests.  Every working block holds at most
-``_BLOCK`` (131,072) entries; the masks and the forms grow with R.
+metaeval's ``_BLOCK`` entries; the masks and the forms grow with R.
 
 The tests align their tables and the human scores in metaeval's one step:
 the tables share one task (a matrix's own) and their cells, and the human
@@ -62,6 +62,7 @@ from .errors import (
     SystemOnlyTable,
 )
 from .metaeval import (
+    _BLOCK,
     _aligned_cube,
     _centred,
     _centred_r,
@@ -218,8 +219,6 @@ def _gather(
     return cube[:-1], cube[-1]
 
 
-# Entries of any one working block of the permutation test (see _SwapTauB).
-_BLOCK = 2**17
 # float32 holds every integer of magnitude up to this one exactly
 _FLOAT32_EXACT = 2**24
 # a pair's quadratic term from its forms m'X_aa m, m'X_bb m and m'X_ab m

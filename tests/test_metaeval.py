@@ -233,7 +233,7 @@ class TestKendallTauBCount:
         x[rng.random(n) < 0.1] = math.inf
         whole = kendall_tau_b(x, y).value
         # the two sign arrays of one tile hold 2 * rows * n entries
-        monkeypatch.setattr(metaeval_module, "_BUDGET", 2 * rows * n)
+        monkeypatch.setattr(metaeval_module, "_BLOCK", 2 * rows * n)
         tiled = kendall_tau_b(x, y).value
         assert tiled == whole
         assert tiled == float(scipy_stats.kendalltau(x, y, variant="b").statistic)
@@ -324,15 +324,41 @@ class TestHybridSupersample:
             assert real == system_scores(tb).scores
 
     def test_gather_steps_do_not_change_the_means(self, monkeypatch):
-        # one table per gather step gives the bytes of all tables at once
+        # one hybrid row per gather step, and 4 rows per step with 2 left for
+        # the last, give the bytes of all 30 rows at once; a row spans 3 x 7
+        # cells, both tables' and the human scores'
         table, human = make_aligned(n_segs=7, seed=2)
         other = seg_table({key: 1.0 - v for key, v in human.items()}, variant="w")
         whole = metaeval_module.hybrid_arrays([table, other], human, 30, 6)
-        monkeypatch.setattr(metaeval_module, "_GATHER_BYTES", 1)
-        stepped = metaeval_module.hybrid_arrays([table, other], human, 30, 6)
-        for key, vector in whole.vectors.items():
-            assert vector.tobytes() == stepped.vectors[key].tobytes()
-        assert whole.human.tobytes() == stepped.human.tobytes()
+        for block in (1, 4 * 3 * 7):
+            monkeypatch.setattr(metaeval_module, "_BLOCK", block)
+            stepped = metaeval_module.hybrid_arrays([table, other], human, 30, 6)
+            for key, vector in whole.vectors.items():
+                assert vector.tobytes() == stepped.vectors[key].tobytes()
+            assert whole.human.tobytes() == stepped.human.tobytes()
+
+    def test_gather_holds_at_most_one_block(self, monkeypatch):
+        # K = 1000 hybrids of 2 tables of 4 systems x 600 segments: one
+        # table's selected cells alone are 600,000 entries, yet no np.take of
+        # the gather reads or writes more than _BLOCK
+        rng = np.random.default_rng(9)
+        keys = [(f"s{i}", f"g{j:03d}") for i in range(4) for j in range(600)]
+        human = dict(zip(keys, rng.random(len(keys)).tolist()))
+        tables = [
+            seg_table(dict(zip(keys, rng.random(len(keys)).tolist())), variant=v)
+            for v in ("v", "w")
+        ]
+        take, sizes = np.take, []
+
+        def recording_take(a, indices, *args, **kwargs):
+            out = take(a, indices, *args, **kwargs)
+            sizes.extend([np.size(indices), out.size])
+            return out
+
+        monkeypatch.setattr(np, "take", recording_take)
+        arrays = metaeval_module.hybrid_arrays(tables, human, 1000, 4)
+        assert len(arrays.human) == 4 + 1000
+        assert sizes and max(sizes) <= metaeval_module._BLOCK
 
     def test_different_seed_differs(self):
         table, human = make_aligned()

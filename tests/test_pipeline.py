@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import logging
+import math
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -175,20 +176,20 @@ class TestScoreTables:
             assert scores[(BLEU_ID, "-")][i].hex() == want.bleu.hex()
             assert scores[(BLEU_STAR_ID, "-")][i].hex() == want.bleu_star.hex()
 
-    @pytest.mark.parametrize("gather_bytes", [1, 10 * 8 * 1000 * 5])
-    def test_hybrid_bleu_gathered_in_segment_chunks(
-        self, campaign, monkeypatch, gather_bytes
-    ):
-        # one segment, then 5 segments per chunk: the same sums, the same
-        # scores, as one gather of all 12 segments
+    @pytest.mark.parametrize("block", [1, 7 * 12 * 10])
+    def test_hybrid_bleu_gathered_in_row_chunks(self, campaign, monkeypatch, block):
+        # one hybrid row per chunk, then 7 rows of 12 segments x 10 statistics
+        # per chunk with 6 left for the last: the same sums, the same scores,
+        # as one gather of all 1000 rows
         import lcmteval.pipeline as pipeline_module
 
         task = campaign.tasks()[0]
         native = score_tables_for_task(campaign, task)
-        n_systems, n_segments = native.bleu_stats.shape[:2]
+        n_systems, n_segments, width = native.bleu_stats.shape
+        assert (n_segments, width) == (12, 10)
         index_rows, _ = integer_rows(3, "chunks", 1000, n_systems, n_segments)
         whole = native.corpus_scorer(index_rows)
-        monkeypatch.setattr(pipeline_module, "_GATHER_BYTES", gather_bytes)
+        monkeypatch.setattr(pipeline_module, "_BLOCK", block)
         chunked = native.corpus_scorer(index_rows)
         for key, values in whole.items():
             assert chunked[key].tolist() == values.tolist()
@@ -738,6 +739,28 @@ class TestRunArtifacts:
         }
         for row_m, col_m in significant:
             assert (col_m, row_m) not in significant
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("level", "sytem"),
+        ("hybrids", -1),
+        ("permutations", 0),
+        ("bootstrap", 0),
+        ("alpha", 0.0),
+        ("alpha", 1.5),
+        ("timing_cutoff", -1.0),
+        ("timing_cutoff", math.nan),
+    ],
+)
+def test_a_bad_option_is_refused_before_any_file(
+    fixture_config_path, tmp_path, option, value
+):
+    # the library options follow the rules of the CLI flags
+    with pytest.raises(ValueError, match=option):
+        run_pipeline(fixture_config_path, tmp_path, **{option: value})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_ratings_layer_compares_tasks_less_than_once_per_rating(
