@@ -16,9 +16,9 @@ codes: 0 success, 1 campaign validation failure, 2 I/O or format error,
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from ._version import VERSION
@@ -27,6 +27,8 @@ from .corpus import (
     Campaign,
     length_scheme,
     validate_campaign,
+    write_csv,
+    write_jsonl,
     write_scores_file,
 )
 from .errors import DataError, StatError, ToolkitError, ValidationFailure
@@ -41,7 +43,7 @@ from .pipeline import (
     score_tables_for_task,
 )
 from .ratings import generate_traps, trap_schedule_count
-from .reports import emit_sig_matrix, load_sig_matrix_csv, write_csv
+from .reports import emit_sig_matrix, load_sig_matrix_csv
 from .seeding import derive_int
 
 logger = logging.getLogger(__name__)
@@ -161,21 +163,7 @@ def cmd_traps(args) -> int:
                 scheme=scheme,
             )
     path = _out_dir(args) / "traps.jsonl"
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for trap in traps:
-            fh.write(
-                json.dumps(
-                    {
-                        "seg_id": trap.seg_id,
-                        "truncated_text": trap.truncated_text,
-                        "original_reference": trap.original_reference,
-                        "ratio": trap.ratio,
-                    },
-                    ensure_ascii=False,
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    write_jsonl(path, (asdict(trap) for trap in traps))
     scheduled = trap_schedule_count(
         len(config.directions),
         len(config.length_ratios),
@@ -295,15 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="log warnings and progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, help_text: str, needs_config=True, needs_out=True,
-            common=True):
+    def add(name: str, func, help_text: str, needs_out=True):
         p = sub.add_parser(name, help=help_text)
-        if needs_config:
-            p.add_argument("config", help="path to campaign.conf")
+        p.add_argument("config", help="path to campaign.conf")
         if needs_out:
             p.add_argument("--out", default=".", help="output directory")
-        if common:
-            _add_common_flags(p)
+        _add_common_flags(p)
         p.set_defaults(func=func)
         return p
 

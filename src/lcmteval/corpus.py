@@ -6,12 +6,19 @@ metric score tables, all described by one flat ``campaign.conf`` file.
 
 Carrier formats (all UTF-8, LF line endings):
 
-* ``campaign.conf`` -- flat ``key = value`` lines.
+* ``campaign.conf`` -- flat ``key = value`` lines; a line starting with ``#``
+  is a comment.
 * ``segments.jsonl`` / ``hypotheses.jsonl`` -- one JSON object per record;
   texts may contain tabs here, which is why the JSON-lines carrier is used.
 * ``ratings.csv`` -- header ``annotator,seg_id,system,ratio,score,duration_s,is_trap``.
 * ``scores.tsv`` -- header ``metric<TAB>variant<TAB>system<TAB>seg_id<TAB>score``;
   a field holding a tab, a quote or a line break is CSV-quoted.
+
+The headed carriers (these two and every report table) share one rule: a
+fixed header on line 1, blank rows skipped, and as many fields in each row as
+in the header.  :func:`read_rows` checks it, :func:`write_csv` writes it and
+:func:`write_jsonl` writes the JSON-lines carriers.  An error in a row of an
+input file names the file and the row's physical line, blank lines counted.
 
 Loaded campaigns are immutable and safe to share across threads.  Segment
 ids must be unique across the whole campaign (not just per direction): the
@@ -25,7 +32,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from pathlib import Path
@@ -433,8 +440,55 @@ def _read_jsonl(path: Path) -> Iterable[tuple[int, dict]]:
             yield lineno, obj
 
 
-def _json_line(obj: dict) -> str:
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(", ", ": "))
+def write_jsonl(path: str | os.PathLike, objs: Iterable[dict]) -> None:
+    """One JSON object per line, keys sorted, non-ASCII text kept as is."""
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+        for obj in objs:
+            fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")
+
+
+def read_rows(
+    path: str | os.PathLike, header: Sequence[str], what: str, delimiter: str = ","
+) -> Iterable[tuple[int, list[str]]]:
+    """Each non-blank row of a headed CSV carrier after ``header``, with the
+    physical line of the file it ends on; ``what`` names the carrier in
+    errors."""
+    path, header = Path(path), list(header)
+    if not path.is_file():
+        raise MissingFile(f"{what} file not found: {path}")
+    with path.open(encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        found = next(reader, None)
+        if found != header:
+            raise ParseError(
+                f"bad {what} header {found!r}, expected {header!r}",
+                path=path,
+                line=1,
+            )
+        width = len(header)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != width:
+                raise ParseError(
+                    f"row has {len(row)} fields, header has {width}",
+                    path=path,
+                    line=reader.line_num,
+                )
+            yield reader.line_num, row
+
+
+def write_csv(
+    path: str | os.PathLike,
+    header: Sequence[str],
+    rows: Iterable[Sequence],
+    delimiter: str = ",",
+) -> None:
+    """A headed CSV carrier: ``header``, then one line per row."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _whole_number(value) -> int:
@@ -552,79 +606,59 @@ RATINGS_HEADER = ["annotator", "seg_id", "system", "ratio", "score", "duration_s
 def load_ratings(
     path: Path, config: CampaignConfig, segments: Mapping[str, SegmentRecord]
 ) -> tuple[RatingRecord, ...]:
-    if not path.is_file():
-        raise MissingFile(f"ratings file not found: {path}")
     records: list[RatingRecord] = []
     # one Task per (direction, ratio), shared by its ratings
     tasks = {(task.direction, task.ratio): task for task in config.tasks()}
-    with path.open(encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != RATINGS_HEADER:
+    for lineno, row in read_rows(path, RATINGS_HEADER, "ratings"):
+        annotator, seg_id, system, ratio_s, score_s, duration_s, trap_s = row
+        if seg_id not in segments:
+            raise UnresolvedReference(
+                f"{path}:{lineno}: rating references unknown seg_id {seg_id!r}"
+            )
+        try:
+            ratio = float(ratio_s)
+            score = int(score_s)
+            duration = float(duration_s)
+        except ValueError as exc:
+            raise ParseError(f"bad numeric field: {exc}", path=path, line=lineno)
+        if ratio not in config.length_ratios:
             raise ParseError(
-                f"bad ratings header {header!r}, expected {RATINGS_HEADER!r}",
+                f"ratio {ratio!r} not in config ratios", path=path, line=lineno
+            )
+        if not (0 <= score <= 100):
+            raise ParseError(
+                f"score {score} outside 0..100", path=path, line=lineno
+            )
+        if not 0 <= duration < math.inf:
+            raise ParseError(
+                f"duration {duration_s!r} is not a finite number >= 0",
                 path=path,
-                line=1,
+                line=lineno,
             )
-        for row in reader:
-            lineno = reader.line_num
-            if not row:
-                continue
-            if len(row) != len(RATINGS_HEADER):
-                raise ParseError(
-                    f"expected {len(RATINGS_HEADER)} fields, got {len(row)}",
-                    path=path,
-                    line=lineno,
-                )
-            annotator, seg_id, system, ratio_s, score_s, duration_s, trap_s = row
-            if seg_id not in segments:
-                raise UnresolvedReference(
-                    f"{path}:{lineno}: rating references unknown seg_id {seg_id!r}"
-                )
-            try:
-                ratio = float(ratio_s)
-                score = int(score_s)
-                duration = float(duration_s)
-            except ValueError as exc:
-                raise ParseError(f"bad numeric field: {exc}", path=path, line=lineno)
-            if ratio not in config.length_ratios:
-                raise ParseError(
-                    f"ratio {ratio!r} not in config ratios", path=path, line=lineno
-                )
-            if not (0 <= score <= 100):
-                raise ParseError(
-                    f"score {score} outside 0..100", path=path, line=lineno
-                )
-            if not 0 <= duration < math.inf:
-                raise ParseError(
-                    f"duration {duration_s!r} is not a finite number >= 0",
-                    path=path,
-                    line=lineno,
-                )
-            trap_norm = trap_s.strip().lower()
-            if trap_norm in _TRUE_STRINGS:
-                is_trap = True
-            elif trap_norm in _FALSE_STRINGS:
-                is_trap = False
-            else:
-                raise ParseError(
-                    f"bad is_trap value {trap_s!r}", path=path, line=lineno
-                )
-            if not is_trap and system not in config.systems:
-                raise UnresolvedReference(
-                    f"{path}:{lineno}: rating references unknown system {system!r}"
-                )
-            records.append(
-                RatingRecord(
-                    annotator_id=annotator,
-                    task=tasks[(segments[seg_id].direction, ratio)],
-                    seg_id=seg_id,
-                    system_id=system,
-                    raw_score=score,
-                    duration_s=duration,
-                    is_trap=is_trap,
-                )
+        trap_norm = trap_s.strip().lower()
+        if trap_norm in _TRUE_STRINGS:
+            is_trap = True
+        elif trap_norm in _FALSE_STRINGS:
+            is_trap = False
+        else:
+            raise ParseError(
+                f"bad is_trap value {trap_s!r}", path=path, line=lineno
             )
+        if not is_trap and system not in config.systems:
+            raise UnresolvedReference(
+                f"{path}:{lineno}: rating references unknown system {system!r}"
+            )
+        records.append(
+            RatingRecord(
+                annotator_id=annotator,
+                task=tasks[(segments[seg_id].direction, ratio)],
+                seg_id=seg_id,
+                system_id=system,
+                raw_score=score,
+                duration_s=duration,
+                is_trap=is_trap,
+            )
+        )
     return tuple(records)
 
 
@@ -640,8 +674,6 @@ def load_external_scores(
 ) -> list[ScoreTable]:
     """Read a tab-separated score file into one dense table per (metric, variant)."""
     path = Path(path)
-    if not path.is_file():
-        raise MissingFile(f"scores file not found: {path}")
     systems = list(systems)
     segment_ids = list(segment_ids)
     system_ids = tuple(sorted(set(systems)))
@@ -650,58 +682,39 @@ def load_external_scores(
     row_start = {s: i * len(seg_ids) for i, s in enumerate(system_ids)}
     column = {g: j for j, g in enumerate(seg_ids)}
     cells: dict[tuple[str, str], list[float | None]] = {}
-    with path.open(encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter="\t")
-        header = next(reader, None)
-        if header != SCORES_HEADER:
-            raise ParseError(
-                f"bad scores header {header!r}, expected {SCORES_HEADER!r}",
-                path=path,
-                line=1,
+    for lineno, row in read_rows(path, SCORES_HEADER, "scores", delimiter="\t"):
+        metric, variant, system, seg_id, score_s = row
+        if not metric:
+            raise ParseError("empty metric name", path=path, line=lineno)
+        j = column.get(seg_id)
+        if j is None:
+            raise UnknownSegment(
+                f"{path}:{lineno}: unknown seg_id {seg_id!r} for task {task.label}"
             )
-        for row in reader:
-            lineno = reader.line_num
-            if not row:
-                continue
-            if len(row) != len(SCORES_HEADER):
-                raise ParseError(
-                    f"expected {len(SCORES_HEADER)} tab-separated fields, got "
-                    f"{len(row)}",
-                    path=path,
-                    line=lineno,
-                )
-            metric, variant, system, seg_id, score_s = row
-            if not metric:
-                raise ParseError("empty metric name", path=path, line=lineno)
-            j = column.get(seg_id)
-            if j is None:
-                raise UnknownSegment(
-                    f"{path}:{lineno}: unknown seg_id {seg_id!r} for task {task.label}"
-                )
-            i = row_start.get(system)
-            if i is None:
-                raise UnresolvedReference(
-                    f"{path}:{lineno}: unknown system {system!r}"
-                )
-            try:
-                score = float(score_s)
-            except ValueError as exc:
-                raise ParseError(f"bad score: {exc}", path=path, line=lineno)
-            if not math.isfinite(score):
-                raise NonFiniteScore(
-                    f"{path}:{lineno}: non-finite score {score_s!r} for "
-                    f"{metric}/{variant}"
-                )
-            table_cells = cells.get((metric, variant))
-            if table_cells is None:
-                table_cells = [None] * (len(system_ids) * len(seg_ids))
-                cells[(metric, variant)] = table_cells
-            if table_cells[i + j] is not None:
-                raise DuplicateCell(
-                    f"{path}:{lineno}: duplicate cell {(system, seg_id)!r} in "
-                    f"{metric}/{variant}"
-                )
-            table_cells[i + j] = score
+        i = row_start.get(system)
+        if i is None:
+            raise UnresolvedReference(
+                f"{path}:{lineno}: unknown system {system!r}"
+            )
+        try:
+            score = float(score_s)
+        except ValueError as exc:
+            raise ParseError(f"bad score: {exc}", path=path, line=lineno)
+        if not math.isfinite(score):
+            raise NonFiniteScore(
+                f"{path}:{lineno}: non-finite score {score_s!r} for "
+                f"{metric}/{variant}"
+            )
+        table_cells = cells.get((metric, variant))
+        if table_cells is None:
+            table_cells = [None] * (len(system_ids) * len(seg_ids))
+            cells[(metric, variant)] = table_cells
+        if table_cells[i + j] is not None:
+            raise DuplicateCell(
+                f"{path}:{lineno}: duplicate cell {(system, seg_id)!r} in "
+                f"{metric}/{variant}"
+            )
+        table_cells[i + j] = score
 
     for (metric, variant), table_cells in sorted(cells.items()):
         if None in table_cells:
@@ -724,15 +737,18 @@ def load_external_scores(
 def write_scores_file(path: str | os.PathLike, tables: Iterable[ScoreTable]) -> None:
     """Write segment-level tables to a scores file, in the given order and each
     table's cells sorted, so that :func:`load_external_scores` reads them back."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
-        writer.writerow(SCORES_HEADER)
-        for table in tables:
-            values = table.values.ravel().tolist()
-            for (system, seg_id), score in zip(table.cell_keys(), values):
-                writer.writerow(
-                    [table.metric_id, table.variant_id, system, seg_id, repr(score)]
-                )
+    write_csv(
+        path,
+        SCORES_HEADER,
+        (
+            [table.metric_id, table.variant_id, system, seg_id, repr(score)]
+            for table in tables
+            for (system, seg_id), score in zip(
+                table.cell_keys(), table.values.ravel().tolist()
+            )
+        ),
+        delimiter="\t",
+    )
 
 
 def scores_file_name(task: Task) -> str:
@@ -806,55 +822,43 @@ def save_campaign(campaign: Campaign, directory: str | os.PathLike) -> None:
     config = campaign.config
     write_config(config, base / "campaign.conf")
 
-    seg_path = base / config.segments_path
-    seg_path.parent.mkdir(parents=True, exist_ok=True)
-    with seg_path.open("w", encoding="utf-8", newline="\n") as fh:
-        for seg in sorted(campaign.segments.values(), key=lambda s: (s.direction, s.seg_id)):
-            obj = {
-                "seg_id": seg.seg_id,
-                "direction": seg.direction,
-                "source_text": seg.source_text,
-                "reference_text": seg.reference_text,
-            }
-            if seg.reference_length is not None:
-                obj["reference_length"] = seg.reference_length
-            fh.write(_json_line(obj) + "\n")
+    def target(name: str) -> Path:
+        path = base / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return path
 
-    hyp_path = base / config.hypotheses_path
-    hyp_path.parent.mkdir(parents=True, exist_ok=True)
-    with hyp_path.open("w", encoding="utf-8", newline="\n") as fh:
-        for key in sorted(campaign.hypotheses):
-            hyp = campaign.hypotheses[key]
-            fh.write(
-                _json_line(
-                    {
-                        "system_id": hyp.system_id,
-                        "seg_id": hyp.seg_id,
-                        "length_ratio": hyp.length_ratio,
-                        "text": hyp.text,
-                    }
-                )
-                + "\n"
+    # each JSON line holds its record's fields; a segment's reference_length
+    # only when it is given
+    write_jsonl(
+        target(config.segments_path),
+        (
+            {key: value for key, value in asdict(seg).items() if value is not None}
+            for seg in sorted(
+                campaign.segments.values(), key=lambda s: (s.direction, s.seg_id)
             )
-
+        ),
+    )
+    write_jsonl(
+        target(config.hypotheses_path),
+        (asdict(campaign.hypotheses[key]) for key in sorted(campaign.hypotheses)),
+    )
     if config.ratings_path is not None:
-        ratings_path = base / config.ratings_path
-        ratings_path.parent.mkdir(parents=True, exist_ok=True)
-        with ratings_path.open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(RATINGS_HEADER)
-            for rec in campaign.ratings:
-                writer.writerow(
-                    [
-                        rec.annotator_id,
-                        rec.seg_id,
-                        rec.system_id,
-                        repr(rec.task.ratio),
-                        rec.raw_score,
-                        repr(rec.duration_s),
-                        "true" if rec.is_trap else "false",
-                    ]
-                )
+        write_csv(
+            target(config.ratings_path),
+            RATINGS_HEADER,
+            (
+                [
+                    rec.annotator_id,
+                    rec.seg_id,
+                    rec.system_id,
+                    repr(rec.task.ratio),
+                    rec.raw_score,
+                    repr(rec.duration_s),
+                    "true" if rec.is_trap else "false",
+                ]
+                for rec in campaign.ratings
+            ),
+        )
 
     if config.scores_dir is not None:
         scores_base = base / config.scores_dir

@@ -44,6 +44,7 @@ from .corpus import (
     length_scheme,
     load_campaign,
     validate_campaign,
+    write_csv,
 )
 from .errors import (
     DuplicateMetricName,
@@ -81,7 +82,7 @@ from .ratings import (
     trap_report,
     znormalize,
 )
-from .reports import emit_sig_matrix, fmt4, sha256_file, write_csv
+from .reports import emit_sig_matrix, fmt4, sha256_file
 from .seeding import derive_int
 from .significance import (
     dagger_marks,

@@ -1,21 +1,20 @@
 """Report emission and re-loading.
 
-All report tables are CSV with a '.' decimal separator, LF line endings,
-and numeric cells fixed at 4 decimal places.  Significance matrices can
-additionally be rendered as a monospaced text grid or a colored SVG grid
-(green cells for system-level wins, blue for segment-level wins, an orange
-outline where a win survives the Bonferroni correction).
+All report tables are CSV with a '.' decimal separator and numeric cells
+fixed at 4 decimal places, written and read back through the carrier rule
+of :mod:`lcmteval.corpus` (``write_csv`` and ``read_rows``).  Significance
+matrices can additionally be rendered as a monospaced text grid or a colored
+SVG grid (green cells for system-level wins, blue for segment-level wins, an
+orange outline where a win survives the Bonferroni correction).
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import os
 from pathlib import Path
-from typing import Iterable, Sequence
 
-from .corpus import SEGMENT_LEVEL, SYSTEM_LEVEL, Task
+from .corpus import SEGMENT_LEVEL, SYSTEM_LEVEL, Task, read_rows, write_csv
 from .errors import ParseError, UnsupportedFormat
 from .significance import CIResult, SigCell, SigMatrix
 
@@ -44,35 +43,6 @@ def _fmt_bool(value: bool | None) -> str:
     if value is None:
         return ""
     return "true" if value else "false"
-
-
-def write_csv(
-    path: str | os.PathLike, header: Sequence[str], rows: Iterable[Sequence]
-) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
-
-
-def _read_numbered_rows(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """The header and the non-blank rows, each with the physical line of the
-    file it ends on, so errors point at the line a reader sees."""
-    with path.open(encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError("empty report file", path=path, line=1)
-        rows = [(reader.line_num, row) for row in reader if row]
-    for line, row in rows:
-        if len(row) != len(header):
-            raise ParseError(
-                f"row has {len(row)} fields, header has {len(header)}",
-                path=path,
-                line=line,
-            )
-    return header, rows
 
 
 def sha256_file(path: str | os.PathLike) -> str:
@@ -132,11 +102,7 @@ def load_sig_matrix_csv(path: str | os.PathLike) -> SigMatrix:
     repeated row, a missing pair or another level is a :class:`ParseError`.
     """
     path = Path(path)
-    header, rows = _read_numbered_rows(path)
-    if header != SIG_HEADER:
-        raise ParseError(
-            f"bad significance header {header!r}", path=path, line=1
-        )
+    rows = list(read_rows(path, SIG_HEADER, "significance"))
     if not rows:
         raise ParseError("significance file has no cells", path=path)
 

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from lcmteval.corpus import (
+    RATINGS_HEADER,
+    SCORES_HEADER,
     Campaign,
     CampaignConfig,
     RatingRecord,
@@ -18,6 +20,7 @@ from lcmteval.corpus import (
     Task,
     load_campaign,
     load_external_scores,
+    load_ratings,
     parse_config,
     percent_label,
     save_campaign,
@@ -34,8 +37,10 @@ from lcmteval.errors import (
     UnknownSegment,
     UnresolvedReference,
 )
+from lcmteval.reports import SIG_HEADER, load_sig_matrix_csv
 
 FIXTURE = Path(__file__).parent / "fixtures" / "campaign"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def minimal_config(**overrides) -> CampaignConfig:
@@ -159,6 +164,16 @@ class TestConfig:
         write_config(config, tmp_path / "campaign.conf")
         assert parse_config(tmp_path / "campaign.conf") == config
 
+    def test_readme_example_config_parses(self, tmp_path):
+        # the first code block of the README's "Campaign layout" section
+        section = README.read_text(encoding="utf-8").split("## Campaign layout", 1)[1]
+        conf = tmp_path / "campaign.conf"
+        conf.write_text(section.split("```\n", 2)[1], encoding="utf-8")
+        config = parse_config(conf)
+        assert config.directions == ("en-zh", "zh-en")
+        assert config.length_unit == "characters"
+        assert config.scores_dir == "scores"
+
     def test_task_labels(self):
         assert Task("en-zh", 0.8).label == "en-zh.80"
         assert Task("zh-en", 0.5).label == "zh-en.50"
@@ -176,6 +191,20 @@ class TestLoadCampaign:
         save_campaign(campaign, tmp_path)
         reloaded = load_campaign(tmp_path / "campaign.conf")
         assert reloaded == campaign
+
+    def test_save_writes_the_fixture_byte_for_byte(self, tmp_path):
+        save_campaign(load_campaign(FIXTURE / "campaign.conf"), tmp_path)
+
+        def files(root: Path) -> dict[str, bytes]:
+            return {
+                path.relative_to(root).as_posix(): path.read_bytes()
+                for path in root.rglob("*")
+                if path.is_file()
+            }
+
+        expected, written = files(FIXTURE), files(tmp_path)
+        assert sorted(written) == sorted(expected)
+        assert [name for name in expected if written[name] != expected[name]] == []
 
     def test_unknown_seg_in_hypothesis(self, tmp_path):
         config = write_minimal_campaign(
@@ -582,6 +611,66 @@ class TestScoreTable:
             for table, again in zip(tables, reloaded.external_scores[task]):
                 assert again.values is not table.values
                 assert again.cells == table.cells
+
+
+# each headed carrier, keyed by its name in errors: its reader, its header,
+# its delimiter and one well-formed row
+CARRIERS = {
+    "ratings": (
+        lambda path: load_ratings(
+            path,
+            minimal_config(),
+            {"g1": SegmentRecord("g1", "aa-bb", "src", "ref")},
+        ),
+        RATINGS_HEADER,
+        ",",
+        ["u1", "g1", "s1", "0.8", "50", "30.0", "false"],
+    ),
+    "scores": (
+        lambda path: load_external_scores(
+            path, Task("aa-bb", 0.8), systems=["s1"], segment_ids=["g1"]
+        ),
+        SCORES_HEADER,
+        "\t",
+        ["m", "v", "s1", "g1", "0.5"],
+    ),
+    "significance": (
+        load_sig_matrix_csv,
+        SIG_HEADER,
+        ",",
+        ["aa-bb", "0.8", "segment", "m1", "m2", "", "", "", "0.5000", "false", "false"],
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", ["header", "fields", "missing"])
+@pytest.mark.parametrize("what", sorted(CARRIERS))
+def test_one_reader_for_every_headed_carrier(tmp_path, what, fault):
+    load, header, delimiter, row = CARRIERS[what]
+    path = tmp_path / f"{what}.txt"
+    if fault == "missing":
+        with pytest.raises(MissingFile, match=f"{what} file not found: "):
+            load(path)
+        return
+    if fault == "header":
+        lines = [["bogus"] + header[1:], row]
+    else:
+        # the extra field sits on physical line 4, after a blank line
+        lines = [header, row, [], row + ["extra"]]
+    path.write_text(
+        "".join(delimiter.join(line) + "\n" for line in lines), encoding="utf-8"
+    )
+    with pytest.raises(ParseError) as info:
+        load(path)
+    assert info.value.path == path
+    if fault == "header":
+        assert info.value.line == 1
+        assert str(info.value).startswith(f"{path}:1: bad {what} header ")
+    else:
+        assert info.value.line == 4
+        assert str(info.value) == (
+            f"{path}:4: row has {len(header) + 1} fields, header has {len(header)}"
+        )
 
 
 class TestRatingRecordInvariants:
