@@ -23,7 +23,8 @@ from pathlib import Path
 
 from ._version import VERSION
 from .corpus import (
-    _MAX_SEED,
+    LENGTH_UNITS,
+    SYSTEM_LEVEL,
     Campaign,
     length_scheme,
     validate_campaign,
@@ -33,6 +34,8 @@ from .corpus import (
 )
 from .errors import DataError, StatError, ToolkitError, ValidationFailure
 from .pipeline import (
+    LEVELS,
+    OPTION_RULES,
     emit_stage,
     format_validation_report,
     human_scores,
@@ -60,49 +63,41 @@ def _at_least(minimum: int):
     return integer
 
 
-def master_seed(text: str) -> int:
-    """argparse type: an integer in the config seed's range [0, 2**64 - 1]."""
-    if not 0 <= int(text) <= _MAX_SEED:
-        raise argparse.ArgumentTypeError(f"must be in [0, {_MAX_SEED}], got {text}")
-    return int(text)
+def _option(name: str):
+    """argparse type of the pipeline option ``name``, under its OPTION_RULES."""
+    kind, holds, rule = OPTION_RULES[name]
 
+    def parse(text: str):
+        if holds(value := kind(text)):
+            return value
+        raise argparse.ArgumentTypeError(f"{rule}, got {text}")
 
-def probability(text: str) -> float:
-    """argparse type: a float strictly between 0 and 1 (not NaN)."""
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text}")
-    return value
-
-
-def positive_seconds(text: str) -> float:
-    """argparse type: a float above 0 (not NaN); inf keeps every annotation."""
-    value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
-    return value
+    parse.__name__ = "integer" if kind is int else "number"
+    return parse
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=master_seed, default=None,
+    parser.add_argument("--seed", type=_option("seed"), default=None,
                         help="master seed (default: the config's seed)")
-    parser.add_argument("--hybrids", type=_at_least(0), default=1000, metavar="K",
+    parser.add_argument("--hybrids", type=_option("hybrids"), default=1000, metavar="K",
                         help="hybrid systems per task for system-level correlation")
-    parser.add_argument("--permutations", type=_at_least(1), default=1000, metavar="R",
+    parser.add_argument("--permutations", type=_option("permutations"), default=1000,
+                        metavar="R",
                         help="replicates for the segment-level permutation test")
-    parser.add_argument("--bootstrap", type=_at_least(1), default=1000, metavar="B",
+    parser.add_argument("--bootstrap", type=_option("bootstrap"), default=1000,
+                        metavar="B",
                         help="paired bootstrap resamples for system comparison")
-    parser.add_argument("--alpha", type=probability, default=0.05,
+    parser.add_argument("--alpha", type=_option("alpha"), default=0.05,
                         help="significance threshold of the segment-level "
                         "permutation tests (system-level intervals are 95%%)")
-    parser.add_argument("--timing-cutoff", type=positive_seconds, default=600.0,
+    parser.add_argument("--timing-cutoff", type=_option("timing_cutoff"),
+                        default=600.0,
                         help="seconds; annotations at or above are dropped from cut_ave")
     parser.add_argument("--include-traps", action="store_true",
                         help="keep trap ratings in the z-normalization groups")
-    parser.add_argument("--length-unit", default=None,
-                        choices=["characters", "whitespace-tokens", "provided-counts"],
+    parser.add_argument("--length-unit", default=None, choices=LENGTH_UNITS,
                         help="override the config's length unit")
-    parser.add_argument("--level", default="system", choices=["system", "segment"],
+    parser.add_argument("--level", default=SYSTEM_LEVEL, choices=LEVELS,
                         help="correlation level for best-variant selection")
     parser.add_argument("--threads", type=_at_least(1), default=1,
                         help="accepted for compatibility and ignored; every "

@@ -7,7 +7,7 @@ metric score tables, all described by one flat ``campaign.conf`` file.
 Carrier formats (all UTF-8, LF line endings):
 
 * ``campaign.conf`` -- flat ``key = value`` lines; a line starting with ``#``
-  is a comment.
+  is a comment, and a ``#`` anywhere else is refused.
 * ``segments.jsonl`` / ``hypotheses.jsonl`` -- one JSON object per record;
   texts may contain tabs here, which is why the JSON-lines carrier is used.
 * ``ratings.csv`` -- header ``annotator,seg_id,system,ratio,score,duration_s,is_trap``.
@@ -94,12 +94,17 @@ class CampaignConfig:
             raise ParseError("config needs at least one direction")
         for kind, ids in (("direction", self.directions), ("system", self.systems)):
             for item in ids:
-                # parse_config splits on ',' and strips each item
-                if item.splitlines() != [item] or item != item.strip() or "," in item:
+                # parse_config splits on ',', strips each item and refuses '#'
+                if (
+                    item.splitlines() != [item]
+                    or item != item.strip()
+                    or "," in item
+                    or "#" in item
+                ):
                     raise ParseError(
                         f"{kind} id {item!r} does not survive the config file: "
-                        "it must be non-empty, hold no ',' or line break, and "
-                        "have no leading or trailing whitespace"
+                        "it must be non-empty, hold no ',', '#' or line break, "
+                        "and have no leading or trailing whitespace"
                     )
         if len(set(self.directions)) != len(self.directions):
             raise ParseError("directions must be unique")
@@ -362,6 +367,12 @@ def parse_config(path: str | os.PathLike) -> CampaignConfig:
             raise ParseError("expected 'key = value'", path=path, line=lineno)
         key, _, value = stripped.partition("=")
         key = key.strip()
+        if "#" in value:
+            raise ParseError(
+                "'#' inside a value: a comment must be a line of its own",
+                path=path,
+                line=lineno,
+            )
         if key not in _KNOWN_KEYS:
             raise ParseError(f"unknown config key {key!r}", path=path, line=lineno)
         if key in raw:

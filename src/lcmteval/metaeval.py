@@ -51,6 +51,7 @@ from .errors import (
     TooFewSystems,
     ZeroVariance,
 )
+from .metrics import left_sum
 from .seeding import (
     integer_rows,
     rng_for,  # noqa: F401  the benchmark tracer wraps it until its next revision
@@ -451,7 +452,9 @@ def select_best_variant(
             )
             for v in variant_ids:
                 corr[v][task] = rs[v]
-    results = {v: (corr[v], sum(corr[v].values()) / len(corr[v])) for v in variant_ids}
+    results = {
+        v: (corr[v], left_sum(corr[v].values()) / len(corr[v])) for v in variant_ids
+    }
 
     best_id = max(sorted(results), key=lambda v: results[v][1])
     per_task, average = results[best_id]

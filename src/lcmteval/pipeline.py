@@ -34,6 +34,7 @@ import numpy as np
 
 from ._version import VERSION
 from .corpus import (
+    _MAX_SEED,
     SEGMENT_LEVEL,
     SYSTEM_LEVEL,
     Campaign,
@@ -65,9 +66,13 @@ from .metaeval import (
     system_scores,
 )
 from .metrics import (
+    LengthRecord,
     bleu_arrays_from_stats,
     corpus_bleu,  # noqa: F401  the benchmark tracer wraps it until its next revision
     expected_length,
+    left_sum,
+    length_deviation,
+    length_deviations,
     ngram_stats,
     rouge_l_arrays,
     rouge_n_arrays,
@@ -120,12 +125,14 @@ class PipelineArtifacts:
 
 @dataclass(frozen=True)
 class NativeScores:
-    """One task's native metric tables, plus the additive BLEU statistics of
-    every (system, segment) cell, system and segment ids sorted."""
+    """One task's native metric tables, plus the additive BLEU statistics and
+    the lengths of every (system, segment) cell, system and segment ids
+    sorted."""
 
     tables: list[ScoreTable]
     bleu_stats: np.ndarray  # (system, segment, statistic)
     distinct_ngrams: int  # over the task's texts, summed over the orders
+    lengths: dict[str, list[LengthRecord]]  # system -> its cells, by segment
 
     @property
     def correlated(self) -> list[ScoreTable]:
@@ -181,7 +188,7 @@ def score_tables_for_task(campaign: Campaign, task: Task) -> NativeScores:
     # cells in row-major (system, segment) order, both sorted; a cell's
     # reference is its segment's
     hyps: list[tuple[str, ...]] = []
-    deviations: list[float] = []
+    lengths: dict[str, list[LengthRecord]] = {system: [] for system in systems}
     for system in systems:
         for seg, target in zip(segments, targets):
             try:
@@ -196,10 +203,11 @@ def score_tables_for_task(campaign: Campaign, task: Task) -> NativeScores:
                 out_len = len(hyp)
             else:
                 out_len = campaign.hypothesis_length(record)
-            deviations.append(abs(out_len - target) / target)
+            lengths[system].append(LengthRecord(out_len, target))
     ref_index = np.tile(np.arange(len(segments)), len(systems))
     stats, distinct = ngram_stats(hyps, refs, ref_index)
 
+    deviations = length_deviations(r for system in systems for r in lengths[system])
     cell_stats = stats.reshape(len(systems), len(segments), -1)
     # a system's corpus BLEU is its summed cell statistics, finished
     finished = bleu_arrays_from_stats(cell_stats.sum(axis=1))
@@ -220,7 +228,7 @@ def score_tables_for_task(campaign: Campaign, task: Task) -> NativeScores:
         ScoreTable(BLEU_ID, "-", *per_system, finished.bleu),
         ScoreTable(BLEU_STAR_ID, "-", *per_system, finished.bleu_star),
     ]
-    return NativeScores(tables, cell_stats, distinct)
+    return NativeScores(tables, cell_stats, distinct, lengths)
 
 
 def human_scores(
@@ -247,15 +255,25 @@ def human_scores(
     return normalized, aggregated
 
 
+# Each numeric option's (type, test, wording), for PipelineState and its flag.
+OPTION_RULES = {
+    "seed": (int, lambda v: 0 <= v <= _MAX_SEED, f"must be in [0, {_MAX_SEED}]"),
+    "hybrids": (int, lambda v: v >= 0, "must be >= 0"),
+    "permutations": (int, lambda v: v >= 1, "must be >= 1"),
+    "bootstrap": (int, lambda v: v >= 1, "must be >= 1"),
+    "alpha": (float, lambda v: 0.0 < v < 1.0, "must be in (0, 1)"),
+    "timing_cutoff": (float, lambda v: v > 0.0, "must be > 0"),
+}
+LEVELS = (SYSTEM_LEVEL, SEGMENT_LEVEL)
+
+
 class PipelineState:
     """Shared intermediates for the report emitters, computed lazily.
 
     ``seed`` defaults to the campaign config's seed; ``level`` picks the
     correlation used to choose the best variant of multi-variant metrics.
-    The options follow the rules of the CLI flags: ``level`` is "segment" or
-    "system", ``hybrids >= 0``, ``permutations >= 1``, ``bootstrap >= 1``,
-    ``0 < alpha < 1`` and ``timing_cutoff > 0`` (inf keeps every
-    annotation); anything else raises a ``ValueError`` naming the option.
+    ``level`` is one of ``LEVELS`` and every other option keeps its rule in
+    ``OPTION_RULES``; anything else raises a ``ValueError`` naming it.
     """
 
     def __init__(
@@ -271,19 +289,8 @@ class PipelineState:
         include_traps: bool = False,
         level: str = SYSTEM_LEVEL,
     ):
-        if level not in (SEGMENT_LEVEL, SYSTEM_LEVEL):
+        if level not in LEVELS:
             raise ValueError(f"level must be 'segment' or 'system', got {level!r}")
-        for name, value, least in (
-            ("hybrids", hybrids, 0),
-            ("permutations", permutations, 1),
-            ("bootstrap", bootstrap, 1),
-        ):
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}, got {value}")
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-        if not timing_cutoff > 0.0:
-            raise ValueError(f"timing_cutoff must be > 0, got {timing_cutoff}")
         self.campaign = campaign
         self.seed = campaign.config.seed if seed is None else seed
         self.hybrids = hybrids
@@ -291,6 +298,9 @@ class PipelineState:
         self.bootstrap = bootstrap
         self.alpha = alpha
         self.timing_cutoff = timing_cutoff
+        for name, (_, holds, rule) in OPTION_RULES.items():
+            if not holds(getattr(self, name)):
+                raise ValueError(f"{name} {rule}, got {getattr(self, name)}")
         self.include_traps = include_traps
         self.level = level
         self.tasks = campaign.tasks()
@@ -493,7 +503,7 @@ class PipelineState:
             rows.append(
                 [per_task[0].metric_id, per_task[0].variant_id]
                 + [fmt4(v) for v in values]
-                + [fmt4(sum(values) / len(values))]
+                + [fmt4(left_sum(values) / len(values))]
             )
         write_csv(path, ["metric", "variant"] + self.task_cols + ["average"], rows)
         return [path]
@@ -719,21 +729,17 @@ class PipelineState:
         return [path]
 
     def emit_length_deviation(self, out: Path) -> list[Path]:
-        """Per-system mean of each task's length deviation cells."""
-
-        def mean(t: Task, system: str) -> float:
-            (table,) = [
-                tb for tb in self.natives[t].tables if tb.metric_id == LENGTH_DEV_ID
-            ]
-            row = table.values[table.system_ids.index(system)].tolist()
-            return sum(row) / len(row)
-
+        """Per-system length deviation of each task's cells."""
         path = out / "length_deviation.csv"
         write_csv(
             path,
             ["system"] + self.task_cols,
             [
-                [system] + [fmt4(mean(t, system)) for t in self.tasks]
+                [system]
+                + [
+                    fmt4(length_deviation(self.natives[t].lengths[system]))
+                    for t in self.tasks
+                ]
                 for system in self.campaign.config.systems
             ],
         )

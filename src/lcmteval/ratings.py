@@ -22,7 +22,7 @@ from .errors import (
     NotEnoughSegments,
     ZeroVariance,
 )
-from .metrics import WHITESPACE, tokenize
+from .metrics import WHITESPACE, left_sum, tokenize
 from .seeding import rng_for
 
 
@@ -141,8 +141,8 @@ def timing_report(
     durations = [r.duration_s for r in ratings]
     below = [d for d in durations if d < cutoff_s]
     return TimingStats(
-        all_ave=sum(durations) / len(durations),
-        cut_ave=sum(below) / len(below) if below else None,
+        all_ave=left_sum(durations) / len(durations),
+        cut_ave=left_sum(below) / len(below) if below else None,
     )
 
 
@@ -170,7 +170,7 @@ def znormalize(
                 f"annotator {annotator!r} has constant scores in task {task.label}"
             )
         mean = sum(scores) / len(scores)
-        var = sum((s - mean) ** 2 for s in scores) / len(scores)
+        var = left_sum((s - mean) ** 2 for s in scores) / len(scores)
         stats[key] = (mean, math.sqrt(var))
 
     out = []
@@ -210,7 +210,7 @@ def aggregate_segment_human(
     aggregated = {}
     for key in sorted(by_key, key=lambda k: (k[0], k[1], k[2])):
         values = by_key[key]
-        aggregated[key] = sum(values) / len(values)
+        aggregated[key] = left_sum(values) / len(values)
         if annotators_per_task is not None and len(values) < annotators_per_task:
             task, system, seg = key
             warnings.append(
@@ -222,11 +222,11 @@ def aggregate_segment_human(
 
 def _pearson(x: Sequence[float], y: Sequence[float]) -> float:
     n = len(x)
-    mx = sum(x) / n
-    my = sum(y) / n
-    sxx = sum((a - mx) ** 2 for a in x)
-    syy = sum((b - my) ** 2 for b in y)
-    sxy = sum((a - mx) * (b - my) for a, b in zip(x, y))
+    mx = left_sum(x) / n
+    my = left_sum(y) / n
+    sxx = left_sum((a - mx) ** 2 for a in x)
+    syy = left_sum((b - my) ** 2 for b in y)
+    sxy = left_sum((a - mx) * (b - my) for a, b in zip(x, y))
     if sxx == 0.0 or syy == 0.0:
         raise ZeroVariance("constant vector in one-vs-rest correlation")
     return max(-1.0, min(1.0, sxy / math.sqrt(sxx * syy)))
@@ -270,7 +270,7 @@ def _one_vs_rest(items: Items) -> float:
         for annotator, score in scores.items():
             others = [v for a, v in scores.items() if a != annotator]
             own[annotator].append(score)
-            rest[annotator].append(sum(others) / len(others))
+            rest[annotator].append(left_sum(others) / len(others))
 
     correlations = []
     for annotator in annotators:
@@ -280,7 +280,7 @@ def _one_vs_rest(items: Items) -> float:
                 "with the rest"
             )
         correlations.append(_pearson(own[annotator], rest[annotator]))
-    return sum(correlations) / len(correlations)
+    return left_sum(correlations) / len(correlations)
 
 
 def one_vs_rest(
@@ -313,13 +313,13 @@ def _krippendorff_alpha(units: list[list[float]]) -> float:
     d_obs = 0.0
     for values in units:
         m = len(values)
-        s1 = sum(values)
-        s2 = sum(v * v for v in values)
+        s1 = left_sum(values)
+        s2 = left_sum(v * v for v in values)
         d_obs += (2 * m * s2 - 2 * s1 * s1) / (m - 1)
     d_obs /= n
 
-    all_s1 = sum(sum(u) for u in units)
-    all_s2 = sum(sum(v * v for v in u) for u in units)
+    all_s1 = left_sum(left_sum(u) for u in units)
+    all_s2 = left_sum(left_sum(v * v for v in u) for u in units)
     d_exp = (2 * n * all_s2 - 2 * all_s1 * all_s1) / (n * (n - 1))
 
     if d_exp == 0.0:

@@ -422,14 +422,17 @@ class _SwapTauB:
             raise AllTied("kendall tau degenerate inside permutation test")
         return np.divide(counts[:, :2], denom, out=denom)
 
-    def hits(self, seed: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    def hits(
+        self, generator: np.random.Generator, r: int
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Per pair (a, b) of ``self.pairs``: #{delta* >= delta}, the count
         of the test of a against b, and #{delta* <= delta}, that of b
         against a, over r replicates.
 
         Replicate i swaps the cells where row i of
-        ``rng_for(seed, "perm-both").random((r, n)) < 0.5``, drawn in order a
-        batch at a time, so the masks do not depend on the batch size.
+        ``generator.random((r, n)) < 0.5``, drawn in order a batch at a time,
+        so the masks do not depend on the batch size; the callers pass
+        ``rng_for(seed, "perm-both")``.
         Under one mask, (b, a)'s pair of taus is (a, b)'s exchanged, and IEEE
         subtraction is antisymmetric, so b against a counts delta* <= delta
         on (a, b)'s differences, bit for bit as its own test under the same
@@ -444,7 +447,6 @@ class _SwapTauB:
         size = -(-r // batches)
         masks = np.empty((n, r), dtype=bool)
         uniforms = np.empty((size, n))
-        generator = rng_for(seed, "perm-both")
         for start in range(0, r, size):
             u = uniforms[: min(size, r - start)]
             generator.random(out=u)
@@ -487,7 +489,7 @@ def perm_both(
     :func:`segment_sig_matrix`.
     """
     scores, h = _gather([table_a, table_b], human_segment_scores)
-    hits, _ = _SwapTauB(scores, h).hits(seed, r)
+    hits, _ = _SwapTauB(scores, h).hits(rng_for(seed, "perm-both"), r)
     return (1 + int(hits[0])) / (r + 1)
 
 
@@ -527,6 +529,9 @@ def segment_sig_matrix(
         raise CellMismatch(f"tables not all of task {task.label}")
     names = list(tables)
     pairs = [(row, col) for row in names for col in names if row != col]
+    # drawn before the clock starts: the first generator of a process
+    # imports numpy.random, which is no part of the test's time
+    generator = rng_for(seed, "perm-both") if pairs else None
     started = time.perf_counter()
     p_values: dict[tuple[str, str], float] = {}
     unordered = blocks = 0
@@ -534,7 +539,7 @@ def segment_sig_matrix(
         kernel = _SwapTauB(
             *_gather([tables[name] for name in names], human_segment_scores)
         )
-        forward, backward = kernel.hits(seed, r)
+        forward, backward = kernel.hits(generator, r)
         for (i, j), ahead, behind in zip(kernel.pairs, forward, backward):
             p_values[(names[i], names[j])] = (1 + int(ahead)) / (r + 1)
             p_values[(names[j], names[i])] = (1 + int(behind)) / (r + 1)

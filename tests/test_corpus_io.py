@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -152,7 +153,9 @@ class TestConfig:
         assert info.value.path == conf
 
     @pytest.mark.parametrize("field", ["directions", "systems"])
-    @pytest.mark.parametrize("bad", ["", "a,b", "a\nb", "a\r", "a\u2028b", " a", "a\t"])
+    @pytest.mark.parametrize(
+        "bad", ["", "a,b", "a\nb", "a\r", "a\u2028b", " a", "a\t", "#a", "a # b"]
+    )
     def test_ids_the_config_file_cannot_hold_rejected(self, field, bad):
         # parse_config splits on ',' and strips each item, so these would load
         # back as other ids: ("a,b", "c") as ("a", "b", "c")
@@ -160,9 +163,23 @@ class TestConfig:
             minimal_config(**{field: (bad, "c")})
 
     def test_ids_round_trip_through_the_config_file(self, tmp_path):
-        config = minimal_config(directions=("a b", "c=d"), systems=("s 1", "#s2"))
+        config = minimal_config(directions=("a b", "c=d"), systems=("s 1", "s=2"))
         write_config(config, tmp_path / "campaign.conf")
         assert parse_config(tmp_path / "campaign.conf") == config
+
+    def test_inline_comment_is_refused_at_its_line(self, tmp_path):
+        # read as a value, the comment would make a system 'sysB  # two
+        # systems', and the first error would blame hypotheses.jsonl
+        shutil.copytree(FIXTURE, tmp_path / "campaign")
+        conf = tmp_path / "campaign" / "campaign.conf"
+        conf.write_text(
+            conf.read_text(encoding="utf-8").replace(
+                "systems = sysA, sysB\n", "systems = sysA, sysB  # two systems\n"
+            ),
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError, match="campaign.conf:3: '#' inside a value"):
+            parse_config(conf)
 
     def test_readme_example_config_parses(self, tmp_path):
         # the first code block of the README's "Campaign layout" section

@@ -21,7 +21,9 @@ from lcmteval.metrics import (
     bleu_stats,
     corpus_bleu,
     expected_length,
+    left_sum,
     length_deviation,
+    length_deviations,
     ngram_stats,
     rouge_l,
     rouge_l_arrays,
@@ -546,11 +548,26 @@ class TestLengthDeviation:
         better = [LengthRecord(8, 10), LengthRecord(10, 10)]
         assert length_deviation(worse) > length_deviation(better)
 
+    def test_mean_of_the_per_record_deviations(self):
+        records = [LengthRecord(8, 10), LengthRecord(12, 10), LengthRecord(3, 7)]
+        assert length_deviations(records) == [0.2, 0.2, 4 / 7]
+        assert length_deviation(records) == (0.2 + 0.2 + 4 / 7) / 3
+
     def test_invalid_records(self):
         with pytest.raises(ValueError):
             LengthRecord(5, 0)
         with pytest.raises(ValueError):
             LengthRecord(-1, 5)
+
+
+class TestLeftSum:
+    def test_adds_left_to_right_on_every_python(self):
+        # sum() compensates its rounding from Python 3.12 and gives 1.0 and
+        # 1.0 here; the report bytes rest on the uncompensated order
+        assert left_sum([1e16, 1.0, -1e16]) == 0.0
+        assert left_sum([0.1] * 10) == 0.9999999999999999
+        assert left_sum(iter([0.5, 0.25])) == 0.75
+        assert left_sum([]) == 0
 
 
 class TestLengthTargets:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import shutil
@@ -12,6 +13,7 @@ import pytest
 from lcmteval.cli import main
 from lcmteval.corpus import Task, input_files, parse_config
 from lcmteval.errors import UnsupportedFormat
+from lcmteval.pipeline import PipelineState, run_pipeline
 from lcmteval.reports import (
     SIG_HEADER,
     emit_sig_matrix,
@@ -718,6 +720,63 @@ class TestRunCommand:
             assert main(["traps", str(fixture_config_path), "--out", str(out),
                          "--count", "1", "--seed", value]) == 0
             assert (out / "traps.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("seed", v) for v in (0, 1, 2**64 - 2, 2**64 - 1)]
+        + [("hybrids", v) for v in (0, 1)]
+        + [(name, v) for name in ("permutations", "bootstrap") for v in (0, 1, 2)]
+        + [("alpha", v) for v in (0.0, -5e-324, 5e-324, 1 - 2**-53, 1.0, 1 + 2**-52)]
+        + [("timing_cutoff", v) for v in (0.0, -5e-324, 5e-324, math.inf)]
+        + [
+            (name, v)
+            for name in ("seed", "hybrids", "permutations", "bootstrap", "alpha",
+                         "timing_cutoff")
+            for v in (math.nan, -1, 2**64)
+        ],
+    )
+    def test_run_and_run_pipeline_refuse_the_same_options(
+        self, fixture_config_path, tmp_path, capsys, monkeypatch, option, value
+    ):
+        # values on and beside each bound: the CLI flag refuses exactly what
+        # the library keyword refuses, with the same rule, and neither writes
+        # a file; an accepted value stops the run before its first stage
+        class Accepted(Exception):
+            pass
+
+        def accepted(state):
+            raise Accepted
+
+        monkeypatch.setattr(PipelineState, "check_system_sig", accepted)
+        out = tmp_path / "out"
+        flag = "--" + option.replace("_", "-")
+        text = repr(value)
+        try:
+            run_pipeline(fixture_config_path, out, **{option: value})
+        except ValueError as exc:
+            library = str(exc)
+        except Accepted:
+            library = None
+        try:
+            main(["run", str(fixture_config_path), "--out", str(out),
+                  f"{flag}={text}"])
+        except SystemExit as exc:
+            assert exc.code == 2
+            cli = capsys.readouterr().err
+        except Accepted:
+            cli = None
+        assert not out.exists()
+        assert (cli is None) == (library is None)
+        if library is None:
+            return
+        assert library.startswith(f"{option} ")
+        if text == "nan" and option not in ("alpha", "timing_cutoff"):
+            # argparse refuses text that is no integer before any rule
+            assert f"argument {flag}: invalid integer value: 'nan'" in cli
+            return
+        pattern = f"argument {flag}: (must be .*), got {re.escape(text)}$"
+        (rule,) = re.findall(pattern, cli, re.M)
+        assert library == f"{option} {rule}, got {value}"
 
     @pytest.mark.parametrize(
         "command",

@@ -1,5 +1,6 @@
 import logging
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -447,7 +448,7 @@ class TestSwapKernel:
         monkeypatch.setattr(_SwapTauB, "_forms", counting_forms)
         monkeypatch.setattr(significance, "_BLOCK", 600)
         kernel = _SwapTauB(np.stack([a, b]), h)
-        kernel.hits(5, 20)
+        kernel.hits(significance.rng_for(5, "perm-both"), 20)
         assert sizes == [(20, 5)]
         tiles = kernel._tiles(100)
         assert len(tiles) == 55
@@ -766,6 +767,30 @@ class TestSegmentSigMatrix:
         monkeypatch.setattr(significance, "_BLOCK", 7 * n)
         segment_sig_matrix(tables, human, TASK, r=20, seed=9)
         assert keys_seen == [(9, "perm-both")]
+
+    def test_generator_is_built_before_the_clock_starts(self, monkeypatch):
+        # the first generator of a process imports numpy.random; the INFO
+        # time of a matrix must not include it
+        keys = dense_keys(6)
+        tables = {name: seg_table(dict(zip(keys, range(6))), name) for name in "AB"}
+        human = dict(zip(keys, [0.5, 0.1, 0.9, 0.3, 0.7, 0.2]))
+        events = []
+        real_rng_for = significance.rng_for
+
+        def noting_rng_for(*key):
+            events.append("rng_for")
+            return real_rng_for(*key)
+
+        def noting_perf_counter():
+            events.append("clock")
+            return 0.0
+
+        monkeypatch.setattr(significance, "rng_for", noting_rng_for)
+        monkeypatch.setattr(
+            significance, "time", SimpleNamespace(perf_counter=noting_perf_counter)
+        )
+        segment_sig_matrix(tables, human, TASK, r=10, seed=4)
+        assert events == ["rng_for", "clock", "clock"]
 
     @pytest.mark.parametrize("n, r", [(24, 1000), (200, 20)])
     def test_peak_memory_bounded(self, n, r):
