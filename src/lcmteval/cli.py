@@ -8,9 +8,10 @@ and a digest manifest.  ``run`` and the stage commands open a campaign through
 (exit 2) or an incomplete rating grid (exit 1), before writing anything.
 ``validate`` reports the grid; ``traps``, ``normalize``, ``score`` and
 ``ingest`` load without the grid check, to inspect a campaign still being
-collected.  ``--level`` is the variant-selection level everywhere.  Exit
-codes: 0 success, 1 campaign validation failure, 2 I/O or format error,
-3 violated statistical precondition.
+collected.  Each command accepts only the flags it reads, and ``--level`` is
+the variant-selection level everywhere.  Exit codes: 0 success, 1 campaign
+validation failure, 2 I/O or format error (argparse's own for a flag the
+command does not take), 3 violated statistical precondition.
 """
 
 from __future__ import annotations
@@ -76,32 +77,37 @@ def _option(name: str):
     return parse
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=_option("seed"), default=None,
-                        help="master seed (default: the config's seed)")
-    parser.add_argument("--hybrids", type=_option("hybrids"), default=1000, metavar="K",
-                        help="hybrid systems per task for system-level correlation")
-    parser.add_argument("--permutations", type=_option("permutations"), default=1000,
-                        metavar="R",
-                        help="replicates for the segment-level permutation test")
-    parser.add_argument("--bootstrap", type=_option("bootstrap"), default=1000,
-                        metavar="B",
-                        help="paired bootstrap resamples for system comparison")
-    parser.add_argument("--alpha", type=_option("alpha"), default=0.05,
-                        help="significance threshold of the segment-level "
-                        "permutation tests (system-level intervals are 95%%)")
-    parser.add_argument("--timing-cutoff", type=_option("timing_cutoff"),
-                        default=600.0,
-                        help="seconds; annotations at or above are dropped from cut_ave")
-    parser.add_argument("--include-traps", action="store_true",
-                        help="keep trap ratings in the z-normalization groups")
-    parser.add_argument("--length-unit", default=None, choices=LENGTH_UNITS,
-                        help="override the config's length unit")
-    parser.add_argument("--level", default=SYSTEM_LEVEL, choices=LEVELS,
-                        help="correlation level for best-variant selection")
-    parser.add_argument("--threads", type=_at_least(1), default=1,
-                        help="accepted for compatibility and ignored; every "
-                        "stage runs on one thread")
+# Each flag once, as its name and its add_argument arguments.  Each command
+# lists the flags it reads; run and the stage commands share PipelineState's.
+FLAGS = {
+    "--out": dict(default=".", help="output directory"),
+    "--seed": dict(type=_option("seed"), default=None,
+                   help="master seed (default: the config's seed)"),
+    "--hybrids": dict(type=_option("hybrids"), default=1000, metavar="K",
+                      help="hybrid systems per task for system-level correlation"),
+    "--permutations": dict(type=_option("permutations"), default=1000, metavar="R",
+                           help="replicates for the segment-level permutation test"),
+    "--bootstrap": dict(type=_option("bootstrap"), default=1000, metavar="B",
+                        help="paired bootstrap resamples for system comparison"),
+    "--alpha": dict(type=_option("alpha"), default=0.05,
+                    help="significance threshold of the segment-level "
+                    "permutation tests (system-level intervals are 95%%)"),
+    "--timing-cutoff": dict(type=_option("timing_cutoff"), default=600.0,
+                            help="seconds; annotations at or above are dropped "
+                            "from cut_ave"),
+    "--include-traps": dict(action="store_true",
+                            help="keep trap ratings in the z-normalization groups"),
+    "--length-unit": dict(default=None, choices=LENGTH_UNITS,
+                          help="override the config's length unit"),
+    "--level": dict(default=SYSTEM_LEVEL, choices=LEVELS,
+                    help="correlation level for best-variant selection"),
+    "--threads": dict(type=_at_least(1), default=1,
+                      help="accepted for compatibility and ignored; every "
+                      "stage runs on one thread"),
+    "--count": dict(type=_at_least(0), default=60,
+                    help="trap samples per (direction, ratio)"),
+}
+PIPELINE_FLAGS = tuple(flag for flag in FLAGS if flag != "--count")
 
 
 def _load(args) -> Campaign:
@@ -278,37 +284,40 @@ def build_parser() -> argparse.ArgumentParser:
                         help="log warnings and progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, help_text: str, needs_out=True):
+    def add(name: str, func, help_text: str, flags):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="path to campaign.conf")
-        if needs_out:
-            p.add_argument("--out", default=".", help="output directory")
-        _add_common_flags(p)
-        p.set_defaults(func=func)
-        return p
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
+        # _load reads the length unit of a command without --length-unit too
+        p.set_defaults(func=func, length_unit=None)
 
-    add("validate", cmd_validate, "check rating completeness", needs_out=False)
-    traps = add("traps", cmd_traps, "generate truncated-reference trap pairs")
-    traps.add_argument("--count", type=_at_least(0), default=60,
-                       help="trap samples per (direction, ratio)")
-    add("qc", cmd_stage, "timing, trap-bucket and agreement quality-control tables")
-    add("normalize", cmd_normalize, "per-annotator z-scores and segment averages")
-    add("score", cmd_score, "native lexical metric score tables")
+    add("validate", cmd_validate, "check rating completeness", ["--threads"])
+    add("traps", cmd_traps, "generate truncated-reference trap pairs",
+        ["--out", "--seed", "--length-unit", "--threads", "--count"])
+    add("qc", cmd_stage, "timing, trap-bucket and agreement quality-control tables",
+        PIPELINE_FLAGS)
+    add("normalize", cmd_normalize, "per-annotator z-scores and segment averages",
+        ["--out", "--include-traps", "--threads"])
+    add("score", cmd_score, "native lexical metric score tables",
+        ["--out", "--length-unit", "--threads"])
     add("ingest", cmd_ingest, "validate and summarize external score files",
-        needs_out=False)
-    add("correlate", cmd_stage, "variant selection and metric-human correlation tables")
-    add("significance", cmd_stage, "pairwise metric significance matrices")
+        ["--threads"])
+    add("correlate", cmd_stage, "variant selection and metric-human correlation tables",
+        PIPELINE_FLAGS)
+    add("significance", cmd_stage, "pairwise metric significance matrices",
+        PIPELINE_FLAGS)
     add("syscompare", cmd_stage,
-        "per-system scores with bootstrap daggers, and length deviation")
-    report = sub.add_parser(
-        "report", help="re-render an emitted significance matrix"
-    )
+        "per-system scores with bootstrap daggers, and length deviation",
+        PIPELINE_FLAGS)
+    report = sub.add_parser("report", help="re-render an emitted significance matrix")
     report.add_argument("matrix", help="a sig_*.csv file emitted by this tool")
     report.add_argument("--format", default="textgrid",
                         choices=["csv", "textgrid", "svg"])
     report.add_argument("out_file", help="destination file")
     report.set_defaults(func=cmd_report)
-    add("run", cmd_run, "full pipeline: QC, correlation, significance, reports")
+    add("run", cmd_run, "full pipeline: QC, correlation, significance, reports",
+        PIPELINE_FLAGS)
     return parser
 
 

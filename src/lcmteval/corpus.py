@@ -92,20 +92,28 @@ class CampaignConfig:
     def __post_init__(self):
         if not self.directions:
             raise ParseError("config needs at least one direction")
-        for kind, ids in (("direction", self.directions), ("system", self.systems)):
-            for item in ids:
-                # parse_config splits on ',', strips each item and refuses '#'
-                if (
-                    item.splitlines() != [item]
-                    or item != item.strip()
-                    or "," in item
-                    or "#" in item
-                ):
-                    raise ParseError(
-                        f"{kind} id {item!r} does not survive the config file: "
-                        "it must be non-empty, hold no ',', '#' or line break, "
-                        "and have no leading or trailing whitespace"
-                    )
+        paths = (
+            ("segments path", self.segments_path),
+            ("hypotheses path", self.hypotheses_path),
+            ("ratings path", self.ratings_path),
+            ("scores dir", self.scores_dir),
+        )
+        for kind, item, banned in [
+            *(("direction id", item, ",#") for item in self.directions),
+            *(("system id", item, ",#") for item in self.systems),
+            *((kind, item, "#") for kind, item in paths if item is not None),
+        ]:
+            # parse_config strips each value, refuses '#' and splits ids on ','
+            if (
+                item.splitlines() != [item]
+                or item != item.strip()
+                or any(ch in item for ch in banned)
+            ):
+                raise ParseError(
+                    f"{kind} {item!r} does not survive the config file: it must "
+                    f"be non-empty, hold no {', '.join(map(repr, banned))} or line "
+                    "break, and have no leading or trailing whitespace"
+                )
         if len(set(self.directions)) != len(self.directions):
             raise ParseError("directions must be unique")
         if not self.length_ratios:

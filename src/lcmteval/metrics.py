@@ -103,7 +103,8 @@ def tokenize(text: str, scheme: str) -> TokenSeq:
     """
     text = unicodedata.normalize("NFC", text)
     if scheme == CHARACTER:
-        tokens = tuple(ch for ch in text if not ch.isspace())
+        # str.split() splits on exactly the characters str.isspace() holds for
+        tokens = tuple("".join(text.split()))
     elif scheme == WHITESPACE:
         tokens = tuple(text.split())
     else:

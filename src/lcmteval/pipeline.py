@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 import time
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -272,8 +273,10 @@ class PipelineState:
 
     ``seed`` defaults to the campaign config's seed; ``level`` picks the
     correlation used to choose the best variant of multi-variant metrics.
-    ``level`` is one of ``LEVELS`` and every other option keeps its rule in
-    ``OPTION_RULES``; anything else raises a ``ValueError`` naming it.
+    ``level`` is one of ``LEVELS`` and every other option keeps its type and
+    rule in ``OPTION_RULES``: integer options take an integral value, ``alpha``
+    and ``timing_cutoff`` a real one, neither a bool, each stored as that type;
+    anything else raises a ``ValueError`` naming it.
     """
 
     def __init__(
@@ -298,9 +301,19 @@ class PipelineState:
         self.bootstrap = bootstrap
         self.alpha = alpha
         self.timing_cutoff = timing_cutoff
-        for name, (_, holds, rule) in OPTION_RULES.items():
-            if not holds(getattr(self, name)):
-                raise ValueError(f"{name} {rule}, got {getattr(self, name)}")
+        for name, (kind, holds, rule) in OPTION_RULES.items():
+            value = getattr(self, name)
+            wanted = numbers.Integral if kind is int else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, wanted):
+                noun = "an integer" if kind is int else "a real number"
+                raise ValueError(f"{name} must be {noun}, got {value!r}")
+            try:
+                typed = kind(value)
+            except OverflowError:  # an int beyond float64: infinite, as its flag reads
+                typed = math.inf if value > 0 else -math.inf
+            if not holds(typed):
+                raise ValueError(f"{name} {rule}, got {value}")
+            setattr(self, name, typed)
         self.include_traps = include_traps
         self.level = level
         self.tasks = campaign.tasks()

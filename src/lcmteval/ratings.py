@@ -310,16 +310,16 @@ def _krippendorff_alpha(units: list[list[float]]) -> float:
     # Sum of squared differences over ordered pairs (i != j) inside a group
     # of values v equals 2m*sum(v^2) - 2*(sum(v))^2 ... with m = len(v);
     # the i == j terms contribute zero so they can be included for free.
+    s1s = [left_sum(values) for values in units]
+    s2s = [left_sum(v * v for v in values) for values in units]
     d_obs = 0.0
-    for values in units:
+    for values, s1, s2 in zip(units, s1s, s2s):
         m = len(values)
-        s1 = left_sum(values)
-        s2 = left_sum(v * v for v in values)
         d_obs += (2 * m * s2 - 2 * s1 * s1) / (m - 1)
     d_obs /= n
 
-    all_s1 = left_sum(left_sum(u) for u in units)
-    all_s2 = left_sum(left_sum(v * v for v in u) for u in units)
+    all_s1 = left_sum(s1s)
+    all_s2 = left_sum(s2s)
     d_exp = (2 * n * all_s2 - 2 * all_s1 * all_s1) / (n * (n - 1))
 
     if d_exp == 0.0:

@@ -162,6 +162,47 @@ class TestConfig:
         with pytest.raises(ParseError, match="does not survive the config file"):
             minimal_config(**{field: (bad, "c")})
 
+    @pytest.mark.parametrize(
+        "field", ["segments_path", "hypotheses_path", "ratings_path", "scores_dir"]
+    )
+    @pytest.mark.parametrize(
+        "bad", ["", "seg#1.jsonl", " seg.jsonl", "seg.jsonl\t", "seg\n.jsonl",
+                "seg\r", "a\u2028b", "a\x1cb"]
+    )
+    def test_paths_the_config_file_cannot_hold_rejected(self, field, bad):
+        # parse_config refuses 'seg#1.jsonl' and reads ' seg.jsonl' back as
+        # 'seg.jsonl'
+        with pytest.raises(ParseError, match="does not survive the config file"):
+            minimal_config(**{field: bad})
+
+    def test_every_accepted_config_round_trips_through_the_config_file(
+        self, tmp_path
+    ):
+        spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+        candidates = [
+            "a", "a b", "c=d", "=a", "a,b", "a, b", "dir/seg.jsonl", "ü.jsonl",
+            "#a", "a # b", "", *(
+                form.format(space) for space in spaces
+                for form in ("a{}b", "{}a", "a{}")
+            ),
+        ]
+        fields = ["directions", "systems", "segments_path", "hypotheses_path",
+                  "ratings_path", "scores_dir"]
+        accepted = 0
+        for field in fields:
+            for value in candidates:
+                ids = field in ("directions", "systems")
+                try:
+                    config = minimal_config(**{field: (value, "z") if ids else value})
+                except ParseError:
+                    continue
+                write_config(config, tmp_path / "campaign.conf")
+                assert parse_config(tmp_path / "campaign.conf") == config, value
+                accepted += 1
+        # each field takes 6 plain values and the 19 inner spaces that are no
+        # line break; a path also the 2 values with a comma
+        assert accepted == 2 * (6 + 19) + 4 * (6 + 2 + 19)
+
     def test_ids_round_trip_through_the_config_file(self, tmp_path):
         config = minimal_config(directions=("a b", "c=d"), systems=("s 1", "s=2"))
         write_config(config, tmp_path / "campaign.conf")

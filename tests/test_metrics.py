@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -67,6 +69,13 @@ class TestTokenize:
 
     def test_character_scheme_drops_whitespace(self):
         assert tokenize("a b\tc", CHARACTER).tokens == ("a", "b", "c")
+
+    def test_character_scheme_drops_every_whitespace_code_point(self):
+        spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+        assert {"\t", "\x1c", "\x85", "\u2028", "\u3000"} <= set(spaces)
+        words = "长度可控的机器翻译MT評価。"
+        text = "".join(space + words for space in spaces) + " \t\u3000"
+        assert tokenize(text, CHARACTER).tokens == tuple(words * len(spaces))
 
     @given(st.text(alphabet="abc 明天\t", max_size=30))
     def test_character_tokens_are_single_scalars(self, text):

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -8,9 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from lcmteval.cli import main
+from lcmteval.cli import build_parser, main
 from lcmteval.corpus import Task, input_files, parse_config
 from lcmteval.errors import UnsupportedFormat
 from lcmteval.pipeline import PipelineState, run_pipeline
@@ -28,6 +30,20 @@ from .oracles import read_csv_table
 TASK = Task("aa-bb", 0.8)
 GOLDENS = Path(__file__).parent / "goldens"
 STAGE_COMMANDS = ["qc", "correlate", "significance", "syscompare"]
+# the flags run and the stage commands share, each with a value it accepts
+COMMON_FLAGS = {
+    "--seed": "9", "--hybrids": "5", "--permutations": "5", "--bootstrap": "5",
+    "--alpha": "0.5", "--timing-cutoff": "60", "--include-traps": None,
+    "--length-unit": "whitespace-tokens", "--level": "segment", "--threads": "2",
+}
+# every other command's flags: only those it reads, and --threads
+READ_FLAGS = {
+    "validate": ["--threads"],
+    "traps": ["--out", "--count", "--seed", "--length-unit", "--threads"],
+    "normalize": ["--out", "--include-traps", "--threads"],
+    "score": ["--out", "--length-unit", "--threads"],
+    "ingest": ["--threads"],
+}
 
 
 def make_matrix(metrics, wins=(), bonferroni=(), level="segment"):
@@ -472,9 +488,58 @@ class TestCli:
             encoding="utf-8",
         )
         out = tmp_path / "out"
-        where = [] if command == "validate" else ["--out", str(out)]
-        assert main([command, str(config)] + where + FAST_FLAGS) == 2
+        flags = {"validate": [], "normalize": ["--out", str(out)]}.get(
+            command, ["--out", str(out)] + FAST_FLAGS
+        )
+        assert main([command, str(config)] + flags) == 2
         assert "campaign config declares no ratings file" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        (sub,) = (
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        accepted = {
+            name: {
+                flag
+                for action in parser._actions
+                for flag in action.option_strings
+                if flag != "-h" and flag != "--help"
+            }
+            for name, parser in sub.choices.items()
+        }
+        assert accepted.pop("report") == {"--format"}
+        pipeline = accepted.pop("run")
+        assert pipeline == {"--out", *COMMON_FLAGS}
+        for command in STAGE_COMMANDS:
+            assert accepted.pop(command) == pipeline, command
+        assert accepted == {
+            command: set(flags) for command, flags in READ_FLAGS.items()
+        }
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (command, flag)
+            for command, flags in READ_FLAGS.items()
+            for flag in COMMON_FLAGS
+            if flag not in flags
+        ],
+    )
+    def test_a_flag_the_command_does_not_read_exits_2(
+        self, fixture_config_path, tmp_path, capsys, command, flag
+    ):
+        out = tmp_path / "out"
+        value = [] if flag == "--include-traps" else [COMMON_FLAGS[flag]]
+        where = ["--out", str(out)] if "--out" in READ_FLAGS[command] else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(fixture_config_path)] + where + [flag] + value)
+        assert exc.value.code == 2
+        assert (
+            f"unrecognized arguments: {' '.join([flag] + value)}"
+            in capsys.readouterr().err
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -650,6 +715,28 @@ class TestRunCommand:
         assert "Infinity" not in text
         assert json.loads(text)["parameters"]["timing_cutoff"] == "inf"
 
+    def test_run_pipeline_stores_options_as_the_flag_types(
+        self, fixture_config_path, tmp_path
+    ):
+        # numpy scalars and an integral cutoff are stored as each flag's type,
+        # so the library's manifest is the CLI's byte for byte
+        run_pipeline(
+            fixture_config_path, tmp_path / "library", seed=np.uint64(3),
+            hybrids=np.int64(60), permutations=np.int32(20),
+            bootstrap=np.int16(100), alpha=np.float64(0.05), timing_cutoff=600,
+            level="segment",
+        )
+        assert main(
+            ["run", str(fixture_config_path), "--out", str(tmp_path / "cli"),
+             "--seed", "3", "--hybrids", "60", "--permutations", "20",
+             "--bootstrap", "100", "--level", "segment"]
+        ) == 0
+        library, cli = (
+            (tmp_path / out / "manifest.json").read_bytes()
+            for out in ("library", "cli")
+        )
+        assert library == cli
+
     def test_manifest_records_input_digests(self, fixture_config_path, tmp_path):
         import hashlib
 
@@ -733,7 +820,15 @@ class TestRunCommand:
             for name in ("seed", "hybrids", "permutations", "bootstrap", "alpha",
                          "timing_cutoff")
             for v in (math.nan, -1, 2**64)
-        ],
+        ]
+        # the type of each option: a bool, a fraction or text is no integer,
+        # and a bool or text no real number; an integer is a real number, one
+        # beyond float64 an infinite one
+        + [("seed", 1.5), ("hybrids", 2.5), ("permutations", True),
+           ("bootstrap", False), ("seed", "7"), ("hybrids", 60.0),
+           ("alpha", True), ("timing_cutoff", False), ("alpha", "0.5"),
+           ("alpha", 1), ("timing_cutoff", 600), ("alpha", 10**400),
+           ("timing_cutoff", 10**400), ("timing_cutoff", -(10**400))],
     )
     def test_run_and_run_pipeline_refuse_the_same_options(
         self, fixture_config_path, tmp_path, capsys, monkeypatch, option, value
@@ -770,9 +865,15 @@ class TestRunCommand:
         if library is None:
             return
         assert library.startswith(f"{option} ")
-        if text == "nan" and option not in ("alpha", "timing_cutoff"):
-            # argparse refuses text that is no integer before any rule
-            assert f"argument {flag}: invalid integer value: 'nan'" in cli
+        if library.startswith(f"{option} must be a"):
+            # argparse refuses text that is no number of the flag's type
+            # before any rule
+            real = option in ("alpha", "timing_cutoff")
+            kind, noun = (
+                ("number", "a real number") if real else ("integer", "an integer")
+            )
+            assert library == f"{option} must be {noun}, got {value!r}"
+            assert f"argument {flag}: invalid {kind} value: {text!r}" in cli
             return
         pattern = f"argument {flag}: (must be .*), got {re.escape(text)}$"
         (rule,) = re.findall(pattern, cli, re.M)
