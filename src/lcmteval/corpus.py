@@ -33,11 +33,11 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,9 +59,9 @@ SYSTEM_LEVEL = "system"
 _MAX_SEED = (1 << 64) - 1
 
 
-@dataclass(frozen=True, order=True)
-class Task:
-    """One annotation/evaluation task: a direction at a target length ratio."""
+class Task(NamedTuple):
+    """One annotation/evaluation task: a direction at a target length ratio.
+    It equals, orders and hashes as the tuple ``(direction, ratio)``."""
 
     direction: str
     ratio: float
@@ -137,14 +137,8 @@ class CampaignConfig:
             raise ParseError("seed must fit in 64 unsigned bits")
 
     def tasks(self) -> list[Task]:
-        """The tasks, directions outer: always the same object per task, so
-        dicts keyed by task never compare two."""
-        return [_task(d, r) for d in self.directions for r in self.length_ratios]
-
-
-@lru_cache(maxsize=None, typed=True)
-def _task(direction: str, ratio: float) -> Task:
-    return Task(direction, ratio)
+        """The tasks, directions outer."""
+        return [Task(d, r) for d in self.directions for r in self.length_ratios]
 
 
 @dataclass(frozen=True)
@@ -182,7 +176,7 @@ class ScoreTable:
     segment-level table, one score per system for a system-only one (the
     shape of corpus-level metrics that have no per-sentence decomposition).
     The array is laid out row-major, in :meth:`cell_keys` order; ``cells``
-    and ``system_cells`` are read-only mappings built from it.
+    is a read-only mapping built from it.
     """
 
     metric_id: str
@@ -259,11 +253,6 @@ class ScoreTable:
     def cells(self) -> Mapping[tuple[str, str], float]:
         values = self.values.ravel().tolist()
         return MappingProxyType(dict(zip(self.cell_keys(), values)))
-
-    @property
-    def system_cells(self) -> Mapping[str, float]:
-        values = self.values.tolist() if self.level == SYSTEM_LEVEL else []
-        return MappingProxyType(dict(zip(self.system_ids, values)))
 
 
 @dataclass

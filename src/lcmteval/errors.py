@@ -89,6 +89,11 @@ class ZeroLengthHypothesisCorpus(StatError):
     pass
 
 
+class BrevityPenaltyUnderflow(StatError, ZeroDivisionError):
+    """A corpus BLEU brevity penalty underflows to 0: a reference over 700
+    times longer than its hypothesis."""
+
+
 class EmptySet(StatError):
     pass
 

@@ -311,7 +311,8 @@ def hybrid_arrays(
     flat = cube.reshape(len(cube), n_sys * n_seg)
     step = max(1, _BLOCK // max(1, len(cube) * n_seg))
     for lo in range(0, k, step):
-        picked = index_rows[lo : lo + step] * n_seg + np.arange(n_seg)
+        # intp first: a narrow unsigned row times n_seg would wrap around
+        picked = index_rows[lo : lo + step].astype(np.intp) * n_seg + np.arange(n_seg)
         cells = np.take(flat, picked, axis=1)
         extended[:, n_sys + lo : n_sys + lo + step] = cells.mean(axis=2)
     rows = iter(extended)  # the segment-level tables', in order

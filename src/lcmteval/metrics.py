@@ -33,7 +33,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptyCorpus, EmptySet, LengthMismatch, ZeroLengthHypothesisCorpus
+from .errors import (
+    BrevityPenaltyUnderflow,
+    EmptyCorpus,
+    EmptySet,
+    LengthMismatch,
+    ZeroLengthHypothesisCorpus,
+)
 
 CHARACTER = "character"
 WHITESPACE = "whitespace"
@@ -241,8 +247,9 @@ def bleu_arrays_from_stats(stats) -> BleuArrays:
     :class:`ZeroLengthHypothesisCorpus` when any row's hypothesis length is
     0, ``ValueError`` for statistics that are not integers, not of that
     shape, or with more clipped matches than n-grams at some order, and
-    ``ZeroDivisionError`` when a brevity penalty underflows to 0 (a
-    reference over 700 times longer than its hypothesis).
+    :class:`BrevityPenaltyUnderflow` (a ``ZeroDivisionError`` too) when a
+    brevity penalty underflows to 0 (a reference over 700 times longer than
+    its hypothesis).
 
     Every value equals the scalar arithmetic of one row, bit for bit, for
     statistics below 2**53: the ratios, the smoothing terms, the penalty's
@@ -275,7 +282,7 @@ def bleu_arrays_from_stats(stats) -> BleuArrays:
     short = np.flatnonzero(hyp_len < ref_len)
     brevity_penalty[short] = _libm(math.exp, 1.0 - ref_len[short] / hyp_len[short])
     if not brevity_penalty.all():
-        raise ZeroDivisionError("the brevity penalty underflows to 0")
+        raise BrevityPenaltyUnderflow("the brevity penalty underflows to 0")
 
     matched = correct > 0
     precisions = np.zeros(correct.shape)

@@ -143,18 +143,20 @@ class NativeScores:
 
     def corpus_scorer(self, index_rows: np.ndarray) -> dict:
         """The ``corpus_scorer`` of :func:`hybrid_supersample`: BLEU and BLEU*
-        of every row of a hybrid index matrix, the rows' summed cell
-        statistics finished in one array pass.  The cells are gathered a
-        chunk of rows at a time, at most ``_BLOCK`` statistics or one row."""
+        of every row of a hybrid index matrix.  The cells are gathered a
+        chunk of rows at a time, at most ``_BLOCK`` statistics or one row,
+        and each chunk's summed statistics are finished before the next is
+        gathered, so only the two score arrays grow with the row count."""
         k, n_segments = index_rows.shape
         width = self.bleu_stats.shape[2]
         step = max(1, _BLOCK // (n_segments * width))
-        sums = np.empty((k, width), dtype=self.bleu_stats.dtype)
+        bleu, bleu_star = np.empty(k), np.empty(k)
         for lo in range(0, k, step):
             cells = self.bleu_stats[index_rows[lo : lo + step], np.arange(n_segments)]
-            sums[lo : lo + step] = cells.sum(axis=1)
-        finished = bleu_arrays_from_stats(sums)
-        return {(BLEU_ID, "-"): finished.bleu, (BLEU_STAR_ID, "-"): finished.bleu_star}
+            finished = bleu_arrays_from_stats(cells.sum(axis=1))
+            bleu[lo : lo + step] = finished.bleu
+            bleu_star[lo : lo + step] = finished.bleu_star
+        return {(BLEU_ID, "-"): bleu, (BLEU_STAR_ID, "-"): bleu_star}
 
 
 def score_tables_for_task(campaign: Campaign, task: Task) -> NativeScores:

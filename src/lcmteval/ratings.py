@@ -4,14 +4,14 @@ z-normalization, segment-score aggregation, and inter-annotator agreement.
 The agreement statistics read one task's ratings through one item table,
 (system, segment) -> annotator -> score: :func:`agreement` builds it once
 and takes one-vs-rest r, Krippendorff's alpha and the pairable item count
-from it.  The one-task check compares each rating's task with the first's,
-which for ratings loaded together is the same object.
+from it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .corpus import RatingRecord, SegmentRecord, Task
@@ -37,15 +37,16 @@ class TrapPair:
 
 
 @dataclass(frozen=True)
-class NormalizedRating:
-    annotator_id: str
-    task: Task
-    seg_id: str
-    system_id: str
-    raw_score: int
-    duration_s: float
-    is_trap: bool
+class NormalizedRating(RatingRecord):
+    """A rating with its raw score standardised in its (annotator, task)
+    group."""
+
     z: float
+
+
+# a rating's fields, read one by one: vars() would make CPython build a
+# __dict__ object for every loaded rating, which outlives the call
+_rating_fields = attrgetter(*(f.name for f in fields(RatingRecord)))
 
 
 @dataclass(frozen=True)
@@ -176,18 +177,7 @@ def znormalize(
     out = []
     for rec in kept:
         mean, sd = stats[(rec.annotator_id, rec.task)]
-        out.append(
-            NormalizedRating(
-                annotator_id=rec.annotator_id,
-                task=rec.task,
-                seg_id=rec.seg_id,
-                system_id=rec.system_id,
-                raw_score=rec.raw_score,
-                duration_s=rec.duration_s,
-                is_trap=rec.is_trap,
-                z=(rec.raw_score - mean) / sd,
-            )
-        )
+        out.append(NormalizedRating(*_rating_fields(rec), (rec.raw_score - mean) / sd))
     return out
 
 
@@ -235,17 +225,13 @@ def _pearson(x: Sequence[float], y: Sequence[float]) -> float:
 Items = dict[tuple[str, str], dict[str, float]]
 
 
-def _item_scores(
-    ratings: Sequence[RatingRecord | NormalizedRating],
-    include_traps: bool,
-) -> Items:
+def _item_scores(ratings: Sequence[RatingRecord], include_traps: bool) -> Items:
     """item (system, seg) -> annotator -> raw score, for a single task."""
     kept = [r for r in ratings if include_traps or not r.is_trap]
     if not kept:
         raise EmptySet("no ratings for agreement computation")
     task = kept[0].task
-    # ratings loaded together share their Task, so ``is`` settles most records
-    if any(r.task is not task and r.task != task for r in kept):
+    if any(r.task != task for r in kept):
         tasks = {r.task for r in kept}
         raise ValueError(f"agreement expects ratings from one task, got {len(tasks)}")
     items: Items = {}

@@ -128,15 +128,17 @@ def _pcg_step(state, inc):
 def integer_rows(
     master_seed: int, tag: str, k: int, high: int, size: int
 ) -> tuple[np.ndarray, int]:
-    """The (k, size) int64 matrix whose row i equals
+    """The (k, size) matrix whose row i equals
     ``rng_for(master_seed, tag, i).integers(0, high, size=size)``, and the
     number of rows redrawn through :func:`rng_for` because one of their
     draws took Lemire's rejection branch (about 2**32 % high in 2**32 draws
-    do).  ``high`` lies in [1, 2**32].
+    do).  ``high`` lies in [1, 2**32].  The matrix has the narrowest
+    unsigned type that holds ``high - 1`` (uint8 up to ``high`` = 256), so
+    arithmetic on its entries must cast them first.
     """
     if not 1 <= high <= 1 << 32:
         raise ValueError(f"high must lie in [1, 2**32], got {high}")
-    out = np.empty((k, size), dtype=np.int64)
+    out = np.empty((k, size), dtype=np.min_scalar_type(high - 1))
     if k == 0 or size == 0:
         return out, 0
     # derive_int(master_seed, tag, i) for every row: the prefix is hashed
@@ -156,7 +158,6 @@ def integer_rows(
     state = _pcg_step((inc[0] + s0 + (lo < s1), lo), inc)
     threshold = (1 << 32) % high
     rejected = np.zeros(k, dtype=bool)
-    draws = out.view(np.uint64)
     for col in range(0, size, 2):
         state = _pcg_step(state, inc)
         hi, lo = state
@@ -166,7 +167,7 @@ def integer_rows(
         for j, half in ((col, output & _MASK32), (col + 1, output >> 32)):
             if j < size:
                 scaled = half * np.uint64(high)
-                draws[:, j] = scaled >> 32
+                out[:, j] = scaled >> 32
                 if threshold:
                     rejected |= (scaled & _MASK32) < threshold
     redrawn = np.flatnonzero(rejected).tolist()

@@ -237,6 +237,24 @@ class TestConfig:
         assert Task("zh-en", 0.5).label == "zh-en.50"
         assert percent_label(1 / 3) == "33.33333333"
 
+    def test_task_is_its_direction_and_ratio_tuple(self):
+        task = Task("zh-en", 0.5)
+        assert Task._fields == ("direction", "ratio")
+        assert (task.direction, task.ratio) == ("zh-en", 0.5)
+        assert repr(task) == "Task(direction='zh-en', ratio=0.5)"
+        assert task.label == "zh-en.50"
+        # equal to, and hashed as, the tuple: the value a frozen dataclass
+        # of these two fields hashes to
+        assert task == ("zh-en", 0.5)
+        assert hash(task) == hash(("zh-en", 0.5))
+        assert {task: 1}[("zh-en", 0.5)] == 1
+        tasks = [Task("zh-en", 0.5), Task("en-zh", 0.8), Task("en-zh", 0.5)]
+        assert sorted(tasks) == [
+            Task("en-zh", 0.5),
+            Task("en-zh", 0.8),
+            Task("zh-en", 0.5),
+        ]
+
 
 class TestLoadCampaign:
     def test_fixture_loads(self, campaign):
@@ -621,9 +639,8 @@ class TestScoreTable:
         table = self.table()
         assert table.cells == self.CELLS
         assert list(table.cells) == sorted(self.CELLS)
-        assert table.system_cells == {}
         system = ScoreTable.system_table("m", "v", self.TASK, {"s2": 1.0, "s1": 2.0})
-        assert system.system_cells == {"s1": 2.0, "s2": 1.0}
+        assert system.system_ids == ("s1", "s2")
         assert system.cells == {}
         assert system.values.tolist() == [2.0, 1.0]
 
@@ -634,8 +651,6 @@ class TestScoreTable:
         with pytest.raises(ValueError):
             table.values[0, 0] = 9.0
         system = ScoreTable.system_table("m", "v", self.TASK, {"s1": 2.0})
-        with pytest.raises(TypeError):
-            system.system_cells["s1"] = 9.0
         with pytest.raises(ValueError):
             system.values[0] = 9.0
 

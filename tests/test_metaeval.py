@@ -432,7 +432,8 @@ class TestHybridSupersample:
             return {("BLEU", "-"): [0.42 + i for i in range(len(index_rows))]}
 
         # a system-only table missing from the scorer's result
-        star = ScoreTable.system_table("BLEU*", "-", TASK, bleu.system_cells)
+        star_cells = dict(zip(bleu.system_ids, bleu.values.tolist()))
+        star = ScoreTable.system_table("BLEU*", "-", TASK, star_cells)
         with pytest.raises(SystemOnlyTable):
             hybrid_supersample([table, bleu, star], human, 2, seed=1, corpus_scorer=scorer)
         calls.clear()

@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -49,6 +50,11 @@ GOLDEN_PAPER = Path(__file__).parent / "goldens" / "paper_manifest.json"
 CAMPAIGN_GEN = Path(__file__).resolve().parents[1] / "perfbench" / "campaign_gen.py"
 
 
+def by_system(table):
+    """A system-only table's scores by system id."""
+    return dict(zip(table.system_ids, table.values.tolist()))
+
+
 def echo_campaign():
     """Two systems that copy the reference verbatim (one direction, one ratio)."""
     config = CampaignConfig(
@@ -85,8 +91,8 @@ class TestScoreTables:
         tables = {t.metric_id: t for t in score_tables_for_task(campaign, Task("aa-bb", 1.0)).tables}
         for metric in ROUGE_METRICS:
             assert set(tables[metric].cells.values()) == {1.0}
-        assert set(tables[BLEU_ID].system_cells.values()) == {1.0}
-        assert set(tables[BLEU_STAR_ID].system_cells.values()) == {1.0}
+        assert set(tables[BLEU_ID].values.tolist()) == {1.0}
+        assert set(tables[BLEU_STAR_ID].values.tolist()) == {1.0}
         assert set(tables[LENGTH_DEV_ID].cells.values()) == {0.0}
 
     def test_direction_without_segments_is_an_empty_corpus(self):
@@ -103,11 +109,9 @@ class TestScoreTables:
             tables = {
                 t.metric_id: t for t in score_tables_for_task(campaign, task).tables
             }
+            bleu, star = by_system(tables[BLEU_ID]), by_system(tables[BLEU_STAR_ID])
             for system in campaign.config.systems:
-                assert (
-                    tables[BLEU_STAR_ID].system_cells[system]
-                    >= tables[BLEU_ID].system_cells[system]
-                )
+                assert star[system] >= bleu[system]
 
     def test_table_shapes(self, campaign):
         task = campaign.tasks()[0]
@@ -193,6 +197,22 @@ class TestScoreTables:
         chunked = native.corpus_scorer(index_rows)
         for key, values in whole.items():
             assert chunked[key].tolist() == values.tolist()
+
+    def test_hybrid_bleu_peak_memory_bounded(self, campaign):
+        # each chunk is finished before the next is gathered, so 60,000
+        # hybrids of one fixture task take no more than two 8-byte scores
+        # each plus one chunk's working set
+        task = campaign.tasks()[0]
+        native = score_tables_for_task(campaign, task)
+        n_systems, n_segments, _ = native.bleu_stats.shape
+        index_rows, _ = integer_rows(5, "peak", 60_000, n_systems, n_segments)
+        tracemalloc.start()
+        try:
+            native.corpus_scorer(index_rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_echo_length_deviation_zero(self, tmp_path):
         state = PipelineState(echo_campaign())
@@ -522,8 +542,8 @@ class TestScoreTables:
                 rl = rouge_l(hyp, ref)
                 assert tables["ROUGEL-F1"].cells[(system, seg_id)] == rl.f1
             bleu = corpus_bleu(hyps, refs)
-            assert tables[BLEU_ID].system_cells[system] == bleu.bleu
-            assert tables[BLEU_STAR_ID].system_cells[system] == bleu.bleu_star
+            assert by_system(tables[BLEU_ID])[system] == bleu.bleu
+            assert by_system(tables[BLEU_STAR_ID])[system] == bleu.bleu_star
 
 
 def generated_campaign(
@@ -596,8 +616,8 @@ class TestNativeScoresEqualPairwiseCalls:
                 score = corpus_bleu(
                     [hyps[(system, g)] for g in seg_ids], [refs[g] for g in seg_ids]
                 )
-                assert tables[BLEU_ID].system_cells[system] == score.bleu
-                assert tables[BLEU_STAR_ID].system_cells[system] == score.bleu_star
+                assert by_system(tables[BLEU_ID])[system] == score.bleu
+                assert by_system(tables[BLEU_STAR_ID])[system] == score.bleu_star
 
     def test_statistics_rows_equal_cell_bleu_stats(self, scored_campaign):
         for task in scored_campaign.tasks():
@@ -782,18 +802,3 @@ def test_ratings_layer_compares_tasks_less_than_once_per_rating(
     state.emit_agreement(tmp_path)
     assert len(state.campaign.ratings) == 336
     assert len(comparisons) < len(state.campaign.ratings)
-
-
-def test_a_run_keys_every_task_by_one_object(fixture_config_path):
-    # the config hands out one Task object per task, so the human scores,
-    # the state and the ratings share it and filing a cell compares no Tasks
-    state = open_state(fixture_config_path)
-    human = state.human_by_task
-    assert list(human) == state.tasks
-    assert all(a is b for a, b in zip(human, state.tasks))
-    by_label = {task.label: task for task in state.tasks}
-    assert all(rec.task is by_label[rec.task.label] for rec in state.campaign.ratings)
-    assert all(
-        task is by_label[task.label] for task in state.campaign.external_scores
-    )
-    assert state.campaign.config.tasks()[0] is state.tasks[0]

@@ -14,6 +14,7 @@ from lcmteval.errors import (
 from lcmteval.metrics import CHARACTER
 from lcmteval import ratings as ratings_module
 from lcmteval.ratings import (
+    NormalizedRating,
     agreement,
     aggregate_segment_human,
     generate_traps,
@@ -166,6 +167,15 @@ class TestZNormalize:
         assert z == pytest.approx(
             [-1.224744871391589, 0.0, 1.224744871391589], abs=1e-12
         )
+
+    def test_a_normalized_rating_is_its_rating_plus_z(self):
+        records = [rating("a", f"g{i}", s, trap=s == 0) for i, s in enumerate([0, 90])]
+        for rec, out in zip(records, znormalize(records, include_traps=True)):
+            assert isinstance(out, RatingRecord)
+            assert out == NormalizedRating(**vars(rec), z=out.z)
+        # normalising normalised ratings again gives the same records
+        normalized = znormalize(records, include_traps=True)
+        assert znormalize(normalized, include_traps=True) == normalized
 
     def test_constant_scores_zero_variance(self):
         records = [rating("a", f"g{i}", 42) for i in range(5)]

@@ -7,13 +7,20 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lcmteval.cli import build_parser, main
-from lcmteval.corpus import Task, input_files, parse_config
+from lcmteval.corpus import (
+    Task,
+    input_files,
+    load_campaign,
+    parse_config,
+    save_campaign,
+)
 from lcmteval.errors import UnsupportedFormat
 from lcmteval.pipeline import PipelineState, run_pipeline
 from lcmteval.reports import (
@@ -233,8 +240,35 @@ class TestCli:
         assert code == 3
         assert not (out / "traps.jsonl").exists()
 
+    def test_brevity_penalty_underflow_exit_3(self, fixture_config_path, tmp_path, capsys):
+        # every reference 40 times over, and the first system left one
+        # 1-character hypothesis per task: its corpus BLEU penalty underflows
+        campaign = load_campaign(fixture_config_path)
+        first = campaign.config.systems[0]
+        segments = {
+            g: replace(s, reference_text=" ".join([s.reference_text] * 40))
+            for g, s in campaign.segments.items()
+        }
+        kept = set()
+        hypotheses = {}
+        for (system, seg_id, ratio), hyp in campaign.hypotheses.items():
+            if system == first:
+                task = (campaign.segments[seg_id].direction, ratio)
+                hyp = replace(hyp, text="" if task in kept else hyp.text[:1])
+                kept.add(task)
+            hypotheses[(system, seg_id, ratio)] = hyp
+        changed = replace(campaign, segments=segments, hypotheses=hypotheses)
+        save_campaign(changed, tmp_path / "camp")
+        code = main(
+            ["run", str(tmp_path / "camp" / "campaign.conf"), "--out", str(tmp_path / "run")]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "error: the brevity penalty underflows to 0" in err
+        assert "Traceback" not in err
+
     def test_score_round_trips_a_seg_id_with_a_tab(self, fixture_config_path, tmp_path):
-        from lcmteval.corpus import load_campaign, load_external_scores
+        from lcmteval.corpus import load_external_scores
         from lcmteval.pipeline import score_tables_for_task
 
         # score needs no ratings or external scores; rename one segment

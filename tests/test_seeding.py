@@ -28,9 +28,22 @@ def _rows_one_by_one(master_seed, tag, k, high, size):
 @pytest.mark.parametrize("size", [1, 2, 11, 12])
 def test_integer_rows_equal_one_generator_per_row(master_seed, tag, high, size):
     rows, redrawn = integer_rows(master_seed, tag, 40, high, size)
-    assert rows.dtype == np.int64
+    assert rows.dtype == np.uint8
     assert rows.tolist() == _rows_one_by_one(master_seed, tag, 40, high, size).tolist()
     assert redrawn == 0  # no draw of these fixed keys is rejected
+
+
+@pytest.mark.parametrize(
+    "high, dtype", [(2, np.uint8), (3, np.uint8), (256, np.uint8), (257, np.uint16)]
+)
+def test_integer_rows_narrowest_unsigned_type(high, dtype):
+    # the values of the int64 reference rows, redrawn rows included, in the
+    # narrowest unsigned type that holds high - 1
+    rows, redrawn = integer_rows(5, "narrow", 200, high, 12)
+    assert rows.dtype == dtype
+    reference = _rows_one_by_one(5, "narrow", 200, high, 12)
+    assert reference.dtype == np.int64
+    assert rows.tolist() == reference.tolist()
 
 
 @pytest.mark.parametrize("k", [0, 1, 1000])
