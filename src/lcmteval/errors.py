@@ -91,7 +91,12 @@ class ZeroLengthHypothesisCorpus(StatError):
 
 class BrevityPenaltyUnderflow(StatError, ZeroDivisionError):
     """A corpus BLEU brevity penalty underflows to 0: a reference over 700
-    times longer than its hypothesis."""
+    times longer than its hypothesis.  ``row`` is the first row of the
+    finished statistics whose penalty does."""
+
+    def __init__(self, message: str, row: int):
+        self.row = row
+        super().__init__(message)
 
 
 class EmptySet(StatError):

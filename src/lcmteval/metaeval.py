@@ -4,13 +4,14 @@ System-level comparison uses Pearson r over system score vectors; with only
 a handful of real systems those vectors are padded by hybrid super sampling:
 pseudo-systems assembled by picking, per segment, one real system's output
 uniformly at random, the same for every table of a task.  The pipeline
-takes them as arrays from :func:`hybrid_arrays`, whose index rows come from
-one :func:`~.seeding.integer_rows` call per task; :func:`hybrid_supersample`
-adds the selector and vector objects for library callers.  Segment-level
-comparison pools every (system, segment) cell of a task into one vector
-pair and uses Kendall tau-b.  Every function reads a score table's array:
-its row means are the system scores, and its flattened row-major array, in
-sorted (system, segment) order, is the metric's side of the pooled pair.
+takes them as arrays from :func:`hybrid_arrays`, whose index rows are one
+draw from one :func:`~.seeding.rng_for` generator per task;
+:func:`hybrid_supersample` adds the selector and vector objects for library
+callers.  Segment-level comparison pools every (system, segment) cell of a
+task into one vector pair and uses Kendall tau-b.  Every function reads a
+score table's array: its row means are the system scores, and its flattened
+row-major array, in sorted (system, segment) order, is the metric's side of
+the pooled pair.
 
 Every reader of score tables and human scores aligns them in one step: the
 tables share one task, the segment-level ones their system and segment ids,
@@ -52,10 +53,7 @@ from .errors import (
     ZeroVariance,
 )
 from .metrics import left_sum
-from .seeding import (
-    integer_rows,
-    rng_for,  # noqa: F401  the benchmark tracer wraps it until its next revision
-)
+from .seeding import rng_for
 
 PEARSON_R = "pearson_r"
 KENDALL_TAU_B = "kendall_tau_b"
@@ -90,7 +88,7 @@ class HybridSelector:
 
     hybrid_id: str
     choices: Mapping[str, str]  # seg_id -> system_id
-    seed_lineage: tuple[int, int]  # (master seed, hybrid index)
+    seed_lineage: tuple[int, int]  # (master seed, row index in the task's draw)
 
 
 @dataclass(frozen=True)
@@ -269,7 +267,6 @@ class HybridArrays:
     index_rows: np.ndarray
     vectors: dict[tuple[str, str], np.ndarray]  # float64, by table key
     human: np.ndarray  # float64
-    redrawn: int  # index rows drawn again through rng_for
 
 
 def hybrid_arrays(
@@ -283,12 +280,14 @@ def hybrid_arrays(
     """The arrays behind :func:`hybrid_supersample`, which documents the
     draws, the checks and the errors.
 
-    The index rows come from one :func:`~.seeding.integer_rows` call.  One
-    mean over the last axis of the alignment step's cube gives the real
-    systems' scores and one over the hybrids' selected cells gives theirs,
-    gathered a chunk of hybrid rows at a time: at most ``_BLOCK`` cells, or
-    one row across the cube when that row alone is larger.  System-only
-    tables' arrays are their real systems' scores.
+    The index rows are drawn in the narrowest unsigned type that holds a
+    system index (uint8 up to 256 systems); that dtype is part of the
+    stream, since numpy draws other values for it than for int64.  One mean
+    over the last axis of the alignment step's cube gives the real systems'
+    scores and one over the hybrids' selected cells gives theirs, gathered
+    a chunk of hybrid rows at a time: at most ``_BLOCK`` cells, or one row
+    across the cube when that row alone is larger.  System-only tables'
+    arrays are their real systems' scores.
     """
     if not tables:
         raise NoVariants("hybrid_supersample needs at least one score table")
@@ -301,7 +300,9 @@ def hybrid_arrays(
     n_sys = len(systems)
     n_seg = len(seg_ids)
     task = tables[0].task
-    index_rows, redrawn = integer_rows(seed, f"hybrid:{task.label}", k, n_sys, n_seg)
+    index_rows = rng_for(seed, f"hybrid:{task.label}").integers(
+        0, n_sys, size=(k, n_seg), dtype=np.min_scalar_type(n_sys - 1)
+    )
 
     extended = np.empty((len(cube), n_sys + k))
     extended[:, :n_sys] = cube.mean(axis=2)
@@ -335,7 +336,7 @@ def hybrid_arrays(
                 )
             values = np.concatenate([values, corpus_scores[table.key]])
         vectors[table.key] = values
-    return HybridArrays(systems, seg_ids, index_rows, vectors, extended[-1], redrawn)
+    return HybridArrays(systems, seg_ids, index_rows, vectors, extended[-1])
 
 
 def hybrid_supersample(
@@ -353,19 +354,20 @@ def hybrid_supersample(
 ]:
     """Extend every metric's system score vector with ``k`` hybrid systems.
 
-    Selector ``i`` draws, for each segment in lexicographic order, one real
-    system uniformly at random from a generator seeded by (seed, task, i),
-    so the output depends on the inputs alone; all ``k`` rows come from one
-    :func:`~.seeding.integer_rows` call, row i equal to that generator's
-    draws.  Entry (i, j) of the k x segments index matrix picks, for the
-    j-th segment id in sorted order, one of the sorted real system ids.
-    Segment-level tables and the human scores are averaged over the
-    selected cells; system-only tables (corpus-level metrics) are re-scored
-    by ``corpus_scorer``, called at most once with the whole index matrix,
-    which returns the k hybrid scores in row order of each table key it
-    scores.  Real systems always lead the output vectors.  The selectors and
-    vectors are built from :func:`hybrid_arrays`, which the pipeline calls
-    directly.  ``threads`` is accepted for compatibility and ignored.
+    The k x segments index matrix is one draw of uniform system indices from
+    the generator seeded by (seed, ``"hybrid:<task label>"``), so the output
+    depends on the inputs alone.  Row i is selector ``i``, and the first k
+    rows of a larger draw are the same, so a larger ``k`` only adds
+    hybrids.  Entry (i, j) picks, for the j-th segment id in sorted order,
+    one of the sorted real system ids.  Segment-level tables and the human
+    scores are averaged over the selected cells; system-only tables
+    (corpus-level metrics) are re-scored by ``corpus_scorer``, called at
+    most once with the whole index matrix, which returns the k hybrid
+    scores in row order of each table key it scores.  Real systems always
+    lead the output vectors.  The selectors and vectors are built from
+    :func:`hybrid_arrays`, which the pipeline calls directly; each
+    selector's ``seed_lineage`` is (seed, its row index).  ``threads`` is
+    accepted for compatibility and ignored.
     """
     arrays = hybrid_arrays(tables, human_segment_scores, k, seed, corpus_scorer)
     systems, seg_ids = arrays.systems, arrays.seg_ids

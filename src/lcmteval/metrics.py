@@ -247,9 +247,9 @@ def bleu_arrays_from_stats(stats) -> BleuArrays:
     :class:`ZeroLengthHypothesisCorpus` when any row's hypothesis length is
     0, ``ValueError`` for statistics that are not integers, not of that
     shape, or with more clipped matches than n-grams at some order, and
-    :class:`BrevityPenaltyUnderflow` (a ``ZeroDivisionError`` too) when a
-    brevity penalty underflows to 0 (a reference over 700 times longer than
-    its hypothesis).
+    :class:`BrevityPenaltyUnderflow` (a ``ZeroDivisionError`` too, naming the
+    first such row) when a brevity penalty underflows to 0 (a reference over
+    700 times longer than its hypothesis).
 
     Every value equals the scalar arithmetic of one row, bit for bit, for
     statistics below 2**53: the ratios, the smoothing terms, the penalty's
@@ -281,8 +281,11 @@ def bleu_arrays_from_stats(stats) -> BleuArrays:
     brevity_penalty = np.ones(len(stats))
     short = np.flatnonzero(hyp_len < ref_len)
     brevity_penalty[short] = _libm(math.exp, 1.0 - ref_len[short] / hyp_len[short])
-    if not brevity_penalty.all():
-        raise BrevityPenaltyUnderflow("the brevity penalty underflows to 0")
+    underflow = np.flatnonzero(brevity_penalty == 0)
+    if underflow.size:
+        raise BrevityPenaltyUnderflow(
+            "the brevity penalty underflows to 0", int(underflow[0])
+        )
 
     matched = correct > 0
     precisions = np.zeros(correct.shape)

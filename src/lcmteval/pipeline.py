@@ -49,6 +49,7 @@ from .corpus import (
     write_csv,
 )
 from .errors import (
+    BrevityPenaltyUnderflow,
     DuplicateMetricName,
     EmptyCorpus,
     IncompleteTable,
@@ -146,14 +147,22 @@ class NativeScores:
         of every row of a hybrid index matrix.  The cells are gathered a
         chunk of rows at a time, at most ``_BLOCK`` statistics or one row,
         and each chunk's summed statistics are finished before the next is
-        gathered, so only the two score arrays grow with the row count."""
+        gathered, so only the two score arrays grow with the row count.  A
+        brevity penalty that underflows names the task and the hybrid row."""
         k, n_segments = index_rows.shape
         width = self.bleu_stats.shape[2]
         step = max(1, _BLOCK // (n_segments * width))
         bleu, bleu_star = np.empty(k), np.empty(k)
         for lo in range(0, k, step):
             cells = self.bleu_stats[index_rows[lo : lo + step], np.arange(n_segments)]
-            finished = bleu_arrays_from_stats(cells.sum(axis=1))
+            try:
+                finished = bleu_arrays_from_stats(cells.sum(axis=1))
+            except BrevityPenaltyUnderflow as exc:
+                row = lo + exc.row
+                raise BrevityPenaltyUnderflow(
+                    f"{exc} in task {self.tables[0].task.label}, hybrid row {row}",
+                    row,
+                ) from None
             bleu[lo : lo + step] = finished.bleu
             bleu_star[lo : lo + step] = finished.bleu_star
         return {(BLEU_ID, "-"): bleu, (BLEU_STAR_ID, "-"): bleu_star}
@@ -167,10 +176,11 @@ def score_tables_for_task(campaign: Campaign, task: Task) -> NativeScores:
     :func:`ngram_stats` pass over those tokens gives every cell's BLEU
     statistics, ROUGE-1/2 come from that array, and a system's corpus BLEU
     is its summed cell statistics, finished.  ROUGE-L builds each
-    reference's match masks once.  Where the length unit tokenises like the
-    scoring scheme, a reference's or hypothesis's length is its scored token
-    count (a provided reference count still wins).  The tables are built
-    from those arrays.
+    reference's match masks once.  A corpus BLEU brevity penalty that
+    underflows names the task and the system.  Where the length unit
+    tokenises like the scoring scheme, a reference's or hypothesis's length
+    is its scored token count (a provided reference count still wins).  The
+    tables are built from those arrays.
     """
     scheme = scheme_for_direction(task.direction)
     length_scored = (
@@ -213,7 +223,12 @@ def score_tables_for_task(campaign: Campaign, task: Task) -> NativeScores:
     deviations = length_deviations(r for system in systems for r in lengths[system])
     cell_stats = stats.reshape(len(systems), len(segments), -1)
     # a system's corpus BLEU is its summed cell statistics, finished
-    finished = bleu_arrays_from_stats(cell_stats.sum(axis=1))
+    try:
+        finished = bleu_arrays_from_stats(cell_stats.sum(axis=1))
+    except BrevityPenaltyUnderflow as exc:
+        raise BrevityPenaltyUnderflow(
+            f"{exc} in task {task.label}, system {systems[exc.row]}", exc.row
+        ) from None
     # the ids and layout of a segment-level and of a system-only table
     per_cell = (task, SEGMENT_LEVEL, systems, [seg.seg_id for seg in segments])
     per_system = (task, SYSTEM_LEVEL, systems, ())
@@ -422,13 +437,12 @@ class PipelineState:
             out[t] = (arrays.vectors, arrays.human)
             logger.info(
                 "hybrid pass %s: %d tables (%d native, %d external), K=%d hybrids "
-                "drawn in one call (%d redrawn one by one), %.3f s",
+                "drawn in one call, %.3f s",
                 t.label,
                 len(tables),
                 n_native,
                 len(tables) - n_native,
                 self.hybrids,
-                arrays.redrawn,
                 time.perf_counter() - started,
             )
         return out

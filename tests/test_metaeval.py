@@ -301,18 +301,19 @@ class TestHybridSupersample:
 
     @pytest.mark.parametrize("n_segs", [5, 20])
     def test_matches_one_generator_and_one_mean_per_hybrid(self, n_segs):
-        # the batched draws and means equal, with ==, one rng_for generator
-        # per hybrid and one mean over each hybrid's selected cells
+        # row i of one draw from the task's rng_for generator is hybrid i,
+        # and its means equal, with ==, one mean over its selected cells
         table, human = make_aligned(n_segs=n_segs, seed=3)
         other = seg_table({key: 2.0 * v - 1.0 for key, v in human.items()}, variant="w")
         selectors, vectors, human_vec = hybrid_supersample(
             [table, other], human, 25, seed=8
         )
         systems, seg_ids = table.systems(), table.segment_ids()
-        for i, sel in enumerate(selectors):
-            row = metaeval_module.rng_for(8, f"hybrid:{TASK.label}", i).integers(
-                0, len(systems), size=len(seg_ids)
-            )
+        rows = metaeval_module.rng_for(8, f"hybrid:{TASK.label}").integers(
+            0, len(systems), size=(25, len(seg_ids)), dtype=np.uint8
+        )
+        assert len(selectors) == len(rows)
+        for sel, row in zip(selectors, rows.tolist()):
             assert sel.choices == {g: systems[j] for g, j in zip(seg_ids, row)}
             for tb in (table, other):
                 score = vectors[tb.key].scores[sel.hybrid_id]
@@ -322,6 +323,109 @@ class TestHybridSupersample:
         for tb in (table, other):
             real = {s: vectors[tb.key].scores[s] for s in systems}
             assert real == system_scores(tb).scores
+
+    @pytest.mark.parametrize(
+        "n_systems, dtype",
+        [(2, np.uint8), (3, np.uint8), (5, np.uint8), (256, np.uint8), (257, np.uint16)],
+    )
+    def test_index_rows_narrow_and_a_prefix_of_any_larger_draw(self, n_systems, dtype):
+        # the rows are drawn in the narrowest unsigned type that holds a
+        # system index, and the K rows of a draw are the first K rows of a
+        # draw of 1000, so a larger K only adds hybrids
+        rng = np.random.default_rng(n_systems)
+        keys = [(f"s{i:03d}", f"g{j}") for i in range(n_systems) for j in range(4)]
+        human = dict(zip(keys, rng.random(len(keys)).tolist()))
+        table = seg_table(human)
+        full = metaeval_module.hybrid_arrays([table], human, 1000, 12).index_rows
+        assert full.dtype == dtype and full.shape == (1000, 4)
+        assert full.max() == n_systems - 1
+        for k in (0, 1, 333, 999):
+            rows = metaeval_module.hybrid_arrays([table], human, k, 12).index_rows
+            assert rows.dtype == dtype
+            assert rows.tolist() == full[:k].tolist()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    @pytest.mark.parametrize(
+        "task", [Task("en-de", 0.8), Task("zh-en", 1.2), Task("语-xx", 0.5)]
+    )
+    @pytest.mark.parametrize("n_systems", [2, 3, 5, 7, 100])
+    @pytest.mark.parametrize("n_segs", [1, 2, 11, 12])
+    def test_one_draw_per_task_across_seeds_tasks_and_sizes(
+        self, seed, task, n_systems, n_segs
+    ):
+        # the 40 index rows are one uint8 draw of the task's generator, every
+        # entry a system index, and each hybrid's metric and human scores are
+        # one mean over its selected cells; at 100 systems x 11 or 12
+        # segments a flat cell index passes 255
+        rng = np.random.default_rng(n_systems * 100 + n_segs)
+        keys = [(f"s{i:03d}", f"g{j:02d}") for i in range(n_systems) for j in range(n_segs)]
+        human = dict(zip(keys, rng.random(len(keys)).tolist()))
+        cells = dict(zip(keys, rng.standard_normal(len(keys)).tolist()))
+        table = seg_table(cells, task=task)
+        arrays = metaeval_module.hybrid_arrays([table], human, 40, seed)
+        expected = metaeval_module.rng_for(seed, f"hybrid:{task.label}").integers(
+            0, n_systems, size=(40, n_segs), dtype=np.uint8
+        )
+        assert arrays.index_rows.dtype == np.uint8
+        assert arrays.index_rows.tolist() == expected.tolist()
+        assert int(arrays.index_rows.max()) < n_systems
+        systems, seg_ids = table.systems(), table.segment_ids()
+        for scores, vector in ((cells, arrays.vectors[table.key]), (human, arrays.human)):
+            assert len(vector) == n_systems + 40
+            assert vector[:n_systems].tolist() == [
+                float(np.mean([scores[(s, g)] for g in seg_ids])) for s in systems
+            ]
+            assert vector[n_systems:].tolist() == [
+                float(np.mean([scores[(systems[j], g)] for g, j in zip(seg_ids, row)]))
+                for row in expected.tolist()
+            ]
+
+    @pytest.mark.parametrize(
+        "change, same_rows",
+        [
+            ("scores", True),
+            ("variant", True),
+            ("two tables", True),
+            ("human", True),
+            ("seed", False),
+            ("task", False),
+        ],
+    )
+    def test_index_rows_depend_on_seed_task_and_shape_only(self, change, same_rows):
+        # every table of a task, whatever its scores, reads the same hybrids;
+        # another seed or task draws others
+        table, human = make_aligned(n_segs=9, seed=4)
+        base = metaeval_module.hybrid_arrays([table], human, 50, 7).index_rows
+        tables, seed = [table], 7
+        if change == "scores":
+            tables = [seg_table({key: -v for key, v in table.cells.items()})]
+        elif change == "variant":
+            tables = [seg_table(dict(table.cells), variant="w")]
+        elif change == "two tables":
+            tables = [seg_table(dict(human), variant="w"), table]
+        elif change == "human":
+            human = {key: v + 1.0 for key, v in human.items()}
+        elif change == "seed":
+            seed = 8
+        else:
+            tables = [seg_table(dict(table.cells), task=Task("aa-bb", 1.2))]
+        rows = metaeval_module.hybrid_arrays(tables, human, 50, seed).index_rows
+        assert rows.shape == base.shape and rows.dtype == base.dtype
+        assert (rows.tolist() == base.tolist()) == same_rows
+
+    @pytest.mark.parametrize("k", [0, 1, 1000])
+    def test_k_hybrids_follow_the_real_systems(self, k):
+        # every output vector holds the real systems' scores, then the k
+        # hybrids in row order, one selector each
+        table, human = make_aligned(n_segs=5, seed=6)
+        selectors, vectors, human_vec = hybrid_supersample([table], human, k, seed=2)
+        systems = table.systems()
+        ids = systems + [f"hyb{i:04d}" for i in range(k)]
+        assert [sel.hybrid_id for sel in selectors] == ids[len(systems) :]
+        assert list(vectors[table.key].scores) == ids
+        assert list(human_vec.scores) == ids
+        real = {s: vectors[table.key].scores[s] for s in systems}
+        assert real == system_scores(table).scores
 
     def test_gather_steps_do_not_change_the_means(self, monkeypatch):
         # one hybrid row per gather step, and 4 rows per step with 2 left for

@@ -7,6 +7,7 @@ import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lcmteval.corpus import (
@@ -17,7 +18,7 @@ from lcmteval.corpus import (
     Task,
     save_campaign,
 )
-from lcmteval.errors import EmptyCorpus
+from lcmteval.errors import BrevityPenaltyUnderflow, EmptyCorpus
 from lcmteval.pipeline import (
     BLEU_ID,
     BLEU_STAR_ID,
@@ -40,7 +41,7 @@ from lcmteval.metrics import (
     scheme_for_direction,
     tokenize,
 )
-from lcmteval.seeding import integer_rows
+from lcmteval.seeding import rng_for
 
 from .oracles import SUM_LEFT_TO_RIGHT, bleu_from_stats_scalar, read_csv_table
 
@@ -170,8 +171,8 @@ class TestScoreTables:
         task = campaign.tasks()[0]
         native = score_tables_for_task(campaign, task)
         cells = native.bleu_stats.tolist()
-        index_rows, _ = integer_rows(
-            campaign.config.seed, f"hybrid:{task.label}", 1000, len(cells), len(cells[0])
+        index_rows = rng_for(campaign.config.seed, f"hybrid:{task.label}").integers(
+            0, len(cells), size=(1000, len(cells[0])), dtype=np.uint8
         )
         scores = native.corpus_scorer(index_rows)
         for i, row in enumerate(index_rows.tolist()):
@@ -191,7 +192,9 @@ class TestScoreTables:
         native = score_tables_for_task(campaign, task)
         n_systems, n_segments, width = native.bleu_stats.shape
         assert (n_segments, width) == (12, 10)
-        index_rows, _ = integer_rows(3, "chunks", 1000, n_systems, n_segments)
+        index_rows = rng_for(3, "chunks").integers(
+            0, n_systems, size=(1000, n_segments), dtype=np.uint8
+        )
         whole = native.corpus_scorer(index_rows)
         monkeypatch.setattr(pipeline_module, "_BLOCK", block)
         chunked = native.corpus_scorer(index_rows)
@@ -205,7 +208,9 @@ class TestScoreTables:
         task = campaign.tasks()[0]
         native = score_tables_for_task(campaign, task)
         n_systems, n_segments, _ = native.bleu_stats.shape
-        index_rows, _ = integer_rows(5, "peak", 60_000, n_systems, n_segments)
+        index_rows = rng_for(5, "peak").integers(
+            0, n_systems, size=(60_000, n_segments), dtype=np.uint8
+        )
         tracemalloc.start()
         try:
             native.corpus_scorer(index_rows)
@@ -213,6 +218,28 @@ class TestScoreTables:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+    def test_hybrid_bleu_underflow_names_the_task_and_row(self, campaign):
+        # each system is 1 token long on half of the segments and as long as
+        # its 1000-token references on the other half, so no real system's
+        # penalty underflows, but a hybrid of the short halves is 12 tokens
+        # against 12,000 and its penalty, exp(-999), does
+        task = campaign.tasks()[0]
+        native = score_tables_for_task(campaign, task)
+        stats = np.zeros_like(native.bleu_stats)
+        short = np.arange(12) < 6
+        stats[0, :, -2] = np.where(short, 1, 1000)
+        stats[1, :, -2] = np.where(short, 1000, 1)
+        stats[:, :, -1] = 1000
+        scorer = replace(native, bleu_stats=stats).corpus_scorer
+        scorer(np.array([[0] * 12, [1] * 12], dtype=np.uint8))
+        rows = np.array([[0] * 12, [1] * 12, [0] * 6 + [1] * 6], dtype=np.uint8)
+        with pytest.raises(BrevityPenaltyUnderflow) as exc:
+            scorer(rows)
+        assert str(exc.value) == (
+            f"the brevity penalty underflows to 0 in task {task.label}, hybrid row 2"
+        )
+        assert exc.value.row == 2
 
     def test_echo_length_deviation_zero(self, tmp_path):
         state = PipelineState(echo_campaign())
@@ -347,10 +374,10 @@ class TestScoreTables:
         assert len(messages) == len(tasks) + 1
         for task, message in zip(tasks, messages):
             # 11 native tables without LengthDev, plus neuralA's three
-            # variants and neuralB; 2 systems never take a rejection branch
+            # variants and neuralB
             assert message.startswith(
                 f"hybrid pass {task.label}: 15 tables (11 native, 4 external), "
-                "K=20 hybrids drawn in one call (0 redrawn one by one), "
+                "K=20 hybrids drawn in one call, "
             )
         # the system stage reads the selections, which log their own line
         assert messages[-1].startswith(
@@ -399,23 +426,28 @@ class TestScoreTables:
         assert all(message.endswith(" s") for message in messages)
 
     def test_one_hybrid_draw_set_per_task(self, campaign, monkeypatch):
-        # one integer_rows call per task draws all K index rows
+        # one rng_for(seed, "hybrid:<label>") generator per task draws all K
+        # index rows, shared by variant selection and the system stage
         import lcmteval.metaeval as metaeval_module
 
         calls = []
-        real_integer_rows = metaeval_module.integer_rows
+        real_rng_for = metaeval_module.rng_for
 
-        def counting_integer_rows(master_seed, tag, k, high, size):
-            calls.append((master_seed, tag, k))
-            return real_integer_rows(master_seed, tag, k, high, size)
+        def counting_rng_for(*key):
+            calls.append(key)
+            return real_rng_for(*key)
 
-        monkeypatch.setattr(metaeval_module, "integer_rows", counting_integer_rows)
+        monkeypatch.setattr(metaeval_module, "rng_for", counting_rng_for)
         state = PipelineState(campaign, hybrids=20)
         state.selections
         state.system_stage
-        assert len(calls) == len(campaign.tasks())
-        assert all(k == 20 for _, _, k in calls)
-        assert len(set(calls)) == len(calls)
+        tasks = campaign.tasks()
+        assert calls == [(campaign.config.seed, f"hybrid:{t.label}") for t in tasks]
+        n_systems = len(campaign.config.systems)
+        for t in tasks:
+            vectors, human = state.hybrid_pass[t]
+            assert len(human) == n_systems + 20
+            assert all(len(v) == n_systems + 20 for v in vectors.values())
 
     def test_hybrid_pass_equals_separate_calls(self, campaign):
         # one pass per task gives the selections and the system stage what

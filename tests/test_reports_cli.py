@@ -265,6 +265,9 @@ class TestCli:
         assert code == 3
         err = capsys.readouterr().err
         assert "error: the brevity penalty underflows to 0" in err
+        # the first task's natives fail first, at the first system
+        label = campaign.tasks()[0].label
+        assert f" in task {label}, system {first}\n" in err
         assert "Traceback" not in err
 
     def test_score_round_trips_a_seg_id_with_a_tab(self, fixture_config_path, tmp_path):
