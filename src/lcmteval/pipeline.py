@@ -7,7 +7,11 @@ hybrid pass per task that variant selection and the system stage share) for the
 report emitters; :func:`open_state` opens and checks a campaign and builds its
 state for ``run`` and the stage commands alike.  ``STAGES`` groups the emitters
 by stage command, and :func:`run_pipeline` writes every stage in order, then a
-digest manifest.
+digest manifest.  :func:`emit_stage` first removes any ``manifest.json`` in the
+output directory, so a directory without one holds a failed run's partial
+output or a stage command's.
+Each stage logs one INFO line, its work counts and then its seconds, through
+the ``_timed`` helper; a stage that raises logs no line.
 ``PipelineState.report_tables`` decides once per task which metrics the
 correlation, significance and system comparison reports cover: the native
 metrics but length deviation, plus the chosen variant of each external metric,
@@ -27,6 +31,7 @@ import logging
 import math
 import numbers
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -99,6 +104,18 @@ from .significance import (
 )
 
 logger = logging.getLogger(__name__)
+
+
+@contextmanager
+def _timed(message: str):
+    """Time the ``with`` block and log ``message`` at INFO: its placeholders
+    take the work counts that the block appends to the yielded list, and
+    ``, <seconds> s`` follows them.  A block that raises logs nothing."""
+    work: list = []
+    started = time.perf_counter()
+    yield work
+    logger.info(f"{message}, %.3f s", *work, time.perf_counter() - started)
+
 
 ROUGE_METRICS = (
     "ROUGE1-P",
@@ -254,22 +271,16 @@ def human_scores(
 ) -> tuple[list[NormalizedRating], dict[tuple[Task, str, str], float]]:
     """The z-normalised ratings and the mean z per (task, system, seg_id)
     cell; aggregation warnings are logged."""
-    started = time.perf_counter()
-    normalized = znormalize(campaign.ratings, include_traps=include_traps)
-    aggregated, warnings = aggregate_segment_human(
-        normalized, annotators_per_task=campaign.config.annotators_per_task
-    )
-    for w in warnings:
-        logger.warning("aggregation: %s", w)
-    logger.info(
-        "human aggregation: %d ratings (%d normalised), %d cells over %d "
-        "tasks, %.3f s",
-        len(campaign.ratings),
-        len(normalized),
-        len(aggregated),
-        len(campaign.tasks()),
-        time.perf_counter() - started,
-    )
+    with _timed(
+        "human aggregation: %d ratings (%d normalised), %d cells over %d tasks"
+    ) as work:
+        normalized = znormalize(campaign.ratings, include_traps=include_traps)
+        aggregated, warnings = aggregate_segment_human(
+            normalized, annotators_per_task=campaign.config.annotators_per_task
+        )
+        for w in warnings:
+            logger.warning("aggregation: %s", w)
+        work += map(len, (campaign.ratings, normalized, aggregated, campaign.tasks()))
     return normalized, aggregated
 
 
@@ -360,18 +371,14 @@ class PipelineState:
     def natives(self) -> dict[Task, NativeScores]:
         out = {}
         for t in self.tasks:
-            started = time.perf_counter()
-            out[t] = score_tables_for_task(self.campaign, t)
-            n_systems, n_segments = out[t].bleu_stats.shape[:2]
-            logger.info(
+            with _timed(
                 "native scores %s: %d cells against %d references, %d distinct "
-                "n-grams of orders 1-4 counted in one array pass, %.3f s",
-                t.label,
-                n_systems * n_segments,
-                n_segments,
-                out[t].distinct_ngrams,
-                time.perf_counter() - started,
-            )
+                "n-grams of orders 1-4 counted in one array pass"
+            ) as work:
+                native = out[t] = score_tables_for_task(self.campaign, t)
+                n_systems, n_segments = native.bleu_stats.shape[:2]
+                cells = n_systems * n_segments
+                work += [t.label, cells, n_segments, native.distinct_ngrams]
         return out
 
     @cached_property
@@ -426,49 +433,39 @@ class PipelineState:
                 for variants in self.external_variants.values()
                 for per_task in variants.values()
             ]
-            started = time.perf_counter()
-            arrays = hybrid_arrays(
-                tables,
-                self.human_by_task[t],
-                self.hybrids,
-                self.seed,
-                corpus_scorer=native.corpus_scorer,
-            )
-            out[t] = (arrays.vectors, arrays.human)
-            logger.info(
+            with _timed(
                 "hybrid pass %s: %d tables (%d native, %d external), K=%d hybrids "
-                "drawn in one call, %.3f s",
-                t.label,
-                len(tables),
-                n_native,
-                len(tables) - n_native,
-                self.hybrids,
-                time.perf_counter() - started,
-            )
+                "drawn in one call"
+            ) as work:
+                arrays = hybrid_arrays(
+                    tables,
+                    self.human_by_task[t],
+                    self.hybrids,
+                    self.seed,
+                    corpus_scorer=native.corpus_scorer,
+                )
+                out[t] = (arrays.vectors, arrays.human)
+                n_external = len(tables) - n_native
+                work += [t.label, len(tables), n_native, n_external, self.hybrids]
         return out
 
     @cached_property
     def selections(self) -> list[VariantSelection]:
         system_vectors = self.hybrid_pass if self.level == SYSTEM_LEVEL else None
         human = self.human_by_task
-        started = time.perf_counter()
-        selections = [
-            select_best_variant(
-                self.external_variants[metric],
-                human,
-                self.tasks,
-                level=self.level,
-                system_vectors=system_vectors,
-            )
-            for metric in sorted(self.external_variants)
-        ]
-        logger.info(
-            "variant selection: %d metrics, %d variants, %s level, %.3f s",
-            len(selections),
-            sum(len(variants) for variants in self.external_variants.values()),
-            self.level,
-            time.perf_counter() - started,
-        )
+        with _timed("variant selection: %d metrics, %d variants, %s level") as work:
+            selections = [
+                select_best_variant(
+                    self.external_variants[metric],
+                    human,
+                    self.tasks,
+                    level=self.level,
+                    system_vectors=system_vectors,
+                )
+                for metric in sorted(self.external_variants)
+            ]
+            n_variants = sum(map(len, self.external_variants.values()))
+            work += [len(selections), n_variants, self.level]
         return selections
 
     @cached_property
@@ -551,83 +548,74 @@ class PipelineState:
     # --- emitters -----------------------------------------------------------
 
     def emit_qc(self, out: Path) -> list[Path]:
-        started = time.perf_counter()
-        timing_path = out / "qc_timing.csv"
-        write_csv(
-            timing_path,
-            ["direction", "ratio", "all_ave", "cut_ave"],
-            [
-                (t.direction, repr(t.ratio), fmt4(stats.all_ave), fmt4(stats.cut_ave))
-                for t in self.tasks
-                for stats in [
-                    timing_report(
-                        self.campaign.ratings_for_task(t), self.timing_cutoff
-                    )
-                ]
-            ],
-        )
-        traps_path = out / "qc_traps.csv"
-        write_csv(
-            traps_path,
-            ["direction", "ratio", "zero", "low", "high"],
-            [
-                (t.direction, repr(t.ratio), b.zero, b.low, b.high)
-                for t in self.tasks
-                for b in [
-                    trap_report(
-                        [r for r in self.campaign.ratings_for_task(t) if r.is_trap]
-                    )
-                ]
-            ],
-        )
-        logger.info(
-            "qc: %d tasks, %d ratings, timing cutoff %g s, %.3f s",
-            len(self.tasks),
-            len(self.campaign.ratings),
-            self.timing_cutoff,
-            time.perf_counter() - started,
-        )
+        with _timed("qc: %d tasks, %d ratings, timing cutoff %g s") as work:
+            timing_path = out / "qc_timing.csv"
+            write_csv(
+                timing_path,
+                ["direction", "ratio", "all_ave", "cut_ave"],
+                [
+                    (t.direction, repr(t.ratio), fmt4(st.all_ave), fmt4(st.cut_ave))
+                    for t in self.tasks
+                    for st in [
+                        timing_report(
+                            self.campaign.ratings_for_task(t), self.timing_cutoff
+                        )
+                    ]
+                ],
+            )
+            traps_path = out / "qc_traps.csv"
+            write_csv(
+                traps_path,
+                ["direction", "ratio", "zero", "low", "high"],
+                [
+                    (t.direction, repr(t.ratio), b.zero, b.low, b.high)
+                    for t in self.tasks
+                    for b in [
+                        trap_report(
+                            [r for r in self.campaign.ratings_for_task(t) if r.is_trap]
+                        )
+                    ]
+                ],
+            )
+            work += [len(self.tasks), len(self.campaign.ratings), self.timing_cutoff]
         return [timing_path, traps_path]
 
     def emit_agreement(self, out: Path) -> list[Path]:
-        started = time.perf_counter()
-        rows = []
-        items = 0
-        for t in self.tasks:
-            task_ratings = self.campaign.ratings_for_task(t)
-            for with_traps in (True, False):
-                result = agreement(task_ratings, include_traps=with_traps)
-                items += result.n_items
-                rows.append(
-                    (
-                        t.direction,
-                        repr(t.ratio),
-                        "true" if with_traps else "false",
-                        fmt4(result.one_vs_rest_r),
-                        fmt4(result.krippendorff_alpha),
-                        result.n_items,
-                    )
-                )
-        path = out / "agreement.csv"
-        write_csv(
-            path,
-            [
-                "direction",
-                "ratio",
-                "with_traps",
-                "one_vs_rest_r",
-                "krippendorff_alpha",
-                "n_items",
-            ],
-            rows,
-        )
-        logger.info(
+        with _timed(
             "agreement: %d tasks, with and without traps, %d pairable items "
-            "(one item table per task and trap setting), %.3f s",
-            len(self.tasks),
-            items,
-            time.perf_counter() - started,
-        )
+            "(one item table per task and trap setting)"
+        ) as work:
+            rows = []
+            items = 0
+            for t in self.tasks:
+                task_ratings = self.campaign.ratings_for_task(t)
+                for with_traps in (True, False):
+                    result = agreement(task_ratings, include_traps=with_traps)
+                    items += result.n_items
+                    rows.append(
+                        (
+                            t.direction,
+                            repr(t.ratio),
+                            "true" if with_traps else "false",
+                            fmt4(result.one_vs_rest_r),
+                            fmt4(result.krippendorff_alpha),
+                            result.n_items,
+                        )
+                    )
+            path = out / "agreement.csv"
+            write_csv(
+                path,
+                [
+                    "direction",
+                    "ratio",
+                    "with_traps",
+                    "one_vs_rest_r",
+                    "krippendorff_alpha",
+                    "n_items",
+                ],
+                rows,
+            )
+            work += [len(self.tasks), items]
         return [path]
 
     def emit_variant_selection(self, out: Path) -> list[Path]:
@@ -646,38 +634,34 @@ class PipelineState:
 
     def emit_correlations_system(self, out: Path) -> list[Path]:
         sys_vectors, human_vectors = self.system_stage
-        started = time.perf_counter()
-        rs = {t: pearson_rs(human_vectors[t], sys_vectors[t]) for t in self.tasks}
-        paths = self._emit_correlations(
-            out / "correlations_system.csv",
-            self.report_tables,
-            lambda t, tb: rs[t][tb.display_name()],
-        )
-        logger.info(
-            "system correlations: %d tasks, %d metrics, n=%d systems, %.3f s",
-            len(self.tasks),
-            len(self.report_tables[self.tasks[0]]),
-            len(human_vectors[self.tasks[0]]),
-            time.perf_counter() - started,
-        )
+        with _timed("system correlations: %d tasks, %d metrics, n=%d systems") as work:
+            rs = {t: pearson_rs(human_vectors[t], sys_vectors[t]) for t in self.tasks}
+            paths = self._emit_correlations(
+                out / "correlations_system.csv",
+                self.report_tables,
+                lambda t, tb: rs[t][tb.display_name()],
+            )
+            work += [
+                len(self.tasks),
+                len(self.report_tables[self.tasks[0]]),
+                len(human_vectors[self.tasks[0]]),
+            ]
         return paths
 
     def emit_correlations_segment(self, out: Path) -> list[Path]:
         tables = self.segment_tables
         human = self.human_by_task
-        started = time.perf_counter()
-        paths = self._emit_correlations(
-            out / "correlations_segment.csv",
-            tables,
-            lambda t, tb: segment_correlation(tb, human[t]).value,
-        )
-        logger.info(
-            "segment correlations: %d tasks, %d metrics, %d cells, %.3f s",
-            len(self.tasks),
-            len(tables[self.tasks[0]]),
-            sum(len(human[t]) for t in self.tasks),
-            time.perf_counter() - started,
-        )
+        with _timed("segment correlations: %d tasks, %d metrics, %d cells") as work:
+            paths = self._emit_correlations(
+                out / "correlations_segment.csv",
+                tables,
+                lambda t, tb: segment_correlation(tb, human[t]).value,
+            )
+            work += [
+                len(self.tasks),
+                len(tables[self.tasks[0]]),
+                sum(len(human[t]) for t in self.tasks),
+            ]
         return paths
 
     def emit_sig_system(self, out: Path) -> list[Path]:
@@ -685,17 +669,16 @@ class PipelineState:
         sys_vectors, human_vectors = self.system_stage
 
         def matrix_for(t: Task):
-            started = time.perf_counter()
-            matrix = system_sig_matrix(sys_vectors[t], human_vectors[t], t)
-            logger.info(
-                "system significance %s: %d metrics, %d ordered pairs, "
-                "n=%d systems, %.3f s",
-                t.label,
-                len(matrix.metrics),
-                len(matrix.cells),
-                len(human_vectors[t]),
-                time.perf_counter() - started,
-            )
+            with _timed(
+                "system significance %s: %d metrics, %d ordered pairs, n=%d systems"
+            ) as work:
+                matrix = system_sig_matrix(sys_vectors[t], human_vectors[t], t)
+                work += [
+                    t.label,
+                    len(matrix.metrics),
+                    len(matrix.cells),
+                    len(human_vectors[t]),
+                ]
             return matrix
 
         return self._emit_sig_matrices(out, "system", matrix_for)
@@ -718,43 +701,43 @@ class PipelineState:
         """Per-system scores under each segment-level metric, the best system
         dagger-marked when a paired bootstrap puts it above the runner-up.
         """
-        started = time.perf_counter()
-        systems = list(self.campaign.config.systems)
-        rows = []
-        for per_task in zip(*(self.segment_tables[t] for t in self.tasks)):
-            name = per_task[0].display_name()
-            cells_by_task: dict[Task, dict[str, str]] = {}
-            for t, table in zip(self.tasks, per_task):
-                by_system = dict(zip(table.system_ids, table.values.tolist()))
-                means = system_scores(table).scores
-                ranked = sorted(systems, key=lambda s: (-means[s], s))
-                marks = {s: "" for s in systems}
-                if len(ranked) >= 2:
-                    best, second = ranked[0], ranked[1]
-                    p = paired_bootstrap(
-                        dict(zip(table.seg_ids, by_system[best])),
-                        dict(zip(table.seg_ids, by_system[second])),
-                        b_iter=self.bootstrap,
-                        seed=derive_int(self.seed, "syscompare", name, t.label),
+        with _timed(
+            "system comparison: %d tasks, %d metrics, B=%d resamples"
+        ) as work:
+            systems = list(self.campaign.config.systems)
+            rows = []
+            for per_task in zip(*(self.segment_tables[t] for t in self.tasks)):
+                name = per_task[0].display_name()
+                cells_by_task: dict[Task, dict[str, str]] = {}
+                for t, table in zip(self.tasks, per_task):
+                    by_system = dict(zip(table.system_ids, table.values.tolist()))
+                    means = system_scores(table).scores
+                    ranked = sorted(systems, key=lambda s: (-means[s], s))
+                    marks = {s: "" for s in systems}
+                    if len(ranked) >= 2:
+                        best, second = ranked[0], ranked[1]
+                        p = paired_bootstrap(
+                            dict(zip(table.seg_ids, by_system[best])),
+                            dict(zip(table.seg_ids, by_system[second])),
+                            b_iter=self.bootstrap,
+                            seed=derive_int(self.seed, "syscompare", name, t.label),
+                        )
+                        marks[best] = dagger_marks(p)
+                    cells_by_task[t] = {
+                        s: f"{fmt4(means[s])}{marks[s]}" for s in systems
+                    }
+                for system in systems:
+                    rows.append(
+                        [per_task[0].metric_id, per_task[0].variant_id, system]
+                        + [cells_by_task[t][system] for t in self.tasks]
                     )
-                    marks[best] = dagger_marks(p)
-                cells_by_task[t] = {
-                    s: f"{fmt4(means[s])}{marks[s]}" for s in systems
-                }
-            for system in systems:
-                rows.append(
-                    [per_task[0].metric_id, per_task[0].variant_id, system]
-                    + [cells_by_task[t][system] for t in self.tasks]
-                )
-        path = out / "system_eval.csv"
-        write_csv(path, ["metric", "variant", "system"] + self.task_cols, rows)
-        logger.info(
-            "system comparison: %d tasks, %d metrics, B=%d resamples, %.3f s",
-            len(self.tasks),
-            len(self.segment_tables[self.tasks[0]]),
-            self.bootstrap,
-            time.perf_counter() - started,
-        )
+            path = out / "system_eval.csv"
+            write_csv(path, ["metric", "variant", "system"] + self.task_cols, rows)
+            work += [
+                len(self.tasks),
+                len(self.segment_tables[self.tasks[0]]),
+                self.bootstrap,
+            ]
         return [path]
 
     def emit_length_deviation(self, out: Path) -> list[Path]:
@@ -777,17 +760,17 @@ class PipelineState:
 
 def open_campaign(config_path, length_unit: str | None = None) -> Campaign:
     """Load a campaign; ``length_unit``, when given, overrides its config's."""
-    started = time.perf_counter()
-    campaign = load_campaign(config_path)
-    logger.info(
+    with _timed(
         "campaign load: %d segments, %d hypotheses, %d ratings, %d external "
-        "score cells, %.3f s",
-        len(campaign.segments),
-        len(campaign.hypotheses),
-        len(campaign.ratings),
-        sum(t.values.size for ts in campaign.external_scores.values() for t in ts),
-        time.perf_counter() - started,
-    )
+        "score cells"
+    ) as work:
+        campaign = load_campaign(config_path)
+        work += [
+            len(campaign.segments),
+            len(campaign.hypotheses),
+            len(campaign.ratings),
+            sum(t.values.size for ts in campaign.external_scores.values() for t in ts),
+        ]
     if length_unit is not None and length_unit != campaign.config.length_unit:
         campaign = replace(
             campaign, config=replace(campaign.config, length_unit=length_unit)
@@ -810,16 +793,13 @@ STAGES = {
 
 
 def emit_stage(state: PipelineState, stage: str, out: Path) -> list[Path]:
-    """Write one stage's report files into ``out``; returns their paths."""
-    started = time.perf_counter()
-    paths = [path for name in STAGES[stage] for path in getattr(state, name)(out)]
-    logger.info(
-        "%s reports: %d files, %d bytes, %.3f s",
-        stage,
-        len(paths),
-        sum(path.stat().st_size for path in paths),
-        time.perf_counter() - started,
-    )
+    """Write one stage's report files into ``out``; returns their paths.
+    First removes ``out``'s ``manifest.json``, which would no longer describe
+    the files: only a complete ``run`` writes one."""
+    (out / "manifest.json").unlink(missing_ok=True)
+    with _timed("%s reports: %d files, %d bytes") as work:
+        paths = [path for name in STAGES[stage] for path in getattr(state, name)(out)]
+        work += [stage, len(paths), sum(path.stat().st_size for path in paths)]
     return paths
 
 
@@ -839,18 +819,18 @@ def open_state(
     no ratings file, :class:`ValidationFailure` when the rating grid is
     incomplete."""
     campaign = require_ratings(open_campaign(config_path, length_unit))
-    started = time.perf_counter()
-    report = validate_campaign(campaign)
-    logger.info(
+    with _timed(
         "campaign validation: %d of %d expected ratings found, %d missing and "
-        "%d duplicate cells, %d trap ratings (excluded from the grid), %.3f s",
-        report.found_rating_count,
-        report.expected_rating_count,
-        len(report.missing_cells),
-        len(report.duplicate_cells),
-        report.trap_count,
-        time.perf_counter() - started,
-    )
+        "%d duplicate cells, %d trap ratings (excluded from the grid)"
+    ) as work:
+        report = validate_campaign(campaign)
+        work += [
+            report.found_rating_count,
+            report.expected_rating_count,
+            len(report.missing_cells),
+            len(report.duplicate_cells),
+            report.trap_count,
+        ]
     for warning in report.warnings:
         logger.warning(warning)
     if not report.ok:
@@ -889,54 +869,42 @@ def run_pipeline(
     out.mkdir(parents=True, exist_ok=True)
     written = [path for stage in STAGES for path in emit_stage(state, stage, out)]
 
-    started = time.perf_counter()
-    config_digest = sha256_file(config_path)
-    inputs = {
-        name: sha256_file(path)
-        for name, path in input_files(campaign.config, Path(config_path).parent).items()
-    }
-    names = sorted(p.name for p in written)
-    manifest = tuple((name, sha256_file(out / name)) for name in names)
-    artifacts = PipelineArtifacts(
-        manifest=manifest,
-        config_digest=config_digest,
-        seed=state.seed,
-        version=VERSION,
-    )
-    (out / "manifest.json").write_text(
-        json.dumps(
-            {
-                "files": [{"name": n, "sha256": d} for n, d in manifest],
-                "config_digest": config_digest,
-                "inputs": inputs,
-                "parameters": {
-                    "hybrids": state.hybrids,
-                    "permutations": state.permutations,
-                    "bootstrap": state.bootstrap,
-                    "alpha": state.alpha,
-                    "level": state.level,
-                    "include_traps": state.include_traps,
-                    # JSON has no infinity; --timing-cutoff inf is "inf"
-                    "timing_cutoff": state.timing_cutoff
-                    if math.isfinite(state.timing_cutoff)
-                    else str(state.timing_cutoff),
-                    "length_unit": campaign.config.length_unit,
+    with _timed("manifest: %d report files and %d input files digested") as work:
+        config_digest = sha256_file(config_path)
+        found = input_files(campaign.config, Path(config_path).parent)
+        inputs = {name: sha256_file(path) for name, path in found.items()}
+        names = sorted(p.name for p in written)
+        manifest = tuple((name, sha256_file(out / name)) for name in names)
+        artifacts = PipelineArtifacts(manifest, config_digest, state.seed, VERSION)
+        (out / "manifest.json").write_text(
+            json.dumps(
+                {
+                    "files": [{"name": n, "sha256": d} for n, d in manifest],
+                    "config_digest": config_digest,
+                    "inputs": inputs,
+                    "parameters": {
+                        "hybrids": state.hybrids,
+                        "permutations": state.permutations,
+                        "bootstrap": state.bootstrap,
+                        "alpha": state.alpha,
+                        "level": state.level,
+                        "include_traps": state.include_traps,
+                        # JSON has no infinity; --timing-cutoff inf is "inf"
+                        "timing_cutoff": state.timing_cutoff
+                        if math.isfinite(state.timing_cutoff)
+                        else str(state.timing_cutoff),
+                        "length_unit": campaign.config.length_unit,
+                    },
+                    "seed": state.seed,
+                    "version": VERSION,
                 },
-                "seed": state.seed,
-                "version": VERSION,
-            },
-            indent=2,
-            sort_keys=True,
+                indent=2,
+                sort_keys=True,
+            )
+            + "\n",
+            encoding="utf-8",
         )
-        + "\n",
-        encoding="utf-8",
-    )
-    logger.info(
-        "manifest: %d report files and %d input files digested, %.3f s",
-        len(manifest),
-        len(inputs) + 1,
-        time.perf_counter() - started,
-    )
+        work += [len(manifest), len(inputs) + 1]
     return artifacts
 
 

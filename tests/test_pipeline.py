@@ -550,6 +550,50 @@ class TestScoreTables:
             (line,) = [m for m in messages if m.startswith(prefix)]
             assert line.endswith(" s")
 
+    def test_every_info_line_of_a_run_formats_and_ends_in_its_seconds(
+        self, fixture_config_path, caplog, tmp_path
+    ):
+        # a line whose arguments do not match its format does not fail a run:
+        # logging prints "--- Logging error ---" and goes on
+        with caplog.at_level(logging.INFO, logger="lcmteval.pipeline"):
+            run_pipeline(
+                fixture_config_path,
+                tmp_path,
+                hybrids=20,
+                permutations=10,
+                bootstrap=20,
+            )
+        messages = [
+            r.getMessage() for r in caplog.records if r.name == "lcmteval.pipeline"
+        ]
+        per_task = ("native scores", "hybrid pass", "system significance")
+        kinds = {}
+        for message in messages:
+            assert re.search(r", \d+\.\d{3} s\Z", message), message
+            kind = message.split(":")[0]
+            if kind.endswith(" reports"):
+                kind = "<stage> reports"
+            elif kind.startswith(per_task):
+                kind = kind.rsplit(" ", 1)[0]  # drop the task label
+            kinds[kind] = kinds.get(kind, 0) + 1
+        once = (
+            "campaign load",
+            "campaign validation",
+            "qc",
+            "agreement",
+            "human aggregation",
+            "variant selection",
+            "system correlations",
+            "segment correlations",
+            "system comparison",
+            "manifest",
+        )
+        assert kinds == {
+            **dict.fromkeys(once, 1),
+            **dict.fromkeys(per_task, 4),
+            "<stage> reports": 4,
+        }
+
     def test_composition_matches_direct_metric_calls(self, campaign):
         # the task tables must equal metric calls composed by hand
         from lcmteval.metrics import rouge_l, rouge_n

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import logging
 import math
 import os
 import re
@@ -37,6 +38,32 @@ from .oracles import read_csv_table
 TASK = Task("aa-bb", 0.8)
 GOLDENS = Path(__file__).parent / "goldens"
 STAGE_COMMANDS = ["qc", "correlate", "significance", "syscompare"]
+SMALL_RUN = ["--hybrids", "20", "--permutations", "10", "--bootstrap", "20"]
+
+
+def underflow_copy(config_path, dest):
+    """A ``save_campaign`` copy of the campaign in which the first system's
+    corpus BLEU brevity penalty underflows in every task: every reference 40
+    times over, and that system left one 1-character hypothesis per task.
+    Returns the copy's config path."""
+    campaign = load_campaign(config_path)
+    first = campaign.config.systems[0]
+    segments = {
+        g: replace(s, reference_text=" ".join([s.reference_text] * 40))
+        for g, s in campaign.segments.items()
+    }
+    kept = set()
+    hypotheses = {}
+    for (system, seg_id, ratio), hyp in campaign.hypotheses.items():
+        if system == first:
+            task = (campaign.segments[seg_id].direction, ratio)
+            hyp = replace(hyp, text="" if task in kept else hyp.text[:1])
+            kept.add(task)
+        hypotheses[(system, seg_id, ratio)] = hyp
+    save_campaign(replace(campaign, segments=segments, hypotheses=hypotheses), dest)
+    return dest / "campaign.conf"
+
+
 # the flags run and the stage commands share, each with a value it accepts
 COMMON_FLAGS = {
     "--seed": "9", "--hybrids": "5", "--permutations": "5", "--bootstrap": "5",
@@ -269,6 +296,41 @@ class TestCli:
         label = campaign.tasks()[0].label
         assert f" in task {label}, system {first}\n" in err
         assert "Traceback" not in err
+
+    def test_failed_run_removes_the_earlier_manifest(
+        self, fixture_config_path, tmp_path, caplog
+    ):
+        out = tmp_path / "run"
+        assert main(["run", str(fixture_config_path), "--out", str(out), *SMALL_RUN]) == 0
+        # a run refused before it writes anything leaves the directory as it was
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        refused = ["run", str(fixture_config_path), "--out", str(out), "--hybrids", "1"]
+        assert main(refused) == 3
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        # the qc stage rewrites its reports before the first task's natives
+        # fail: the old manifest, which no longer describes them, goes first
+        config = underflow_copy(fixture_config_path, tmp_path / "camp")
+        with caplog.at_level(logging.INFO, logger="lcmteval.pipeline"):
+            assert main(["run", str(config), "--out", str(out), *SMALL_RUN]) == 3
+        assert not (out / "manifest.json").exists()
+        assert (out / "qc_timing.csv").exists()
+        messages = [
+            r.getMessage() for r in caplog.records if r.name == "lcmteval.pipeline"
+        ]
+        assert any(m.startswith("qc reports: 3 files, ") for m in messages)
+        # a stage that raises logs no line
+        label = load_campaign(fixture_config_path).tasks()[0].label
+        assert not any(m.startswith(f"native scores {label}: ") for m in messages)
+        assert not any(m.startswith("correlate reports: ") for m in messages)
+
+    def test_stage_command_removes_the_run_manifest(self, fixture_config_path, tmp_path):
+        # a stage command's reports are not the ones the run's manifest digested
+        out = tmp_path / "run"
+        assert main(["run", str(fixture_config_path), "--out", str(out), *SMALL_RUN]) == 0
+        qc = ["qc", str(fixture_config_path), "--out", str(out), "--timing-cutoff", "100"]
+        assert main(qc) == 0
+        assert not (out / "manifest.json").exists()
+        assert (out / "qc_timing.csv").exists()
 
     def test_score_round_trips_a_seg_id_with_a_tab(self, fixture_config_path, tmp_path):
         from lcmteval.corpus import load_external_scores
