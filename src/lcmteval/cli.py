@@ -9,9 +9,10 @@ and a digest manifest.  ``run`` and the stage commands open a campaign through
 ``validate`` reports the grid; ``traps``, ``normalize``, ``score`` and
 ``ingest`` load without the grid check, to inspect a campaign still being
 collected.  Each command accepts only the flags it reads, and ``--level`` is
-the variant-selection level everywhere.  Exit codes: 0 success, 1 campaign
-validation failure, 2 I/O or format error (argparse's own for a flag the
-command does not take), 3 violated statistical precondition.
+the variant-selection level everywhere.  Exit codes: 0 success, else the
+code ``EXIT_CODES`` gives the error's kind: 1 campaign validation failure, 2
+I/O or format error, 3 violated statistical precondition; argparse exits 2 on
+a flag the command does not take.
 """
 
 from __future__ import annotations
@@ -109,25 +110,22 @@ FLAGS = {
 }
 PIPELINE_FLAGS = tuple(flag for flag in FLAGS if flag != "--count")
 
+# The exit code of each error kind main reports; the first kind that matches wins.
+EXIT_CODES = {
+    ValidationFailure: 1, DataError: 2, StatError: 3, OSError: 2, ToolkitError: 2
+}
+
 
 def _load(args) -> Campaign:
     return open_campaign(args.config, args.length_unit)
 
 
 def _options(args) -> dict:
-    """The pipeline options of the common flags, for both ``run`` and the
-    stage commands."""
-    return {
-        "length_unit": args.length_unit,
-        "seed": args.seed,
-        "hybrids": args.hybrids,
-        "permutations": args.permutations,
-        "bootstrap": args.bootstrap,
-        "alpha": args.alpha,
-        "timing_cutoff": args.timing_cutoff,
-        "include_traps": args.include_traps,
-        "level": args.level,
-    }
+    """The pipeline options of ``PIPELINE_FLAGS`` but ``--out`` and
+    ``--threads``, under their argparse names, for ``run`` and the stage
+    commands."""
+    names = (flag[2:].replace("-", "_") for flag in PIPELINE_FLAGS)
+    return {n: getattr(args, n) for n in names if n not in ("out", "threads")}
 
 
 def _out_dir(args) -> Path:
@@ -330,21 +328,9 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except ValidationFailure as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except StatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ToolkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -32,6 +32,7 @@ import csv
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import product
@@ -135,6 +136,14 @@ class CampaignConfig:
             )
         if not (0 <= self.seed <= _MAX_SEED):
             raise ParseError("seed must fit in 64 unsigned bits")
+        # a task's label names its files and seeds its draws
+        labelled: dict[str, Task] = {}
+        for task in self.tasks():
+            if (other := labelled.setdefault(task.label, task)) != task:
+                raise ParseError(
+                    f"tasks {tuple(other)} and {tuple(task)} share the file label "
+                    f"{task.label!r}"
+                )
 
     def tasks(self) -> list[Task]:
         """The tasks, directions outer."""
@@ -881,47 +890,34 @@ def save_campaign(campaign: Campaign, directory: str | os.PathLike) -> None:
 def validate_campaign(campaign: Campaign) -> ValidationReport:
     """Check rating completeness against the campaign's expected cell grid.
 
-    The expected count multiplies segments per direction by systems, ratios,
-    and annotators per task; trap ratings are quality-control items outside
-    that grid, counted apart in ``trap_count``.
+    Each (direction, ratio, segment, system) cell of the config expects
+    ``annotators_per_task`` distinct annotators: a cell with fewer is missing,
+    an annotator who rates a cell more than once is a duplicate.  Trap ratings
+    are quality-control items outside that grid, counted apart in
+    ``trap_count``.
     """
     config = campaign.config
-    n_systems = len(config.systems)
-    n_ratios = len(config.length_ratios)
-    expected = 0
-    for direction in config.directions:
-        n_segments = sum(
-            1 for s in campaign.segments.values() if s.direction == direction
-        )
-        expected += n_segments * n_systems * n_ratios * config.annotators_per_task
-
-    real_ratings = [r for r in campaign.ratings if not r.is_trap]
-    found = len(real_ratings)
-
-    by_cell: dict[tuple, list[str]] = {}
-    for rec in real_ratings:
-        key = (rec.task.direction, rec.task.ratio, rec.seg_id, rec.system_id)
-        by_cell.setdefault(key, []).append(rec.annotator_id)
-
-    missing: list[tuple] = []
-    for direction in config.directions:
-        for ratio in config.length_ratios:
-            for seg_id in campaign.segment_ids_for_direction(direction):
-                for system in config.systems:
-                    annotators = by_cell.get((direction, ratio, seg_id, system), [])
-                    if len(set(annotators)) < config.annotators_per_task:
-                        missing.append(
-                            (direction, ratio, seg_id, system, len(set(annotators)))
-                        )
-
-    duplicates: list[tuple] = []
-    for (direction, ratio, seg_id, system), annotators in sorted(by_cell.items()):
-        counts: dict[str, int] = {}
-        for a in annotators:
-            counts[a] = counts.get(a, 0) + 1
-        for annotator, n in sorted(counts.items()):
-            if n > 1:
-                duplicates.append((annotator, direction, ratio, seg_id, system, n))
+    # (direction, ratio, seg_id, system, annotator) -> its non-trap ratings
+    ratings = Counter(
+        (r.task.direction, r.task.ratio, r.seg_id, r.system_id, r.annotator_id)
+        for r in campaign.ratings
+        if not r.is_trap
+    )
+    found = ratings.total()
+    annotators = Counter(key[:4] for key in ratings)
+    grid = [
+        (direction, ratio, seg_id, system)
+        for direction in config.directions
+        for ratio in config.length_ratios
+        for seg_id in campaign.segment_ids_for_direction(direction)
+        for system in config.systems
+    ]
+    missing = [
+        (*cell, annotators[cell])
+        for cell in grid
+        if annotators[cell] < config.annotators_per_task
+    ]
+    duplicates = [(key[4], *key[:4], n) for key, n in sorted(ratings.items()) if n > 1]
 
     warnings: list[str] = []
     for task in config.tasks():
@@ -936,7 +932,7 @@ def validate_campaign(campaign: Campaign) -> ValidationReport:
                 f"config expects {config.annotators_per_task}"
             )
     return ValidationReport(
-        expected_rating_count=expected,
+        expected_rating_count=len(grid) * config.annotators_per_task,
         found_rating_count=found,
         missing_cells=sorted(missing),
         duplicate_cells=duplicates,

@@ -1,10 +1,10 @@
 """Exception hierarchy for the toolkit.
 
-Two broad families map onto CLI exit codes: :class:`DataError` (bad or
-missing input files, unresolved references; exit code 2) and
-:class:`StatError` (violated statistical preconditions such as zero
-variance or too few samples; exit code 3).  Campaign validation failures
-are reported through :class:`ValidationFailure` (exit code 1).
+Two broad families: :class:`DataError` (bad or missing input files,
+unresolved references) and :class:`StatError` (violated statistical
+preconditions such as zero variance or too few samples).  Campaign
+validation failures are reported through :class:`ValidationFailure`.
+``cli.EXIT_CODES`` gives each kind's exit code.
 """
 
 

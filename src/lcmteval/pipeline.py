@@ -78,7 +78,6 @@ from .metrics import (
     corpus_bleu,  # noqa: F401  the benchmark tracer wraps it until its next revision
     expected_length,
     left_sum,
-    length_deviation,
     length_deviations,
     ngram_stats,
     rouge_l_arrays,
@@ -144,14 +143,13 @@ class PipelineArtifacts:
 
 @dataclass(frozen=True)
 class NativeScores:
-    """One task's native metric tables, plus the additive BLEU statistics and
-    the lengths of every (system, segment) cell, system and segment ids
-    sorted."""
+    """One task's native metric tables, ``LengthDev`` among them, plus the
+    additive BLEU statistics of every (system, segment) cell, system and
+    segment ids sorted."""
 
     tables: list[ScoreTable]
     bleu_stats: np.ndarray  # (system, segment, statistic)
     distinct_ngrams: int  # over the task's texts, summed over the orders
-    lengths: dict[str, list[LengthRecord]]  # system -> its cells, by segment
 
     @property
     def correlated(self) -> list[ScoreTable]:
@@ -218,7 +216,7 @@ def score_tables_for_task(campaign: Campaign, task: Task) -> NativeScores:
     # cells in row-major (system, segment) order, both sorted; a cell's
     # reference is its segment's
     hyps: list[tuple[str, ...]] = []
-    lengths: dict[str, list[LengthRecord]] = {system: [] for system in systems}
+    lengths: list[LengthRecord] = []
     for system in systems:
         for seg, target in zip(segments, targets):
             try:
@@ -233,11 +231,11 @@ def score_tables_for_task(campaign: Campaign, task: Task) -> NativeScores:
                 out_len = len(hyp)
             else:
                 out_len = campaign.hypothesis_length(record)
-            lengths[system].append(LengthRecord(out_len, target))
+            lengths.append(LengthRecord(out_len, target))
     ref_index = np.tile(np.arange(len(segments)), len(systems))
     stats, distinct = ngram_stats(hyps, refs, ref_index)
 
-    deviations = length_deviations(r for system in systems for r in lengths[system])
+    deviations = length_deviations(lengths)
     cell_stats = stats.reshape(len(systems), len(segments), -1)
     # a system's corpus BLEU is its summed cell statistics, finished
     try:
@@ -263,7 +261,7 @@ def score_tables_for_task(campaign: Campaign, task: Task) -> NativeScores:
         ScoreTable(BLEU_ID, "-", *per_system, finished.bleu),
         ScoreTable(BLEU_STAR_ID, "-", *per_system, finished.bleu_star),
     ]
-    return NativeScores(tables, cell_stats, distinct, lengths)
+    return NativeScores(tables, cell_stats, distinct)
 
 
 def human_scores(
@@ -741,17 +739,21 @@ class PipelineState:
         return [path]
 
     def emit_length_deviation(self, out: Path) -> list[Path]:
-        """Per-system length deviation of each task's cells."""
+        """Per-system length deviation of each task: the mean of the system's
+        ``LengthDev`` row, bit for bit ``metrics.length_deviation``."""
+        means = {
+            (t, system): left_sum(row) / len(row)
+            for t in self.tasks
+            for tb in self.natives[t].tables
+            if tb.metric_id == LENGTH_DEV_ID
+            for system, row in zip(tb.system_ids, tb.values.tolist())
+        }
         path = out / "length_deviation.csv"
         write_csv(
             path,
             ["system"] + self.task_cols,
             [
-                [system]
-                + [
-                    fmt4(length_deviation(self.natives[t].lengths[system]))
-                    for t in self.tasks
-                ]
+                [system] + [fmt4(means[t, system]) for t in self.tasks]
                 for system in self.campaign.config.systems
             ],
         )

@@ -570,10 +570,18 @@ def segment_sig_matrix(
         blocks,
         time.perf_counter() - started,
     )
-    if pairs and 0.0 < alpha and 1 / (r + 1) >= alpha / len(pairs):
-        least = max(1, math.floor(len(pairs) / alpha) - 1)
-        while 1 / (least + 1) >= alpha / len(pairs):  # as bonferroni compares
-            least += 1
+    threshold = alpha / len(pairs) if pairs else 0.0
+    if 0.0 < threshold <= 1 / (r + 1):
+        # the least R with 1/(R+1) < alpha/m, as bonferroni compares; that
+        # comparison holds from some R on (none when alpha/m underflows to 0),
+        # so double past it, then bisect
+        least = 1
+        while 1 / (least + 1) >= threshold:
+            least *= 2
+        low = least // 2  # fails the comparison
+        while least - low > 1:
+            mid = (low + least) // 2
+            low, least = (low, mid) if 1 / (mid + 1) < threshold else (mid, least)
         logger.info(
             "segment significance %s: no Bonferroni flag can be true: the "
             "smallest p-value at R=%d, 1/(R+1), is not below alpha/m over "

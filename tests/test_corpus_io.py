@@ -152,6 +152,24 @@ class TestConfig:
             parse_config(conf)
         assert info.value.path == conf
 
+    @pytest.mark.parametrize(
+        "directions, ratios, clash",
+        [
+            (("en-zh",), (0.5, 0.500000000001),
+             "tasks ('en-zh', 0.5) and ('en-zh', 0.500000000001) share the "
+             "file label 'en-zh.50'"),
+            (("x", "x.1"), (0.015, 0.05),
+             "tasks ('x', 0.015) and ('x.1', 0.05) share the file label 'x.1.5'"),
+        ],
+        ids=["ten-digit-ratio", "dotted-direction"],
+    )
+    def test_tasks_sharing_a_file_label_rejected(self, directions, ratios, clash):
+        # a task's label names its sig_* and scores files and seeds its draws,
+        # so two tasks under one label would overwrite and share them
+        with pytest.raises(ParseError) as info:
+            minimal_config(directions=directions, length_ratios=ratios)
+        assert str(info.value) == clash
+
     @pytest.mark.parametrize("field", ["directions", "systems"])
     @pytest.mark.parametrize(
         "bad", ["", "a,b", "a\nb", "a\r", "a\u2028b", " a", "a\t", "#a", "a # b"]

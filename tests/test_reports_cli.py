@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lcmteval.cli import build_parser, main
+from lcmteval.cli import PIPELINE_FLAGS, build_parser, main
 from lcmteval.corpus import (
     Task,
     input_files,
@@ -164,6 +164,18 @@ class TestSigMatrixFormats:
 
 
 class TestCli:
+    def test_pipeline_flag_defaults_are_the_library_defaults(self):
+        # each flag of run and the stage commands but --out defaults to the
+        # keyword it sets in PipelineState or run_pipeline
+        library = {
+            **PipelineState.__init__.__kwdefaults__, **run_pipeline.__kwdefaults__
+        }
+        assert set(library) == {
+            flag[2:].replace("-", "_") for flag in PIPELINE_FLAGS if flag != "--out"
+        }
+        args = build_parser().parse_args(["run", "campaign.conf"])
+        assert {name: getattr(args, name) for name in library} == library
+
     def test_validate_ok(self, fixture_config_path, capsys):
         assert main(["validate", str(fixture_config_path)]) == 0
         out = capsys.readouterr().out
@@ -761,6 +773,32 @@ FAST_FLAGS = ["--hybrids", "60", "--permutations", "60", "--bootstrap", "100"]
 
 
 class TestRunCommand:
+    @pytest.mark.parametrize("alpha", ["1e-30", "1e-310"])
+    def test_a_tiny_alpha_names_the_least_resolving_r(
+        self, fixture_config_path, tmp_path, alpha
+    ):
+        # each task's INFO hint names the least R whose smallest p-value,
+        # 1/(R+1), is below alpha/m as bonferroni compares, however small
+        # alpha is; the run is a child process with a timeout, so a search
+        # that never ends fails the test instead of stalling the suite
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-m", "lcmteval.cli", "-v", "run",
+             str(fixture_config_path), "--out", str(tmp_path), "--alpha", alpha,
+             *SMALL_RUN],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+            text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        hints = re.findall(
+            r"over m=(\d+) ordered pairs; R=(\d+) replicates or more", result.stderr
+        )
+        assert len(hints) == 4  # one per task
+        for m, least in hints:
+            threshold, least = float(alpha) / int(m), int(least)
+            assert 1 / (least + 1) < threshold
+            assert not 1 / least < threshold
+
     def test_seed_contract(self, fixture_config_path, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
