@@ -26,6 +26,7 @@ from pathlib import Path
 from ._version import VERSION
 from .corpus import (
     LENGTH_UNITS,
+    SEGMENT_LEVEL,
     SYSTEM_LEVEL,
     Campaign,
     length_scheme,
@@ -48,7 +49,7 @@ from .pipeline import (
     score_tables_for_task,
 )
 from .ratings import generate_traps, trap_schedule_count
-from .reports import emit_sig_matrix, load_sig_matrix_csv
+from .reports import SIG_FORMATS, emit_sig_matrix, load_sig_matrix_csv
 from .seeding import derive_int
 
 logger = logging.getLogger(__name__)
@@ -223,7 +224,7 @@ def cmd_score(args) -> int:
     for task in campaign.tasks():
         tables = score_tables_for_task(campaign, task).tables
         seg_path = out / f"native_scores_{task.label}.tsv"
-        write_scores_file(seg_path, [tb for tb in tables if tb.level == "segment"])
+        write_scores_file(seg_path, [tb for tb in tables if tb.level == SEGMENT_LEVEL])
         sys_path = out / f"native_system_{task.label}.csv"
         write_csv(
             sys_path,
@@ -231,7 +232,7 @@ def cmd_score(args) -> int:
             [
                 (table.metric_id, table.variant_id, system, repr(score))
                 for table in tables
-                if table.level == "system"
+                if table.level == SYSTEM_LEVEL
                 for system, score in zip(table.system_ids, table.values.tolist())
             ],
         )
@@ -310,8 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         PIPELINE_FLAGS)
     report = sub.add_parser("report", help="re-render an emitted significance matrix")
     report.add_argument("matrix", help="a sig_*.csv file emitted by this tool")
-    report.add_argument("--format", default="textgrid",
-                        choices=["csv", "textgrid", "svg"])
+    report.add_argument("--format", default="textgrid", choices=list(SIG_FORMATS))
     report.add_argument("out_file", help="destination file")
     report.set_defaults(func=cmd_report)
     add("run", cmd_run, "full pipeline: QC, correlation, significance, reports",

@@ -346,15 +346,28 @@ def measure_length(text: str, unit: str, direction: str) -> int:
 
 # --- campaign.conf ----------------------------------------------------------
 
-_LIST_KEYS = {"directions", "ratios", "systems"}
-_KNOWN_KEYS = _LIST_KEYS | {
-    "annotators_per_task",
-    "length_unit",
-    "seed",
-    "segments",
-    "hypotheses",
-    "ratings",
-    "scores_dir",
+def _split_list(value: str) -> tuple[str, ...]:
+    return tuple(item.strip() for item in value.split(",") if item.strip())
+
+
+# key: (CampaignConfig field, reader of the value, writer of the field,
+# optional), in the order write_config writes them
+_CONFIG_KEYS = {
+    "directions": ("directions", _split_list, ", ".join, False),
+    "ratios": (
+        "length_ratios",
+        lambda value: tuple(map(float, _split_list(value))),
+        lambda ratios: ", ".join(map(repr, ratios)),
+        False,
+    ),
+    "systems": ("systems", _split_list, ", ".join, False),
+    "annotators_per_task": ("annotators_per_task", int, str, False),
+    "length_unit": ("length_unit", str, str, False),
+    "seed": ("seed", int, str, False),
+    "segments": ("segments_path", str, str, False),
+    "hypotheses": ("hypotheses_path", str, str, False),
+    "ratings": ("ratings_path", str, str, True),
+    "scores_dir": ("scores_dir", str, str, True),
 }
 
 
@@ -379,61 +392,34 @@ def parse_config(path: str | os.PathLike) -> CampaignConfig:
                 path=path,
                 line=lineno,
             )
-        if key not in _KNOWN_KEYS:
+        if key not in _CONFIG_KEYS:
             raise ParseError(f"unknown config key {key!r}", path=path, line=lineno)
         if key in raw:
             raise ParseError(f"duplicate config key {key!r}", path=path, line=lineno)
         raw[key] = value.strip()
 
-    def require(key: str) -> str:
+    fields = {}
+    for key, (field, read, _, optional) in _CONFIG_KEYS.items():
         if key not in raw:
+            if optional:
+                continue
             raise ParseError(f"missing config key {key!r}", path=path)
-        return raw[key]
-
-    def split_list(value: str) -> tuple[str, ...]:
-        return tuple(item.strip() for item in value.split(",") if item.strip())
-
+        try:
+            fields[field] = read(raw[key])
+        except ValueError as exc:
+            raise ParseError(f"bad numeric value in config: {exc}", path=path) from exc
     try:
-        ratios = tuple(float(r) for r in split_list(require("ratios")))
-        annotators = int(require("annotators_per_task"))
-        seed = int(require("seed"))
-    except ValueError as exc:
-        raise ParseError(f"bad numeric value in config: {exc}", path=path) from exc
-
-    try:
-        return CampaignConfig(
-            directions=split_list(require("directions")),
-            length_ratios=ratios,
-            systems=split_list(require("systems")),
-            annotators_per_task=annotators,
-            length_unit=require("length_unit"),
-            seed=seed,
-            segments_path=require("segments"),
-            hypotheses_path=require("hypotheses"),
-            ratings_path=raw.get("ratings"),
-            scores_dir=raw.get("scores_dir"),
-        )
+        return CampaignConfig(**fields)
     except ParseError as exc:
-        if exc.path is not None:
-            raise
         raise ParseError(str(exc), path=path) from None
 
 
 def write_config(config: CampaignConfig, path: str | os.PathLike) -> None:
     lines = [
-        f"directions = {', '.join(config.directions)}",
-        f"ratios = {', '.join(repr(r) for r in config.length_ratios)}",
-        f"systems = {', '.join(config.systems)}",
-        f"annotators_per_task = {config.annotators_per_task}",
-        f"length_unit = {config.length_unit}",
-        f"seed = {config.seed}",
-        f"segments = {config.segments_path}",
-        f"hypotheses = {config.hypotheses_path}",
+        f"{key} = {write(value)}"
+        for key, (field, _, write, _) in _CONFIG_KEYS.items()
+        if (value := getattr(config, field)) is not None
     ]
-    if config.ratings_path is not None:
-        lines.append(f"ratings = {config.ratings_path}")
-    if config.scores_dir is not None:
-        lines.append(f"scores_dir = {config.scores_dir}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -93,7 +93,7 @@ from .ratings import (
     trap_report,
     znormalize,
 )
-from .reports import emit_sig_matrix, fmt4, sha256_file
+from .reports import SIG_FORMATS, emit_sig_matrix, fmt4, sha256_file
 from .seeding import derive_int
 from .significance import (
     dagger_marks,
@@ -537,7 +537,7 @@ class PipelineState:
         paths = []
         for t in self.tasks:
             matrix = matrix_for(t)
-            for fmt, suffix in (("csv", "csv"), ("textgrid", "txt"), ("svg", "svg")):
+            for fmt, suffix in SIG_FORMATS.items():
                 path = out / f"sig_{level}_{t.label}.{suffix}"
                 emit_sig_matrix(matrix, fmt, path)
                 paths.append(path)

@@ -290,8 +290,6 @@ def _krippendorff_alpha(units: list[list[float]]) -> float:
         raise NoPairableUnits("no unit has two or more ratings")
 
     n = sum(len(u) for u in units)
-    if n < 2:
-        raise NoPairableUnits("need at least two pairable values")
 
     # Sum of squared differences over ordered pairs (i != j) inside a group
     # of values v equals 2m*sum(v^2) - 2*(sum(v))^2 ... with m = len(v);

@@ -18,7 +18,8 @@ from .corpus import SEGMENT_LEVEL, SYSTEM_LEVEL, Task, read_rows, write_csv
 from .errors import ParseError, UnsupportedFormat
 from .significance import CIResult, SigCell, SigMatrix
 
-SIG_FORMATS = ("csv", "textgrid", "svg")
+# significance format: the suffix of the file a run writes it to
+SIG_FORMATS = {"csv": "csv", "textgrid": "txt", "svg": "svg"}
 
 SIG_HEADER = [
     "direction",
@@ -65,7 +66,7 @@ def emit_sig_matrix(matrix: SigMatrix, fmt: str, path: str | os.PathLike) -> Non
         Path(path).write_text(sig_to_svg(matrix), encoding="utf-8")
     else:
         raise UnsupportedFormat(
-            f"unknown significance format {fmt!r}; expected one of {SIG_FORMATS}"
+            f"unknown significance format {fmt!r}; expected one of {tuple(SIG_FORMATS)}"
         )
 
 

@@ -244,9 +244,10 @@ class _SwapTauB:
     form with T_xy[i, j] = [x_i == y_j and i != j] in place of G_xy.
 
     So one mask set serves every pair: m'G_xx m and m'T_xx m are taken once
-    per metric, and each pair adds only its cross forms m'G_ab m and, when
-    some a_i equals some b_j (i != j), m'T_ab m.  Every diagonal is zero and
-    G_xy[j, i] = s2[i, j], with s1[i, j] = g * sign(x_i - y_j) and
+    per metric, and each pair adds only its cross forms m'G_ab m and m'T_ab m.
+    A tie form is taken only where T_xy has a nonzero entry, for (x, x) and
+    (a, b) alike: when some x_i equals some y_j (i != j).  Every diagonal is
+    zero and G_xy[j, i] = s2[i, j], with s1[i, j] = g * sign(x_i - y_j) and
     s2[i, j] = g * sign(y_i - x_j) over the cell pairs i < j.  So one pass
     over tiles of those pairs does all the sign work: each tile's
     coefficients s1 + s2 are built once, their float32 products with
@@ -297,33 +298,29 @@ class _SwapTauB:
         self.blocks_built = 0  # coefficient tiles built
         # (x, y): (x, x) for each metric, then (a, b) for each pair
         xs, ys = np.concatenate([np.arange(m), a]), np.concatenate([np.arange(m), b])
-        # rowsum and colsum of T_xy from the rank counts; G's come from the
-        # tiles (_forms)
-        self.tie_sums = np.empty((2, len(xs), n), dtype=np.int32)
-        t_rows, t_cols = self.tie_sums
+        # rowsum and colsum of T_xy from each metric's count of cells per
+        # rank; G's come from the tiles (_forms)
         bins = int(self.ranks.max()) + 1
-        for k, (x, y) in enumerate(zip(xs, ys)):
-            rx, ry = self.ranks[x], self.ranks[y]
-            same = rx == ry  # T leaves out the cell itself
-            t_rows[k] = np.bincount(ry, minlength=bins)[rx] - same
-            t_cols[k] = np.bincount(rx, minlength=bins)[ry] - same
-        # the forms: m'G_xy m for each (x, y), then m'T_xy m for each (x, x)
-        # and each pair with some a_i == b_j (i != j); T_ab is zero otherwise
-        ties = np.flatnonzero(t_rows[m:].any(axis=1))
-        self.sign_pairs = xs, ys
-        self.tie_pairs = tuple(np.concatenate([z[:m], z[m + ties]]) for z in (xs, ys))
-        self.n_forms = len(xs) + len(self.tie_pairs[0])
+        per_rank = np.bincount(
+            (self.ranks + bins * np.arange(m)[:, None]).ravel(), minlength=m * bins
+        ).reshape(m, bins)
+        rx, ry = self.ranks[xs], self.ranks[ys]
+        same = rx == ry  # T leaves out the cell itself
+        self.tie_sums = np.empty((2, len(xs), n), dtype=np.int32)
+        np.subtract(per_rank[ys[:, None], rx], same, out=self.tie_sums[0])
+        np.subtract(per_rank[xs[:, None], ry], same, out=self.tie_sums[1])
+        # the forms: m'G_xy m for each (x, y), then m'T_xy m for each (x, y)
+        # whose T_xy is not zero
+        ties = np.flatnonzero(self.tie_sums[0].any(axis=1))
+        self.sign_pairs, self.tie_pairs = (xs, ys), (xs[ties], ys[ties])
+        self.n_forms = len(xs) + len(ties)
         # per pair and kind (G, T), the forms of its quadratic term:
-        # m'X_aa m / 2 + m'X_bb m / 2 - m'X_ab m; a pair without ties takes
-        # the row past the last form, which stays zero
-        t0 = len(xs)
-        t_ab = np.full(p, self.n_forms)
-        t_ab[ties] = t0 + m + np.arange(len(ties))
-        self.pick = np.stack(
-            [np.stack([a, b, m + np.arange(p)], axis=1),
-             np.stack([t0 + a, t0 + b, t_ab], axis=1)],
-            axis=1,
-        )
+        # m'X_aa m / 2 + m'X_bb m / 2 - m'X_ab m; a zero T_xy takes the row
+        # past the last form, which stays zero
+        tie_row = np.full(len(xs), self.n_forms)
+        tie_row[ties] = len(xs) + np.arange(len(ties))
+        sign_row = np.stack([a, b, m + np.arange(p)], axis=1)
+        self.pick = np.stack([sign_row, tie_row[sign_row]], axis=1)
 
     def _tiles(self, area: int) -> list[tuple[int, int, int, int]]:
         """(lo, hi, c0, c1): rectangles of rows lo:hi and columns c0:c1, at

@@ -42,6 +42,13 @@ from lcmteval.reports import SIG_HEADER, load_sig_matrix_csv
 
 FIXTURE = Path(__file__).parent / "fixtures" / "campaign"
 README = Path(__file__).resolve().parents[1] / "README.md"
+# the fixture's config, key -> value, in file order
+FIXTURE_KEYS = dict(
+    (part.strip() for part in line.split("=", 1))
+    for line in (FIXTURE / "campaign.conf").read_text(encoding="utf-8").splitlines()
+)
+NOT_AN_INT = "invalid literal for int() with base 10: "
+NOT_A_FLOAT = "could not convert string to float: "
 
 
 def minimal_config(**overrides) -> CampaignConfig:
@@ -239,6 +246,39 @@ class TestConfig:
         )
         with pytest.raises(ParseError, match="campaign.conf:3: '#' inside a value"):
             parse_config(conf)
+
+    @pytest.mark.parametrize(
+        "edits, first",
+        [
+            # every key missing: the first key of the file is named
+            ({key: None for key in FIXTURE_KEYS}, "missing config key 'directions'"),
+            ({"directions": None, "ratios": "x"}, "missing config key 'directions'"),
+            ({"ratios": "x", "seed": None},
+             f"bad numeric value in config: {NOT_A_FLOAT}'x'"),
+            ({"systems": None, "annotators_per_task": "x"},
+             "missing config key 'systems'"),
+            ({"length_unit": None, "seed": "x"}, "missing config key 'length_unit'"),
+            ({"seed": "x", "segments": None},
+             f"bad numeric value in config: {NOT_AN_INT}'x'"),
+            ({"segments": None, "hypotheses": None}, "missing config key 'segments'"),
+        ],
+        ids=["no-keys", "directions-before-ratios", "ratios-before-seed",
+             "systems-before-annotators", "length-unit-before-seed",
+             "seed-before-segments", "segments-before-hypotheses"],
+    )
+    def test_the_first_problem_in_key_order_is_reported(self, tmp_path, edits, first):
+        # keys are read in the order write_config writes them, so of several
+        # problems the one of the earliest key is reported; None drops a key
+        lines = [
+            f"{key} = {edits.get(key, value)}\n"
+            for key, value in FIXTURE_KEYS.items()
+            if edits.get(key, value) is not None
+        ]
+        conf = tmp_path / "campaign.conf"
+        conf.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            parse_config(conf)
+        assert str(info.value) == f"{conf}: {first}"
 
     def test_readme_example_config_parses(self, tmp_path):
         # the first code block of the README's "Campaign layout" section
@@ -819,3 +859,136 @@ def test_load_and_validate_do_not_import_numpy_random(fixture_config_path):
     if result.stderr.strip() == "numpy imports numpy.random":
         pytest.skip("import numpy alone loads numpy.random")
     assert result.returncode == 0, result.stderr
+
+
+def _fields(**changes):
+    """A JSON-lines edit: set each field, or drop it where the value is None."""
+
+    def edit(line: str) -> str:
+        obj = {**json.loads(line), **changes}
+        return json.dumps({k: v for k, v in obj.items() if v is not None})
+
+    return edit
+
+
+def _column(index: int, value: str, delimiter: str = ","):
+    """A CSV or TSV edit: replace one field of the row."""
+
+    def edit(line: str) -> str:
+        row = line.split(delimiter)
+        row[index] = value
+        return delimiter.join(row)
+
+    return edit
+
+
+SCORES_FILE = "scores/en-zh.80.tsv"
+
+# (file of the fixture, line, edit of that line, error, message); {path} is
+# the edited file and {dir} the campaign directory.  Every message of a
+# ParseError starts with its file and, where it has one, its line.
+LOADER_REFUSALS = [
+    pytest.param("campaign.conf", 1, "directions = ", ParseError,
+                 "{path}: config needs at least one direction",
+                 id="config-no-direction"),
+    pytest.param("campaign.conf", 1, "directions = en-zh, en-zh", ParseError,
+                 "{path}: directions must be unique", id="config-repeated-direction"),
+    pytest.param("campaign.conf", 3, "systems = ,", ParseError,
+                 "{path}: config needs at least one system", id="config-no-system"),
+    pytest.param("campaign.conf", 6, f"seed = {2**64}", ParseError,
+                 "{path}: seed must fit in 64 unsigned bits",
+                 id="config-seed-past-64-bits"),
+    pytest.param("campaign.conf", 5, "length_unit characters", ParseError,
+                 "{path}:5: expected 'key = value'", id="config-no-equals"),
+    pytest.param("campaign.conf", 10, "seed = 7", ParseError,
+                 "{path}:10: duplicate config key 'seed'", id="config-duplicate-key"),
+    pytest.param("campaign.conf", 6, "# seed = 20250810", ParseError,
+                 "{path}: missing config key 'seed'", id="config-missing-key"),
+    pytest.param("campaign.conf", 4, "annotators_per_task = three", ParseError,
+                 "{path}: bad numeric value in config: " + NOT_AN_INT + "'three'",
+                 id="config-bad-number"),
+    pytest.param("campaign.conf", 7, "segments = nowhere.jsonl", MissingFile,
+                 "data file not found: {dir}/nowhere.jsonl", id="jsonl-missing-file"),
+    pytest.param("segments.jsonl", 3, "not json", ParseError,
+                 "{path}:3: bad JSON: Expecting value: line 1 column 1 (char 0)",
+                 id="jsonl-bad-json"),
+    pytest.param("segments.jsonl", 3, "[1, 2]", ParseError,
+                 "{path}:3: expected a JSON object", id="jsonl-not-an-object"),
+    pytest.param("hypotheses.jsonl", 3, lambda line: "\n  \n" + line, None, None,
+                 id="jsonl-blank-lines-skipped"),
+    pytest.param("segments.jsonl", 2, _fields(source_text=None), ParseError,
+                 "{path}:2: missing field 'source_text'", id="segment-missing-field"),
+    pytest.param("segments.jsonl", 2, _fields(direction="xx-yy"), ParseError,
+                 "{path}:2: direction 'xx-yy' not in config",
+                 id="segment-unknown-direction"),
+    pytest.param("segments.jsonl", 2, _fields(reference_text=""), ParseError,
+                 "{path}:2: segment 'ez01' has empty text", id="segment-empty-text"),
+    pytest.param("segments.jsonl", 2, _fields(reference_length=-1), ParseError,
+                 "{path}:2: segment 'ez01' has negative reference_length",
+                 id="segment-negative-reference-length"),
+    pytest.param("hypotheses.jsonl", 2, _fields(text=None), ParseError,
+                 "{path}:2: missing field 'text'", id="hypothesis-missing-field"),
+    pytest.param("hypotheses.jsonl", 2, _fields(system_id="sysZ"), UnresolvedReference,
+                 "{path}:2: hypothesis references unknown system 'sysZ'",
+                 id="hypothesis-unknown-system"),
+    pytest.param("hypotheses.jsonl", 2, _fields(length_ratio=0.5), ParseError,
+                 "{path}:2: duplicate hypothesis for ('sysA', 'ez00', 0.5)",
+                 id="hypothesis-duplicate"),
+    pytest.param("ratings.csv", 3, _column(1, "zz99"), UnresolvedReference,
+                 "{path}:3: rating references unknown seg_id 'zz99'",
+                 id="rating-unknown-seg-id"),
+    pytest.param("ratings.csv", 3, _column(4, "high"), ParseError,
+                 "{path}:3: bad numeric field: " + NOT_AN_INT + "'high'",
+                 id="rating-bad-number"),
+    pytest.param("ratings.csv", 3, _column(6, "maybe"), ParseError,
+                 "{path}:3: bad is_trap value 'maybe'", id="rating-bad-is-trap"),
+    pytest.param(SCORES_FILE, 3, _column(0, "", "\t"), ParseError,
+                 "{path}:3: empty metric name", id="scores-empty-metric-name"),
+    pytest.param(SCORES_FILE, 3, _column(2, "sysZ", "\t"), UnresolvedReference,
+                 "{path}:3: unknown system 'sysZ'", id="scores-unknown-system"),
+    pytest.param(SCORES_FILE, 3, _column(4, "high", "\t"), ParseError,
+                 "{path}:3: bad score: " + NOT_A_FLOAT + "'high'",
+                 id="scores-bad-score"),
+]
+
+
+def _edited_fixture(tmp_path: Path, name: str, line: int, edit) -> Path:
+    """A copy of the fixture campaign in ``tmp_path`` whose file ``name``
+    has ``line`` replaced by ``edit`` (a string, or a function of the line)."""
+    shutil.copytree(FIXTURE, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / name
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[line - 1] = edit(lines[line - 1]) if callable(edit) else edit
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("name, line, edit, error, message", LOADER_REFUSALS)
+def test_each_loader_refusal_names_its_cause_and_line(
+    tmp_path, campaign, name, line, edit, error, message
+):
+    path = _edited_fixture(tmp_path, name, line, edit)
+    if error is None:
+        assert load_campaign(tmp_path / "campaign.conf") == campaign
+        return
+    with pytest.raises(error) as info:
+        load_campaign(tmp_path / "campaign.conf")
+    assert type(info.value) is error
+    assert str(info.value) == message.format(path=path, dir=tmp_path)
+
+
+@pytest.mark.parametrize(
+    "name, line, edit, error, message",
+    [case for case in LOADER_REFUSALS
+     if case.id in ("config-missing-key", "jsonl-bad-json", "scores-unknown-system")],
+)
+def test_validate_exits_2_on_a_loader_refusal(
+    tmp_path, capsys, name, line, edit, error, message
+):
+    from lcmteval.cli import main
+
+    path = _edited_fixture(tmp_path, name, line, edit)
+    assert main(["validate", str(tmp_path / "campaign.conf")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message.format(path=path, dir=tmp_path)}\n"

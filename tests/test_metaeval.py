@@ -20,6 +20,7 @@ from lcmteval.errors import (
     LengthMismatch,
     NonFiniteScore,
     NoVariants,
+    SampleTooSmall,
     SystemOnlyTable,
     TooFewSystems,
     ZeroVariance,
@@ -773,3 +774,52 @@ class TestSelectBestVariant:
             _, vectors, human_vec = hybrid_supersample([table], human[t], 30, seed=5)
             expected = pearson(human_vec.values, vectors[table.key].values).value
             assert selection.per_task[t] == expected
+
+
+TWO_SYSTEMS = grid({"s1": [1, 2, 3], "s2": [3, 1, 2]})
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: pearson([1.0], [2.0]), SampleTooSmall, "pearson needs at least 2 points"),
+        (
+            lambda: hybrid_supersample(
+                [seg_table(TWO_SYSTEMS),
+                 ScoreTable.system_table("corpus", "-", TASK, {"s1": 0.5, "s3": 0.5})],
+                TWO_SYSTEMS, 2, 0,
+            ),
+            CellMismatch,
+            "system-only table corpus covers different systems",
+        ),
+        (
+            lambda: apply_selector(
+                ScoreTable.system_table("corpus", "-", TASK, {"s1": 0.5}), {}
+            ),
+            SystemOnlyTable,
+            "selectors need per-segment scores",
+        ),
+        (
+            lambda: hybrid_supersample([], TWO_SYSTEMS, 2, 0),
+            NoVariants,
+            "hybrid_supersample needs at least one score table",
+        ),
+        (
+            lambda: select_best_variant(
+                {"v1": {TASK: seg_table(TWO_SYSTEMS, metric="m")},
+                 "v2": {TASK: seg_table(TWO_SYSTEMS, metric="n")}},
+                {TASK: TWO_SYSTEMS},
+                [TASK],
+            ),
+            ValueError,
+            "variants span multiple metrics: ['m', 'n']",
+        ),
+    ],
+    ids=["one-point", "system-only-other-systems", "selector-on-system-table",
+         "no-tables", "variants-of-two-metrics"],
+)
+def test_each_refusal_names_its_cause(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message

@@ -589,3 +589,22 @@ class TestLengthTargets:
         assert expected_length(0.8, 10) == 8
         assert expected_length(0.5, 7) == 4  # 3.5 rounds up
         assert expected_length(0.5, 9) == 5
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: tokenize("a b", "bytes"), ValueError,
+         "unknown tokenization scheme: 'bytes'"),
+        (lambda: corpus_bleu([tok("a b")], []), LengthMismatch,
+         "1 hypotheses vs 0 references"),
+        (lambda: bleu_star(BleuScore((0.0,) * 4, 0.0, 0.0, 0.0, 0, 1)), ValueError,
+         "brevity penalty must be positive"),
+    ],
+    ids=["unknown-scheme", "unpaired-corpus", "zero-brevity-penalty"],
+)
+def test_each_refusal_names_its_cause(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message

@@ -441,3 +441,28 @@ class TestAgreement:
         for statistic in (agreement, one_vs_rest, krippendorff_alpha):
             with pytest.raises(EmptySet):
                 statistic([rating("a1", "g1", 10, trap=True)])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: generate_traps([segment("g1", "a b c d")], 1.0, 1, 0), ValueError,
+         "trap ratio must be in (0, 1), got 1.0"),
+        # a1 rates every shared item alike, so its one-vs-rest r is undefined
+        (
+            lambda: one_vs_rest(
+                [rating(a, g, score)
+                 for g, others in (("g1", 10), ("g2", 20), ("g3", 40))
+                 for a, score in (("a1", 50), ("a2", others))]
+            ),
+            ZeroVariance,
+            "constant vector in one-vs-rest correlation",
+        ),
+    ],
+    ids=["trap-ratio-one", "constant-annotator"],
+)
+def test_each_refusal_names_its_cause(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message

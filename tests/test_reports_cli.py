@@ -22,8 +22,8 @@ from lcmteval.corpus import (
     parse_config,
     save_campaign,
 )
-from lcmteval.errors import UnsupportedFormat
-from lcmteval.pipeline import PipelineState, run_pipeline
+from lcmteval.errors import IncompleteTable, ParseError, UnsupportedFormat
+from lcmteval.pipeline import PipelineState, run_pipeline, score_tables_for_task
 from lcmteval.reports import (
     SIG_HEADER,
     emit_sig_matrix,
@@ -161,6 +161,50 @@ class TestSigMatrixFormats:
         matrix = make_matrix(["m1", "m2"])
         with pytest.raises(UnsupportedFormat):
             emit_sig_matrix(matrix, "png", tmp_path / "x.png")
+
+
+def _edited_sig_csv(tmp_path, edit):
+    """A two-metric segment matrix's csv, its rows (header first) passed
+    through ``edit``."""
+    path = tmp_path / "sig.csv"
+    emit_sig_matrix(make_matrix(["m1", "m2"]), "csv", path)
+    rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
+    lines = [",".join(row) + "\n" for row in edit(rows)]
+    path.write_text("".join(lines), encoding="utf-8")
+    return path
+
+
+def _set_field(line, column, value):
+    def edit(rows):
+        rows[line - 1][SIG_HEADER.index(column)] = value
+        return rows
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda rows: rows[:1], "{path}: significance file has no cells"),
+        (_set_field(2, "significant", "yes"), "{path}:2: bad boolean 'yes'"),
+        (_set_field(3, "direction", "cc-dd"),
+         "{path}:3: mixed tasks or levels in one matrix file"),
+    ],
+    ids=["no-cells", "bad-boolean", "mixed-tasks"],
+)
+def test_each_sig_matrix_refusal_names_its_cause(tmp_path, edit, message):
+    path = _edited_sig_csv(tmp_path, edit)
+    with pytest.raises(ParseError) as info:
+        load_sig_matrix_csv(path)
+    assert str(info.value) == message.format(path=path)
+
+
+def test_an_unknown_format_names_the_formats(tmp_path):
+    with pytest.raises(UnsupportedFormat) as info:
+        emit_sig_matrix(make_matrix(["m1", "m2"]), "png", tmp_path / "x.png")
+    assert str(info.value) == (
+        "unknown significance format 'png'; expected one of ('csv', 'textgrid', 'svg')"
+    )
 
 
 class TestCli:
@@ -1106,3 +1150,148 @@ class TestRunCommand:
             "(expected 288, found 287)\n"
         ) in capsys.readouterr().err
         assert not out.exists()
+
+
+
+def edited_copy(fixture_config_path, dest, name, edit):
+    """A copy of the fixture campaign in ``dest`` whose file ``name`` has its
+    lines passed through ``edit``; returns the copy's config path."""
+    shutil.copytree(fixture_config_path.parent, dest)
+    path = dest / name
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("".join(line + "\n" for line in edit(lines)), encoding="utf-8")
+    return dest / "campaign.conf"
+
+
+def set_config(**values):
+    """A config edit: each key's line takes the given value."""
+
+    def edit(lines):
+        keys = [line.partition("=")[0].strip() for line in lines]
+        return [
+            f"{key} = {values[key]}" if key in values else line
+            for key, line in zip(keys, lines)
+        ]
+
+    return edit
+
+
+def warnings_of(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+
+
+class TestWarningsAndRefusals:
+    """A warning or refusal of the pipeline and CLI, each on a one-edit copy
+    of the fixture campaign."""
+
+    def test_a_missing_hypothesis_is_an_incomplete_table(
+        self, fixture_config_path, tmp_path
+    ):
+        # line 1 of hypotheses.jsonl is (sysA, ez00) at ratio 0.5
+        config = edited_copy(
+            fixture_config_path, tmp_path / "camp", "hypotheses.jsonl",
+            lambda lines: lines[1:],
+        )
+        campaign = load_campaign(config)
+        with pytest.raises(IncompleteTable) as info:
+            score_tables_for_task(campaign, Task("en-zh", 0.5))
+        assert str(info.value) == "no hypothesis for (sysA, ez00, ratio 0.5)"
+
+    def test_an_external_metric_missing_a_task_exits_2_first(
+        self, fixture_config_path, tmp_path, capsys
+    ):
+        config = edited_copy(
+            fixture_config_path, tmp_path / "camp", "scores/en-zh.80.tsv",
+            lambda lines: [line for line in lines if not line.startswith("neuralA\tv2\t")],
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(config), "--out", str(out), *SMALL_RUN]) == 2
+        assert capsys.readouterr().err == (
+            "error: metric neuralA/v2 has no scores for tasks: en-zh.80\n"
+        )
+        assert not out.exists()
+
+    def test_validate_lists_20_missing_cells_then_counts_the_rest(
+        self, fixture_config_path, tmp_path, capsys
+    ):
+        # a3's ratings of en-zh at 0.8 are gone, traps kept (24 cells one
+        # annotator short), and a1's first rating is given twice
+        def edit(lines):
+            gone = [line for line in lines if line.startswith("a3,")
+                    and ",0.8," in line and line.endswith(",false")]
+            return [line for line in lines if line not in gone] + [lines[1]]
+
+        config = edited_copy(fixture_config_path, tmp_path / "camp", "ratings.csv", edit)
+        assert main(["validate", str(config)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:5] == [
+            "expected ratings: 288",
+            "found ratings:    265",
+            "missing cells:    24",
+            "duplicate cells:  1",
+            "trap ratings:     48 (excluded from the grid)",
+        ]
+        assert [line.split(":")[0] for line in lines[5:]] == (
+            ["  missing"] * 20 + ["  ... and 4 more", "  duplicate", "  warning"]
+        )
+        assert lines[5] == "  missing: ('en-zh', 0.8, 'ez00', 'sysA', 2)"
+        assert lines[-2] == "  duplicate: ('a1', 'en-zh', 0.8, 'ez00', 'sysA', 2)"
+        assert lines[-1] == (
+            "  warning: task en-zh.80: 2 distinct annotators, config expects 3"
+        )
+
+    def test_run_warns_of_an_annotator_count_the_config_does_not_expect(
+        self, fixture_config_path, tmp_path, caplog
+    ):
+        config = edited_copy(
+            fixture_config_path, tmp_path / "camp", "campaign.conf",
+            set_config(annotators_per_task=2),
+        )
+        out = tmp_path / "out"
+        with caplog.at_level(logging.WARNING, logger="lcmteval"):
+            assert main(["-v", "run", str(config), "--out", str(out), *SMALL_RUN]) == 0
+        assert warnings_of(caplog) == [
+            f"task {label}: 3 distinct annotators, config expects 2"
+            for label in ("en-zh.80", "en-zh.50", "zh-en.80", "zh-en.50")
+        ]
+
+    def test_normalize_warns_of_each_cell_short_of_annotators(
+        self, fixture_config_path, tmp_path, caplog
+    ):
+        config = edited_copy(
+            fixture_config_path, tmp_path / "camp", "campaign.conf",
+            set_config(annotators_per_task=4),
+        )
+        with caplog.at_level(logging.WARNING, logger="lcmteval"):
+            assert main(["normalize", str(config), "--out", str(tmp_path / "out")]) == 0
+        warnings = warnings_of(caplog)
+        assert len(warnings) == 96
+        assert warnings[0] == "aggregation: (en-zh.50, sysA, ez00): 3 of 4 annotators"
+
+    def test_correlate_without_hybrids_warns_of_two_systems(
+        self, fixture_config_path, tmp_path, caplog
+    ):
+        args = ["correlate", str(fixture_config_path), "--out", str(tmp_path)]
+        with caplog.at_level(logging.WARNING, logger="lcmteval"):
+            assert main([*args, "--hybrids", "0"]) == 0
+        assert warnings_of(caplog) == [
+            "system-level Pearson over 2 real systems without hybrids is degenerate"
+        ]
+
+    def test_traps_skip_a_ratio_of_one(
+        self, fixture_config_path, tmp_path, caplog, capsys
+    ):
+        config = edited_copy(
+            fixture_config_path, tmp_path / "camp", "campaign.conf",
+            set_config(ratios="0.8, 0.5, 1.0"),
+        )
+        out = tmp_path / "out"
+        with caplog.at_level(logging.WARNING, logger="lcmteval"):
+            assert main(["traps", str(config), "--out", str(out), "--count", "2"]) == 0
+        # one warning per direction; 2 traps per direction and other ratio
+        assert warnings_of(caplog) == [
+            "skipping ratio 1.0: traps need a ratio in (0, 1)"
+        ] * 2
+        assert capsys.readouterr().out.startswith(
+            f"wrote 8 trap pairs to {out / 'traps.jsonl'}\n"
+        )

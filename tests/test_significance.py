@@ -17,6 +17,7 @@ from lcmteval.errors import (
     LengthMismatch,
     NonFiniteScore,
     SampleTooSmall,
+    SystemOnlyTable,
     ZeroVariance,
 )
 from lcmteval.metaeval import pearson
@@ -922,3 +923,29 @@ class TestPairedBootstrap:
         assert dagger_marks(0.03) == "†"
         assert dagger_marks(0.2) == ""
         assert dagger_marks(0.05) == ""  # thresholds are strict
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: zou_ci(0.5, 0.4, 0.3, n=10, level=1.0), ValueError,
+         "confidence level must be in (0, 1), got 1.0"),
+        (
+            lambda: perm_both(
+                ScoreTable.system_table("corpus", "-", TASK, {"s1": 0.5}),
+                seg_table({("s1", "g1"): 0.5}),
+                {("s1", "g1"): 1.0},
+            ),
+            SystemOnlyTable,
+            "permutation test needs segment-level tables",
+        ),
+        (lambda: paired_bootstrap({"g1": 1.0}, {"g1": 2.0}), SampleTooSmall,
+         "paired_bootstrap needs at least 2 segments"),
+    ],
+    ids=["confidence-level-one", "system-only-table", "one-segment"],
+)
+def test_each_refusal_names_its_cause(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message
